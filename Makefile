@@ -55,6 +55,8 @@ fuzz-check:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadLongFormat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVSourceMatchesReadCSV$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDecideBatchEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParseRunRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/env -run '^$$' -fuzz '^FuzzEnvProfile$$' -fuzztime $(FUZZTIME)
@@ -150,6 +152,8 @@ check: vet vuln build race telemetry-check fault-check fuzz-check stream-check k
 # BENCH_shard.json; h2pbenchdiff renders every unit including the servers/s
 # throughput column, and `h2pbenchdiff -threshold 10 old.json BENCH_shard.json`
 # gates throughput drops as well as ns/op growth.
+# The CSVSource benchmark (index and decode of a generated 2k-server drastic
+# CSV, in MB/s and values/s) lands in BENCH_trace.json.
 # Each artifact opens with the h2p_bench_env header line (`h2pbench
 # -bench-env`): go version, GOMAXPROCS, CPU model, commit. h2pbenchdiff
 # reads it back and warns when two compared artifacts come from different
@@ -164,9 +168,13 @@ bench:
 	$(GO) run ./cmd/h2pbench -bench-env > BENCH_shard.json
 	$(GO) test -run '^$$' -bench ShardScaling -benchmem -benchtime 1x -count=1 -json \
 		./internal/shard >> BENCH_shard.json
+	$(GO) run ./cmd/h2pbench -bench-env > BENCH_trace.json
+	$(GO) test -run '^$$' -bench '^BenchmarkCSVSource$$' -benchmem -count=1 -json \
+		./internal/trace >> BENCH_trace.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_decision.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_interval.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_shard.json
+	$(GO) run ./cmd/h2pbenchdiff BENCH_trace.json
 
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -176,4 +184,4 @@ experiments:
 
 clean:
 	$(GO) clean ./...
-	rm -rf results BENCH_decision.json BENCH_interval.json BENCH_shard.json
+	rm -rf results BENCH_decision.json BENCH_interval.json BENCH_shard.json BENCH_trace.json
