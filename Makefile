@@ -63,11 +63,12 @@ fuzz-check:
 
 # stream-check gates the streaming data path under the race detector: the
 # source adapters and their equivalence suites (streaming vs in-memory
-# bit-identity across classes, schemes and worker counts), checkpoint/resume
-# bit-equivalence, the memory-bound pins, and the CLI halt/resume and
-# convert golden flows.
+# bit-identity across classes, schemes and worker counts), the shared-decode
+# Tee (branches read at different speeds on their own goroutines),
+# checkpoint/resume bit-equivalence, the memory-bound pins, and the CLI
+# halt/resume and convert golden flows.
 stream-check:
-	$(GO) test -race -run 'Stream|Source|Resume|Checkpoint|Convert|Generator' \
+	$(GO) test -race -run 'Stream|Source|Tee|Resume|Checkpoint|Convert|Generator' \
 		./internal/trace ./internal/core ./cmd/h2psim ./cmd/h2ptrace
 
 # kernel-check gates the batched column kernels under the race detector:
@@ -136,8 +137,9 @@ load-check:
 
 # check is the tier-1 gate: vet + best-effort vuln scan + build +
 # race-enabled tests + the telemetry, fault, fuzz, streaming, batch-kernel,
-# shard, observability, run-server and facility-environment gates.
-check: vet vuln build race telemetry-check fault-check fuzz-check stream-check kernel-check shard-check obs-check serve-check env-check
+# shard, observability, run-server (serve-check and load-check) and
+# facility-environment gates.
+check: vet vuln build race telemetry-check fault-check fuzz-check stream-check kernel-check shard-check obs-check serve-check load-check env-check
 
 # bench tracks the decision hot path across PRs: the Decision* benchmarks in
 # internal/lookup (candidate scan) and internal/sched (controller) run with

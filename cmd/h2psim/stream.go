@@ -27,19 +27,19 @@ var errHalted = errors.New("h2psim: halted at checkpoint boundary (resume with -
 const haltExitCode = 3
 
 // streamSpec is one trace the streaming path evaluates: a display class, a
-// coordinator key, an opener producing a fresh source per run (the two
-// schemes run concurrently and cannot share stream state), and the trace's
+// coordinator key, the trace's source — opened once per invocation and
+// shared by every pending scheme run through trace.Tee — and the trace's
 // meta for journal manifests.
 type streamSpec struct {
 	name  string
 	class trace.Class
-	open  core.SourceOpener
+	src   trace.Source
 	meta  trace.Meta
 }
 
 // streamSpecs builds the run list: the single -trace CSV, or the three
 // synthetic classes with the exact per-class seed schedule the in-memory
-// path uses.
+// path uses. The caller owns the opened sources (see closeSpecs).
 func streamSpecs(opt runOptions) ([]streamSpec, error) {
 	if opt.traceFile != "" {
 		src, err := trace.OpenCSVFile(opt.traceFile)
@@ -47,33 +47,29 @@ func streamSpecs(opt runOptions) ([]streamSpec, error) {
 			return nil, err
 		}
 		m := src.Meta()
-		if err := src.Close(); err != nil {
-			return nil, err
-		}
-		path := opt.traceFile
-		return []streamSpec{{
-			name:  m.Name,
-			class: m.Class,
-			open:  func() (trace.Source, error) { return trace.OpenCSVFile(path) },
-			meta:  m,
-		}}, nil
+		return []streamSpec{{name: m.Name, class: m.Class, src: src, meta: m}}, nil
 	}
 	cfgs := trace.CanonicalConfigs(opt.servers)
 	specs := make([]streamSpec, 0, len(cfgs))
 	for i, cfg := range cfgs {
-		cfg, seed := cfg, trace.CanonicalSeed(opt.seed, i)
-		g, err := trace.NewGeneratorSource(cfg, seed)
+		g, err := trace.NewGeneratorSource(cfg, trace.CanonicalSeed(opt.seed, i))
 		if err != nil {
 			return nil, err
 		}
-		specs = append(specs, streamSpec{
-			name:  g.Meta().Name,
-			class: cfg.Class,
-			open:  func() (trace.Source, error) { return trace.NewGeneratorSource(cfg, seed) },
-			meta:  g.Meta(),
-		})
+		specs = append(specs, streamSpec{name: g.Meta().Name, class: cfg.Class, src: g, meta: g.Meta()})
 	}
 	return specs, nil
+}
+
+// closeSpecs closes every source still owned by specs: those whose runs
+// never started, because every scheme was already done or an earlier error
+// ended the invocation.
+func closeSpecs(specs []streamSpec) {
+	for _, sp := range specs {
+		if c, ok := sp.src.(io.Closer); ok {
+			c.Close()
+		}
+	}
 }
 
 // runKey names one trace x scheme run inside the checkpoint file.
@@ -226,7 +222,9 @@ func (c *coordinator) setDone(key string, res *core.Result) error {
 	return c.flushLocked()
 }
 
-// flushLocked atomically replaces the checkpoint file with the current state.
+// flushLocked atomically and durably replaces the checkpoint file with the
+// current state: the temp file is synced before the rename, and the
+// directory after it, so a crash leaves either the old file or the new one.
 func (c *coordinator) flushLocked() error {
 	data, err := json.Marshal(&c.file)
 	if err != nil {
@@ -237,21 +235,34 @@ func (c *coordinator) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }
+
+// keepSeries reports whether the runs retain their interval series, which
+// -series and -series-out print.
+func (o runOptions) keepSeries() bool { return o.series || o.seriesOut != "" }
 
 // streamSchemes is the fixed scheme order of the comparison tables.
 var streamSchemes = [2]sched.Scheme{sched.Original, sched.LoadBalance}
@@ -265,6 +276,7 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 	if err != nil {
 		return err
 	}
+	defer closeSpecs(specs)
 	var coord *coordinator
 	if opt.checkpoint != "" {
 		if coord, err = newCoordinator(opt.checkpoint, opt.resume); err != nil {
@@ -273,7 +285,6 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 	} else if opt.resume {
 		return errors.New("h2psim: -resume requires -checkpoint")
 	}
-	keepSeries := opt.series || opt.seriesOut != ""
 
 	cfg := core.DefaultConfig(sched.Original)
 	cfg.ServersPerCirculation = opt.circ
@@ -287,17 +298,9 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 	fleet := core.NewFleet()
 	results := make(map[string][2]*core.Result)
 	halted := false
-	for _, sp := range specs {
+	for k := range specs {
+		sp := specs[k]
 		var pair [2]*core.Result
-		if opt.shards > 0 {
-			h, err := runShardedSpec(ctx, fleet, cfg, sp, coord, keepSeries, opt, &pair)
-			if err != nil {
-				return err
-			}
-			halted = halted || h
-			results[sp.name] = pair
-			continue
-		}
 		var runs []core.SourceRun
 		var slots []int
 		var recs []*obs.RunRecorder
@@ -311,31 +314,30 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 				pair[si] = entry.Result
 				continue
 			}
-			ro := &core.RunOptions{KeepSeries: keepSeries, HaltAfter: opt.haltAfter}
 			rr := journalRecorder(opt, sp, scheme)
-			if rr != nil {
-				ro.Observer = rr
+			var r core.SourceRun
+			if opt.shards > 0 {
+				r, err = shardedRun(fleet, key, entry, coord, rr, opt)
+			} else {
+				r = engineRun(key, entry, coord, rr, opt)
 			}
-			if entry != nil && entry.Checkpoint != nil {
-				ro.Resume = entry.Checkpoint
-			} else if entry != nil && entry.Sharded != nil {
-				// The sharded record's Merged field is a complete engine
-				// checkpoint in global circulation order, so a run
-				// checkpointed under -shards resumes unsharded from it.
-				ro.Resume = &entry.Sharded.Merged
+			if err != nil {
+				return err
 			}
-			if coord != nil {
-				key := key
-				ro.Checkpoint = &core.CheckpointOptions{
-					Every: opt.checkpointEvery,
-					Write: func(cp *core.Checkpoint) error { return coord.setCheckpoint(key, cp) },
-				}
-			}
-			runs = append(runs, core.SourceRun{Open: sp.open, Scheme: scheme, Opts: ro})
+			r.Scheme = scheme
+			runs = append(runs, r)
 			slots = append(slots, si)
 			recs = append(recs, rr)
 		}
 		if len(runs) > 0 {
+			// One decode feeds every pending scheme run; the runs now own
+			// the source and close it through their branches.
+			branches := trace.Tee(sp.src, len(runs))
+			specs[k].src = nil
+			for j := range runs {
+				b := branches[j]
+				runs[j].Open = func() (trace.Source, error) { return b, nil }
+			}
 			rs, err := fleet.RunSourcesContext(ctx, cfg, runs)
 			if err != nil && !errors.Is(err, core.ErrHalted) {
 				return err
@@ -389,69 +391,60 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 	return nil
 }
 
-// runShardedSpec runs one trace's two scheme runs through the sharded
-// execution layer (internal/shard), sequentially: each run already spreads
-// across opt.shards engine shards, so running the schemes concurrently on top
-// would only oversubscribe the cores the shards are meant to fill. It fills
-// pair in scheme order and reports whether any run halted at its -halt-after
-// boundary. Checkpoints land in the coordinator as Sharded entries; resuming
-// them under a different shard count is rejected by the shard layer with a
-// layout error rather than silently recomputed.
-func runShardedSpec(ctx context.Context, fleet *core.Fleet, cfg core.Config, sp streamSpec,
-	coord *coordinator, keepSeries bool, opt runOptions, pair *[2]*core.Result) (halted bool, err error) {
-	for si, scheme := range streamSchemes {
-		key := runKey(sp.name, scheme)
-		var entry *checkpointEntry
-		if coord != nil {
-			entry = coord.entry(key)
-		}
-		if entry != nil && entry.Done {
-			pair[si] = entry.Result
-			continue
-		}
-		so := &shard.Options{Shards: opt.shards, KeepSeries: keepSeries, HaltAfter: opt.haltAfter}
-		rr := journalRecorder(opt, sp, scheme)
-		if rr != nil {
-			so.Observer = rr
-		}
-		if entry != nil {
-			switch {
-			case entry.Sharded != nil:
-				so.Resume = entry.Sharded
-			case entry.Checkpoint != nil:
-				return false, fmt.Errorf("run %s was checkpointed unsharded; resume without -shards (a sharded checkpoint would resume either way), or restart without -resume", key)
-			}
-		}
-		if coord != nil {
-			key := key
-			so.Checkpoint = &shard.CheckpointOptions{
-				Every: opt.checkpointEvery,
-				Write: func(cp *shard.Checkpoint) error { return coord.setSharded(key, cp) },
-			}
-		}
-		scfg := cfg
-		scfg.Scheme = scheme
-		src, err := sp.open()
-		if err != nil {
-			return false, err
-		}
-		res, err := shard.Run(ctx, fleet, scfg, src, so)
-		if errors.Is(err, core.ErrHalted) {
-			halted = true
-			continue
-		}
-		if err != nil {
-			return false, err
-		}
-		pair[si] = res
-		rr.Done(res)
-		if coord != nil {
-			if err := coord.setDone(key, res); err != nil {
-				return false, err
-			}
+// engineRun builds one unsharded scheme run: the engine's streaming loop,
+// resumed from the run's stored checkpoint (an engine record, or a sharded
+// record's Merged field) and checkpointing into the coordinator.
+func engineRun(key string, entry *checkpointEntry, coord *coordinator, rr *obs.RunRecorder, opt runOptions) core.SourceRun {
+	ro := &core.RunOptions{KeepSeries: opt.keepSeries(), HaltAfter: opt.haltAfter}
+	if rr != nil {
+		ro.Observer = rr
+	}
+	if entry != nil && entry.Checkpoint != nil {
+		ro.Resume = entry.Checkpoint
+	} else if entry != nil && entry.Sharded != nil {
+		// The sharded record's Merged field is a complete engine
+		// checkpoint in global circulation order, so a run
+		// checkpointed under -shards resumes unsharded from it.
+		ro.Resume = &entry.Sharded.Merged
+	}
+	if coord != nil {
+		ro.Checkpoint = &core.CheckpointOptions{
+			Every: opt.checkpointEvery,
+			Write: func(cp *core.Checkpoint) error { return coord.setCheckpoint(key, cp) },
 		}
 	}
-	return halted, nil
+	return core.SourceRun{Opts: ro}
+}
+
+// shardedRun builds one scheme run through the sharded execution layer
+// (internal/shard). The fleet runs a trace's pending schemes concurrently
+// over one shared decode, so -shards 2 steps both schemes' shards side by
+// side while the CSV is parsed once. Checkpoints land in the coordinator as
+// Sharded entries; resuming them under a different shard count is rejected
+// by the shard layer with a layout error rather than silently recomputed.
+func shardedRun(fleet *core.Fleet, key string, entry *checkpointEntry, coord *coordinator,
+	rr *obs.RunRecorder, opt runOptions) (core.SourceRun, error) {
+	so := &shard.Options{Shards: opt.shards, KeepSeries: opt.keepSeries(), HaltAfter: opt.haltAfter}
+	if rr != nil {
+		so.Observer = rr
+	}
+	if entry != nil {
+		switch {
+		case entry.Sharded != nil:
+			so.Resume = entry.Sharded
+		case entry.Checkpoint != nil:
+			return core.SourceRun{}, fmt.Errorf("run %s was checkpointed unsharded; resume without -shards (a sharded checkpoint would resume either way), or restart without -resume", key)
+		}
+	}
+	if coord != nil {
+		so.Checkpoint = &shard.CheckpointOptions{
+			Every: opt.checkpointEvery,
+			Write: func(cp *shard.Checkpoint) error { return coord.setSharded(key, cp) },
+		}
+	}
+	return core.SourceRun{Exec: func(ctx context.Context, cfg core.Config, src trace.Source) (*core.Result, error) {
+		return shard.Run(ctx, fleet, cfg, src, so)
+	}}, nil
 }
 
 // printStreamReport renders the Fig. 14/15 tables (and the fault table) from

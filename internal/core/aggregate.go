@@ -138,8 +138,8 @@ func (a *Aggregator) KeepsSeries() bool { return a.keepSeries }
 
 // Checkpoint freezes the fold at the current interval boundary: the run
 // identity, NextInterval, every running aggregate and (for series-keeping
-// folds) the retained series. The engine-side state — sensor snapshots and
-// decision-cache keys — is the caller's to fill in.
+// folds) the retained series. The engine-side state — the sensor snapshots —
+// is the caller's to fill in.
 func (a *Aggregator) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		Version:      CheckpointVersion,

@@ -31,9 +31,12 @@ const CheckpointVersion = 1
 //   - The fault injector needs no state at all: activation is a pure
 //     function of (seed, stream, unit, interval), so the resumed run asks
 //     the same questions and gets the same answers (see fault.Injector).
-//   - CacheKeys lists the controller's memoized decision planes. The cache
-//     is a pure function of the plane, so the keys are purely a warm-start
-//     performance hint; results are bit-identical with or without them.
+//   - The decision cache is not saved. It is a pure function of (plane,
+//     cold side), so a resumed run that starts cold computes the same
+//     settings; re-warming it from a key list would cost the same Choose
+//     calls the misses do, while the list would grow with every distinct
+//     plane. Files written with a "cache_keys" field still decode:
+//     encoding/json ignores it.
 //   - Series retains the per-interval results when the run keeps its series
 //     (RunOptions.KeepSeries), so a resumed run can still render the full
 //     interval series byte-identically.
@@ -80,9 +83,6 @@ type Checkpoint struct {
 
 	// Sensors is one snapshot per circulation, in circulation index order.
 	Sensors []hydro.SensorState `json:"sensors"`
-
-	// CacheKeys warm-starts the decision cache (performance only).
-	CacheKeys []uint64 `json:"cache_keys,omitempty"`
 
 	// Series is the retained per-interval results (KeepSeries runs only);
 	// len(Series) == NextInterval.
@@ -142,13 +142,12 @@ func (cp *Checkpoint) ValidateFor(m trace.Meta, cfg Config, circulations int, ke
 }
 
 // snapshot freezes the run at the aggregator's current boundary: the fold's
-// aggregates plus the engine-side state (sensor snapshots, cache keys).
+// aggregates plus the engine-side sensor snapshots.
 func (e *Engine) snapshot(agg *Aggregator, circs []Circulation) *Checkpoint {
 	cp := agg.Checkpoint()
 	cp.Sensors = make([]hydro.SensorState, len(circs))
 	for ci := range circs {
 		cp.Sensors[ci] = circs[ci].sensor.State()
 	}
-	cp.CacheKeys = e.controller.CacheKeys()
 	return cp
 }

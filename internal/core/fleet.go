@@ -160,18 +160,25 @@ func Compare(tr *trace.Trace, base Config) (*Result, *Result, error) {
 	return NewFleet().CompareContext(context.Background(), tr, base)
 }
 
-// SourceOpener produces a fresh, private trace.Source for one run. Sources
-// are single-stream state (see trace.Source), so concurrent fleet runs
-// cannot share one: each run opens its own. The fleet closes sources that
-// implement io.Closer when their run finishes.
+// SourceOpener produces the trace.Source one run reads: a fresh, private
+// source, or one branch of a source the runs share through trace.Tee. The
+// fleet closes sources that implement io.Closer when their run finishes, on
+// every exit path, so a failed run never holds back a sibling sharing its
+// decode.
 type SourceOpener func() (trace.Source, error)
 
-// SourceRun is one streaming trace x scheme combination: a private source,
-// the scheme, and the run's options (series retention, checkpoint/resume).
+// SourceRun is one streaming trace x scheme combination: its source, the
+// scheme, and the run's options (series retention, checkpoint/resume).
 type SourceRun struct {
 	Open   SourceOpener
 	Scheme sched.Scheme
 	Opts   *RunOptions
+	// Exec, when non-nil, replaces the engine's streaming loop for this run:
+	// it receives the run's configuration (the batch base with Scheme set)
+	// and its opened source, and Opts is ignored. The sharded execution
+	// layer plugs in here, so sharded and unsharded batches share one
+	// concurrency, close and error-precedence contract.
+	Exec func(ctx context.Context, cfg Config, src trace.Source) (*Result, error)
 }
 
 // RunSourcesContext evaluates every streaming run concurrently, one
@@ -193,26 +200,7 @@ func (f *Fleet) RunSourcesContext(ctx context.Context, base Config, runs []Sourc
 	for i, r := range runs {
 		go func(i int, r SourceRun) {
 			defer wg.Done()
-			cfg := base
-			cfg.Scheme = r.Scheme
-			eng, err := f.Engine(cfg)
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			src, err := r.Open()
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			res, err := eng.RunSourceContext(ctx, src, r.Opts)
-			if c, ok := src.(io.Closer); ok {
-				if cerr := c.Close(); cerr != nil && err == nil {
-					err = cerr
-				}
-			}
+			res, err := f.runSource(ctx, base, r)
 			if err != nil {
 				errs[i] = err
 				if !errors.Is(err, ErrHalted) {
@@ -244,6 +232,32 @@ func (f *Fleet) RunSourcesContext(ctx context.Context, base Config, runs []Sourc
 		return results, firstCancel
 	}
 	return results, firstHalt
+}
+
+// runSource opens one run's source, runs it, and closes the source whatever
+// the outcome — an engine build failure included.
+func (f *Fleet) runSource(ctx context.Context, base Config, r SourceRun) (res *Result, err error) {
+	src, err := r.Open()
+	if err != nil {
+		return nil, err
+	}
+	if c, ok := src.(io.Closer); ok {
+		defer func() {
+			if cerr := c.Close(); cerr != nil && err == nil {
+				res, err = nil, cerr
+			}
+		}()
+	}
+	cfg := base
+	cfg.Scheme = r.Scheme
+	if r.Exec != nil {
+		return r.Exec(ctx, cfg, src)
+	}
+	eng, err := f.Engine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return eng.RunSourceContext(ctx, src, r.Opts)
 }
 
 // CompareSourceContext runs one source under both schemes concurrently —

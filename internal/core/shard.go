@@ -86,14 +86,6 @@ func (r *ShardRunner) RestoreSensorStates(states []hydro.SensorState) error {
 	return nil
 }
 
-// CacheKeys exposes the shard engine's memoized decision planes — a
-// performance-only warm-start hint, exactly like Checkpoint.CacheKeys.
-func (r *ShardRunner) CacheKeys() []uint64 { return r.eng.controller.CacheKeys() }
-
 // CacheStats reports the shard engine's decision-cache lifetime hit and call
 // counts; the sharded run loop sums these across shards for its observer.
 func (r *ShardRunner) CacheStats() (hits, calls uint64) { return r.eng.controller.CacheStats() }
-
-// WarmCache re-memoizes previously listed keys on the shard's own decision
-// cache; best-effort, results are unaffected.
-func (r *ShardRunner) WarmCache(keys []uint64) { r.eng.controller.WarmCache(keys) }

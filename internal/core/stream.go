@@ -117,7 +117,6 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 		for ci := range circs {
 			circs[ci].sensor.SetState(cp.Sensors[ci])
 		}
-		e.controller.WarmCache(cp.CacheKeys)
 		if err := trace.Skip(src, start); err != nil {
 			return nil, err
 		}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/h2p-sim/h2p/internal/fault"
 	"github.com/h2p-sim/h2p/internal/sched"
@@ -352,5 +355,72 @@ func TestCheckpointValidation(t *testing.T) {
 		if _, err := eng.RunSourceContext(context.Background(), src, &RunOptions{KeepSeries: true, Resume: &clone}); err == nil {
 			t.Errorf("%s: corrupted checkpoint accepted", m.name)
 		}
+	}
+}
+
+// closeCounter counts Close calls on a shared source.
+type closeCounter struct {
+	trace.Source
+	closes atomic.Int32
+}
+
+func (c *closeCounter) Close() error { c.closes.Add(1); return nil }
+
+// TestRunSourcesSharedDecode pins the fleet over one decode shared through
+// trace.Tee: the results match runs over private sources bit for bit, and a
+// run whose engine build fails still closes its branch, so its sibling
+// neither stalls behind it nor leaves the source open.
+func TestRunSourcesSharedDecode(t *testing.T) {
+	gcfg := trace.DrasticConfig(60)
+	open := func() (trace.Source, error) { return trace.NewGeneratorSource(gcfg, 3) }
+	cfg := DefaultConfig(sched.Original)
+	cfg.ServersPerCirculation = 20
+	fleet := NewFleet()
+	shared := func(schemes ...sched.Scheme) ([]*Result, *closeCounter, error) {
+		g, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &closeCounter{Source: g}
+		branches := trace.Tee(src, len(schemes))
+		runs := make([]SourceRun, len(schemes))
+		for i, s := range schemes {
+			b := branches[i]
+			runs[i] = SourceRun{Open: func() (trace.Source, error) { return b, nil }, Scheme: s}
+		}
+		done := make(chan struct{})
+		var rs []*Result
+		go func() { rs, err = fleet.RunSourcesContext(context.Background(), cfg, runs); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("shared-decode runs did not return")
+		}
+		return rs, src, err
+	}
+
+	want, err := fleet.RunSourcesContext(context.Background(), cfg, []SourceRun{
+		{Open: open, Scheme: sched.Original}, {Open: open, Scheme: sched.LoadBalance},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, src, err := shared(sched.Original, sched.LoadBalance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("runs over one shared decode differ from runs over private sources")
+	}
+	if n := src.closes.Load(); n != 1 {
+		t.Errorf("shared source closed %d times, want 1", n)
+	}
+
+	_, src, err = shared("bogus", sched.LoadBalance)
+	if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Errorf("err = %v, want the failed engine build's error", err)
+	}
+	if n := src.closes.Load(); n != 1 {
+		t.Errorf("shared source closed %d times after a failed engine build, want 1", n)
 	}
 }

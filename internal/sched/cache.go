@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"github.com/h2p-sim/h2p/internal/units"
@@ -102,27 +101,6 @@ func (dc *decisionCache) store(key, cold uint64, setting Setting, power units.Wa
 			return
 		}
 	}
-}
-
-// keys collects every memoized plane key, sorted ascending and deduplicated
-// (one plane may be cached against several cold sides) so the listing is
-// deterministic regardless of insertion or bucket order.
-func (dc *decisionCache) keys() []uint64 {
-	var ks []uint64
-	for b := range dc.buckets {
-		for e := dc.buckets[b].Load(); e != nil; e = e.next {
-			ks = append(ks, e.key)
-		}
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	w := 0
-	for i, k := range ks {
-		if i == 0 || k != ks[w-1] {
-			ks[w] = k
-			w++
-		}
-	}
-	return ks[:w]
 }
 
 // The cache's hit/call/insert counters live in telemetry.Counter instances

@@ -121,34 +121,6 @@ func (c *Controller) CacheStats() (hits, calls uint64) {
 	return c.hits.Value(), c.calls.Value()
 }
 
-// CacheKeys returns the decision cache's current keys — math.Float64bits of
-// every memoized (quantized) plane utilization — sorted ascending. Settings
-// are a pure function of the plane, so the keys alone reconstruct the cache:
-// a checkpoint stores them and WarmCache recomputes the values on resume.
-// Cache contents never affect simulation results, only their speed.
-func (c *Controller) CacheKeys() []uint64 {
-	return c.cache.keys()
-}
-
-// WarmCache re-memoizes the outcomes for keys previously listed by CacheKeys
-// and reports how many were warmed. Warming is best-effort and purely a
-// performance optimization: keys that do not decode to a plane in [0, 1] (or
-// whose Choose fails) are skipped, never surfaced — a stale or corrupt key
-// list can slow a resumed run down but cannot change its results.
-func (c *Controller) WarmCache(keys []uint64) int {
-	warmed := 0
-	for _, k := range keys {
-		u := math.Float64frombits(k)
-		if u != u || u < 0 || u > 1 {
-			continue
-		}
-		if _, _, err := c.Choose(u); err == nil {
-			warmed++
-		}
-	}
-	return warmed
-}
-
 // quantizePlane snaps the plane utilization to the cache quantum, staying
 // inside [0, 1].
 func (c *Controller) quantizePlane(planeU float64) float64 {

@@ -17,12 +17,11 @@ const CheckpointVersion = 1
 // merged checkpoint plus the shard layout and each shard's private state.
 //
 // Merged is a complete, self-standing core.Checkpoint — its Sensors are the
-// per-shard sensor snapshots concatenated in global circulation order and its
-// CacheKeys are the union of the shards' decision caches — so an UNSHARDED
-// engine can resume from Merged directly, and a sharded run resumed under a
-// different shard count can be reconstructed from it by re-slicing Sensors
-// along the new layout. Resume under the SAME layout additionally warms each
-// shard's own cache from its private key set.
+// per-shard sensor snapshots concatenated in global circulation order — so an
+// UNSHARDED engine can resume from Merged directly, and a sharded run resumed
+// under a different shard count can be reconstructed from it by re-slicing
+// Sensors along the new layout. Like the engine's, the shard checkpoint
+// carries no decision-cache state (see core.Checkpoint).
 type Checkpoint struct {
 	Version int `json:"version"`
 
@@ -47,9 +46,6 @@ type ShardState struct {
 	// range order — the only mutable physics state a shard carries across
 	// an interval boundary.
 	Sensors []hydro.SensorState `json:"sensors"`
-	// CacheKeys warm-starts the shard's own decision cache (performance
-	// only; results are bit-identical without it).
-	CacheKeys []uint64 `json:"cache_keys,omitempty"`
 }
 
 // LayoutError reports a sharded checkpoint whose shard layout does not match

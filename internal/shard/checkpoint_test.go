@@ -78,7 +78,7 @@ func TestShardedResumeBitIdentical(t *testing.T) {
 
 // TestMergedCheckpointResumesUnsharded pins the cross-compatibility contract:
 // the Merged record inside a sharded checkpoint is a complete core.Checkpoint
-// — sensors concatenated in global circulation order, cache keys unioned —
+// — sensors concatenated in global circulation order —
 // so an UNSHARDED engine resumed from it reproduces the uninterrupted run
 // bit for bit.
 func TestMergedCheckpointResumesUnsharded(t *testing.T) {
@@ -99,7 +99,7 @@ func TestMergedCheckpointResumesUnsharded(t *testing.T) {
 // TestSingleShardResumesAlone pins that one shard's checkpoint state is
 // self-standing: a 1-shard sharded run resumed from a checkpoint taken by a
 // 1-shard run matches the uninterrupted engine exactly — the shard carries
-// everything it needs (sensors, cache keys, merged aggregates) without its
+// everything it needs (sensors, merged aggregates) without its
 // former siblings.
 func TestSingleShardResumesAlone(t *testing.T) {
 	const servers, seed, haltAfter = 40, 9, 30
@@ -223,5 +223,43 @@ func TestHaltSemantics(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("haltAfter=%d (past end): result differs from unsharded", haltAfter)
 		}
+	}
+}
+
+// TestCheckpointSizeIndependentOfProgress is the checkpoint perf guard: a
+// sharded checkpoint holds aggregates and one sensor snapshot per
+// circulation, so its encoded size must not grow with the intervals elapsed.
+// The exact decision cache misses on nearly every plane of a drastic trace,
+// which is what made the size grow while checkpoints listed its keys.
+func TestCheckpointSizeIndependentOfProgress(t *testing.T) {
+	const servers = 200
+	gcfg := trace.DrasticConfig(servers)
+	src, err := trace.NewGeneratorSource(gcfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := shardConfig(sched.Original)
+	sizes := map[int]int{}
+	opts := &Options{Shards: 2, Checkpoint: &CheckpointOptions{Every: 24, Write: func(cp *Checkpoint) error {
+		data, err := json.Marshal(cp)
+		sizes[cp.Merged.NextInterval] = len(data)
+		return err
+	}}}
+	if _, err := RunSource(cfg, src, opts); err != nil {
+		t.Fatal(err)
+	}
+	early, late := sizes[24], sizes[120]
+	if early == 0 || late == 0 {
+		t.Fatalf("checkpoints at 24 and 120 not written: %v", sizes)
+	}
+	// Per circulation: a sensor snapshot in the merged record and again in
+	// its shard's record. The fixed part covers the aggregates and layout.
+	circs := cfg.Circulations(servers)
+	if bound := 2*150*circs + 2048; early > bound || late > bound {
+		t.Errorf("checkpoint sizes %d (interval 24) and %d (interval 120) exceed the O(circulations) bound %d",
+			early, late, bound)
+	}
+	if d := late - early; d > 256 || d < -256 {
+		t.Errorf("checkpoint grew from %d bytes at interval 24 to %d at interval 120", early, late)
 	}
 }

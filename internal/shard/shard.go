@@ -193,7 +193,6 @@ func Run(ctx context.Context, fleet *core.Fleet, cfg core.Config, src trace.Sour
 			if err := runners[s].RestoreSensorStates(cp.PerShard[s].Sensors); err != nil {
 				return nil, err
 			}
-			runners[s].WarmCache(cp.PerShard[s].CacheKeys)
 		}
 		if err := trace.Skip(src, start); err != nil {
 			return nil, err
@@ -435,29 +434,19 @@ func Run(ctx context.Context, fleet *core.Fleet, cfg core.Config, src trace.Sour
 
 // checkpointAt freezes the sharded run at the merger's current boundary. The
 // merged record's sensors are the shard snapshots concatenated in global
-// circulation order and its cache keys are the deduplicated union of the
-// shards' caches, so it is exactly the checkpoint the unsharded engine would
-// write at this boundary.
+// circulation order, so it is exactly the checkpoint the unsharded engine
+// would write at this boundary. Its size is O(circulations), independent of
+// the intervals elapsed.
 func checkpointAt(agg *core.Aggregator, ranges []Range, runners []*core.ShardRunner) *Checkpoint {
 	merged := agg.Checkpoint()
 	per := make([]ShardState, len(ranges))
 	sensors := make([]hydro.SensorState, 0, cap(merged.Sensors))
-	seen := make(map[uint64]struct{})
-	var keys []uint64
 	for s, r := range ranges {
 		st := runners[s].SensorStates()
-		ck := runners[s].CacheKeys()
-		per[s] = ShardState{Range: r, Sensors: st, CacheKeys: ck}
+		per[s] = ShardState{Range: r, Sensors: st}
 		sensors = append(sensors, st...)
-		for _, k := range ck {
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				keys = append(keys, k)
-			}
-		}
 	}
 	merged.Sensors = sensors
-	merged.CacheKeys = keys
 	return &Checkpoint{
 		Version:  CheckpointVersion,
 		Shards:   len(ranges),

@@ -49,7 +49,9 @@ func (m Meta) Duration() time.Duration {
 //
 // A Source is single-stream state: it is not safe for concurrent use, and
 // it cannot be rewound. Concurrent runs (the Fleet's scheme comparison)
-// each open their own source. Sources backed by files implement io.Closer.
+// either open their own source or share one through Tee, which decodes it
+// once and hands each run a branch. Sources backed by files implement
+// io.Closer.
 type Source interface {
 	Meta() Meta
 	NextColumn(dst []float64) (interval int, err error)
