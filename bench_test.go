@@ -270,7 +270,7 @@ func BenchmarkEngineInterval(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineParallel sweeps the circulation worker pool on a
+// BenchmarkEngineParallel sweeps the engine's shard count on a
 // 1,000-server trace (40 circulations per interval, 20-interval horizon):
 // the scaling table of the layered Circulation/Engine/Fleet architecture.
 // The workers=1/exact case is the seed serial engine's workload. Results

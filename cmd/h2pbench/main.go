@@ -7,7 +7,7 @@
 //	h2pbench -list
 //	h2pbench -exp fig14 [-servers 1000] [-seed 42]
 //	h2pbench -exp all -csv results/
-//	h2pbench -exp fig14 -shards 4   # sharded streaming evaluation (bit-identical)
+//	h2pbench -exp fig14 -workers 4  # four engine shards per run (bit-identical)
 //	h2pbench -exp fig14 -telemetry-addr :9102 -metrics-out run.metrics
 //	h2pbench -exp fig14 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -41,8 +41,8 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	servers := flag.Int("servers", 1000, "cluster size for trace-driven experiments")
 	seed := flag.Int64("seed", 42, "workload generator seed")
-	workers := flag.Int("workers", 0, "circulation worker pool size per engine "+core.ParallelismFlagHelp)
-	shards := flag.Int("shards", -1, "engine shards for sharded streaming evaluation; -1 = unsharded, 0 resolves like -workers 0 "+core.ParallelismFlagHelp)
+	workers := flag.Int("workers", 0, "engine shards per run "+core.ParallelismFlagHelp)
+	shards := flag.Int("shards", -1, "alias for -workers that takes precedence over it; -1 = unset "+core.ParallelismFlagHelp)
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	reportPath := flag.String("report", "", "write a markdown report of every experiment to this file and exit")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry (/metrics, /metrics.json, /trace) on this address")
@@ -88,13 +88,15 @@ func main() {
 		Streaming: *stream, SerialDecide: *serial,
 	}
 	if *shards < -1 {
-		fmt.Fprintln(os.Stderr, "h2pbench: -shards must be -1 (unsharded), 0 (all CPUs) or positive")
+		fmt.Fprintln(os.Stderr, "h2pbench: -shards must be -1 (unset), 0 (all CPUs) or positive")
 		os.Exit(1)
 	}
+	// shardCount is the resolved -shards (0 when unset), recorded in the
+	// journal manifest; -shards 0 means exactly what -workers 0 means.
+	shardCount := 0
 	if *shards >= 0 {
-		// Resolve here so EvalParams.Shards carries a concrete shard count and
-		// -shards 0 means exactly what -workers 0 means: all CPUs.
-		params.Shards = core.ResolveParallelism(*shards)
+		shardCount = core.ResolveParallelism(*shards)
+		params.Workers = shardCount
 	}
 	if *telemetryAddr != "" || *metricsOut != "" || *traceOut != "" {
 		params.Telemetry = telemetry.New()
@@ -129,7 +131,7 @@ func main() {
 				ServersPerCirculation: 0,
 				Scheme:                "both",
 				Workers:               core.ResolveParallelism(*workers),
-				Shards:                params.Shards,
+				Shards:                shardCount,
 				Seed:                  *seed,
 				FaultSeed:             *faultSeed,
 				Streaming:             *stream,

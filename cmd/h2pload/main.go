@@ -74,7 +74,7 @@ func (p *profile) requestFor(i int) *serve.RunRequest {
 			Intervals: p.intervals,
 		},
 		Scheme: loadSchemes[i%len(loadSchemes)],
-		Shards: p.shards * (i % 2), // alternate unsharded and sharded execution
+		Shards: p.shards * (i % 2), // every other request sets the shards alias
 	}
 }
 
@@ -140,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&p.runs, "runs", 55, "submissions per tenant")
 	fs.IntVar(&p.servers, "servers", 60, "servers per synthetic trace")
 	fs.IntVar(&p.intervals, "intervals", 32, "intervals per synthetic trace")
-	fs.IntVar(&p.shards, "shards", 2, "shard count for the sharded half of the mix (0 = all unsharded)")
+	fs.IntVar(&p.shards, "shards", 2, "shards field (an alias for workers) sent with every other request (0 = never)")
 	fs.IntVar(&p.expectAccepted, "expect-accepted", 0, "assert exactly this many accepted submissions per tenant (0 = don't)")
 	fs.IntVar(&p.expectRejected, "expect-rejected", 0, "assert exactly this many 429 rejections per tenant (0 = don't)")
 	fs.DurationVar(&p.timeout, "timeout", 5*time.Minute, "overall deadline for the load run")

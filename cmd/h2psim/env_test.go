@@ -50,22 +50,23 @@ func TestRunEnvDefaultOmitsTable(t *testing.T) {
 	}
 }
 
-// TestStreamEnvOutputMatchesInMemory extends the streaming/in-memory output
-// parity to environment-on runs: the same flags must print the same bytes on
-// both data paths, environment table included.
+// TestStreamEnvOutputMatchesInMemory pins environment-on output across
+// shard layouts: one worker and three shards must print the same bytes,
+// environment table included.
 func TestStreamEnvOutputMatchesInMemory(t *testing.T) {
 	opt := envOptions()
-	var mem bytes.Buffer
-	if err := run(context.Background(), &mem, opt); err != nil {
+	opt.workers = 1
+	var one bytes.Buffer
+	if err := run(context.Background(), &one, opt); err != nil {
 		t.Fatal(err)
 	}
-	opt.stream = true
-	var st bytes.Buffer
-	if err := run(context.Background(), &st, opt); err != nil {
+	opt.shards = 3
+	var sharded bytes.Buffer
+	if err := run(context.Background(), &sharded, opt); err != nil {
 		t.Fatal(err)
 	}
-	if mem.String() != st.String() {
-		t.Error("streaming environment run output differs from in-memory run")
+	if one.String() != sharded.String() {
+		t.Error("three-shard environment run output differs from the one-worker run")
 	}
 }
 

@@ -9,13 +9,12 @@
 //	       [-shards N] [-telemetry-addr :9102] [-metrics-out run.metrics] [-trace-out run.trace]
 //	       [-series-out series.csv] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// The simulation fans the independent water circulations of every control
-// interval out across -workers goroutines (0 = all CPUs) and runs the two
-// schemes concurrently; results are bit-identical for any worker count.
-// -shards N instead partitions each run's circulations across N independent
-// engine shards with pipelined column prefetch (internal/shard) and implies
-// -stream; 0 resolves to all CPUs exactly like -workers 0, and results stay
-// bit-identical for every shard count. Interrupting the process
+// Every trace is pulled through a trace.Source one column at a time, so the
+// working set is O(servers) whatever the trace length, and the two schemes
+// run concurrently over one shared decode. Each run partitions its water
+// circulations across -workers engine shards (0 = all CPUs) that step in
+// parallel behind a prefetching decoder; -shards N is an alias for -workers
+// N. Results are bit-identical for any count. Interrupting the process
 // (SIGINT/SIGTERM) cancels the runs promptly.
 //
 // Telemetry: -telemetry-addr serves live Prometheus-style metrics
@@ -47,19 +46,17 @@ import (
 	"github.com/h2p-sim/h2p/internal/fault"
 	"github.com/h2p-sim/h2p/internal/heatreuse"
 	"github.com/h2p-sim/h2p/internal/obs"
-	"github.com/h2p-sim/h2p/internal/storage"
 	"github.com/h2p-sim/h2p/internal/profiling"
-	"github.com/h2p-sim/h2p/internal/sched"
+	"github.com/h2p-sim/h2p/internal/storage"
 	"github.com/h2p-sim/h2p/internal/telemetry"
-	"github.com/h2p-sim/h2p/internal/trace"
 )
 
 func main() {
 	servers := flag.Int("servers", 1000, "number of servers in the simulated cluster")
 	circ := flag.Int("circ", 25, "servers per water circulation")
 	seed := flag.Int64("seed", 42, "workload generator seed")
-	workers := flag.Int("workers", 0, "circulation worker pool size "+core.ParallelismFlagHelp)
-	shards := flag.Int("shards", -1, "engine shards for sharded streaming execution, implies -stream; -1 = unsharded, 0 resolves like -workers 0 "+core.ParallelismFlagHelp)
+	workers := flag.Int("workers", 0, "engine shards per run "+core.ParallelismFlagHelp)
+	shards := flag.Int("shards", -1, "alias for -workers that takes precedence over it; -1 = unset "+core.ParallelismFlagHelp)
 	quantum := flag.Float64("quantum", 0, "decision-cache utilization quantum (0 = exact, paper-faithful; try 1/512)")
 	traceFile := flag.String("trace", "", "optional CSV trace file (replaces the synthetic traces)")
 	series := flag.Bool("series", false, "also print the per-interval power series")
@@ -73,12 +70,12 @@ func main() {
 	envSeed := flag.Int64("env-seed", 1, "seasonal environment jitter seed")
 	reuse := flag.Bool("reuse", false, "divert heat to a district-heating reuse sink when demand and outlet grade allow")
 	storageWh := flag.Float64("storage-wh", 0, "buffer harvested power in a hybrid SC+battery store of this total capacity (0 = none)")
-	stream := flag.Bool("stream", false, "streaming mode: pull trace columns through sources with O(servers) memory (bit-identical results)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file: runs snapshot themselves here at interval boundaries (implies -stream)")
+	flag.Bool("stream", false, "no-op kept for existing command lines: every run streams its trace with O(servers) memory")
+	checkpoint := flag.String("checkpoint", "", "checkpoint file: runs snapshot themselves here at interval boundaries")
 	checkpointEvery := flag.Int("checkpoint-every", 256, "checkpoint cadence in intervals")
-	resume := flag.Bool("resume", false, "resume the runs recorded in -checkpoint; output is byte-identical to an uninterrupted run (implies -stream)")
-	haltAfter := flag.Int("halt-after", 0, "halt every run at this interval boundary after checkpointing, exit "+fmt.Sprint(haltExitCode)+" (testing hook; implies -stream)")
-	journal := flag.String("journal", "", "write a structured run journal (JSONL) to this file; -resume appends to it (implies -stream)")
+	resume := flag.Bool("resume", false, "resume the runs recorded in -checkpoint; output is byte-identical to an uninterrupted run")
+	haltAfter := flag.Int("halt-after", 0, "halt every run at this interval boundary after checkpointing, exit "+fmt.Sprint(haltExitCode)+" (testing hook)")
+	journal := flag.String("journal", "", "write a structured run journal (JSONL) to this file; -resume appends to it")
 	runID := flag.String("run-id", "", "run id recorded in the journal and the live /runs endpoints (default: UTC start timestamp)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -109,7 +106,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *shards < -1 {
-		fmt.Fprintln(os.Stderr, "h2psim: -shards must be -1 (unsharded), 0 (all CPUs) or positive")
+		fmt.Fprintln(os.Stderr, "h2psim: -shards must be -1 (unset), 0 (all CPUs) or positive")
 		os.Exit(1)
 	}
 	shardCount := 0
@@ -127,7 +124,6 @@ func main() {
 		env: envSrc, envSeed: *envSeed,
 		reuse: *reuse, storageWh: *storageWh,
 		shards:     shardCount,
-		stream:     *stream || *checkpoint != "" || *resume || *haltAfter > 0 || *shards >= 0 || *journal != "",
 		checkpoint: *checkpoint, checkpointEvery: *checkpointEvery,
 		resume: *resume, haltAfter: *haltAfter,
 		runID: *runID,
@@ -217,13 +213,11 @@ type runOptions struct {
 	envSeed   int64
 	reuse     bool
 	storageWh float64
-	// Streaming/checkpoint controls (stream.go). stream switches the run to
-	// the pull-based source path; checkpoint/resume/haltAfter and -shards
-	// imply it. shards > 0 (already resolved from the -shards flag) further
-	// routes every run through the sharded execution layer (internal/shard);
-	// 0 keeps the single-engine path.
-	shards          int
-	stream          bool
+	// shards is the resolved -shards alias (0 when unset); when positive it
+	// overrides workers as the engine's shard count. The journal manifest
+	// records both as given.
+	shards int
+	// Checkpoint controls (stream.go).
 	checkpoint      string
 	checkpointEvery int
 	resume          bool
@@ -232,141 +226,6 @@ type runOptions struct {
 	// -telemetry-addr asked for it); runID keys its records.
 	rec   *obs.Recorder
 	runID string
-}
-
-func run(ctx context.Context, out io.Writer, opt runOptions) error {
-	if opt.stream {
-		return runStreaming(ctx, out, opt)
-	}
-	var traces []*trace.Trace
-	if opt.traceFile != "" {
-		f, err := os.Open(opt.traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tr, err := trace.ReadCSV(f)
-		if err != nil {
-			return err
-		}
-		traces = []*trace.Trace{tr}
-	} else {
-		var err error
-		traces, err = trace.GenerateAll(opt.servers, opt.seed)
-		if err != nil {
-			return err
-		}
-	}
-
-	cfg := core.DefaultConfig(sched.Original)
-	cfg.ServersPerCirculation = opt.circ
-	cfg.Workers = opt.workers
-	cfg.DecisionQuantum = opt.quantum
-	cfg.Telemetry = opt.telemetry
-	cfg.Faults = opt.faults
-	cfg.FaultSeed = opt.faultSeed
-	opt.applyEnv(&cfg)
-	series := opt.series
-
-	fleet := core.NewFleet()
-	fmt.Fprintln(out, "Fig. 14 — generated electricity per CPU (W):")
-	fmt.Fprintf(out, "%-12s %-10s %-10s %-10s %-10s %-10s %-10s\n",
-		"trace", "orig avg", "orig peak", "lb avg", "lb peak", "gain%", "meanU")
-	var sumOrig, sumLB float64
-	results := make(map[string][2]*core.Result)
-	for _, tr := range traces {
-		orig, lb, err := fleet.CompareContext(ctx, tr, cfg)
-		if err != nil {
-			return err
-		}
-		s, err := tr.Describe()
-		if err != nil {
-			return err
-		}
-		gain := (float64(lb.AvgTEGPowerPerServer)/float64(orig.AvgTEGPowerPerServer) - 1) * 100
-		fmt.Fprintf(out, "%-12s %-10.3f %-10.3f %-10.3f %-10.3f %-10.2f %-10.3f\n",
-			tr.Class,
-			float64(orig.AvgTEGPowerPerServer), float64(orig.PeakTEGPowerPerServer),
-			float64(lb.AvgTEGPowerPerServer), float64(lb.PeakTEGPowerPerServer),
-			gain, s.Mean)
-		sumOrig += float64(orig.AvgTEGPowerPerServer)
-		sumLB += float64(lb.AvgTEGPowerPerServer)
-		results[string(tr.Class)] = [2]*core.Result{orig, lb}
-		if series {
-			fmt.Fprintf(out, "  interval series (%s): t, origW, lbW, avgU, maxU\n", tr.Class)
-			for i := range orig.Intervals {
-				fmt.Fprintf(out, "  %4d %7.3f %7.3f %6.3f %6.3f\n", i,
-					float64(orig.Intervals[i].TEGPowerPerServer),
-					float64(lb.Intervals[i].TEGPowerPerServer),
-					orig.Intervals[i].AvgUtilization,
-					orig.Intervals[i].MaxUtilization)
-			}
-		}
-	}
-	n := float64(len(traces))
-	fmt.Fprintf(out, "%-12s %-10.3f %-10s %-10.3f %-10s %-10.2f\n",
-		"average", sumOrig/n, "-", sumLB/n, "-", (sumLB/sumOrig-1)*100)
-
-	fmt.Fprintln(out)
-	fmt.Fprintln(out, "Fig. 15 — power reusing efficiency (PRE, %):")
-	fmt.Fprintf(out, "%-12s %-10s %-10s\n", "trace", "orig", "lb")
-	var preOrig, preLB float64
-	for _, tr := range traces {
-		r := results[string(tr.Class)]
-		fmt.Fprintf(out, "%-12s %-10.2f %-10.2f\n", tr.Class, r[0].PRE*100, r[1].PRE*100)
-		preOrig += r[0].PRE
-		preLB += r[1].PRE
-	}
-	fmt.Fprintf(out, "%-12s %-10.2f %-10.2f\n", "average", preOrig/n*100, preLB/n*100)
-
-	if !opt.faults.Empty() {
-		fmt.Fprintln(out)
-		fmt.Fprintf(out, "Fault injection — plan %s, seed %d:\n", opt.faults, opt.faultSeed)
-		fmt.Fprintf(out, "%-12s %-8s %-14s %-12s %-12s %-12s %-10s %-10s\n",
-			"trace", "scheme", "degraded_intv", "open_teg", "degr_teg", "sensor_fb", "droops", "retries")
-		for _, tr := range traces {
-			r := results[string(tr.Class)]
-			for si, name := range [2]string{"orig", "lb"} {
-				f := r[si].Faults
-				fmt.Fprintf(out, "%-12s %-8s %-14d %-12d %-12d %-12d %-10d %-10d\n",
-					tr.Class, name, f.DegradedIntervals, f.OpenTEG, f.DegradedTEG,
-					f.SensorFallbacks, f.PumpDroops, f.StepRetries)
-			}
-		}
-	}
-
-	if opt.envActive() {
-		labels := make([]string, len(traces))
-		pairs := make([][2]*core.Result, len(traces))
-		for i, tr := range traces {
-			labels[i] = string(tr.Class)
-			pairs[i] = results[string(tr.Class)]
-		}
-		printEnvReport(out, labels, pairs, opt)
-	}
-
-	if opt.seriesOut != "" {
-		labels := make([]string, len(traces))
-		for i, tr := range traces {
-			labels[i] = string(tr.Class)
-		}
-		if err := writeToFile(opt.seriesOut, func(w io.Writer) error {
-			return writeSeries(w, opt.seriesOut, labels, results)
-		}); err != nil {
-			return err
-		}
-	}
-	if opt.metricsOut != "" {
-		if err := writeToFile(opt.metricsOut, opt.telemetry.WriteProm); err != nil {
-			return err
-		}
-	}
-	if opt.traceOut != "" {
-		if err := writeToFile(opt.traceOut, opt.telemetry.WriteTrace); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // seriesPoint is one interval of the -series-out export: harvested TEG
@@ -384,8 +243,7 @@ type seriesPoint struct {
 }
 
 // collectSeries flattens the per-interval results of every trace, in label
-// order, into the export rows. labels index the results map, so both the
-// in-memory and streaming paths share this writer.
+// order, into the export rows.
 func collectSeries(labels []string, results map[string][2]*core.Result) []seriesPoint {
 	var pts []seriesPoint
 	for _, label := range labels {

@@ -181,35 +181,13 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 }
 
-// TestStreamOutputMatchesInMemory is the CLI-level equivalence pin: -stream
-// must print byte-identical tables (including the full -series dump) to the
-// in-memory path for the same cluster, seed and worker pool.
-func TestStreamOutputMatchesInMemory(t *testing.T) {
-	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, series: true}
-
-	var mem bytes.Buffer
-	if err := run(context.Background(), &mem, base); err != nil {
-		t.Fatal(err)
-	}
-	stream := base
-	stream.stream = true
-	var str bytes.Buffer
-	if err := run(context.Background(), &str, stream); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mem.Bytes(), str.Bytes()) {
-		t.Errorf("-stream output differs from in-memory output:\n--- in-memory ---\n%s\n--- stream ---\n%s",
-			mem.String(), str.String())
-	}
-}
-
 // TestStreamHaltResumeByteIdentical automates the kill/resume acceptance
 // flow: a run halted at a checkpoint boundary prints nothing, and the
 // resumed run's stdout and -series-out export are byte-identical to an
 // uninterrupted run's.
 func TestStreamHaltResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, series: true, stream: true}
+	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, series: true}
 
 	full := base
 	full.seriesOut = filepath.Join(dir, "full.csv")
@@ -263,7 +241,7 @@ func TestStreamHaltResumeByteIdentical(t *testing.T) {
 // to "resume" from nothing — a silent fresh start would masquerade as a
 // completed resume.
 func TestStreamResumeWithoutCheckpointFileFails(t *testing.T) {
-	opt := runOptions{servers: 40, circ: 20, seed: 1, stream: true,
+	opt := runOptions{servers: 40, circ: 20, seed: 1,
 		checkpoint: filepath.Join(t.TempDir(), "missing.json"), resume: true}
 	if err := run(context.Background(), io.Discard, opt); err == nil {
 		t.Fatal("resume from a missing checkpoint file succeeded")

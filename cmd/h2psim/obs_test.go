@@ -45,7 +45,7 @@ func TestObserverJournalStdoutBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, stream: true}
+			base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2}
 			tc.mod(&base)
 
 			var plain bytes.Buffer
@@ -120,7 +120,7 @@ func TestObserverJournalHaltResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, stream: true,
+	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2,
 		shards: 2, faults: plan, faultSeed: 7}
 
 	var fullOut bytes.Buffer
@@ -193,6 +193,73 @@ func TestObserverJournalHaltResumeRoundTrip(t *testing.T) {
 		}
 		if manifests != 2 {
 			t.Errorf("run %s: %d manifests, want 2 (initial + resume)", s.Run, manifests)
+		}
+	}
+}
+
+// TestJournalTornTailResume drives a crash that tore the journal's last
+// record: the halted run's journal is cut mid-record, a -resume invocation
+// appends to it, and the file reads back whole — the torn bytes are gone,
+// every run has its done record, and stdout matches an uninterrupted run.
+func TestJournalTornTailResume(t *testing.T) {
+	dir := t.TempDir()
+	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2}
+	fullOut := runOK(t, base)
+
+	cp := filepath.Join(dir, "cp.json")
+	halted := base
+	halted.checkpoint = cp
+	halted.checkpointEvery = 20
+	halted.haltAfter = 50
+	path := journalOpt(t, &halted, dir, "run.journal", false)
+	if err := run(context.Background(), io.Discard, halted); !errors.Is(err, errHalted) {
+		t.Fatalf("halted run: err = %v, want errHalted", err)
+	}
+	if err := halted.rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(whole[:len(whole)-1], '\n') + 1
+	torn := whole[:last+(len(whole)-last)/2]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := base
+	resumed.checkpoint = cp
+	resumed.resume = true
+	journalOpt(t, &resumed, dir, "run.journal", true)
+	resumeOut := runOK(t, resumed)
+	if err := resumed.rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fullOut, resumeOut) {
+		t.Error("resumed stdout differs from uninterrupted run")
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, whole[:last]) {
+		t.Error("resume rewrote the journal's complete records")
+	}
+	// A torn record left mid-file would be a terminated line that does not
+	// parse, which ReadJournal rejects.
+	records, err := obs.ReadJournal(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("journal after torn-tail resume: %v", err)
+	}
+	sums := obs.Summarize(records)
+	if len(sums) != 6 {
+		t.Fatalf("journal holds %d runs, want 6", len(sums))
+	}
+	for _, s := range sums {
+		if s.Done == nil {
+			t.Errorf("run %s: no done record after resume", s.Run)
 		}
 	}
 }

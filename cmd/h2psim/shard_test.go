@@ -7,34 +7,24 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"github.com/h2p-sim/h2p/internal/shard"
+	"github.com/h2p-sim/h2p/internal/fault"
 )
 
 // TestShardedOutputMatchesInMemory is the CLI-level equivalence pin for
-// -shards: the sharded streaming path must print byte-identical tables
-// (including the full -series dump) to the in-memory path, for shard counts
-// below, at and above the circulation count.
+// -shards: every shard count — below, at and above the circulation count —
+// must print byte-identical tables (including the full -series dump) to the
+// one-worker run.
 func TestShardedOutputMatchesInMemory(t *testing.T) {
-	base := runOptions{servers: 60, circ: 20, seed: 42, series: true}
-
-	var mem bytes.Buffer
-	if err := run(context.Background(), &mem, base); err != nil {
-		t.Fatal(err)
-	}
+	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 1, series: true}
+	want := runOK(t, base)
 	for _, shards := range []int{1, 2, 3, 16} {
 		sharded := base
-		sharded.stream = true
 		sharded.shards = shards
-		var out bytes.Buffer
-		if err := run(context.Background(), &out, sharded); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mem.Bytes(), out.Bytes()) {
-			t.Errorf("-shards %d output differs from in-memory output:\n--- in-memory ---\n%s\n--- sharded ---\n%s",
-				shards, mem.String(), out.String())
+		if got := runOK(t, sharded); !bytes.Equal(want, got) {
+			t.Errorf("-shards %d output differs from the one-worker output:\n--- one worker ---\n%s\n--- sharded ---\n%s",
+				shards, want, got)
 		}
 	}
 }
@@ -44,12 +34,8 @@ func TestShardedOutputMatchesInMemory(t *testing.T) {
 // the resumed sharded run's stdout is byte-identical to an uninterrupted run.
 func TestShardedHaltResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	base := runOptions{servers: 60, circ: 20, seed: 42, series: true, stream: true, shards: 3}
-
-	var fullOut bytes.Buffer
-	if err := run(context.Background(), &fullOut, base); err != nil {
-		t.Fatal(err)
-	}
+	base := runOptions{servers: 60, circ: 20, seed: 42, series: true, shards: 3}
+	fullOut := runOK(t, base)
 
 	cp := filepath.Join(dir, "cp.json")
 	halted := base
@@ -67,93 +53,58 @@ func TestShardedHaltResumeByteIdentical(t *testing.T) {
 	resumed := base
 	resumed.checkpoint = cp
 	resumed.resume = true
-	var resumeOut bytes.Buffer
-	if err := run(context.Background(), &resumeOut, resumed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fullOut.Bytes(), resumeOut.Bytes()) {
+	if got := runOK(t, resumed); !bytes.Equal(fullOut, got) {
 		t.Errorf("resumed sharded stdout differs from uninterrupted run:\n--- full ---\n%s\n--- resumed ---\n%s",
-			fullOut.String(), resumeOut.String())
+			fullOut, got)
 	}
 }
 
-// TestShardedCheckpointCrossResume pins the two cross-layout resume
-// directions: a checkpoint written under -shards resumes WITHOUT -shards
-// (through its Merged record) with byte-identical output, a resume under a
-// different shard count is rejected with a typed layout error, and an
-// unsharded checkpoint resumed under -shards is refused with guidance rather
-// than silently recomputed.
+// TestShardedCheckpointCrossResume pins that one checkpoint format resumes
+// across layouts: a faulted run with a storage buffer, halted under
+// -workers 2 or -shards 3, resumes under one, two and three workers with
+// stdout byte-identical to the uninterrupted run, and the file holds engine
+// "checkpoint" entries only.
 func TestShardedCheckpointCrossResume(t *testing.T) {
-	dir := t.TempDir()
-	base := runOptions{servers: 60, circ: 20, seed: 42, series: true, stream: true}
-
-	var fullOut bytes.Buffer
-	if err := run(context.Background(), &fullOut, base); err != nil {
+	plan, err := fault.ParsePlan("sensor-stuck:0.1")
+	if err != nil {
 		t.Fatal(err)
 	}
+	base := runOptions{servers: 60, circ: 10, seed: 42, series: true,
+		faults: plan, faultSeed: 3, storageWh: 500}
+	want := runOK(t, base)
 
-	halt := func(path string, shards int) {
-		t.Helper()
-		o := base
-		o.shards = shards
-		o.checkpoint = path
-		o.checkpointEvery = 20
-		o.haltAfter = 60
-		if err := run(context.Background(), io.Discard, o); !errors.Is(err, errHalted) {
-			t.Fatalf("halted run (shards=%d): err = %v, want errHalted", shards, err)
+	for _, layout := range []struct {
+		name            string
+		workers, shards int
+	}{{"-workers 2", 2, 0}, {"-shards 3", 0, 3}} {
+		cp := filepath.Join(t.TempDir(), "cp.json")
+		halted := base
+		halted.workers, halted.shards = layout.workers, layout.shards
+		halted.checkpoint = cp
+		halted.checkpointEvery = 20
+		halted.haltAfter = 60
+		if err := run(context.Background(), io.Discard, halted); !errors.Is(err, errHalted) {
+			t.Fatalf("%s halted run: err = %v, want errHalted", layout.name, err)
 		}
-	}
-
-	// Sharded checkpoint, unsharded resume: the Merged record carries the
-	// whole engine state, so dropping -shards mid-run still works.
-	shardedCP := filepath.Join(dir, "sharded.json")
-	halt(shardedCP, 3)
-	unsharded := base
-	unsharded.checkpoint = shardedCP
-	unsharded.resume = true
-	var out bytes.Buffer
-	if err := run(context.Background(), &out, unsharded); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fullOut.Bytes(), out.Bytes()) {
-		t.Error("unsharded resume from a sharded checkpoint differs from uninterrupted run")
-	}
-
-	// Sharded resume under a different shard count: the shard layer must
-	// reject the layout mismatch, not recompute.
-	shardedCP2 := filepath.Join(dir, "sharded2.json")
-	halt(shardedCP2, 3)
-	mismatch := base
-	mismatch.shards = 2
-	mismatch.checkpoint = shardedCP2
-	mismatch.resume = true
-	err := run(context.Background(), io.Discard, mismatch)
-	var le *shard.LayoutError
-	if !errors.As(err, &le) {
-		t.Errorf("resume with mismatched shard count: err = %v, want *shard.LayoutError", err)
-	}
-
-	// Unsharded checkpoint, sharded resume: refused with guidance.
-	plainCP := filepath.Join(dir, "plain.json")
-	halt(plainCP, 0)
-	sharded := base
-	sharded.shards = 3
-	sharded.checkpoint = plainCP
-	sharded.resume = true
-	err = run(context.Background(), io.Discard, sharded)
-	if err == nil || !strings.Contains(err.Error(), "without -shards") {
-		t.Errorf("sharded resume from unsharded checkpoint: err = %v, want guidance to resume without -shards", err)
-	}
-
-	// The checkpoint files must be valid JSON holding the expected entry
-	// shapes (sharded entries under -shards, engine entries otherwise).
-	for path, wantKey := range map[string]string{shardedCP2: `"sharded"`, plainCP: `"checkpoint"`} {
-		blob, rerr := os.ReadFile(path)
-		if rerr != nil {
-			t.Fatal(rerr)
+		blob, err := os.ReadFile(cp)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Contains(blob, []byte(wantKey)) {
-			t.Errorf("%s: missing %s entries", filepath.Base(path), wantKey)
+		if !bytes.Contains(blob, []byte(`"checkpoint"`)) || bytes.Contains(blob, []byte(`"sharded"`)) {
+			t.Fatalf("%s: checkpoint file must hold engine checkpoint entries only", layout.name)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			if err := os.WriteFile(cp, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resumed := base
+			resumed.workers = workers
+			resumed.checkpoint = cp
+			resumed.resume = true
+			if got := runOK(t, resumed); !bytes.Equal(want, got) {
+				t.Errorf("checkpointed under %s, resumed under -workers %d: stdout differs from the uninterrupted run",
+					layout.name, workers)
+			}
 		}
 	}
 }

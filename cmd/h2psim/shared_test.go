@@ -20,7 +20,7 @@ import (
 // -shards 2 puts one on each shard).
 func refTraceOpts(shards int) runOptions {
 	return runOptions{circ: 5, workers: 1, traceFile: filepath.Join("testdata", "ref.trace.csv"),
-		series: true, stream: true, shards: shards}
+		series: true, shards: shards}
 }
 
 // runOK runs opt and returns its stdout, failing the test on any error.
@@ -34,12 +34,13 @@ func runOK(t *testing.T, opt runOptions) []byte {
 }
 
 // TestResumeCheckpointWithCacheKeys pins backward compatibility with
-// coordinator files that still list decision-cache keys: the committed file
-// was written by the previous checkpoint format (`h2psim -trace
-// testdata/ref.trace.csv -circ 5 -workers 1 -shards 2 -series -checkpoint f
-// -checkpoint-every 6 -halt-after 12`), and it must resume — sharded, and
-// unsharded through its merged records — to a report byte-identical to an
-// uninterrupted run's.
+// coordinator files that still list decision-cache keys and hold their
+// in-progress runs as "sharded" entries: the committed file was written by
+// an earlier checkpoint format (`h2psim -trace testdata/ref.trace.csv -circ
+// 5 -workers 1 -shards 2 -series -checkpoint f -checkpoint-every 6
+// -halt-after 12`), and it must resume through its merged records, under two
+// shards and under all CPUs, to a report byte-identical to an uninterrupted
+// run's.
 func TestResumeCheckpointWithCacheKeys(t *testing.T) {
 	old, err := os.ReadFile(filepath.Join("testdata", "cache-keys.checkpoint.json"))
 	if err != nil {
@@ -71,7 +72,7 @@ func TestResumeCheckpointWithCacheKeys(t *testing.T) {
 func TestResumeMixedProgress(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		dir := t.TempDir()
-		base := runOptions{servers: 60, circ: 20, seed: 42, series: true, stream: true, shards: shards}
+		base := runOptions{servers: 60, circ: 20, seed: 42, series: true, shards: shards}
 
 		full := base
 		full.checkpoint = filepath.Join(dir, "full.json")
@@ -159,7 +160,7 @@ func TestBadValueFailsEveryRun(t *testing.T) {
 		want   string
 	}{
 		{0, "core: " + cause},
-		{2, "shard: " + cause},
+		{2, "core: " + cause},
 	} {
 		opt := refTraceOpts(tc.shards)
 		opt.traceFile = bad

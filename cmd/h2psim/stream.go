@@ -13,7 +13,6 @@ import (
 	"github.com/h2p-sim/h2p/internal/core"
 	"github.com/h2p-sim/h2p/internal/obs"
 	"github.com/h2p-sim/h2p/internal/sched"
-	"github.com/h2p-sim/h2p/internal/shard"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
@@ -38,8 +37,8 @@ type streamSpec struct {
 }
 
 // streamSpecs builds the run list: the single -trace CSV, or the three
-// synthetic classes with the exact per-class seed schedule the in-memory
-// path uses. The caller owns the opened sources (see closeSpecs).
+// synthetic classes with the canonical per-class seed schedule
+// (trace.CanonicalSeed). The caller owns the opened sources (see closeSpecs).
 func streamSpecs(opt runOptions) ([]streamSpec, error) {
 	if opt.traceFile != "" {
 		src, err := trace.OpenCSVFile(opt.traceFile)
@@ -129,16 +128,49 @@ func journalRecorder(opt runOptions, sp streamSpec, scheme sched.Scheme) *obs.Ru
 }
 
 // checkpointEntry is one run's state in the checkpoint file: a completed
-// Result, an in-progress engine checkpoint, or — under -shards — an
-// in-progress sharded checkpoint. The sharded record's Merged field is itself
-// a complete engine checkpoint, so dropping -shards between invocations still
-// resumes; the reverse direction (adding -shards over an unsharded
-// checkpoint) is rejected rather than guessed at.
+// Result or an in-progress engine checkpoint. The checkpoint carries no shard
+// layout, so it resumes under any -workers/-shards count.
+//
+// Sharded is read-only: files written by builds with a separate sharded
+// checkpoint format hold in-progress runs there, and its merged record is a
+// complete engine checkpoint. New files never write it.
 type checkpointEntry struct {
-	Done       bool              `json:"done"`
-	Result     *core.Result      `json:"result,omitempty"`
-	Checkpoint *core.Checkpoint  `json:"checkpoint,omitempty"`
-	Sharded    *shard.Checkpoint `json:"sharded,omitempty"`
+	Done       bool             `json:"done"`
+	Result     *core.Result     `json:"result,omitempty"`
+	Checkpoint *core.Checkpoint `json:"checkpoint,omitempty"`
+	Sharded    *struct {
+		Merged core.Checkpoint `json:"merged"`
+	} `json:"sharded,omitempty"`
+}
+
+// checkDone rejects a done entry whose result cannot be this run's: a
+// missing result, another trace or scheme, or — when the report prints the
+// series — a series of the wrong length.
+func (e *checkpointEntry) checkDone(meta trace.Meta, scheme sched.Scheme, keepSeries bool) error {
+	r := e.Result
+	switch {
+	case r == nil:
+		return errors.New("done without a result")
+	case r.TraceName != meta.Name || r.Scheme != scheme:
+		return fmt.Errorf("result is for %q/%s", r.TraceName, r.Scheme)
+	case keepSeries && len(r.Intervals) != meta.Intervals:
+		return fmt.Errorf("result holds %d of %d intervals (was the run started without the series?)",
+			len(r.Intervals), meta.Intervals)
+	}
+	return nil
+}
+
+// resumePoint returns the entry's in-progress checkpoint, or nil.
+func (e *checkpointEntry) resumePoint() *core.Checkpoint {
+	switch {
+	case e == nil:
+		return nil
+	case e.Checkpoint != nil:
+		return e.Checkpoint
+	case e.Sharded != nil:
+		return &e.Sharded.Merged
+	}
+	return nil
 }
 
 // checkpointFile is the on-disk coordinator state.
@@ -206,14 +238,6 @@ func (c *coordinator) setCheckpoint(key string, cp *core.Checkpoint) error {
 	return c.flushLocked()
 }
 
-// setSharded records an in-progress sharded run's checkpoint.
-func (c *coordinator) setSharded(key string, cp *shard.Checkpoint) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.file.Entries[key] = &checkpointEntry{Sharded: cp}
-	return c.flushLocked()
-}
-
 // setDone records a completed run's full result.
 func (c *coordinator) setDone(key string, res *core.Result) error {
 	c.mu.Lock()
@@ -267,11 +291,11 @@ func (o runOptions) keepSeries() bool { return o.series || o.seriesOut != "" }
 // streamSchemes is the fixed scheme order of the comparison tables.
 var streamSchemes = [2]sched.Scheme{sched.Original, sched.LoadBalance}
 
-// runStreaming is the bounded-memory evaluation path: every trace is pulled
-// through a trace.Source, runs checkpoint at interval boundaries when
-// -checkpoint is set, and a -resume invocation continues from the file and
-// prints output byte-identical to an uninterrupted streaming run.
-func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
+// run evaluates every trace under both schemes and prints the report. Every
+// trace is pulled through a trace.Source, runs checkpoint at interval
+// boundaries when -checkpoint is set, and a -resume invocation continues from
+// the file and prints output byte-identical to an uninterrupted run.
+func run(ctx context.Context, out io.Writer, opt runOptions) error {
 	specs, err := streamSpecs(opt)
 	if err != nil {
 		return err
@@ -289,6 +313,9 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 	cfg := core.DefaultConfig(sched.Original)
 	cfg.ServersPerCirculation = opt.circ
 	cfg.Workers = opt.workers
+	if opt.shards > 0 {
+		cfg.Workers = opt.shards
+	}
 	cfg.DecisionQuantum = opt.quantum
 	cfg.Telemetry = opt.telemetry
 	cfg.Faults = opt.faults
@@ -311,21 +338,14 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 				entry = coord.entry(key)
 			}
 			if entry != nil && entry.Done {
+				if err := entry.checkDone(sp.meta, scheme, opt.keepSeries()); err != nil {
+					return fmt.Errorf("h2psim: checkpoint entry %s: %w", key, err)
+				}
 				pair[si] = entry.Result
 				continue
 			}
 			rr := journalRecorder(opt, sp, scheme)
-			var r core.SourceRun
-			if opt.shards > 0 {
-				r, err = shardedRun(fleet, key, entry, coord, rr, opt)
-			} else {
-				r = engineRun(key, entry, coord, rr, opt)
-			}
-			if err != nil {
-				return err
-			}
-			r.Scheme = scheme
-			runs = append(runs, r)
+			runs = append(runs, core.SourceRun{Scheme: scheme, Opts: runOpts(key, entry, coord, rr, opt)})
 			slots = append(slots, si)
 			recs = append(recs, rr)
 		}
@@ -363,7 +383,7 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 	if halted {
 		return errHalted
 	}
-	printStreamReport(out, specs, results, opt)
+	printReport(out, specs, results, opt)
 
 	if opt.seriesOut != "" {
 		labels := make([]string, len(specs))
@@ -391,21 +411,12 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 	return nil
 }
 
-// engineRun builds one unsharded scheme run: the engine's streaming loop,
-// resumed from the run's stored checkpoint (an engine record, or a sharded
-// record's Merged field) and checkpointing into the coordinator.
-func engineRun(key string, entry *checkpointEntry, coord *coordinator, rr *obs.RunRecorder, opt runOptions) core.SourceRun {
-	ro := &core.RunOptions{KeepSeries: opt.keepSeries(), HaltAfter: opt.haltAfter}
+// runOpts builds one scheme run's options: resumed from the run's stored
+// checkpoint, if any, and checkpointing into the coordinator.
+func runOpts(key string, entry *checkpointEntry, coord *coordinator, rr *obs.RunRecorder, opt runOptions) *core.RunOptions {
+	ro := &core.RunOptions{KeepSeries: opt.keepSeries(), HaltAfter: opt.haltAfter, Resume: entry.resumePoint()}
 	if rr != nil {
 		ro.Observer = rr
-	}
-	if entry != nil && entry.Checkpoint != nil {
-		ro.Resume = entry.Checkpoint
-	} else if entry != nil && entry.Sharded != nil {
-		// The sharded record's Merged field is a complete engine
-		// checkpoint in global circulation order, so a run
-		// checkpointed under -shards resumes unsharded from it.
-		ro.Resume = &entry.Sharded.Merged
 	}
 	if coord != nil {
 		ro.Checkpoint = &core.CheckpointOptions{
@@ -413,45 +424,13 @@ func engineRun(key string, entry *checkpointEntry, coord *coordinator, rr *obs.R
 			Write: func(cp *core.Checkpoint) error { return coord.setCheckpoint(key, cp) },
 		}
 	}
-	return core.SourceRun{Opts: ro}
+	return ro
 }
 
-// shardedRun builds one scheme run through the sharded execution layer
-// (internal/shard). The fleet runs a trace's pending schemes concurrently
-// over one shared decode, so -shards 2 steps both schemes' shards side by
-// side while the CSV is parsed once. Checkpoints land in the coordinator as
-// Sharded entries; resuming them under a different shard count is rejected
-// by the shard layer with a layout error rather than silently recomputed.
-func shardedRun(fleet *core.Fleet, key string, entry *checkpointEntry, coord *coordinator,
-	rr *obs.RunRecorder, opt runOptions) (core.SourceRun, error) {
-	so := &shard.Options{Shards: opt.shards, KeepSeries: opt.keepSeries(), HaltAfter: opt.haltAfter}
-	if rr != nil {
-		so.Observer = rr
-	}
-	if entry != nil {
-		switch {
-		case entry.Sharded != nil:
-			so.Resume = entry.Sharded
-		case entry.Checkpoint != nil:
-			return core.SourceRun{}, fmt.Errorf("run %s was checkpointed unsharded; resume without -shards (a sharded checkpoint would resume either way), or restart without -resume", key)
-		}
-	}
-	if coord != nil {
-		so.Checkpoint = &shard.CheckpointOptions{
-			Every: opt.checkpointEvery,
-			Write: func(cp *shard.Checkpoint) error { return coord.setSharded(key, cp) },
-		}
-	}
-	return core.SourceRun{Exec: func(ctx context.Context, cfg core.Config, src trace.Source) (*core.Result, error) {
-		return shard.Run(ctx, fleet, cfg, src, so)
-	}}, nil
-}
-
-// printStreamReport renders the Fig. 14/15 tables (and the fault table) from
-// streaming results. The layout matches the in-memory path; the meanU column
-// comes from the run's incrementally aggregated MeanAvgUtilization, since no
-// dense trace exists to describe.
-func printStreamReport(out io.Writer, specs []streamSpec, results map[string][2]*core.Result, opt runOptions) {
+// printReport renders the Fig. 14/15 tables, the fault table and the
+// environment table. The meanU column is the run's incrementally aggregated
+// MeanAvgUtilization.
+func printReport(out io.Writer, specs []streamSpec, results map[string][2]*core.Result, opt runOptions) {
 	fmt.Fprintln(out, "Fig. 14 — generated electricity per CPU (W):")
 	fmt.Fprintf(out, "%-12s %-10s %-10s %-10s %-10s %-10s %-10s\n",
 		"trace", "orig avg", "orig peak", "lb avg", "lb peak", "gain%", "meanU")

@@ -114,10 +114,10 @@ func Run(tr *Trace, cfg Config) (*Result, error) {
 	return RunContext(context.Background(), tr, cfg)
 }
 
-// RunContext simulates the trace under the configuration, evaluating the
-// independent water circulations of each control interval on a worker pool
-// bounded by cfg.Workers (default GOMAXPROCS). The result is bit-identical
-// for every worker count; cancelling the context aborts the run promptly.
+// RunContext simulates the trace under the configuration, partitioning the
+// independent water circulations across cfg.Workers engine shards (default
+// GOMAXPROCS) that step in parallel. The result is bit-identical for every
+// worker count; cancelling the context aborts the run promptly.
 func RunContext(ctx context.Context, tr *Trace, cfg Config) (*Result, error) {
 	eng, err := core.NewEngine(cfg)
 	if err != nil {

@@ -9,26 +9,10 @@ import (
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
-// MergeInterval folds per-circulation contributions into one IntervalResult
-// in circulation index order — the exact accumulation order of the serial
-// engine, so no floating-point sum is ever reassociated no matter which
-// worker (or which shard) produced each contribution. col is the full
-// datacenter utilization column; parts holds every circulation's contribution
-// in circulation index order.
-//
-// It is the exported face of the engine's internal merge, shared with the
-// sharded execution layer (internal/shard) so sharded runs are bit-identical
-// to unsharded ones by construction rather than by reimplementation.
-func MergeInterval(col []float64, parts []CirculationInterval) IntervalResult {
-	return mergeInterval(col, parts)
-}
-
-// Aggregator is the run-level fold of the streaming engine: it accumulates
-// IntervalResults into a Result's running aggregates in interval order, the
-// same order the legacy in-memory path summed its retained series in, so no
-// floating-point sum is ever reassociated. RunSourceContext folds through an
-// Aggregator, and so does the sharded merger (internal/shard) — one fold
-// implementation is what pins the two paths bit-identical.
+// Aggregator is the run-level fold of the engine: it accumulates
+// IntervalResults into a Result's running aggregates in interval order, so
+// no floating-point sum is ever reassociated. RunSourceContext's merger folds
+// through an Aggregator.
 //
 // An Aggregator is single-goroutine state: exactly one merger folds at a
 // time. Checkpoint/Restore freeze and resume the fold at an interval

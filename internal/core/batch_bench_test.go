@@ -69,7 +69,7 @@ func (st *benchIntervalState) reset(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st.circs = eng.circulations(st.servers)
+	st.circs = eng.circulationsRange(st.servers, 0, eng.cfg.Circulations(st.servers))
 }
 
 // column materializes the interval-i column. With churn, every server's
@@ -166,37 +166,5 @@ func BenchmarkIntervalThroughputClasses(b *testing.B) {
 				benchIntervalClass(b, servers, batch, true, gcfg)
 			})
 		}
-	}
-}
-
-// BenchmarkIntervalThroughputBatchWorkers scales the batch path across the
-// worker pool on the parallel claiming loop.
-func BenchmarkIntervalThroughputBatchWorkers(b *testing.B) {
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			st := newBenchIntervalState(b, 10000, false)
-			states := make([]workerState, workers)
-			ctx := b.Context()
-			run := func(i int) {
-				if err := stepParallel(ctx, st.circs, st.column(i, true), i, workers, nil, states, true, st.parts, st.errs); err != nil {
-					b.Fatal(err)
-				}
-				for ci, err := range st.errs {
-					if err != nil {
-						b.Fatalf("circulation %d: %v", ci, err)
-					}
-				}
-			}
-			run(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i > 0 && i%churnWindow == 0 {
-					b.StopTimer()
-					st.reset(b)
-					b.StartTimer()
-				}
-				run(i)
-			}
-		})
 	}
 }

@@ -19,11 +19,11 @@ func degradePlan() *fault.Plan {
 	}}
 }
 
-// TestBatchMatchesSerialEngine is the tentpole acceptance pin at the engine
-// layer: for every trace class, scheme, worker count and fault plan, the
-// batched interval path (the default) must reproduce the legacy
-// per-circulation path (DisableBatch) bit for bit — every summary metric and
-// every IntervalResult. make kernel-check runs it under -race.
+// TestBatchMatchesSerialEngine is the batch kernel's acceptance pin at the
+// engine layer: for every trace class, scheme, worker count and fault plan,
+// the batched interval path (the default) must reproduce the legacy
+// per-circulation path (DisableBatch) of the serial reference loop bit for
+// bit — every summary metric and every IntervalResult.
 func TestBatchMatchesSerialEngine(t *testing.T) {
 	const servers, seed = 60, 31
 	plans := []*fault.Plan{nil, degradePlan()}
@@ -34,24 +34,15 @@ func TestBatchMatchesSerialEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, scheme := range streamEquivSchemes {
-			for _, workers := range streamEquivWorkers {
-				for p, plan := range plans {
-					cfg := smallConfig(scheme)
+			for p, plan := range plans {
+				cfg := smallConfig(scheme)
+				cfg.Faults = plan
+				cfg.FaultSeed = 77
+				serialCfg := cfg
+				serialCfg.DisableBatch = true
+				want := referenceTrace(t, serialCfg, tr)
+				for _, workers := range streamEquivWorkers {
 					cfg.Workers = workers
-					cfg.Faults = plan
-					cfg.FaultSeed = 77
-
-					serialCfg := cfg
-					serialCfg.DisableBatch = true
-					serialEng, err := NewEngine(serialCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := serialEng.Run(tr)
-					if err != nil {
-						t.Fatal(err)
-					}
-
 					batchEng, err := NewEngine(cfg)
 					if err != nil {
 						t.Fatal(err)

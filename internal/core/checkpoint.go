@@ -90,10 +90,9 @@ type Checkpoint struct {
 }
 
 // ValidateFor checks the checkpoint against the source shape and engine
-// configuration it is about to resume: RunSourceContext calls it on its
-// Resume option, and the sharded execution layer (internal/shard) calls it on
-// the merged aggregates of a sharded checkpoint before layering its own
-// shard-layout validation on top.
+// configuration it is about to resume; RunSourceContext calls it on its
+// Resume option. The checkpoint carries no shard layout, so any worker count
+// may resume it.
 func (cp *Checkpoint) ValidateFor(m trace.Meta, cfg Config, circulations int, keepSeries bool) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, engine speaks %d", cp.Version, CheckpointVersion)
@@ -112,6 +111,11 @@ func (cp *Checkpoint) ValidateFor(m trace.Meta, cfg Config, circulations int, ke
 	if len(cp.Sensors) != circulations {
 		return fmt.Errorf("core: checkpoint has %d sensor snapshots, engine forms %d circulations",
 			len(cp.Sensors), circulations)
+	}
+	for ci, st := range cp.Sensors {
+		if err := st.Validate(); err != nil {
+			return fmt.Errorf("core: checkpoint circulation %d: %w", ci, err)
+		}
 	}
 	if keepSeries && len(cp.Series) != cp.NextInterval {
 		return fmt.Errorf("core: series retention requested but checkpoint holds %d of %d intervals"+
@@ -139,15 +143,4 @@ func (cp *Checkpoint) ValidateFor(m trace.Meta, cfg Config, circulations int, ke
 		}
 	}
 	return nil
-}
-
-// snapshot freezes the run at the aggregator's current boundary: the fold's
-// aggregates plus the engine-side sensor snapshots.
-func (e *Engine) snapshot(agg *Aggregator, circs []Circulation) *Checkpoint {
-	cp := agg.Checkpoint()
-	cp.Sensors = make([]hydro.SensorState, len(circs))
-	for ci := range circs {
-		cp.Sensors[ci] = circs[ci].sensor.State()
-	}
-	return cp
 }

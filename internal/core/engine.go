@@ -14,12 +14,12 @@
 //   - Circulation (circulation.go) owns one water circulation's servers,
 //     pump, scheme decision and plant dispatch; circulations are
 //     independent within an interval.
-//   - Engine drives the interval loop, fanning the circulations of each
-//     interval out across a bounded worker pool and merging their
-//     contributions deterministically by circulation index. The loop itself
-//     lives in stream.go (RunSourceContext): it pulls trace columns from a
-//     trace.Source one interval at a time, so its working set is O(servers)
-//     regardless of trace length, and it can checkpoint at interval
+//   - Engine drives the interval loop (stream.go, RunSourceContext): a
+//     decoder pulls trace columns from a trace.Source one interval ahead,
+//     Config.Workers engine shards (shard.go) each step a contiguous
+//     circulation range, and a merger folds their contributions by
+//     circulation index in interval order. The working set is O(servers)
+//     regardless of trace length, and the run can checkpoint at interval
 //     boundaries and resume bit-identically (checkpoint.go). The in-memory
 //     Run/RunContext API is a thin adapter over it.
 //   - Fleet (fleet.go) runs whole trace x scheme combinations
@@ -34,8 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/chiller"
@@ -97,9 +95,11 @@ type Config struct {
 	// circulation pump.
 	PumpRatedPower units.Watts
 	PumpMaxFlow    units.LitersPerHour
-	// Workers bounds the worker pool evaluating circulations in parallel
-	// within each control interval. 0 means runtime.GOMAXPROCS(0); 1
-	// forces the serial path. Results are bit-identical for any value.
+	// Workers is the run's parallelism: the number of engine shards the
+	// run loop partitions the circulations into (Partition), each stepped
+	// on its own goroutine. 0 means runtime.GOMAXPROCS(0); counts above the
+	// circulation count clamp down. Results are bit-identical for any
+	// value.
 	Workers int
 	// DisableBatch forces the legacy per-circulation decide path instead of
 	// the batched column kernels (sched.Controller.DecideBatch). The batch
@@ -114,9 +114,10 @@ type Config struct {
 	// cost of a sub-quantum perturbation of the chosen setting.
 	DecisionQuantum float64
 	// Telemetry, when non-nil, instruments the engine, its controller and
-	// the shared look-up space: interval/step latency histograms, queue
-	// wait, decision-cache counters, scan lengths, and the harvested-power
-	// and outlet-temperature series, plus a span tracer. nil — the default
+	// the shared look-up space: interval/step latency histograms, the run
+	// pipeline's decode/step/merge-wait timings, decision-cache counters,
+	// scan lengths, and the harvested-power and outlet-temperature series,
+	// plus a span tracer. nil — the default
 	// — is the true no-op path: the warm Decide/Step path performs no
 	// added atomics, no clock reads and zero allocations, and simulation
 	// results are bit-identical either way.
@@ -216,13 +217,8 @@ func (c Config) Plant() chiller.Plant {
 	return p
 }
 
-// workers resolves the effective worker count through the shared
-// ResolveParallelism rule.
-func (c Config) workers() int { return ResolveParallelism(c.Workers) }
-
 // Circulations reports how many circulations an nServers datacenter forms
-// under the configuration — the partitioning the sharded execution layer
-// aligns its server ranges to.
+// under the configuration — the index space Partition splits into shards.
 func (c Config) Circulations(nServers int) int {
 	n := c.ServersPerCirculation
 	if n > nServers {
@@ -460,14 +456,9 @@ func newEngineWithSpace(cfg Config, space *lookup.Space) (*Engine, error) {
 // ablations).
 func (e *Engine) Controller() *sched.Controller { return e.controller }
 
-// circulations partitions nServers into Config.ServersPerCirculation-sized
-// circulations (the last one may be short) and wires each one.
-func (e *Engine) circulations(nServers int) []Circulation {
-	return e.circulationsRange(nServers, 0, e.cfg.Circulations(nServers))
-}
-
 // circulationsRange wires the circulations [cLo, cHi) of an nServers
-// datacenter, preserving their global indices and server spans: circulation
+// datacenter — Config.ServersPerCirculation-sized, the last one possibly
+// short — preserving their global indices and server spans: circulation
 // ci always owns the same servers and the same fault-activation identity no
 // matter which contiguous subrange (engine shard) it is built into.
 func (e *Engine) circulationsRange(nServers, cLo, cHi int) []Circulation {
@@ -484,14 +475,12 @@ func (e *Engine) Run(tr *trace.Trace) (*Result, error) {
 	return e.RunContext(context.Background(), tr)
 }
 
-// RunContext evaluates the trace, fanning each interval's circulations out
-// across the configured worker pool. The result is bit-identical for every
-// worker count. Cancelling the context aborts the run promptly with the
-// context's error.
+// RunContext evaluates the trace across Config.Workers engine shards. The
+// result is bit-identical for every worker count. Cancelling the context
+// aborts the run promptly with the context's error.
 //
-// It is a thin adapter over the streaming loop (RunSourceContext): the trace
-// is wrapped in a TraceSource and the full interval series is retained, which
-// reproduces the historical in-memory behavior exactly.
+// It is a thin adapter over the run loop (RunSourceContext): the trace is
+// wrapped in a TraceSource and the full interval series is retained.
 func (e *Engine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, error) {
 	src, err := trace.NewTraceSource(tr)
 	if err != nil {
@@ -500,10 +489,10 @@ func (e *Engine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, erro
 	return e.RunSourceContext(ctx, src, &RunOptions{KeepSeries: true})
 }
 
-// workerState is one worker's reusable batch-decision working set: the
+// workerState is one shard's reusable batch-decision working set: the
 // controller's column scratch plus the per-block argument arrays. One
-// workerState belongs to exactly one worker goroutine for the run's
-// lifetime, so nothing here is synchronized.
+// workerState belongs to exactly one ShardRunner for the run's lifetime, so
+// nothing here is synchronized.
 type workerState struct {
 	bs     sched.BatchScratch
 	ranges []sched.Range
@@ -521,21 +510,6 @@ func (ws *workerState) grow(n int) {
 	ws.ranges = ws.ranges[:n]
 	ws.scrs = ws.scrs[:n]
 	ws.decs = ws.decs[:n]
-}
-
-// blockSize picks the batch path's circulation-block granularity: with one
-// worker the whole datacenter is a single block (maximal cache-probe dedup);
-// with more, ~4 blocks per worker balance the pool without shrinking the
-// columns into per-circulation calls.
-func blockSize(circulations, workers int) int {
-	if workers <= 1 {
-		return circulations
-	}
-	bs := (circulations + workers*4 - 1) / (workers * 4)
-	if bs < 1 {
-		bs = 1
-	}
-	return bs
 }
 
 // stepBlock runs one contiguous block of circulations [lo, hi) through the
@@ -582,62 +556,11 @@ func stepBlock(circs []Circulation, lo, hi int, col []float64, interval int, ws 
 	}
 }
 
-// stepParallel fans the circulations of one interval out across workers
-// goroutines, writing each circulation's contribution (or error) into its
-// own slot. Workers claim contiguous circulation blocks: on the batch path
-// each block is one DecideBatch column call; on the legacy path blocks are
-// single circulations, preserving the historical per-circulation
-// granularity. It only returns an error for context cancellation; per-
-// circulation errors are reported through errs so the caller can surface
-// the lowest-index failure, matching the serial path. When met is non-nil,
-// each block's wait between fan-out and claim is recorded as queue wait,
-// sharded by its first circulation index.
-func stepParallel(ctx context.Context, circs []Circulation, col []float64, interval, workers int, met *engineMetrics, states []workerState, batch bool, parts []CirculationInterval, errs []error) error {
-	var fanOut time.Time
-	if met != nil {
-		fanOut = time.Now()
-	}
-	bs := 1
-	if batch {
-		bs = blockSize(len(circs), workers)
-	}
-	nBlocks := (len(circs) + bs - 1) / bs
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nBlocks || ctx.Err() != nil {
-					return
-				}
-				lo := b * bs
-				hi := lo + bs
-				if hi > len(circs) {
-					hi = len(circs)
-				}
-				if met != nil {
-					met.queueWaitSec.ObserveHint(uint64(lo), time.Since(fanOut).Seconds())
-				}
-				if batch {
-					stepBlock(circs, lo, hi, col, interval, &states[w], parts, errs)
-				} else {
-					for ci := lo; ci < hi; ci++ {
-						parts[ci], errs[ci] = circs[ci].Step(col, interval)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// mergeInterval folds per-circulation contributions into one IntervalResult
-// in circulation index order — the exact accumulation order of the serial
-// engine, so parallel runs reassociate no floating-point sums.
+// MergeInterval folds per-circulation contributions into one IntervalResult
+// in circulation index order, whatever the shard layout that produced them,
+// so no floating-point sum is ever reassociated. col is the full datacenter
+// utilization column; parts holds every circulation's contribution in
+// circulation index order.
 //
 // Degraded circulations (step failed every retry) are excluded from the sums
 // and the means' denominators, and open-circuit TEG modules are excluded
@@ -645,7 +568,7 @@ func stepParallel(ctx context.Context, circs []Circulation, col []float64, inter
 // population instead of NaN-poisoning or zero-diluting the averages. With no
 // faults every circulation is healthy and the arithmetic is bit-identical to
 // the fault-free merge.
-func mergeInterval(col []float64, parts []CirculationInterval) IntervalResult {
+func MergeInterval(col []float64, parts []CirculationInterval) IntervalResult {
 	ir := IntervalResult{
 		AvgUtilization: stats.Mean(col),
 		MaxUtilization: stats.Max(col),

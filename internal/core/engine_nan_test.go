@@ -32,19 +32,19 @@ func TestRunRejectsServerlessTrace(t *testing.T) {
 	if _, err := eng.Run(degenerate); err == nil {
 		t.Fatal("serverless trace must not run")
 	}
-	if len(eng.circulations(0)) != 0 {
-		t.Fatal("circulations(0) should partition nothing")
+	if n := eng.cfg.Circulations(0); n != 0 {
+		t.Fatalf("Circulations(0) = %d, should partition nothing", n)
 	}
 }
 
-// mergeInterval itself must not emit NaN for an empty or fully-degraded
+// MergeInterval itself must not emit NaN for an empty or fully-degraded
 // part set — the second half of the guard's job, now enforced structurally.
 func TestMergeIntervalEmptyPartsNoNaN(t *testing.T) {
 	for name, parts := range map[string][]CirculationInterval{
 		"empty":        {},
 		"all-degraded": {{Degraded: true}, {Degraded: true}},
 	} {
-		ir := mergeInterval([]float64{0.5}, parts)
+		ir := MergeInterval([]float64{0.5}, parts)
 		for field, v := range map[string]float64{
 			"MeanInlet":         float64(ir.MeanInlet),
 			"MeanFlow":          float64(ir.MeanFlow),
@@ -64,7 +64,7 @@ func TestMergeIntervalZeroFlowInterval(t *testing.T) {
 	parts := []CirculationInterval{{
 		TEGPower: 0, CPUPower: 50, Inlet: 30, Flow: 0, Outlet: 30, TEGServers: 2,
 	}}
-	ir := mergeInterval([]float64{0.1, 0.1}, parts)
+	ir := MergeInterval([]float64{0.1, 0.1}, parts)
 	if ir.MeanFlow != 0 || ir.TEGPowerPerServer != 0 {
 		t.Fatalf("zero-flow merge: %+v", ir)
 	}

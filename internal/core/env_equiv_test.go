@@ -7,9 +7,7 @@ import (
 
 	"github.com/h2p-sim/h2p/internal/env"
 	"github.com/h2p-sim/h2p/internal/fault"
-	"github.com/h2p-sim/h2p/internal/heatreuse"
 	"github.com/h2p-sim/h2p/internal/sched"
-	"github.com/h2p-sim/h2p/internal/storage"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
@@ -72,29 +70,24 @@ func TestConstantEnvBitIdentical(t *testing.T) {
 // seasonal source with reuse demand, a district-heating sink and a fleet
 // storage buffer.
 func seasonalConfig(scheme sched.Scheme) Config {
-	cfg := smallConfig(scheme)
+	cfg := withSeasonalStack(smallConfig(scheme), 42)
 	cfg.Workers = 4
-	s := env.DefaultSeasonal(42)
-	s.IntervalsPerDay = 48 // Drastic's 12 h trace spans a quarter day
-	cfg.Env = s
-	cfg.Reuse = heatreuse.DefaultSink()
-	spec := storage.ServerBufferSpec().Scale(4)
-	cfg.Storage = &spec
 	return cfg
 }
 
 // TestSeasonalResumeBitIdentical halts a seasonal run — reuse sink and
 // storage buffer active — at a mid-run boundary and resumes it from the
-// JSON-round-tripped checkpoint: the Result must match the uninterrupted run
-// bit for bit, proving the checkpoint's environment fingerprint and storage
-// state carry everything the fold needs.
+// JSON-round-tripped checkpoint under one and three workers: the Result must
+// match the serial reference's uninterrupted run bit for bit, proving the
+// checkpoint's environment fingerprint and storage state carry everything
+// the fold needs.
 func TestSeasonalResumeBitIdentical(t *testing.T) {
 	const servers, seed, haltAfter = 60, 13, 71
 	gcfg := trace.DrasticConfig(servers)
 	for _, scheme := range streamEquivSchemes {
 		for _, keepSeries := range []bool{true, false} {
 			cfg := seasonalConfig(scheme)
-			full := runStream(t, cfg, gcfg, seed, &RunOptions{KeepSeries: keepSeries})
+			full := referenceGen(t, cfg, gcfg, trace.CanonicalSeed(seed, 0), keepSeries)
 			if full.ReusedHeat <= 0 {
 				t.Fatalf("%s: seasonal run diverted no heat — the resume test would prove nothing", scheme)
 			}
@@ -129,14 +122,17 @@ func TestSeasonalResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored := new(Checkpoint)
-			if err := json.Unmarshal(blob, restored); err != nil {
-				t.Fatal(err)
-			}
-			resumed := runStream(t, cfg, gcfg, seed, &RunOptions{KeepSeries: keepSeries, Resume: restored})
-			if !reflect.DeepEqual(full, resumed) {
-				t.Errorf("%s keepSeries=%v: resumed seasonal result differs from uninterrupted run",
-					scheme, keepSeries)
+			for _, workers := range []int{1, 3} {
+				restored := new(Checkpoint)
+				if err := json.Unmarshal(blob, restored); err != nil {
+					t.Fatal(err)
+				}
+				cfg.Workers = workers
+				resumed := runStream(t, cfg, gcfg, seed, &RunOptions{KeepSeries: keepSeries, Resume: restored})
+				if !reflect.DeepEqual(full, resumed) {
+					t.Errorf("%s keepSeries=%v workers=%d: resumed seasonal result differs from the serial reference",
+						scheme, keepSeries, workers)
+				}
 			}
 		}
 	}

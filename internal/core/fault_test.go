@@ -269,7 +269,7 @@ func TestPumpDroopPhysics(t *testing.T) {
 }
 
 // Fault activation is a pure function of coordinates, so a faulted run is
-// bit-identical for any worker count.
+// bit-identical to the serial reference for any worker count.
 func TestFaultedRunParallelDeterminism(t *testing.T) {
 	tr, err := trace.Generate(trace.IrregularConfig(80), 13)
 	if err != nil {
@@ -279,10 +279,10 @@ func TestFaultedRunParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := smallConfig(sched.LoadBalance)
+	cfg.Faults = plan
+	cfg.FaultSeed = 99
 	run := func(workers int) *Result {
-		cfg := smallConfig(sched.LoadBalance)
-		cfg.Faults = plan
-		cfg.FaultSeed = 99
 		cfg.Workers = workers
 		eng, err := NewEngine(cfg)
 		if err != nil {
@@ -294,7 +294,7 @@ func TestFaultedRunParallelDeterminism(t *testing.T) {
 		}
 		return res
 	}
-	serial := run(1)
+	serial := referenceTrace(t, cfg, tr)
 	parallel := run(8)
 	if serial.AvgTEGPowerPerServer != parallel.AvgTEGPowerPerServer ||
 		serial.PRE != parallel.PRE || serial.Faults != parallel.Faults {
@@ -325,7 +325,7 @@ func TestMergeIntervalDegradedExclusion(t *testing.T) {
 		{TEGPower: 10, CPUPower: 100, Inlet: 40, Flow: 100, Outlet: 50, PumpPower: 4, TEGServers: 2},
 		{Degraded: true, Retries: 2},
 	}
-	ir := mergeInterval(col, parts)
+	ir := MergeInterval(col, parts)
 	if ir.DegradedCirculations != 1 || ir.StepRetries != 2 {
 		t.Fatalf("accounting: %+v", ir)
 	}

@@ -72,7 +72,7 @@ type fleetRun struct {
 }
 
 // runAll evaluates every combination concurrently, one goroutine per run,
-// each run internally bounded by cfg.Workers. The first error (in
+// each run internally spread across cfg.Workers shards. The first error (in
 // combination order) wins; a cancelled context aborts all runs.
 func (f *Fleet) runAll(ctx context.Context, base Config, runs []fleetRun) error {
 	ctx, cancel := context.WithCancel(ctx)
@@ -173,17 +173,11 @@ type SourceRun struct {
 	Open   SourceOpener
 	Scheme sched.Scheme
 	Opts   *RunOptions
-	// Exec, when non-nil, replaces the engine's streaming loop for this run:
-	// it receives the run's configuration (the batch base with Scheme set)
-	// and its opened source, and Opts is ignored. The sharded execution
-	// layer plugs in here, so sharded and unsharded batches share one
-	// concurrency, close and error-precedence contract.
-	Exec func(ctx context.Context, cfg Config, src trace.Source) (*Result, error)
 }
 
 // RunSourcesContext evaluates every streaming run concurrently, one
-// goroutine per run, each internally bounded by base.Workers, and returns
-// the results in run order.
+// goroutine per run, each internally spread across base.Workers shards, and
+// returns the results in run order.
 //
 // A run stopping at its HaltAfter boundary (ErrHalted) is a clean outcome,
 // not a failure: it neither cancels its siblings nor preempts their results.
@@ -250,9 +244,6 @@ func (f *Fleet) runSource(ctx context.Context, base Config, r SourceRun) (res *R
 	}
 	cfg := base
 	cfg.Scheme = r.Scheme
-	if r.Exec != nil {
-		return r.Exec(ctx, cfg, src)
-	}
 	eng, err := f.Engine(cfg)
 	if err != nil {
 		return nil, err

@@ -1,12 +1,16 @@
 package core
 
+import (
+	"sync/atomic"
+	"time"
+)
+
 // RunObserver receives run-lifecycle callbacks from the streaming run loop
-// (RunSourceContext) and its sharded counterpart (internal/shard.Run): one
-// call per merged interval, plus checkpoint, resume and halt boundaries. It
-// is the seam the observability layer (internal/obs) hangs its run journal
-// on — pure observation, never steering: the engine ignores everything an
-// observer does, so simulation results are bit-identical with an observer
-// attached or not.
+// (RunSourceContext): one call per merged interval, plus checkpoint, resume
+// and halt boundaries. It is the seam the observability layer (internal/obs)
+// hangs its run journal on — pure observation, never steering: the engine
+// ignores everything an observer does, so simulation results are
+// bit-identical with an observer attached or not.
 //
 // Callbacks arrive from the run's merging goroutine in interval order, never
 // concurrently for one run; an observer shared between runs must synchronize
@@ -27,8 +31,89 @@ type RunObserver interface {
 
 // CacheStatsSink is optionally implemented by a RunObserver that wants the
 // decision-cache hit rate in its progress records. The run loop hands it a
-// lifetime (hits, calls) reader over the run's controller(s) before the
-// first interval; the observer may call it at any point during the run.
+// lifetime (hits, calls) reader over the run's controller before the first
+// interval; the observer may call it at any point during the run.
 type CacheStatsSink interface {
 	AttachCacheStats(stats func() (hits, calls uint64))
+}
+
+// ShardStats is a point-in-time read of the run pipeline's timing counters,
+// handed to a run observer that implements ShardStatsSink. It quantifies the
+// pipeline's health independent of the telemetry registry: cumulative decode
+// time, merger stalls (the pipeline's bubbles) and per-shard step time.
+type ShardStats struct {
+	// Shards is the run's shard count; StepSeconds has one entry per shard.
+	Shards int `json:"shards"`
+	// DecodeSeconds is the cumulative wall time the decoder spent producing
+	// columns.
+	DecodeSeconds float64 `json:"decode_seconds"`
+	// MergeWaits counts intervals the merger had to block for; the
+	// difference to intervals merged is how often the pipeline was ahead.
+	MergeWaits int64 `json:"merge_waits"`
+	// MergeWaitSeconds is the cumulative wall time the merger spent blocked
+	// waiting for its next in-order interval.
+	MergeWaitSeconds float64 `json:"merge_wait_seconds"`
+	// StepSeconds is each shard's cumulative stepping wall time — the skew
+	// between entries is the load imbalance across the partition.
+	StepSeconds []float64 `json:"step_seconds"`
+}
+
+// ShardStatsSink is optionally implemented by a RunObserver passed in
+// RunOptions.Observer: the run loop hands it a ShardStats reader before the
+// first interval, and the observer may call it whenever it records progress.
+type ShardStatsSink interface {
+	AttachShardStats(stats func() ShardStats)
+}
+
+// statsCollector accumulates pipeline timings with one atomic per event.
+// Writers are the decoder, the shard workers (each owning its own slot) and
+// the merger; the snapshot reader is the observer's goroutine.
+type statsCollector struct {
+	decodeNanos    atomic.Int64
+	mergeWaits     atomic.Int64
+	mergeWaitNanos atomic.Int64
+	stepNanos      []atomic.Int64
+}
+
+func newStatsCollector(shards int) *statsCollector {
+	return &statsCollector{stepNanos: make([]atomic.Int64, shards)}
+}
+
+// nil-safe observation hooks; start is always set when the collector is.
+
+func (c *statsCollector) observeDecode(start time.Time) {
+	if c == nil {
+		return
+	}
+	c.decodeNanos.Add(int64(time.Since(start)))
+}
+
+func (c *statsCollector) observeStep(shard int, start time.Time) {
+	if c == nil {
+		return
+	}
+	c.stepNanos[shard].Add(int64(time.Since(start)))
+}
+
+func (c *statsCollector) observeMergeWait(start time.Time) {
+	if c == nil {
+		return
+	}
+	c.mergeWaits.Add(1)
+	c.mergeWaitNanos.Add(int64(time.Since(start)))
+}
+
+// snapshot folds the counters into a ShardStats value.
+func (c *statsCollector) snapshot() ShardStats {
+	st := ShardStats{
+		Shards:           len(c.stepNanos),
+		DecodeSeconds:    time.Duration(c.decodeNanos.Load()).Seconds(),
+		MergeWaits:       c.mergeWaits.Load(),
+		MergeWaitSeconds: time.Duration(c.mergeWaitNanos.Load()).Seconds(),
+		StepSeconds:      make([]float64, len(c.stepNanos)),
+	}
+	for s := range c.stepNanos {
+		st.StepSeconds[s] = time.Duration(c.stepNanos[s].Load()).Seconds()
+	}
+	return st
 }

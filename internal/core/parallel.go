@@ -9,9 +9,8 @@ const ParallelismFlagHelp = "(0 = all CPUs, runtime.GOMAXPROCS)"
 
 // ResolveParallelism resolves a worker or shard count: n when positive,
 // otherwise runtime.GOMAXPROCS(0). It is the single resolution rule shared by
-// Config.Workers, the sharded execution layer's shard count, and the CLIs'
-// -workers/-shards flags, so `-workers 0` and `-shards 0` always agree on
-// what "all CPUs" means.
+// Config.Workers (through Partition) and the CLIs' -workers/-shards flags,
+// so `-workers 0` and `-shards 0` always agree on what "all CPUs" means.
 func ResolveParallelism(n int) int {
 	if n > 0 {
 		return n

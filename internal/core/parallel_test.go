@@ -2,49 +2,55 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"github.com/h2p-sim/h2p/internal/fault"
 	"github.com/h2p-sim/h2p/internal/sched"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
-// TestSerialParallelEquivalence is the determinism guarantee of the layered
-// engine: the same trace under Workers = 1 and Workers = 8 must produce
-// bit-identical Results — every summary metric and every IntervalResult —
-// under both schemes, for all three synthetic workload classes.
+// TestSerialParallelEquivalence is the determinism guarantee of the run
+// loop: for every synthetic workload class, both schemes, a fault-free and
+// an all-kinds faulted plant, the default and the seasonal environment
+// stack, and every worker count, the pipelined run must reproduce the serial
+// reference loop bit for bit — every summary metric and every
+// IntervalResult. The bounded default (no retained series) must agree on
+// every summary aggregate. Under -race it also proves the decoder, shards
+// and merger share no unsynchronized state.
 func TestSerialParallelEquivalence(t *testing.T) {
-	traces, err := trace.GenerateAll(60, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range traces {
+	const servers, seed = 60, 11
+	plans := []*fault.Plan{nil, allFaultsPlan()}
+	for i, gcfg := range trace.CanonicalConfigs(servers) {
+		genSeed := trace.CanonicalSeed(seed, i)
 		for _, scheme := range []sched.Scheme{sched.Original, sched.LoadBalance} {
-			cfg := smallConfig(scheme)
-
-			cfg.Workers = 1
-			serialEng, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, err := serialEng.Run(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			cfg.Workers = 8
-			parallelEng, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallel, err := parallelEng.Run(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Errorf("%s/%s: Workers=1 and Workers=8 results differ", tr.Class, scheme)
+			for pi, plan := range plans {
+				for _, seasonal := range []bool{false, true} {
+					cfg := smallConfig(scheme)
+					cfg.ServersPerCirculation = 5 // 12 circulations
+					cfg.Faults = plan
+					cfg.FaultSeed = 99
+					if seasonal {
+						cfg = withSeasonalStack(cfg, 7)
+					}
+					name := fmt.Sprintf("%s/%s/plan=%d/seasonal=%v", gcfg.Class, scheme, pi, seasonal)
+					want := referenceGen(t, cfg, gcfg, genSeed, true)
+					summary := *want
+					summary.Intervals = nil
+					for _, workers := range equivWorkers {
+						cfg.Workers = workers
+						got := genRun(t, cfg, gcfg, genSeed, &RunOptions{KeepSeries: true})
+						if !reflect.DeepEqual(want, got) {
+							t.Errorf("%s workers=%d: result differs from the serial reference", name, workers)
+						}
+						bounded := genRun(t, cfg, gcfg, genSeed, nil)
+						if !reflect.DeepEqual(&summary, bounded) {
+							t.Errorf("%s workers=%d: bounded summary differs from the serial reference", name, workers)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -54,9 +60,9 @@ func TestSerialParallelEquivalence(t *testing.T) {
 // path where it is least cache-friendly: a hand-built trace in which every
 // server/interval utilization is a distinct value (a deterministic LCG, so
 // nearly every Choose is a miss), split into many small circulations and
-// stepped by 16 workers. The parallel run must reproduce the serial run
+// stepped by up to 16 shards. Every run must reproduce the serial reference
 // bit-for-bit; under -race (make check) this also proves the lock-free cache
-// and sharded counters are data-race-free while shared across workers.
+// and sharded counters are data-race-free while shared across shards.
 func TestHighEntropyParallelEquivalence(t *testing.T) {
 	const servers, intervals = 96, 40
 	tr, err := trace.New("high-entropy", trace.Drastic, servers, intervals, 5*time.Minute)
@@ -72,70 +78,54 @@ func TestHighEntropyParallelEquivalence(t *testing.T) {
 	}
 	for _, scheme := range []sched.Scheme{sched.Original, sched.LoadBalance} {
 		cfg := smallConfig(scheme)
-		cfg.ServersPerCirculation = 6 // 16 circulations: more than the worker pool
-
-		cfg.Workers = 1
-		se, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := se.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		cfg.Workers = 16
-		pe, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := pe.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%s: Workers=1 and Workers=16 diverge on the high-entropy trace", scheme)
+		cfg.ServersPerCirculation = 6 // 16 circulations
+		want := referenceTrace(t, cfg, tr)
+		for _, workers := range append(equivWorkers, 16) {
+			cfg.Workers = workers
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: Workers=%d diverges from the serial reference on the high-entropy trace", scheme, workers)
+			}
 		}
 	}
 }
 
 // TestQuantizedCacheKeepsEquivalence repeats the equivalence check with the
 // decision cache quantized: quantization perturbs the results relative to
-// the exact controller, but serial and parallel runs must still agree
-// bit-for-bit with each other.
+// the exact controller, but every worker count must still agree bit-for-bit
+// with the serial reference under the same quantum.
 func TestQuantizedCacheKeepsEquivalence(t *testing.T) {
 	tr, err := trace.Generate(trace.DrasticConfig(50), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := smallConfig(sched.LoadBalance)
+	cfg.ServersPerCirculation = 5
 	cfg.DecisionQuantum = 1.0 / 512
-
-	cfg.Workers = 1
-	se, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := se.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.Workers = 8
-	pe, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := pe.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("quantized cache broke serial/parallel equivalence")
-	}
-	hits, calls := pe.Controller().CacheStats()
-	if calls == 0 || hits == 0 {
-		t.Errorf("quantized cache never hit: %d hits of %d calls", hits, calls)
+	want := referenceTrace(t, cfg, tr)
+	for _, workers := range equivWorkers {
+		cfg.Workers = workers
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("Workers=%d: quantized cache broke equivalence with the serial reference", workers)
+		}
+		if hits, calls := eng.Controller().CacheStats(); calls == 0 || hits == 0 {
+			t.Errorf("Workers=%d: quantized cache never hit: %d hits of %d calls", workers, hits, calls)
+		}
 	}
 }
 

@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
+
+	"github.com/h2p-sim/h2p/internal/hydro"
 
 	"github.com/h2p-sim/h2p/internal/trace"
 )
@@ -38,8 +42,10 @@ type RunOptions struct {
 	HaltAfter int
 	// Observer, when non-nil, receives run-lifecycle callbacks (merged
 	// intervals, checkpoints, resume, halt) — the hook the run journal
-	// (internal/obs) attaches through. nil costs one pointer test per
-	// interval; results are bit-identical either way.
+	// (internal/obs) attaches through. An observer additionally implementing
+	// CacheStatsSink gets the decision-cache stats, and one implementing
+	// ShardStatsSink gets the pipeline's timing counters. nil costs one
+	// pointer test per interval; results are bit-identical either way.
 	Observer RunObserver
 }
 
@@ -50,14 +56,17 @@ type CheckpointOptions struct {
 	// Every). Non-positive disables the cadence; a HaltAfter boundary still
 	// checkpoints.
 	Every int
-	// Write persists one checkpoint. It is called at interval boundaries,
-	// after the interval's workers have joined, so the snapshot is
-	// quiescent; a Write error aborts the run.
+	// Write persists one checkpoint. It is called from the merger with
+	// every shard drained to the boundary (the decoder does not dispatch the
+	// boundary interval until Write returns), so the snapshot is quiescent;
+	// a Write error aborts the run.
 	Write func(*Checkpoint) error
 }
 
-// keepSeries reports whether the options retain the interval series.
-func (o *RunOptions) keepSeries() bool { return o != nil && o.KeepSeries }
+// pipelineDepth is the run loop's column-prefetch depth in slots: double
+// buffering, so the decoder produces interval t+1 while the shards compute
+// interval t. Results do not depend on it.
+const pipelineDepth = 2
 
 // RunSource evaluates a source under the engine's configuration. See
 // RunSourceContext.
@@ -65,57 +74,106 @@ func (e *Engine) RunSource(src trace.Source, opts *RunOptions) (*Result, error) 
 	return e.RunSourceContext(context.Background(), src, opts)
 }
 
-// RunSourceContext is the engine's streaming run loop: it pulls one column
-// at a time from src, fans each interval's circulations out across the
-// configured worker pool, and folds every interval into running aggregates.
+// slot is one pipeline stage: a decoded column and the global
+// per-circulation contribution array every shard writes its range of.
+// pending counts shards still stepping the slot; the shard that zeroes it
+// hands the slot to the merger.
+type slot struct {
+	interval  int
+	start     time.Time // decode start, when the run is timed
+	decodeErr error
+	col       []float64
+	parts     []CirculationInterval
+	errs      []error
+	pending   atomic.Int32
+}
+
+// RunSourceContext is the engine's run loop. It partitions the source's
+// circulations into Config.Workers contiguous ranges (Partition), builds one
+// ShardRunner per range on this engine, and pipelines the run through three
+// stages:
+//
+//	decoder:  pulls column t+1 from src while the shards compute t
+//	          (pipelineDepth slots of headroom, backpressured by the
+//	          merger returning slots)
+//	shards:   each steps its circulation range through the batched column
+//	          kernel — no barrier between shards, so an interval's tail
+//	          circulation never stalls the next interval's head
+//	merger:   on the caller's goroutine, folds shard contributions in
+//	          circulation order within each interval and interval order
+//	          across the run, through MergeInterval and the Aggregator
+//
 // Its working set is O(servers) — independent of the trace length — unless
 // opts retains the series.
 //
-// Bit-identity: the per-interval arithmetic and the aggregation order are
-// exactly those of the in-memory path (RunContext is a thin adapter over
-// this function), so for any source, scheme, worker count and fault plan the
-// Result matches Materialize(src) run through the legacy API bit for bit.
+// Bit-identity: the decision kernel is grouping-invariant, every circulation
+// keeps its global index and fault identity inside its shard, and the merge
+// and fold never reassociate a floating-point sum, so the Result is
+// bit-identical for every source, scheme, worker count and fault plan.
 //
 // Checkpoint/resume: with opts.Checkpoint set, the run snapshots itself at
-// interval boundaries; a later run given the snapshot as opts.Resume skips
-// the completed prefix and continues, producing a bit-identical Result. On
-// sources with random access (those implementing SeekInterval, like
-// TraceSource) the skip is O(1); otherwise the source replays and discards
-// the prefix columns, still with O(servers) memory.
+// interval boundaries; a later run given the snapshot as opts.Resume — under
+// any worker count — skips the completed prefix and continues, producing a
+// bit-identical Result. Checkpoints drain the pipeline to the boundary: the
+// decoder does not dispatch the boundary interval until the merger has
+// written the checkpoint. On sources with random access (those implementing
+// SeekInterval, like TraceSource) the skip is O(1); otherwise the source
+// replays and discards the prefix columns, still with O(servers) memory.
 func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *RunOptions) (*Result, error) {
 	meta := src.Meta()
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
-	circs := e.circulations(meta.Servers)
-	if len(circs) == 0 {
+	nCircs := e.cfg.Circulations(meta.Servers)
+	if nCircs == 0 {
 		// Guarded independently of the source's validation so a degenerate
 		// shape can never NaN-poison the per-circulation means.
 		return nil, errors.New("core: trace has no servers to form a circulation")
 	}
-	keepSeries := opts.keepSeries()
-	// The running aggregates fold in interval order — the same order the
-	// legacy path summed its retained series in — so no floating-point sum is
-	// ever reassociated. The Aggregator is shared with the sharded merger
-	// (internal/shard), which is what keeps the two paths bit-identical.
-	agg := NewAggregator(meta, e.cfg, keepSeries)
-	var obs RunObserver
-	if opts != nil && opts.Observer != nil {
-		obs = opts.Observer
+	if opts == nil {
+		opts = &RunOptions{}
+	}
+	ranges := Partition(nCircs, e.cfg.Workers)
+	shards := len(ranges)
+	runners := make([]*ShardRunner, shards)
+	for s, r := range ranges {
+		runners[s] = &ShardRunner{eng: e, circs: e.circulationsRange(meta.Servers, r.Lo, r.Hi)}
+	}
+	pm := newPipelineMetrics(e.cfg.Telemetry, shards)
+	if m := e.met; m != nil {
+		m.circulations.Set(float64(nCircs))
+	}
+
+	obs := opts.Observer
+	var stats *statsCollector
+	if obs != nil {
 		if sink, ok := obs.(CacheStatsSink); ok {
 			sink.AttachCacheStats(e.controller.CacheStats)
 		}
+		if sink, ok := obs.(ShardStatsSink); ok {
+			stats = newStatsCollector(shards)
+			sink.AttachShardStats(stats.snapshot)
+		}
 	}
+	// timed gates the pipeline's clock reads: they exist for the telemetry
+	// registry and/or the observer's stats, and are skipped entirely — no
+	// time.Now anywhere in the pipeline — when neither is attached.
+	timed := e.met != nil || stats != nil
+
+	// The running aggregates fold in interval order, so no floating-point
+	// sum is ever reassociated.
+	agg := NewAggregator(meta, e.cfg, opts.KeepSeries)
 	start := 0
-	if opts != nil && opts.Resume != nil {
-		cp := opts.Resume
-		if err := cp.ValidateFor(meta, e.cfg, len(circs), keepSeries); err != nil {
+	if cp := opts.Resume; cp != nil {
+		if err := cp.ValidateFor(meta, e.cfg, nCircs, opts.KeepSeries); err != nil {
 			return nil, err
 		}
 		start = cp.NextInterval
 		agg.Restore(cp)
-		for ci := range circs {
-			circs[ci].sensor.SetState(cp.Sensors[ci])
+		for s, r := range ranges {
+			if err := runners[s].RestoreSensorStates(cp.Sensors[r.Lo:r.Hi]); err != nil {
+				return nil, err
+			}
 		}
 		if err := trace.Skip(src, start); err != nil {
 			return nil, err
@@ -126,86 +184,205 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 		}
 	}
 
-	workers := e.cfg.workers()
-	if workers > len(circs) {
-		workers = len(circs)
+	// The halt boundary: the first boundary at or past HaltAfter that is
+	// not the end of the trace. It doubles as the decoder's end bound —
+	// intervals past it are never decoded.
+	end := meta.Intervals
+	haltDone := 0
+	if opts.HaltAfter > 0 {
+		haltDone = max(opts.HaltAfter, start+1)
+		if haltDone >= meta.Intervals {
+			haltDone = 0
+		} else {
+			end = haltDone
+		}
 	}
-	if m := e.met; m != nil {
-		m.workers.Set(float64(workers))
-		m.circulations.Set(float64(len(circs)))
+	cpo := opts.Checkpoint
+	if cpo != nil && cpo.Write == nil {
+		cpo = nil
 	}
-	batch := !e.cfg.DisableBatch
-	col := make([]float64, meta.Servers)
-	parts := make([]CirculationInterval, len(circs))
-	errs := make([]error, len(circs))
-	states := make([]workerState, workers)
-	for i := start; i < meta.Intervals; i++ {
+	boundary := func(done int) bool {
+		if cpo == nil {
+			return false
+		}
+		if haltDone > 0 && done == haltDone {
+			return true
+		}
+		return cpo.Every > 0 && done%cpo.Every == 0 && done < meta.Intervals
+	}
+
+	free := make(chan *slot, pipelineDepth)
+	for k := 0; k < pipelineDepth; k++ {
+		free <- &slot{
+			col:   make([]float64, meta.Servers),
+			parts: make([]CirculationInterval, nCircs),
+			errs:  make([]error, nCircs),
+		}
+	}
+	// Only pipelineDepth slots exist and every channel below holds that
+	// many, so sending a slot never blocks.
+	work := make([]chan *slot, shards)
+	for s := range work {
+		work[s] = make(chan *slot, pipelineDepth)
+	}
+	mergeCh := make(chan *slot, pipelineDepth)
+	gate := make(chan struct{}, 1)
+
+	// stop ends the pipeline when the merger returns, for any reason.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait() // after close(stop) below: stop the pipeline, then join it
+	defer close(stop)
+
+	// Decoder: the only goroutine touching src (sources are single-stream
+	// state). It runs up to pipelineDepth intervals ahead — the free channel
+	// is the backpressure — and parks at checkpoint boundaries until the
+	// merger's snapshot is durable.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() {
+			for _, ch := range work {
+				close(ch)
+			}
+		}()
+		for i := start; i < end; i++ {
+			if i > start && boundary(i) {
+				select {
+				case <-gate:
+				case <-stop:
+					return
+				}
+			}
+			var sl *slot
+			select {
+			case sl = <-free:
+			case <-stop:
+				return
+			}
+			if timed {
+				sl.start = time.Now()
+			}
+			got, err := src.NextColumn(sl.col)
+			if err != nil {
+				err = fmt.Errorf("core: source at interval %d: %w", i, err)
+			} else if got != i {
+				err = fmt.Errorf("core: source delivered interval %d, want %d", got, i)
+			}
+			sl.interval = i
+			sl.decodeErr = err
+			if err != nil {
+				mergeCh <- sl
+				return
+			}
+			pm.observeDecode(i, sl.start)
+			stats.observeDecode(sl.start)
+			sl.pending.Store(int32(shards))
+			for _, ch := range work {
+				ch <- sl
+			}
+		}
+	}()
+
+	// Shard workers: one goroutine per shard, each the sole owner of its
+	// runner. The last shard to finish a slot hands it to the merger —
+	// slots can therefore arrive out of interval order, which the merger
+	// reorders below.
+	for s := range runners {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			r, runner := ranges[s], runners[s]
+			for sl := range work[s] {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var t0 time.Time
+				if timed {
+					t0 = time.Now()
+				}
+				runner.Step(sl.col, sl.interval, sl.parts[r.Lo:r.Hi], sl.errs[r.Lo:r.Hi])
+				pm.observeStep(s, sl.interval, t0)
+				stats.observeStep(s, t0)
+				if sl.pending.Add(-1) == 0 {
+					mergeCh <- sl
+				}
+			}
+		}(s)
+	}
+
+	// Merger: fold intervals strictly in order, buffering early arrivals.
+	early := make(map[int]*slot, pipelineDepth)
+	for i := start; i < end; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		got, err := src.NextColumn(col)
-		if err != nil {
-			return nil, fmt.Errorf("core: source at interval %d: %w", i, err)
-		}
-		if got != i {
-			return nil, fmt.Errorf("core: source delivered interval %d, want %d", got, i)
-		}
-		var t0 time.Time
-		if e.met != nil {
-			t0 = time.Now()
-		}
-		if workers <= 1 {
-			if batch {
-				// One block spanning the datacenter: a single column call
-				// with maximal cache-probe dedup across circulations.
-				stepBlock(circs, 0, len(circs), col, i, &states[0], parts, errs)
-				for ci, serr := range errs {
-					if serr != nil {
-						return nil, fmt.Errorf("interval %d circulation %d: %w", i, ci, serr)
-					}
-				}
-			} else {
-				for ci := range circs {
-					if parts[ci], err = circs[ci].Step(col, i); err != nil {
-						return nil, fmt.Errorf("interval %d circulation %d: %w", i, ci, err)
-					}
-				}
-			}
-		} else if err := stepParallel(ctx, circs, col, i, workers, e.met, states, batch, parts, errs); err != nil {
-			return nil, err
+		sl, ok := early[i]
+		if ok {
+			delete(early, i)
 		} else {
-			for ci, serr := range errs {
-				if serr != nil {
-					return nil, fmt.Errorf("interval %d circulation %d: %w", i, ci, serr)
+			var t0 time.Time
+			if timed {
+				t0 = time.Now()
+			}
+			for sl == nil {
+				select {
+				case got := <-mergeCh:
+					if got.interval == i {
+						sl = got
+					} else {
+						early[got.interval] = got
+					}
+				case <-ctx.Done():
+					return nil, ctx.Err()
 				}
 			}
+			pm.observeMergeWait(i, t0)
+			stats.observeMergeWait(t0)
 		}
-		ir := mergeInterval(col, parts)
-		e.met.observeInterval(i, t0, ir)
+		if sl.decodeErr != nil {
+			return nil, sl.decodeErr
+		}
+		for ci, serr := range sl.errs {
+			if serr != nil {
+				return nil, fmt.Errorf("interval %d circulation %d: %w", i, ci, serr)
+			}
+		}
+		ir := MergeInterval(sl.col, sl.parts)
+		e.met.observeInterval(i, sl.start, ir)
 		agg.Fold(ir)
-		if opts != nil && opts.OnInterval != nil {
+		if opts.OnInterval != nil {
 			opts.OnInterval(i, ir)
 		}
 		if obs != nil {
 			obs.ObserveInterval(i, ir)
 		}
+		free <- sl
 
 		done := i + 1
-		halt := opts != nil && opts.HaltAfter > 0 && done >= opts.HaltAfter && done < meta.Intervals
-		if opts != nil && opts.Checkpoint != nil && opts.Checkpoint.Write != nil {
-			every := opts.Checkpoint.Every
-			if halt || (every > 0 && done%every == 0 && done < meta.Intervals) {
-				cp := e.snapshot(agg, circs)
-				if err := opts.Checkpoint.Write(cp); err != nil {
-					return nil, fmt.Errorf("core: checkpoint at interval %d: %w", done, err)
-				}
-				e.met.observeCheckpoint()
-				if obs != nil {
-					obs.ObserveCheckpoint(done)
-				}
+		if boundary(done) {
+			// Quiescent by construction: every interval < done has been
+			// merged (so every shard finished stepping it), and the decoder
+			// is parked on the gate (or, at the halt boundary, past its end
+			// bound), so no shard has seen interval done.
+			var t0 time.Time
+			if e.met != nil {
+				t0 = time.Now()
+			}
+			if err := cpo.Write(checkpointAt(agg, runners, nCircs)); err != nil {
+				return nil, fmt.Errorf("core: checkpoint at interval %d: %w", done, err)
+			}
+			e.met.observeCheckpoint(done, t0)
+			if obs != nil {
+				obs.ObserveCheckpoint(done)
+			}
+			if done != haltDone {
+				gate <- struct{}{}
 			}
 		}
-		if halt {
+		if haltDone > 0 && done == haltDone {
 			if obs != nil {
 				obs.ObserveHalt(done)
 			}
@@ -213,4 +390,18 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 		}
 	}
 	return agg.Finalize(), nil
+}
+
+// checkpointAt freezes the run at the merger's current boundary: the fold's
+// aggregates plus every shard's sensor snapshots, concatenated in global
+// circulation order — so the checkpoint does not depend on the shard layout
+// and resumes under any worker count. Its size is O(circulations),
+// independent of the intervals elapsed.
+func checkpointAt(agg *Aggregator, runners []*ShardRunner, circulations int) *Checkpoint {
+	cp := agg.Checkpoint()
+	cp.Sensors = make([]hydro.SensorState, 0, circulations)
+	for _, r := range runners {
+		cp.Sensors = append(cp.Sensors, r.SensorStates()...)
+	}
+	return cp
 }

@@ -14,20 +14,19 @@ import (
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
-// streamEquivSchemes and streamEquivWorkers span the equivalence matrix the
-// streaming pipeline must hold: both schedulers and serial, moderate and
-// over-subscribed worker pools.
+// streamEquivSchemes and streamEquivWorkers span the source-equivalence
+// matrix: both schedulers and one, moderate and over-subscribed shard
+// counts.
 var (
 	streamEquivSchemes = []sched.Scheme{sched.Original, sched.LoadBalance}
 	streamEquivWorkers = []int{1, 4, 16}
 )
 
-// TestStreamingMatchesInMemory is the tentpole acceptance pin: for every
-// synthetic workload class, both schemes and all worker counts, running a
+// TestStreamingMatchesInMemory pins source equivalence: for every synthetic
+// workload class, both schemes and all worker counts, running a
 // GeneratorSource through RunSource must reproduce the in-memory Run of the
-// materialized trace bit for bit — every summary metric and every
-// IntervalResult. Under -race (make stream-check) it also proves the
-// streaming loop shares the worker pool safely.
+// materialized trace (a TraceSource) bit for bit — every summary metric and
+// every IntervalResult.
 func TestStreamingMatchesInMemory(t *testing.T) {
 	const servers, seed = 60, 11
 	for i, gcfg := range trace.CanonicalConfigs(servers) {
@@ -150,22 +149,23 @@ func TestStreamingMatchesInMemoryWithFaults(t *testing.T) {
 // TestResumeMidRunBitIdentical is the checkpoint/resume acceptance pin: a run
 // halted at an interval boundary and resumed from its checkpoint — round-
 // tripped through JSON, exactly as cmd/h2psim persists it — must produce the
-// same Result, bit for bit, as the uninterrupted run. Exercised with and
-// without a retained series, across both schemes and several halt points,
-// including a halt that does not land on the checkpoint cadence.
+// same Result, bit for bit, as the serial reference's uninterrupted run.
+// Exercised with and without a retained series, across both schemes and
+// several halt points, including a halt that does not land on the checkpoint
+// cadence. The checkpoint carries no shard layout, so a run halted under two
+// workers resumes under one, two and three.
 func TestResumeMidRunBitIdentical(t *testing.T) {
 	const servers, seed = 60, 23
 	gcfg := trace.DrasticConfig(servers)
 	for _, scheme := range streamEquivSchemes {
 		for _, keepSeries := range []bool{true, false} {
+			cfg := smallConfig(scheme)
+			cfg.ServersPerCirculation = 5
+			full := referenceGen(t, cfg, gcfg, trace.CanonicalSeed(seed, 0), keepSeries)
 			// Drastic is 12 h / 5 min = 144 intervals; 143 halts one interval
 			// before the end, 50 off the 20-interval checkpoint cadence.
 			for _, haltAfter := range []int{1, 50, 143} {
-				cfg := smallConfig(scheme)
-				cfg.Workers = 4
-
-				full := runStream(t, cfg, gcfg, seed, &RunOptions{KeepSeries: keepSeries})
-
+				cfg.Workers = 2
 				var cp *Checkpoint
 				opts := &RunOptions{
 					KeepSeries: keepSeries,
@@ -197,15 +197,17 @@ func TestResumeMidRunBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				restored := new(Checkpoint)
-				if err := json.Unmarshal(blob, restored); err != nil {
-					t.Fatal(err)
-				}
-
-				resumed := runStream(t, cfg, gcfg, seed, &RunOptions{KeepSeries: keepSeries, Resume: restored})
-				if !reflect.DeepEqual(full, resumed) {
-					t.Errorf("%s halt=%d keepSeries=%v: resumed result differs from uninterrupted run",
-						scheme, haltAfter, keepSeries)
+				for _, workers := range []int{1, 2, 3} {
+					restored := new(Checkpoint)
+					if err := json.Unmarshal(blob, restored); err != nil {
+						t.Fatal(err)
+					}
+					cfg.Workers = workers
+					resumed := runStream(t, cfg, gcfg, seed, &RunOptions{KeepSeries: keepSeries, Resume: restored})
+					if !reflect.DeepEqual(full, resumed) {
+						t.Errorf("%s halt=%d keepSeries=%v workers=%d: resumed result differs from the serial reference",
+							scheme, haltAfter, keepSeries, workers)
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/telemetry"
@@ -12,17 +13,28 @@ const (
 	metricSteps          = "h2p_engine_circulation_steps_total"
 	metricIntervalSec    = "h2p_engine_interval_seconds"
 	metricStepSec        = "h2p_engine_circulation_step_seconds"
-	metricQueueWaitSec   = "h2p_engine_queue_wait_seconds"
-	metricWorkers        = "h2p_engine_workers"
 	metricCirculations   = "h2p_engine_circulations"
 	metricHarvestedPower = "h2p_interval_teg_power_watts_per_server"
 	metricOutletTemp     = "h2p_circulation_outlet_celsius"
 	metricMaxCPUTemp     = "h2p_interval_max_cpu_celsius"
 
-	// Streaming-path instruments (stream.go).
+	// Checkpoint/resume instruments (stream.go).
 	metricCheckpoints   = "h2p_engine_checkpoints_total"
 	metricResumes       = "h2p_engine_resumes_total"
 	metricResumeSkipped = "h2p_engine_resume_skipped_intervals_total"
+)
+
+// Exported run-pipeline metric names (stream.go). Per-shard instruments are
+// hint-sharded by shard index on the run's shared registry (the same
+// shared-by-name discipline Fleet engines follow), so a serving endpoint sees
+// one coherent series set no matter how many shards fold into it.
+const (
+	metricShards        = "h2p_shard_count"
+	metricPrefetchDepth = "h2p_shard_prefetch_depth"
+	metricShardSteps    = "h2p_shard_intervals_total"
+	metricShardStepSec  = "h2p_shard_step_seconds"
+	metricMergeWaitSec  = "h2p_shard_merge_wait_seconds"
+	metricDecodeSec     = "h2p_shard_decode_seconds"
 )
 
 // Exported fault-layer metric names. The report's Telemetry section groups
@@ -37,16 +49,22 @@ const (
 	metricFaultDegraded       = "h2p_fault_degraded_intervals_total"
 )
 
-// Span names recorded by the engine's tracer.
+// Span names recorded by the engine's tracer. Together with the per-shard
+// step spans ("shard03.step") they make the run pipeline visible as a
+// timeline: the Perfetto exporter (internal/obs) maps each name to its own
+// track.
 const (
 	spanInterval    = "interval"
 	spanCirculation = "circulation"
+	spanDecode      = "decode"
+	spanMergeWait   = "merge.wait"
+	spanCheckpoint  = "checkpoint"
 )
 
 // engineMetrics instruments the interval loop: wall-clock latency of whole
-// intervals and individual circulation steps, worker queue wait in the
-// parallel path, and the physical per-interval series the paper's evaluation
-// is built on (harvested TEG power, outlet temperature, hottest die). nil —
+// intervals and individual circulation steps, and the physical per-interval
+// series the paper's evaluation is built on (harvested TEG power, outlet
+// temperature, hottest die). nil —
 // the default when Config.Telemetry is nil — disables everything: the run
 // loop pays one pointer test per interval and never reads the clock.
 type engineMetrics struct {
@@ -54,15 +72,13 @@ type engineMetrics struct {
 	steps          *telemetry.Counter
 	intervalSec    *telemetry.Histogram
 	stepSec        *telemetry.Histogram
-	queueWaitSec   *telemetry.Histogram
-	workers        *telemetry.Gauge
 	circulations   *telemetry.Gauge
 	harvestedPower *telemetry.Histogram
 	outletTemp     *telemetry.Histogram
 	maxCPUTemp     *telemetry.Histogram
 	tracer         *telemetry.Tracer
 
-	// Streaming-path counters: checkpoints written, runs resumed, and
+	// Checkpoint/resume counters: checkpoints written, runs resumed, and
 	// intervals skipped (not re-simulated) by resumes.
 	checkpoints   *telemetry.Counter
 	resumes       *telemetry.Counter
@@ -94,9 +110,6 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 			telemetry.ExponentialBuckets(1e-5, 4, 10)),
 		stepSec: reg.Histogram(metricStepSec, "wall-clock seconds per circulation step",
 			telemetry.ExponentialBuckets(1e-6, 4, 10)),
-		queueWaitSec: reg.Histogram(metricQueueWaitSec, "seconds a circulation waited for a worker (parallel path)",
-			telemetry.ExponentialBuckets(1e-7, 4, 10)),
-		workers:      reg.Gauge(metricWorkers, "effective circulation worker pool size"),
 		circulations: reg.Gauge(metricCirculations, "circulations per interval"),
 		harvestedPower: reg.Histogram(metricHarvestedPower, "datacenter-mean harvested TEG power per server, one observation per interval",
 			telemetry.LinearBuckets(0, 1, 16)),
@@ -133,7 +146,7 @@ type faultObs struct {
 }
 
 // observeFault folds one fault observation into the counters, sharded by
-// circulation index so parallel workers do not contend.
+// circulation index so parallel shards do not contend.
 func (m *engineMetrics) observeFault(index int, o faultObs) {
 	if m == nil {
 		return
@@ -163,7 +176,7 @@ func (m *engineMetrics) observeFault(index int, o faultObs) {
 }
 
 // observeInterval records one merged control interval: its wall-clock
-// latency, the harvested-power and hottest-die series, and an "interval"
+// latency from decode start to merge, the harvested-power and hottest-die series, and an "interval"
 // span.
 func (m *engineMetrics) observeInterval(i int, start time.Time, ir IntervalResult) {
 	if m == nil {
@@ -177,12 +190,15 @@ func (m *engineMetrics) observeInterval(i int, start time.Time, ir IntervalResul
 	m.tracer.Record(spanInterval, int64(i), start, d)
 }
 
-// observeCheckpoint records one checkpoint written at an interval boundary.
-func (m *engineMetrics) observeCheckpoint() {
+// observeCheckpoint records one checkpoint written at an interval boundary:
+// the counter plus a "checkpoint" span covering the drain-and-write window
+// (the pipeline is parked on the gate for its duration).
+func (m *engineMetrics) observeCheckpoint(done int, start time.Time) {
 	if m == nil {
 		return
 	}
 	m.checkpoints.Inc()
+	m.tracer.Record(spanCheckpoint, int64(done), start, time.Since(start))
 }
 
 // observeResume records one resume and the intervals it skipped.
@@ -195,7 +211,7 @@ func (m *engineMetrics) observeResume(skipped int) {
 }
 
 // observeStep records one circulation step, sharded by circulation index so
-// parallel workers do not contend.
+// parallel shards do not contend.
 func (m *engineMetrics) observeStep(index int, start time.Time, outlet float64) {
 	if m == nil {
 		return
@@ -206,4 +222,83 @@ func (m *engineMetrics) observeStep(index int, start time.Time, outlet float64) 
 	m.stepSec.ObserveHint(hint, d.Seconds())
 	m.outletTemp.ObserveHint(hint, outlet)
 	m.tracer.Record(spanCirculation, int64(index), start, d)
+}
+
+// pipelineMetrics instruments the run pipeline: per-shard step latency
+// (hinted by shard index so shards never contend on a counter cell), the
+// merger's wait for its next in-order slot (the pipeline's bubble gauge),
+// and decoder latency (the prefetch headroom). Every observation also lands
+// in the registry's span tracer, so the ring exports as a per-shard
+// timeline. nil — the default when Config.Telemetry is nil — disables
+// everything; simulation results are bit-identical either way.
+type pipelineMetrics struct {
+	shards    *telemetry.Gauge
+	prefetch  *telemetry.Gauge
+	steps     *telemetry.Counter
+	stepSec   *telemetry.Histogram
+	mergeWait *telemetry.Histogram
+	decodeSec *telemetry.Histogram
+	tracer    *telemetry.Tracer
+	stepNames []string
+}
+
+// newPipelineMetrics registers the pipeline's instruments with reg; a nil
+// registry yields nil (telemetry disabled).
+func newPipelineMetrics(reg *telemetry.Registry, shards int) *pipelineMetrics {
+	if reg == nil {
+		return nil
+	}
+	m := &pipelineMetrics{
+		shards:   reg.Gauge(metricShards, "engine shards in the run pipeline"),
+		prefetch: reg.Gauge(metricPrefetchDepth, "column prefetch pipeline depth (slots)"),
+		steps:    reg.Counter(metricShardSteps, "shard-intervals stepped (intervals x shards)"),
+		stepSec: reg.Histogram(metricShardStepSec, "wall-clock seconds one shard spent stepping one interval",
+			telemetry.ExponentialBuckets(1e-5, 4, 10)),
+		mergeWait: reg.Histogram(metricMergeWaitSec, "seconds the merger waited for its next in-order interval",
+			telemetry.ExponentialBuckets(1e-7, 4, 10)),
+		decodeSec: reg.Histogram(metricDecodeSec, "seconds the decoder spent producing one column",
+			telemetry.ExponentialBuckets(1e-6, 4, 10)),
+		tracer:    reg.Tracer(telemetry.DefaultTraceCapacity),
+		stepNames: make([]string, shards),
+	}
+	// Names are precomputed once per run so recording a span never
+	// allocates.
+	for s := range m.stepNames {
+		m.stepNames[s] = fmt.Sprintf("shard%02d.step", s)
+	}
+	m.shards.Set(float64(shards))
+	m.prefetch.Set(pipelineDepth)
+	return m
+}
+
+// observeStep records one shard stepping one interval, hinted by shard index.
+func (m *pipelineMetrics) observeStep(shard, interval int, start time.Time) {
+	if m == nil {
+		return
+	}
+	d := time.Since(start)
+	hint := uint64(shard)
+	m.steps.AddHint(hint, 1)
+	m.stepSec.ObserveHint(hint, d.Seconds())
+	m.tracer.Record(m.stepNames[shard], int64(interval), start, d)
+}
+
+// observeMergeWait records how long the merger blocked for its next slot.
+func (m *pipelineMetrics) observeMergeWait(interval int, start time.Time) {
+	if m == nil {
+		return
+	}
+	d := time.Since(start)
+	m.mergeWait.Observe(d.Seconds())
+	m.tracer.Record(spanMergeWait, int64(interval), start, d)
+}
+
+// observeDecode records one column decode.
+func (m *pipelineMetrics) observeDecode(interval int, start time.Time) {
+	if m == nil {
+		return
+	}
+	d := time.Since(start)
+	m.decodeSec.Observe(d.Seconds())
+	m.tracer.Record(spanDecode, int64(interval), start, d)
 }

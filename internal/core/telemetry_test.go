@@ -61,6 +61,9 @@ func TestTelemetryPopulatedByRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallConfig(sched.Original) // 60 servers / 20 per circulation = 3
+	// One shard hands every interval to the merger in order, which makes
+	// the merge-wait span count exact.
+	cfg.Workers = 1
 	reg := telemetry.New()
 	cfg.Telemetry = reg
 	eng, err := NewEngine(cfg)
@@ -127,9 +130,10 @@ func TestTelemetryPopulatedByRun(t *testing.T) {
 		t.Errorf("outlet mean %v ℃ outside plausible warm-water band", outlet.Mean)
 	}
 
-	// One interval span per interval plus one circulation span per step.
-	if snap.SpansRecorded != intervals+steps {
-		t.Errorf("spans recorded = %d, want %d", snap.SpansRecorded, intervals+steps)
+	// One circulation span per step, plus per interval one span each for
+	// the interval, its decode, the merger's wait and the shard's step.
+	if want := 4*intervals + steps; snap.SpansRecorded != want {
+		t.Errorf("spans recorded = %d, want %d", snap.SpansRecorded, want)
 	}
 
 	// The new MeanOutlet field must agree with the histogram's aggregate.

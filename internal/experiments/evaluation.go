@@ -7,7 +7,6 @@ import (
 	"github.com/h2p-sim/h2p/internal/core"
 	"github.com/h2p-sim/h2p/internal/fault"
 	"github.com/h2p-sim/h2p/internal/sched"
-	"github.com/h2p-sim/h2p/internal/shard"
 	"github.com/h2p-sim/h2p/internal/tco"
 	"github.com/h2p-sim/h2p/internal/telemetry"
 	"github.com/h2p-sim/h2p/internal/trace"
@@ -19,9 +18,8 @@ import (
 type EvalParams struct {
 	Servers int
 	Seed    int64
-	// Workers bounds each engine's circulation worker pool (see
-	// core.Config.Workers). 0 uses GOMAXPROCS; results are identical for
-	// any value.
+	// Workers is each run's engine shard count (see core.Config.Workers).
+	// 0 uses GOMAXPROCS; results are identical for any value.
 	Workers int
 	// Telemetry instruments every engine the experiments build (see
 	// core.Config.Telemetry). nil — the default — runs uninstrumented;
@@ -44,14 +42,6 @@ type EvalParams struct {
 	// Results are bit-identical; the flag exists for end-to-end A/B timing
 	// of the two interval data paths.
 	SerialDecide bool
-	// Shards, when positive, evaluates each trace x scheme run through the
-	// sharded execution layer (internal/shard) with that many
-	// range-partitioned engine shards; it implies the streaming path.
-	// 0 — the default — keeps the unsharded engine. Results are
-	// bit-identical for any value; the CLIs resolve their `-shards 0`
-	// through core.ResolveParallelism before it lands here, so "all CPUs"
-	// means the same thing it does for Workers.
-	Shards int
 }
 
 // DefaultEvalParams is the paper's evaluation scale.
@@ -76,9 +66,6 @@ func (p EvalParams) Config(scheme sched.Scheme) core.Config {
 // keepSeries is only consulted on the streaming path — the in-memory API
 // always retains the interval series.
 func runComparison(p EvalParams, keepSeries bool) ([]trace.Class, []*core.Result, []*core.Result, error) {
-	if p.Shards > 0 {
-		return runShardedComparison(p, keepSeries)
-	}
 	if p.Streaming {
 		return runStreamingComparison(p, keepSeries)
 	}
@@ -121,40 +108,6 @@ func runStreamingComparison(p EvalParams, keepSeries bool) ([]trace.Class, []*co
 	lbs := make([]*core.Result, len(cfgs))
 	for i := range cfgs {
 		origs[i], lbs[i] = results[2*i], results[2*i+1]
-	}
-	return classes, origs, lbs, nil
-}
-
-// runShardedComparison is runComparison through the sharded execution layer:
-// each trace x scheme run is partitioned across p.Shards engine shards with
-// pipelined column prefetch. Runs execute sequentially — each one already
-// spreads across the shard workers, so stacking concurrent runs on top would
-// only oversubscribe the cores the shards are meant to fill.
-func runShardedComparison(p EvalParams, keepSeries bool) ([]trace.Class, []*core.Result, []*core.Result, error) {
-	cfgs := trace.CanonicalConfigs(p.Servers)
-	classes := make([]trace.Class, len(cfgs))
-	origs := make([]*core.Result, len(cfgs))
-	lbs := make([]*core.Result, len(cfgs))
-	fleet := core.NewFleet()
-	for i, gcfg := range cfgs {
-		classes[i] = gcfg.Class
-		seed := trace.CanonicalSeed(p.Seed, i)
-		for si, scheme := range [2]sched.Scheme{sched.Original, sched.LoadBalance} {
-			src, err := trace.NewGeneratorSource(gcfg, seed)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			res, err := shard.Run(context.Background(), fleet, p.Config(scheme), src,
-				&shard.Options{Shards: p.Shards, KeepSeries: keepSeries})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if si == 0 {
-				origs[i] = res
-			} else {
-				lbs[i] = res
-			}
-		}
 	}
 	return classes, origs, lbs, nil
 }

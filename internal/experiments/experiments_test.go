@@ -138,10 +138,10 @@ func TestFig14And15SmallScale(t *testing.T) {
 	}
 }
 
-// TestFig14ShardedMatchesDefault pins EvalParams.Shards: routing the
-// evaluation through the sharded execution layer must leave every table cell
-// identical — the tables are formatted from the folded results, so equal
-// strings mean bit-equal aggregates.
+// TestFig14ShardedMatchesDefault pins the shard count (EvalParams.Workers,
+// which h2pbench -shards sets): spreading each run over one or three engine
+// shards must leave every table cell identical — the tables are formatted
+// from the folded results, so equal strings mean bit-equal aggregates.
 func TestFig14ShardedMatchesDefault(t *testing.T) {
 	want, err := Fig14(smallParams())
 	if err != nil {
@@ -149,7 +149,7 @@ func TestFig14ShardedMatchesDefault(t *testing.T) {
 	}
 	for _, shards := range []int{1, 3} {
 		p := smallParams()
-		p.Shards = shards
+		p.Workers = shards
 		got, err := Fig14(p)
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +162,7 @@ func TestFig14ShardedMatchesDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wb.String() != gb.String() {
-			t.Errorf("Shards=%d: Fig14 differs from unsharded:\n--- unsharded ---\n%s--- sharded ---\n%s",
+			t.Errorf("Workers=%d: Fig14 differs from the default:\n--- default ---\n%s--- workers ---\n%s",
 				shards, wb.String(), gb.String())
 		}
 	}

@@ -1,6 +1,11 @@
 package hydro
 
-import "github.com/h2p-sim/h2p/internal/units"
+import (
+	"errors"
+	"math"
+
+	"github.com/h2p-sim/h2p/internal/units"
+)
 
 // DefaultSensorMaxStale is how many consecutive intervals a LastGoodSensor
 // serves its held reading before it declares itself degraded.
@@ -73,6 +78,22 @@ type SensorState struct {
 	Last   units.Celsius `json:"last"`
 	Stale  int           `json:"stale"`
 	Primed bool          `json:"primed"`
+}
+
+// Validate reports a snapshot no LastGoodSensor can produce: a non-finite
+// held reading, a negative stale count (which would extend the staleness
+// bound), or a held reading or stale count on a sensor that never captured a
+// good reading.
+func (st SensorState) Validate() error {
+	switch {
+	case math.IsNaN(float64(st.Last)) || math.IsInf(float64(st.Last), 0):
+		return errors.New("hydro: sensor state holds a non-finite reading")
+	case st.Stale < 0:
+		return errors.New("hydro: sensor state has a negative stale count")
+	case !st.Primed && (st.Last != 0 || st.Stale != 0):
+		return errors.New("hydro: unprimed sensor state holds a reading")
+	}
+	return nil
 }
 
 // State snapshots the sensor's mutable state. MaxStale is configuration, not

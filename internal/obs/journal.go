@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -130,8 +131,8 @@ type Progress struct {
 	// DegradedIntervals counts circulation-intervals this writer saw
 	// excluded by fault degradation; zero in a healthy run.
 	DegradedIntervals int64 `json:"degraded_intervals,omitempty"`
-	// Shard carries the sharded pipeline's timing counters (nil for
-	// unsharded runs): merge-wait totals and per-shard step seconds.
+	// Shard carries the run pipeline's timing counters (nil when the run
+	// loop attached none): merge-wait totals and per-shard step seconds.
 	Shard *ShardProgress `json:"shard,omitempty"`
 }
 
@@ -178,12 +179,21 @@ type Done struct {
 }
 
 // ReadJournal parses a JSONL run journal. Blank lines are skipped; a
-// malformed line or a manifest from a newer schema version is an error. The
-// records come back in file order — append order, which for a journal
-// hosting concurrent runs interleaves runs.
+// malformed line or a manifest from a newer schema version is an error —
+// except an unterminated final line that does not parse, which is the torn
+// tail of a write a crash interrupted and is dropped. The records come back
+// in file order — append order, which for a journal hosting concurrent runs
+// interleaves runs.
 func ReadJournal(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
+	// unterminated is set when the scanner hands out a final line that no
+	// newline ended.
+	unterminated := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		unterminated = atEOF && len(data) > 0 && bytes.IndexByte(data, '\n') < 0
+		return bufio.ScanLines(data, atEOF)
+	})
 	var out []Record
 	line := 0
 	for sc.Scan() {
@@ -194,6 +204,9 @@ func ReadJournal(r io.Reader) ([]Record, error) {
 		}
 		var rec Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
+			if unterminated {
+				break
+			}
 			return nil, fmt.Errorf("obs: journal line %d: %w", line, err)
 		}
 		if rec.Type == "" {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/core"
-	"github.com/h2p-sim/h2p/internal/shard"
 )
 
 // Recorder owns one journal file and serializes record writes to it. One
@@ -36,7 +36,7 @@ type Recorder struct {
 // resumed run appends to the journal its first attempt started, keeping one
 // file per run lineage.
 func Create(path string, appendTo bool) (*Recorder, error) {
-	flags := os.O_CREATE | os.O_WRONLY
+	flags := os.O_CREATE | os.O_RDWR
 	if appendTo {
 		flags |= os.O_APPEND
 	} else {
@@ -46,9 +46,40 @@ func Create(path string, appendTo bool) (*Recorder, error) {
 	if err != nil {
 		return nil, err
 	}
+	if appendTo {
+		if err := truncateTornTail(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
 	r := NewRecorder(f)
 	r.c = f
 	return r, nil
+}
+
+// truncateTornTail cuts an unterminated final line — the torn tail of a
+// write a crash interrupted — so appended records start on a line of their
+// own instead of burying the torn bytes mid-file.
+func truncateTornTail(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 4096)
+	for end := fi.Size(); end > 0; {
+		n := min(int64(len(buf)), end)
+		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			if keep := end - n + int64(i) + 1; keep < fi.Size() {
+				return f.Truncate(keep)
+			}
+			return nil
+		}
+		end -= n
+	}
+	return f.Truncate(0)
 }
 
 // NewRecorder wraps an arbitrary writer (tests, pipes). Close flushes but
@@ -128,7 +159,7 @@ func (r *Recorder) Close() error {
 }
 
 // RunRecorder journals one run: it implements core.RunObserver (plus the
-// core.CacheStatsSink and shard.StatsSink capabilities, which the run loop
+// core.CacheStatsSink and core.ShardStatsSink capabilities, which the run loop
 // attaches when available) and turns the callback stream into manifest,
 // progress, event and done records under its run key. A nil *RunRecorder is
 // a true no-op — every method is one branch, zero allocations (pinned by
@@ -148,7 +179,7 @@ type RunRecorder struct {
 	noted    bool    // degraded event already emitted (bounded: one per run)
 
 	cacheStats func() (hits, calls uint64)
-	shardStats func() shard.Stats
+	shardStats func() core.ShardStats
 }
 
 // NewRunRecorder opens a run under the recorder: computes the manifest's
@@ -188,8 +219,8 @@ func (rr *RunRecorder) AttachCacheStats(stats func() (hits, calls uint64)) {
 	rr.cacheStats = stats
 }
 
-// AttachShardStats implements shard.StatsSink.
-func (rr *RunRecorder) AttachShardStats(stats func() shard.Stats) {
+// AttachShardStats implements core.ShardStatsSink.
+func (rr *RunRecorder) AttachShardStats(stats func() core.ShardStats) {
 	if rr == nil {
 		return
 	}

@@ -3,12 +3,13 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/core"
-	"github.com/h2p-sim/h2p/internal/shard"
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
@@ -50,8 +51,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("run key = %q, want %q", got, want)
 	}
 	rr.AttachCacheStats(func() (uint64, uint64) { return 30, 40 })
-	rr.AttachShardStats(func() shard.Stats {
-		return shard.Stats{Shards: 2, MergeWaits: 3, MergeWaitSeconds: 0.25, StepSeconds: []float64{1, 2}}
+	rr.AttachShardStats(func() core.ShardStats {
+		return core.ShardStats{Shards: 2, MergeWaits: 3, MergeWaitSeconds: 0.25, StepSeconds: []float64{1, 2}}
 	})
 	for i := 0; i < 4; i++ {
 		rr.ObserveInterval(i, intervalResult(4.0, 0))
@@ -185,7 +186,9 @@ func TestJournalVersionGate(t *testing.T) {
 }
 
 func TestJournalRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{"not json", `{"run":"x"}`} {
+	// A malformed line is an error when a newline ends it; only an
+	// unterminated final line is read as a torn tail (TestJournalTornTail).
+	for _, bad := range []string{"not json\n", "not json\n" + `{"type":"done","run":"x","t_ms":1}`, `{"run":"x"}`} {
 		if _, err := ReadJournal(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadJournal(%q) accepted", bad)
 		}
@@ -195,6 +198,51 @@ func TestJournalRejectsMalformed(t *testing.T) {
 	records, err := ReadJournal(strings.NewReader(ok))
 	if err != nil || len(records) != 1 {
 		t.Errorf("tolerant read = %v records, err %v", len(records), err)
+	}
+}
+
+// TestJournalTornTail: a crash that tore the last record leaves an
+// unterminated line that does not parse; the reader drops it and keeps every
+// complete record before it.
+func TestJournalTornTail(t *testing.T) {
+	rec := `{"type":"progress","run":"x","t_ms":1}` + "\n"
+	for _, torn := range []string{`{"type":"do`, `{`, "\x00\x00"} {
+		records, err := ReadJournal(strings.NewReader(rec + rec + torn))
+		if err != nil || len(records) != 2 {
+			t.Errorf("torn tail %q: %d records, err %v; want 2 records", torn, len(records), err)
+		}
+	}
+}
+
+// TestCreateAppendTruncatesTornTail: appending to a journal whose last
+// record was torn first cuts the torn bytes, so the appended records start
+// on a line of their own and the file reads back whole.
+func TestCreateAppendTruncatesTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	whole := `{"type":"progress","run":"x","t_ms":1}` + "\n"
+	for _, torn := range []string{"", `{"type":"prog`, strings.Repeat("x", 9000)} {
+		if err := os.WriteFile(path, []byte(whole+torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Create(path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.write(&Record{Type: "done", Run: "x"})
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(data), whole+`{"type":"done"`) {
+			t.Errorf("torn tail %q: journal after append = %q", torn[:min(len(torn), 20)], data)
+		}
+		records, err := ReadJournal(strings.NewReader(string(data)))
+		if err != nil || len(records) != 2 {
+			t.Errorf("torn tail %q: read back %d records, err %v", torn[:min(len(torn), 20)], len(records), err)
+		}
 	}
 }
 

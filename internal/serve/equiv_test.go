@@ -13,7 +13,6 @@ import (
 	"github.com/h2p-sim/h2p/internal/fault"
 	"github.com/h2p-sim/h2p/internal/obs"
 	"github.com/h2p-sim/h2p/internal/sched"
-	"github.com/h2p-sim/h2p/internal/shard"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
@@ -72,7 +71,7 @@ func TestServeEquivalentToCLIPath(t *testing.T) {
 			// Reference side: the CLI's library path, assembled from the
 			// primitive pieces exactly as cmd/h2psim does — default config
 			// for the scheme, generator preset with a trimmed horizon,
-			// shard.Run or the streaming engine loop.
+			// -shards setting the engine's shard count.
 			scheme := sched.Original
 			if c.scheme == "loadbalance" {
 				scheme = sched.LoadBalance
@@ -90,17 +89,14 @@ func TestServeEquivalentToCLIPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fleet := core.NewFleet()
-			var res *core.Result
 			if c.shards > 0 {
-				res, err = shard.Run(context.Background(), fleet, cfg, src, &shard.Options{Shards: c.shards})
-			} else {
-				var eng *core.Engine
-				eng, err = fleet.Engine(cfg)
-				if err == nil {
-					res, err = eng.RunSourceContext(context.Background(), src, nil)
-				}
+				cfg.Workers = c.shards
 			}
+			eng, err := core.NewFleet().Engine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.RunSourceContext(context.Background(), src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,15 +5,12 @@ import (
 	"io"
 
 	"github.com/h2p-sim/h2p/internal/core"
-	"github.com/h2p-sim/h2p/internal/shard"
 )
 
 // Execute evaluates one validated request on fleet — exactly the library path
 // the h2psim CLI drives, so an API-submitted run is bit-identical to the same
-// run launched from the command line. Shards > 0 routes through the sharded
-// pipeline; otherwise the single-engine streaming loop runs it. The observer
-// (typically the run's journal recorder) sees merged intervals in order
-// either way.
+// run launched from the command line. The observer (typically the run's
+// journal recorder) sees merged intervals in order.
 //
 // The request must have passed Validate (the parse entry points guarantee
 // it); Execute opens a fresh trace source per call, so concurrent executions
@@ -28,15 +25,7 @@ func Execute(ctx context.Context, fleet *core.Fleet, req *RunRequest, traceDir s
 			c.Close() //nolint:errcheck // read side already drained or aborted
 		}
 	}()
-	cfg := req.EngineConfig()
-	if req.Shards > 0 {
-		return shard.Run(ctx, fleet, cfg, src, &shard.Options{
-			Shards:     req.Shards,
-			KeepSeries: req.KeepSeries,
-			Observer:   observer,
-		})
-	}
-	eng, err := fleet.Engine(cfg)
+	eng, err := fleet.Engine(req.EngineConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -89,10 +89,10 @@ type RunRequest struct {
 	Scheme string `json:"scheme"`
 	// ServersPerCirculation is n of Sec. V-A; 0 means the paper's 25.
 	ServersPerCirculation int `json:"servers_per_circulation,omitempty"`
-	// Workers bounds the per-interval worker pool (0 = all CPUs).
+	// Workers is the run's engine shard count (0 = all CPUs).
 	Workers int `json:"workers,omitempty"`
-	// Shards routes the run through the sharded execution layer; 0 keeps
-	// the single-engine streaming path (h2psim without -shards).
+	// Shards, when positive, is an alias for Workers that takes precedence
+	// over it, like h2psim's -shards.
 	Shards int `json:"shards,omitempty"`
 	// Quantum is the decision-cache utilization quantum (0 = exact).
 	Quantum float64 `json:"quantum,omitempty"`
@@ -474,6 +474,9 @@ func (r *RunRequest) EngineConfig() core.Config {
 		cfg.ServersPerCirculation = r.ServersPerCirculation
 	}
 	cfg.Workers = r.Workers
+	if r.Shards > 0 {
+		cfg.Workers = r.Shards
+	}
 	cfg.DecisionQuantum = r.Quantum
 	cfg.Faults = r.faults
 	cfg.FaultSeed = r.faultSeed()

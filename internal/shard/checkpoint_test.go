@@ -11,12 +11,13 @@ import (
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
-// haltShardedRun runs the sharded pipeline to HaltAfter with a checkpoint
-// sink and returns the last checkpoint written.
-func haltShardedRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, seed int64, opts *Options) *Checkpoint {
+// haltRun runs the engine to opts.HaltAfter with a checkpoint sink and
+// returns the last checkpoint written, round-tripped through JSON the way
+// cmd/h2psim persists it.
+func haltRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, seed int64, opts *core.RunOptions) *core.Checkpoint {
 	t.Helper()
-	var cp *Checkpoint
-	opts.Checkpoint = &CheckpointOptions{Every: 20, Write: func(c *Checkpoint) error {
+	var cp *core.Checkpoint
+	opts.Checkpoint = &core.CheckpointOptions{Every: 20, Write: func(c *core.Checkpoint) error {
 		cp = c
 		return nil
 	}}
@@ -24,51 +25,45 @@ func haltShardedRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSource(cfg, src, opts); !errors.Is(err, core.ErrHalted) {
-		t.Fatalf("halted sharded run: err = %v, want ErrHalted", err)
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cp == nil || cp.Merged.NextInterval != opts.HaltAfter {
-		t.Fatalf("halted sharded run: checkpoint = %+v", cp)
+	if _, err := eng.RunSource(src, opts); !errors.Is(err, core.ErrHalted) {
+		t.Fatalf("halted run: err = %v, want ErrHalted", err)
 	}
-	return cp
+	if cp == nil || cp.NextInterval != opts.HaltAfter {
+		t.Fatalf("halted run: checkpoint = %+v", cp)
+	}
+	blob, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := new(core.Checkpoint)
+	if err := json.Unmarshal(blob, restored); err != nil {
+		t.Fatal(err)
+	}
+	return restored
 }
 
-// TestShardedResumeBitIdentical is the sharded kill/resume drill: a sharded
-// run halted at an interval boundary and resumed from its checkpoint —
-// round-tripped through JSON, as cmd/h2psim persists it — must produce the
-// same Result, bit for bit, as both the uninterrupted sharded run and the
-// unsharded engine. Halt points cover on- and off-cadence boundaries.
+// TestShardedResumeBitIdentical is the kill/resume drill at a fixed shard
+// count: a run halted at an interval boundary and resumed from its
+// checkpoint under the same four shards must reproduce the one-shard run
+// bit for bit. Halt points cover on- and off-cadence boundaries.
 func TestShardedResumeBitIdentical(t *testing.T) {
 	const servers, seed, shards = 60, 23, 4
 	gcfg := trace.DrasticConfig(servers) // 144 intervals
 	genSeed := trace.CanonicalSeed(seed, 0)
 	for _, scheme := range equivSchemes {
 		for _, keepSeries := range []bool{true, false} {
+			cfg := shardConfig(scheme)
+			want := oneShardRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: keepSeries})
+			cfg.Workers = shards
 			for _, haltAfter := range []int{1, 50, 143} {
-				cfg := shardConfig(scheme)
-				want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: keepSeries})
-				full := shardedRun(t, cfg, gcfg, genSeed, &Options{Shards: shards, KeepSeries: keepSeries})
-				if !reflect.DeepEqual(want, full) {
-					t.Fatalf("%s halt=%d: uninterrupted sharded run differs from unsharded", scheme, haltAfter)
-				}
-
-				cp := haltShardedRun(t, cfg, gcfg, genSeed, &Options{
-					Shards: shards, KeepSeries: keepSeries, HaltAfter: haltAfter,
-				})
-				blob, err := json.Marshal(cp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				restored := new(Checkpoint)
-				if err := json.Unmarshal(blob, restored); err != nil {
-					t.Fatal(err)
-				}
-
-				resumed := shardedRun(t, cfg, gcfg, genSeed, &Options{
-					Shards: shards, KeepSeries: keepSeries, Resume: restored,
-				})
-				if !reflect.DeepEqual(full, resumed) {
-					t.Errorf("%s halt=%d keepSeries=%v: resumed sharded run differs from uninterrupted",
+				cp := haltRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: keepSeries, HaltAfter: haltAfter})
+				resumed := engineRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: keepSeries, Resume: cp})
+				if !reflect.DeepEqual(want, resumed) {
+					t.Errorf("%s halt=%d keepSeries=%v: resumed run differs from one shard",
 						scheme, haltAfter, keepSeries)
 				}
 			}
@@ -76,10 +71,9 @@ func TestShardedResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMergedCheckpointResumesUnsharded pins the cross-compatibility contract:
-// the Merged record inside a sharded checkpoint is a complete core.Checkpoint
-// — sensors concatenated in global circulation order —
-// so an UNSHARDED engine resumed from it reproduces the uninterrupted run
+// TestMergedCheckpointResumesUnsharded pins the cross-layout contract: a
+// checkpoint taken under four shards holds its sensors in global circulation
+// order, so a one-shard run resumed from it reproduces the uninterrupted run
 // bit for bit.
 func TestMergedCheckpointResumesUnsharded(t *testing.T) {
 	const servers, seed, haltAfter = 60, 5, 60
@@ -87,129 +81,35 @@ func TestMergedCheckpointResumesUnsharded(t *testing.T) {
 	genSeed := trace.CanonicalSeed(seed, 0)
 	cfg := shardConfig(sched.LoadBalance)
 
-	want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
-	cp := haltShardedRun(t, cfg, gcfg, genSeed, &Options{Shards: 4, KeepSeries: true, HaltAfter: haltAfter})
-
-	resumed := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true, Resume: &cp.Merged})
+	want := oneShardRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
+	cfg.Workers = 4
+	cp := haltRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true, HaltAfter: haltAfter})
+	resumed := oneShardRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true, Resume: cp})
 	if !reflect.DeepEqual(want, resumed) {
-		t.Error("unsharded engine resumed from sharded Merged record differs from uninterrupted run")
+		t.Error("one-shard run resumed from a four-shard checkpoint differs from uninterrupted run")
 	}
 }
 
-// TestSingleShardResumesAlone pins that one shard's checkpoint state is
-// self-standing: a 1-shard sharded run resumed from a checkpoint taken by a
-// 1-shard run matches the uninterrupted engine exactly — the shard carries
-// everything it needs (sensors, merged aggregates) without its
-// former siblings.
+// TestSingleShardResumesAlone pins that a one-shard checkpoint is
+// self-standing: a one-shard run resumed from it matches the uninterrupted
+// run exactly.
 func TestSingleShardResumesAlone(t *testing.T) {
 	const servers, seed, haltAfter = 40, 9, 30
 	gcfg := trace.IrregularConfig(servers)
 	genSeed := trace.CanonicalSeed(seed, 0)
 	cfg := shardConfig(sched.Original)
+	cfg.Workers = 1
 
-	want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
-	cp := haltShardedRun(t, cfg, gcfg, genSeed, &Options{Shards: 1, KeepSeries: true, HaltAfter: haltAfter})
-	resumed := shardedRun(t, cfg, gcfg, genSeed, &Options{Shards: 1, KeepSeries: true, Resume: cp})
+	want := engineRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
+	cp := haltRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true, HaltAfter: haltAfter})
+	resumed := engineRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true, Resume: cp})
 	if !reflect.DeepEqual(want, resumed) {
 		t.Error("single-shard resume differs from uninterrupted run")
 	}
 }
 
-// TestCheckpointLayoutValidation rejects resume under a mismatched shard
-// layout with a typed *LayoutError — distinguishable from data corruption —
-// while trace/scheme/progress mismatches still surface as the core engine's
-// own validation errors.
-func TestCheckpointLayoutValidation(t *testing.T) {
-	const servers, seed, haltAfter = 60, 3, 40
-	gcfg := trace.CommonConfig(servers)
-	genSeed := trace.CanonicalSeed(seed, 0)
-	cfg := shardConfig(sched.Original)
-	cp := haltShardedRun(t, cfg, gcfg, genSeed, &Options{Shards: 4, KeepSeries: true, HaltAfter: haltAfter})
-
-	resume := func(c *Checkpoint, shards int) error {
-		src, err := trace.NewGeneratorSource(gcfg, genSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = RunSource(cfg, src, &Options{Shards: shards, KeepSeries: true, Resume: c})
-		return err
-	}
-
-	// The pristine checkpoint resumes under its own layout.
-	if err := resume(clone(t, cp), 4); err != nil {
-		t.Fatalf("pristine checkpoint rejected: %v", err)
-	}
-
-	layoutCases := []struct {
-		name   string
-		shards int
-		mutate func(*Checkpoint)
-	}{
-		{"resume with different shard count", 2, func(c *Checkpoint) {}},
-		{"declared shard count", 4, func(c *Checkpoint) { c.Shards = 3 }},
-		{"range bounds", 4, func(c *Checkpoint) { c.Ranges[1].Hi++; c.Ranges[2].Lo++ }},
-		{"per-shard record range", 4, func(c *Checkpoint) { c.PerShard[0].Range.Hi++ }},
-		{"per-shard sensor count", 4, func(c *Checkpoint) {
-			c.PerShard[2].Sensors = c.PerShard[2].Sensors[:1]
-		}},
-		{"missing shard record", 4, func(c *Checkpoint) { c.PerShard = c.PerShard[:3] }},
-	}
-	for _, tc := range layoutCases {
-		c := clone(t, cp)
-		tc.mutate(c)
-		err := resume(c, tc.shards)
-		var le *LayoutError
-		if !errors.As(err, &le) {
-			t.Errorf("%s: err = %v, want *LayoutError", tc.name, err)
-		}
-	}
-
-	// Non-layout corruption is the core engine's to reject — and must NOT
-	// masquerade as a layout problem.
-	coreCases := []struct {
-		name   string
-		mutate func(*Checkpoint)
-	}{
-		{"envelope version", func(c *Checkpoint) { c.Version++ }},
-		{"merged version", func(c *Checkpoint) { c.Merged.Version++ }},
-		{"trace identity", func(c *Checkpoint) { c.Merged.TraceName = "other" }},
-		{"scheme", func(c *Checkpoint) { c.Merged.Scheme = sched.LoadBalance }},
-		{"progress past end", func(c *Checkpoint) { c.Merged.NextInterval = c.Merged.Intervals }},
-		{"merged sensor count", func(c *Checkpoint) { c.Merged.Sensors = c.Merged.Sensors[:5] }},
-	}
-	for _, tc := range coreCases {
-		c := clone(t, cp)
-		tc.mutate(c)
-		err := resume(c, 4)
-		if err == nil {
-			t.Errorf("%s: corrupted checkpoint accepted", tc.name)
-			continue
-		}
-		var le *LayoutError
-		if errors.As(err, &le) {
-			t.Errorf("%s: err = %v, want a non-layout error", tc.name, err)
-		}
-	}
-}
-
-// clone deep-copies a checkpoint through its JSON round trip — the same path
-// a persisted checkpoint travels.
-func clone(t *testing.T, cp *Checkpoint) *Checkpoint {
-	t.Helper()
-	blob, err := json.Marshal(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := new(Checkpoint)
-	if err := json.Unmarshal(blob, out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestHaltSemantics pins the halt contract against the unsharded engine: a
-// HaltAfter at or past the end never halts, and a halted run returns
-// core.ErrHalted so fleet-level callers treat it as a clean, resumable stop.
+// TestHaltSemantics pins the halt contract: a HaltAfter at or past the end
+// never halts, whatever the shard count.
 func TestHaltSemantics(t *testing.T) {
 	const servers, seed = 40, 13
 	gcfg := trace.DrasticConfig(servers)
@@ -217,20 +117,21 @@ func TestHaltSemantics(t *testing.T) {
 	cfg := shardConfig(sched.Original)
 	intervals := int(gcfg.Horizon / gcfg.Interval)
 
-	want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
+	want := oneShardRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
+	cfg.Workers = 3
 	for _, haltAfter := range []int{intervals, intervals + 7} {
-		got := shardedRun(t, cfg, gcfg, genSeed, &Options{Shards: 3, KeepSeries: true, HaltAfter: haltAfter})
+		got := engineRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true, HaltAfter: haltAfter})
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("haltAfter=%d (past end): result differs from unsharded", haltAfter)
+			t.Errorf("haltAfter=%d (past end): result differs from one shard", haltAfter)
 		}
 	}
 }
 
 // TestCheckpointSizeIndependentOfProgress is the checkpoint perf guard: a
-// sharded checkpoint holds aggregates and one sensor snapshot per
-// circulation, so its encoded size must not grow with the intervals elapsed.
-// The exact decision cache misses on nearly every plane of a drastic trace,
-// which is what made the size grow while checkpoints listed its keys.
+// checkpoint holds aggregates and one sensor snapshot per circulation, so
+// its encoded size must not grow with the intervals elapsed. The exact
+// decision cache misses on nearly every plane of a drastic trace, which is
+// what made the size grow while checkpoints listed its keys.
 func TestCheckpointSizeIndependentOfProgress(t *testing.T) {
 	const servers = 200
 	gcfg := trace.DrasticConfig(servers)
@@ -239,23 +140,28 @@ func TestCheckpointSizeIndependentOfProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := shardConfig(sched.Original)
+	cfg.Workers = 2
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sizes := map[int]int{}
-	opts := &Options{Shards: 2, Checkpoint: &CheckpointOptions{Every: 24, Write: func(cp *Checkpoint) error {
+	opts := &core.RunOptions{Checkpoint: &core.CheckpointOptions{Every: 24, Write: func(cp *core.Checkpoint) error {
 		data, err := json.Marshal(cp)
-		sizes[cp.Merged.NextInterval] = len(data)
+		sizes[cp.NextInterval] = len(data)
 		return err
 	}}}
-	if _, err := RunSource(cfg, src, opts); err != nil {
+	if _, err := eng.RunSource(src, opts); err != nil {
 		t.Fatal(err)
 	}
 	early, late := sizes[24], sizes[120]
 	if early == 0 || late == 0 {
 		t.Fatalf("checkpoints at 24 and 120 not written: %v", sizes)
 	}
-	// Per circulation: a sensor snapshot in the merged record and again in
-	// its shard's record. The fixed part covers the aggregates and layout.
+	// One sensor snapshot per circulation; the fixed part covers the
+	// aggregates.
 	circs := cfg.Circulations(servers)
-	if bound := 2*150*circs + 2048; early > bound || late > bound {
+	if bound := 150*circs + 2048; early > bound || late > bound {
 		t.Errorf("checkpoint sizes %d (interval 24) and %d (interval 120) exceed the O(circulations) bound %d",
 			early, late, bound)
 	}

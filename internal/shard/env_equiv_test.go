@@ -12,10 +12,22 @@ import (
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
+// seasonalConfig is the full environment stack: seasonal source, reuse sink
+// and storage buffer.
+func seasonalConfig(scheme sched.Scheme, seed uint64) core.Config {
+	cfg := shardConfig(scheme)
+	s := env.DefaultSeasonal(seed)
+	s.IntervalsPerDay = 48
+	cfg.Env = s
+	cfg.Reuse = heatreuse.DefaultSink()
+	spec := storage.ServerBufferSpec().Scale(4)
+	cfg.Storage = &spec
+	return cfg
+}
+
 // TestShardedConstantEnvBitIdentical closes the environment layer's
 // equivalence matrix over shard counts: an explicit constant source must
-// reproduce the nil-Env default bit for bit through the sharded pipeline,
-// and both must match the unsharded referee.
+// reproduce the one-shard nil-Env default bit for bit at every shard count.
 func TestShardedConstantEnvBitIdentical(t *testing.T) {
 	const servers, seed = 60, 19
 	for i, gcfg := range trace.CanonicalConfigs(servers) {
@@ -24,11 +36,11 @@ func TestShardedConstantEnvBitIdentical(t *testing.T) {
 			base := shardConfig(scheme)
 			explicit := base
 			explicit.Env = env.NewConstant(base.WetBulb, base.ColdSource)
-			want := unshardedRun(t, base, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
+			want := oneShardRun(t, base, gcfg, genSeed, nil)
 			for _, shards := range equivShards {
-				got := shardedRun(t, explicit, gcfg, genSeed, &Options{Shards: shards, KeepSeries: true})
+				got := shimRun(t, explicit, gcfg, genSeed, &Options{Shards: shards})
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s/%s shards=%d: sharded constant-env result differs from unsharded default",
+					t.Errorf("%s/%s shards=%d: constant-env result differs from the one-shard default",
 						gcfg.Class, scheme, shards)
 				}
 			}
@@ -36,79 +48,47 @@ func TestShardedConstantEnvBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedSeasonalMatchesUnsharded extends the shard equivalence pin to
-// the full environment stack — seasonal source, reuse sink and storage
-// buffer. The environment is a pure function of the interval and the buffer
-// folds in the merged aggregator, so shard count must not move a bit.
+// TestShardedSeasonalMatchesUnsharded extends the shard-count pin to the
+// full environment stack. The environment is a pure function of the
+// interval and the buffer folds in the merger, so shard count must not move
+// a bit.
 func TestShardedSeasonalMatchesUnsharded(t *testing.T) {
 	const servers, seed = 60, 29
 	gcfg := trace.DrasticConfig(servers)
 	genSeed := trace.CanonicalSeed(seed, 0)
 	for _, scheme := range equivSchemes {
-		cfg := shardConfig(scheme)
-		s := env.DefaultSeasonal(7)
-		s.IntervalsPerDay = 48
-		cfg.Env = s
-		cfg.Reuse = heatreuse.DefaultSink()
-		spec := storage.ServerBufferSpec().Scale(4)
-		cfg.Storage = &spec
-
-		want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
+		cfg := seasonalConfig(scheme, 7)
+		want := oneShardRun(t, cfg, gcfg, genSeed, nil)
 		if want.ReusedHeat <= 0 || want.StorageStored <= 0 {
 			t.Fatalf("%s: seasonal stack inert (reuse %v, stored %v)", scheme, want.ReusedHeat, want.StorageStored)
 		}
 		for _, shards := range equivShards {
-			got := shardedRun(t, cfg, gcfg, genSeed, &Options{Shards: shards, KeepSeries: true})
+			got := shimRun(t, cfg, gcfg, genSeed, &Options{Shards: shards})
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s shards=%d: sharded seasonal result differs from unsharded", scheme, shards)
+				t.Errorf("%s shards=%d: seasonal result differs from one shard", scheme, shards)
 			}
 		}
 	}
 }
 
-// TestShardedSeasonalResume pins the sharded checkpoint path under the
-// environment stack: a sharded seasonal run halted mid-run resumes — from
-// its own checkpoint, at a different shard count — bit-identically.
+// TestShardedSeasonalResume pins the checkpoint path under the environment
+// stack: a four-shard seasonal run halted mid-run resumes under two shards
+// bit-identically to the uninterrupted run.
 func TestShardedSeasonalResume(t *testing.T) {
 	const servers, seed, haltAfter = 60, 5, 70
 	gcfg := trace.DrasticConfig(servers)
 	genSeed := trace.CanonicalSeed(seed, 0)
-	cfg := shardConfig(sched.LoadBalance)
-	s := env.DefaultSeasonal(3)
-	s.IntervalsPerDay = 48
-	cfg.Env = s
-	cfg.Reuse = heatreuse.DefaultSink()
-	spec := storage.ServerBufferSpec().Scale(4)
-	cfg.Storage = &spec
+	cfg := seasonalConfig(sched.LoadBalance, 3)
 
-	full := shardedRun(t, cfg, gcfg, genSeed, &Options{Shards: 4, KeepSeries: true})
-
-	var cp *Checkpoint
-	src, err := trace.NewGeneratorSource(gcfg, genSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunSource(cfg, src, &Options{
-		Shards:     4,
-		KeepSeries: true,
-		HaltAfter:  haltAfter,
-		Checkpoint: &CheckpointOptions{Write: func(c *Checkpoint) error { cp = c; return nil }},
-	}); err != core.ErrHalted {
-		t.Fatalf("err = %v, want ErrHalted", err)
-	}
-	if cp == nil || cp.Merged.EnvFingerprint == "" || len(cp.Merged.StorageWh) != 2 {
+	want := oneShardRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
+	cfg.Workers = 4
+	cp := haltRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true, HaltAfter: haltAfter})
+	if cp.EnvFingerprint == "" || len(cp.StorageWh) != 2 {
 		t.Fatalf("checkpoint missing environment state: %+v", cp)
 	}
-
-	resumeSrc, err := trace.NewGeneratorSource(gcfg, genSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := RunSource(cfg, resumeSrc, &Options{Shards: 4, KeepSeries: true, Resume: cp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(full, resumed) {
-		t.Error("resumed sharded seasonal run differs from uninterrupted one")
+	cfg.Workers = 2
+	resumed := engineRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true, Resume: cp})
+	if !reflect.DeepEqual(want, resumed) {
+		t.Error("resumed seasonal run differs from uninterrupted one")
 	}
 }

@@ -10,8 +10,10 @@ import (
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
-// The equivalence matrix: both schedulers, every power-of-two shard count the
-// acceptance pin names, and a shard count past the circulation count (clamps).
+// The shard-count matrix: both schedulers, every power-of-two shard count,
+// and a shard count past the circulation count (clamps). The referee is the
+// engine's one-shard run; the core package pins that against its serial
+// reference loop.
 var (
 	equivSchemes = []sched.Scheme{sched.Original, sched.LoadBalance}
 	equivShards  = []int{1, 2, 4, 8, 64}
@@ -25,9 +27,8 @@ func shardConfig(scheme sched.Scheme) core.Config {
 	return cfg
 }
 
-// unshardedRun is the referee: the plain streaming engine over the same
-// generator source.
-func unshardedRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, seed int64, opts *core.RunOptions) *core.Result {
+// engineRun runs the generator source through the engine at cfg.Workers.
+func engineRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, seed int64, opts *core.RunOptions) *core.Result {
 	t.Helper()
 	src, err := trace.NewGeneratorSource(gcfg, seed)
 	if err != nil {
@@ -44,8 +45,15 @@ func unshardedRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, see
 	return res
 }
 
-// shardedRun runs the same source through the sharded pipeline.
-func shardedRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, seed int64, opts *Options) *core.Result {
+// oneShardRun is the referee: the engine with a single shard.
+func oneShardRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, seed int64, opts *core.RunOptions) *core.Result {
+	t.Helper()
+	cfg.Workers = 1
+	return engineRun(t, cfg, gcfg, seed, opts)
+}
+
+// shimRun runs the same source through RunSource.
+func shimRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, seed int64, opts *Options) *core.Result {
 	t.Helper()
 	src, err := trace.NewGeneratorSource(gcfg, seed)
 	if err != nil {
@@ -58,37 +66,22 @@ func shardedRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, seed 
 	return res
 }
 
-// TestShardedMatchesUnsharded is the tentpole acceptance pin: for every
-// synthetic workload class, both schemes and every shard count, the sharded
-// pipeline must reproduce the unsharded engine bit for bit — every summary
-// metric and every IntervalResult. Under -race (make shard-check) it also
-// proves the decoder/shards/merger pipeline shares no unsynchronized state.
+// TestShardedMatchesUnsharded pins RunSource's shard count onto the engine:
+// for every synthetic workload class, both schemes and every shard count,
+// the run must reproduce the one-shard engine bit for bit.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	const servers, seed = 60, 11
 	for i, gcfg := range trace.CanonicalConfigs(servers) {
 		genSeed := trace.CanonicalSeed(seed, i)
 		for _, scheme := range equivSchemes {
 			cfg := shardConfig(scheme)
-			want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
+			want := oneShardRun(t, cfg, gcfg, genSeed, nil)
 			for _, shards := range equivShards {
-				got := shardedRun(t, cfg, gcfg, genSeed, &Options{Shards: shards, KeepSeries: true})
+				got := shimRun(t, cfg, gcfg, genSeed, &Options{Shards: shards})
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s/%s shards=%d: sharded result differs from unsharded",
+					t.Errorf("%s/%s shards=%d: result differs from one shard",
 						gcfg.Class, scheme, shards)
 				}
-			}
-
-			// The bounded default (no retained series) must agree on every
-			// summary aggregate.
-			bounded := shardedRun(t, cfg, gcfg, genSeed, &Options{Shards: 4})
-			if len(bounded.Intervals) != 0 {
-				t.Fatalf("%s/%s: bounded sharded run retained %d intervals",
-					gcfg.Class, scheme, len(bounded.Intervals))
-			}
-			summary := *want
-			summary.Intervals = nil
-			if !reflect.DeepEqual(&summary, bounded) {
-				t.Errorf("%s/%s: bounded sharded summary differs from unsharded", gcfg.Class, scheme)
 			}
 		}
 	}
@@ -97,8 +90,8 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // TestShardedMatchesUnshardedWithFaults extends the pin to a faulted plant
 // covering every fault kind. Fault activation is a pure function of
 // (seed, stream, unit, interval) and shards keep global circulation and
-// server indices, so the faulted sharded run — including the FaultSummary
-// and the step-retry path — must match the unsharded one exactly.
+// server indices, so the FaultSummary and the step-retry path must not
+// depend on the shard count.
 func TestShardedMatchesUnshardedWithFaults(t *testing.T) {
 	const servers, seed = 60, 7
 	plan := &fault.Plan{Specs: []fault.Spec{
@@ -114,11 +107,11 @@ func TestShardedMatchesUnshardedWithFaults(t *testing.T) {
 			cfg := shardConfig(scheme)
 			cfg.Faults = plan
 			cfg.FaultSeed = 99
-			want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
+			want := oneShardRun(t, cfg, gcfg, genSeed, nil)
 			for _, shards := range equivShards {
-				got := shardedRun(t, cfg, gcfg, genSeed, &Options{Shards: shards, KeepSeries: true})
+				got := shimRun(t, cfg, gcfg, genSeed, &Options{Shards: shards})
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s/%s shards=%d faulted: sharded result differs from unsharded",
+					t.Errorf("%s/%s shards=%d faulted: result differs from one shard",
 						gcfg.Class, scheme, shards)
 				}
 			}
@@ -126,90 +119,21 @@ func TestShardedMatchesUnshardedWithFaults(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSerialDecidePath pins the sharded pipeline against the
-// legacy per-circulation decide path (DisableBatch), closing the loop:
-// sharded+batched == unsharded+batched == unsharded+serial.
+// TestShardedMatchesSerialDecidePath pins the legacy per-circulation decide
+// path (DisableBatch) across shard counts, closing the loop:
+// sharded+batched == one shard+batched == one shard+serial.
 func TestShardedMatchesSerialDecidePath(t *testing.T) {
 	const servers, seed = 40, 3
 	gcfg := trace.DrasticConfig(servers)
 	genSeed := trace.CanonicalSeed(seed, 0)
 	for _, scheme := range equivSchemes {
 		cfg := shardConfig(scheme)
+		want := oneShardRun(t, cfg, gcfg, genSeed, nil)
 		cfg.DisableBatch = true
-		want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
-		got := shardedRun(t, cfg, gcfg, genSeed, &Options{Shards: 3, KeepSeries: true})
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s serial-decide: sharded result differs from unsharded", scheme)
+		serial := oneShardRun(t, cfg, gcfg, genSeed, nil)
+		got := shimRun(t, cfg, gcfg, genSeed, &Options{Shards: 3})
+		if !reflect.DeepEqual(want, serial) || !reflect.DeepEqual(want, got) {
+			t.Errorf("%s serial-decide: sharded result differs from one shard", scheme)
 		}
 	}
-}
-
-// TestPrefetchDepthsAndOrdering pins two prefetch properties: results are
-// bit-identical for every pipeline depth, and OnInterval observes intervals
-// strictly in order even while the decoder runs several intervals ahead of
-// the merger — the merger's reorder buffer is what the test exercises.
-func TestPrefetchDepthsAndOrdering(t *testing.T) {
-	const servers, seed = 60, 17
-	gcfg := trace.IrregularConfig(servers)
-	genSeed := trace.CanonicalSeed(seed, 0)
-	cfg := shardConfig(sched.LoadBalance)
-	want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
-	intervals := int(gcfg.Horizon / gcfg.Interval)
-	for _, prefetch := range []int{1, 2, 3, 8, 32} {
-		var seen []int
-		got := shardedRun(t, cfg, gcfg, genSeed, &Options{
-			Shards:     4,
-			Prefetch:   prefetch,
-			KeepSeries: true,
-			OnInterval: func(i int, ir core.IntervalResult) { seen = append(seen, i) },
-		})
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("prefetch=%d: sharded result differs from unsharded", prefetch)
-		}
-		if len(seen) != intervals {
-			t.Fatalf("prefetch=%d: OnInterval saw %d intervals, want %d", prefetch, len(seen), intervals)
-		}
-		for i, got := range seen {
-			if got != i {
-				t.Fatalf("prefetch=%d: OnInterval out of order at position %d: got interval %d", prefetch, i, got)
-			}
-		}
-	}
-}
-
-// FuzzShardEquivalence lets the fuzzer pick the workload class, seeds, shape
-// and sharding geometry, and requires the sharded summary to match the
-// unsharded engine exactly. The seed corpus covers each class and the
-// clamping edge.
-func FuzzShardEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(2), uint8(1), uint8(5), false)
-	f.Add(int64(2), uint8(1), uint8(4), uint8(2), uint8(7), true)
-	f.Add(int64(3), uint8(2), uint8(9), uint8(3), uint8(3), false)
-	f.Fuzz(func(t *testing.T, seed int64, classIdx, shards, prefetch, spc uint8, faulted bool) {
-		const servers = 30
-		configs := trace.CanonicalConfigs(servers)
-		gcfg := configs[int(classIdx)%len(configs)]
-		// Short horizon: equivalence holds per interval, so a few are enough.
-		gcfg.Horizon = 10 * gcfg.Interval
-		cfg := shardConfig(sched.LoadBalance)
-		cfg.ServersPerCirculation = 1 + int(spc)%10
-		if faulted {
-			cfg.Faults = &fault.Plan{Specs: []fault.Spec{
-				{Kind: fault.TEGDegrade, Rate: 0.2, Severity: 0.4},
-				{Kind: fault.SensorStuck, Rate: 0.1},
-			}}
-			cfg.FaultSeed = seed
-		}
-
-		want := unshardedRun(t, cfg, gcfg, seed, &core.RunOptions{KeepSeries: true})
-		got := shardedRun(t, cfg, gcfg, seed, &Options{
-			Shards:     1 + int(shards)%16,
-			Prefetch:   1 + int(prefetch)%8,
-			KeepSeries: true,
-		})
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("sharded result differs from unsharded (class=%s spc=%d shards=%d prefetch=%d faulted=%v)",
-				gcfg.Class, cfg.ServersPerCirculation, 1+int(shards)%16, 1+int(prefetch)%8, faulted)
-		}
-	})
 }

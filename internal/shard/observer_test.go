@@ -9,7 +9,7 @@ import (
 )
 
 // shardObserver records the lifecycle callbacks plus both optional stat
-// attachments (core.CacheStatsSink and shard.StatsSink).
+// attachments (core.CacheStatsSink and StatsSink).
 type shardObserver struct {
 	intervals  []int
 	cacheStats func() (hits, calls uint64)
@@ -25,24 +25,25 @@ func (o *shardObserver) ObserveHalt(int)                                    {}
 func (o *shardObserver) AttachCacheStats(stats func() (hits, calls uint64)) { o.cacheStats = stats }
 func (o *shardObserver) AttachShardStats(stats func() Stats)                { o.shardStats = stats }
 
-// TestShardObserverBitIdentityAndStats pins the sharded observer seam: the
-// merger delivers every interval in order, the pipeline's stats reader and
-// the shard-summed cache stats both attach, and the Result with an observer
-// riding along is bit-identical to the plain sharded run.
+// TestShardObserverBitIdentityAndStats pins the observer seam the benchmark
+// harness uses: the merger delivers every interval in order, the pipeline's
+// stats reader and the cache stats both attach, and the Result with an
+// observer riding along is bit-identical to the plain run.
 func TestShardObserverBitIdentityAndStats(t *testing.T) {
 	cfg := shardConfig(equivSchemes[1])
 	gcfg := trace.CanonicalConfigs(60)[0]
+	intervals := int(gcfg.Horizon / gcfg.Interval)
 
-	plain := shardedRun(t, cfg, gcfg, 5, &Options{Shards: 4, KeepSeries: true})
+	plain := shimRun(t, cfg, gcfg, 5, &Options{Shards: 4})
 
 	obs := &shardObserver{}
-	observed := shardedRun(t, cfg, gcfg, 5, &Options{Shards: 4, KeepSeries: true, Observer: obs})
+	observed := shimRun(t, cfg, gcfg, 5, &Options{Shards: 4, Observer: obs})
 
 	if !reflect.DeepEqual(plain, observed) {
-		t.Error("attaching an observer changed the sharded Result")
+		t.Error("attaching an observer changed the Result")
 	}
-	if len(obs.intervals) != len(observed.Intervals) {
-		t.Fatalf("observer saw %d intervals, run merged %d", len(obs.intervals), len(observed.Intervals))
+	if len(obs.intervals) != intervals {
+		t.Fatalf("observer saw %d intervals, run has %d", len(obs.intervals), intervals)
 	}
 	for i, got := range obs.intervals {
 		if got != i {
@@ -75,6 +76,6 @@ func TestShardObserverBitIdentityAndStats(t *testing.T) {
 		t.Fatal("CacheStatsSink was not attached")
 	}
 	if _, calls := obs.cacheStats(); calls == 0 {
-		t.Error("shard-summed cache stats report zero decide calls")
+		t.Error("cache stats report zero decide calls")
 	}
 }

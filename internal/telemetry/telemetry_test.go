@@ -101,7 +101,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 }
 
 // TestCounterConcurrent drives one counter from 16 writers (run under -race
-// by make telemetry-check): the folded total must be exact.
+// by make race): the folded total must be exact.
 func TestCounterConcurrent(t *testing.T) {
 	c := NewCounter("c")
 	const writers = 16

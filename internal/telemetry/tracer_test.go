@@ -70,7 +70,7 @@ func TestTracerDefaultCapacity(t *testing.T) {
 }
 
 // TestTracerConcurrentRecord hammers Record and Snapshot from many goroutines
-// — the race detector (obs-check runs this file with -race) is the real
+// — the race detector (make race runs this file with -race) is the real
 // assertion; the counts check that no record was lost.
 func TestTracerConcurrentRecord(t *testing.T) {
 	tr := NewTracer(64)
