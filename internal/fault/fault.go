@@ -223,9 +223,10 @@ func (p *Plan) Empty() bool { return p == nil || len(p.Specs) == 0 }
 
 // compiledSpec is one spec with its derived constants resolved.
 type compiledSpec struct {
-	spec   Spec
-	stream uint64  // per-spec hash stream id, so identical specs differ
-	factor float64 // TEGDegrade: output factor; PumpDroop: flow factor
+	spec       Spec
+	stream     uint64  // per-spec hash stream id, so identical specs differ
+	factor     float64 // TEGDegrade: output factor; PumpDroop: flow factor
+	persistent bool    // the kind's default, resolved once off the hot path
 }
 
 // active reports whether the spec fires for (interval, unit) under the
@@ -239,7 +240,7 @@ func (cs *compiledSpec) active(seed uint64, interval, unit, attempt int) bool {
 		}
 		return false
 	}
-	if kindDefaults[cs.spec.Kind].persistent {
+	if cs.persistent {
 		// Persistent rate-based faults affect a fixed population fraction
 		// for the whole run: the unit's draw is interval-independent.
 		return u01(seed, cs.stream, uint64(unit), 0, 0) < cs.spec.Rate
@@ -282,7 +283,7 @@ func (p *Plan) Compile(seed int64) (*Injector, error) {
 	in := &Injector{seed: mix(uint64(seed)), retry: p.Retry}
 	explicitStale := 0
 	for i, s := range p.Specs {
-		cs := compiledSpec{spec: s, stream: mix(uint64(i) + 0x5eed)}
+		cs := compiledSpec{spec: s, stream: mix(uint64(i) + 0x5eed), persistent: kindDefaults[s.Kind].persistent}
 		switch s.Kind {
 		case TEGDegrade:
 			deg, err := teg.NewDegradation(s.severity())

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -183,10 +184,21 @@ type Done struct {
 // except an unterminated final line that does not parse, which is the torn
 // tail of a write a crash interrupted and is dropped. The records come back
 // in file order — append order, which for a journal hosting concurrent runs
-// interleaves runs.
+// interleaves runs. A line longer than 4 MiB is an error.
 func ReadJournal(r io.Reader) ([]Record, error) {
+	return readJournal(r, maxJournalLine)
+}
+
+// maxJournalLine bounds one journal line, so a corrupt file without newlines
+// cannot make the reader buffer it whole. Real records are a few hundred
+// bytes.
+const maxJournalLine = 1 << 22
+
+// readJournal is ReadJournal with the line bound as a parameter, so the
+// fuzzer can reach the oversized-line path with small inputs.
+func readJournal(r io.Reader, maxLine int) ([]Record, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
+	sc.Buffer(nil, maxLine)
 	// unterminated is set when the scanner hands out a final line that no
 	// newline ended.
 	unterminated := false
@@ -219,6 +231,9 @@ func ReadJournal(r io.Reader) ([]Record, error) {
 		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("obs: journal line %d is longer than %d bytes", line+1, maxLine)
+		}
 		return nil, err
 	}
 	return out, nil

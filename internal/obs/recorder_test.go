@@ -214,6 +214,20 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalOversizedLine: a line past the reader's bound is an error that
+// names the line, not the scanner's bare "token too long".
+func TestJournalOversizedLine(t *testing.T) {
+	rec := `{"type":"progress","run":"x","t_ms":1}` + "\n"
+	long := `{"type":"event","run":"x","t_ms":1,"event":{"kind":"note","detail":"` + strings.Repeat("x", 100) + `"}}` + "\n"
+	_, err := readJournal(strings.NewReader(rec+long+rec), 64)
+	if err == nil || !strings.Contains(err.Error(), "line 2 is longer than 64 bytes") {
+		t.Errorf("oversized line error = %v", err)
+	}
+	if records, err := readJournal(strings.NewReader(rec+long+rec), 256); err != nil || len(records) != 3 {
+		t.Errorf("line under the bound: %d records, err %v", len(records), err)
+	}
+}
+
 // TestCreateAppendTruncatesTornTail: appending to a journal whose last
 // record was torn first cuts the torn bytes, so the appended records start
 // on a line of their own and the file reads back whole.

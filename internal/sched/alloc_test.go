@@ -9,7 +9,8 @@ import (
 // uncached Choose (the materialized []Point candidate slice plus the map
 // insert) and 3 per warm Decide; the flattened-table scan and the scratch
 // buffers must keep the uncached path at a single allocation (the cache
-// entry — an 8x reduction) and the cached paths at exactly zero.
+// entry — an 8x reduction) and the cached paths at exactly zero. Past the
+// cache's capacity a first miss is not published, so it allocates nothing.
 
 // TestChooseHitAllocationFree pins the cache-hit path at zero allocations:
 // one atomic load plus a chain walk, no mutex, no slices.
@@ -44,6 +45,25 @@ func TestChooseMissAllocationBudget(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("uncached Choose = %v allocs/op, want <= 1 (seed: 8)", allocs)
+	}
+}
+
+// TestChooseOneShotMissAllocationFree pins the past-capacity miss: once the
+// cache is full, a plane that has not missed before runs the scan and
+// records its fingerprint without allocating — no entry is published.
+func TestChooseOneShotMissAllocationFree(t *testing.T) {
+	c := newController(t)
+	fillController(t, c)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		u := 0.5 + float64(i)/1000003
+		if _, _, err := c.Choose(u); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("past-capacity one-shot Choose = %v allocs/op, want 0", allocs)
 	}
 }
 

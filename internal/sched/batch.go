@@ -63,7 +63,7 @@ type BatchScratch struct {
 
 	// Per-unique-key state, one entry per distinct key among the valid
 	// groups, sorted ascending. published starts true for keys already in
-	// the cache and flips true when the first group scatters a miss back.
+	// the cache and flips true when a group's scatter gets the miss admitted.
 	uniq      []uint64
 	published []bool
 	uSetting  []Setting
@@ -252,7 +252,9 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 
 	// Phase 4: scatter in group order — publish fresh entries, account the
 	// cache counters exactly as per-group Choose calls would, and evaluate
-	// the per-server outputs with the batch kernels.
+	// the per-server outputs with the batch kernels. A key the cache did not
+	// admit stays unpublished, so its next group stores again: that is the
+	// key's second miss, exactly as the serial Choose calls would see it.
 	spec := c.Space.Spec()
 	for g, r := range ranges {
 		if bs.gErrs[g] != nil {
@@ -266,9 +268,10 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 			if err := bs.uErr[j]; err != nil {
 				return GroupError{Group: g, Err: err}
 			}
-			c.cache.store(key, cb, bs.uSetting[j], bs.uPower[j], bs.uCell[j])
-			c.inserts.AddHint(hint, 1)
-			bs.published[j] = true
+			if c.cache.store(key, cb, bs.uSetting[j], bs.uPower[j], bs.uCell[j]) {
+				c.inserts.AddHint(hint, 1)
+				bs.published[j] = true
+			}
 		} else {
 			c.hits.AddHint(hint, 1)
 		}

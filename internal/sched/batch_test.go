@@ -122,6 +122,63 @@ func TestDecideBatchCountersMatchSerial(t *testing.T) {
 	}
 }
 
+// TestDecideBatchCountersMatchSerialPastCapacity extends the accounting pin
+// past the cache's capacity: a column of single-server groups over more
+// distinct exact planes than cacheBuckets, each drawn about twice, crosses
+// capacity mid-column. A key the cache does not admit on its first group
+// must be admitted on its second, exactly as serial Choose calls in group
+// order are, so hits, calls, inserts and decisions all match — cold and
+// warm.
+func TestDecideBatchCountersMatchSerialPastCapacity(t *testing.T) {
+	c := newController(t)
+	ref := newController(t)
+	rng := rand.New(rand.NewSource(15))
+	planes := make([]float64, cacheBuckets+cacheBuckets/4)
+	for i := range planes {
+		planes[i] = rng.Float64()
+	}
+	col := make([]float64, 2*len(planes))
+	ranges := make([]Range, len(col))
+	for g := range col {
+		col[g] = planes[rng.Intn(len(planes))]
+		ranges[g] = Range{Lo: g, Hi: g + 1}
+	}
+	var bs BatchScratch
+	scratches := make([]*Scratch, len(ranges))
+	for g := range scratches {
+		scratches[g] = &Scratch{}
+	}
+	out := make([]Decision, len(ranges))
+	for round := 0; round < 2; round++ {
+		if err := c.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
+			t.Fatal(err)
+		}
+		for g, r := range ranges {
+			want, err := ref.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !decisionsEqual(out[g], want) {
+				t.Fatalf("round %d group %d: batch %+v != serial %+v", round, g, out[g], want)
+			}
+		}
+		bh, bc := c.CacheStats()
+		sh, sc := ref.CacheStats()
+		if bh != sh || bc != sc {
+			t.Errorf("round %d: batch cache stats (hits=%d calls=%d) != serial (hits=%d calls=%d)", round, bh, bc, sh, sc)
+		}
+		if got, want := c.inserts.Value(), ref.inserts.Value(); got != want {
+			t.Errorf("round %d: batch inserts = %d, serial = %d", round, got, want)
+		}
+	}
+	if c.cache.door.Load() == nil {
+		t.Fatal("column never crossed the cache's capacity")
+	}
+	if hits, calls := c.CacheStats(); c.inserts.Value() == calls-hits {
+		t.Errorf("every miss was published (%d inserts): the admission rule never applied", c.inserts.Value())
+	}
+}
+
 // TestDecideBatchSharesCacheWithSerial checks the two paths read and write
 // one cache: entries published by serial Choose calls are batch hits, and
 // batch inserts satisfy later serial calls.
@@ -304,28 +361,49 @@ func TestDecideBatchOverlappingRanges(t *testing.T) {
 }
 
 // BenchmarkDecisionDecideBatch measures the batched column path on a 10k
-// column split into 64 groups, warm cache — the engine's steady interval.
+// column split into 64 groups in both cache regimes. warm re-decides one
+// column against a warm cache — the engine's steady interval at a quantized
+// plane. churn scales the column by a fresh factor every iteration against a
+// cache already at capacity — an exact-quantum replay, where planes are
+// almost never seen twice. It decides LoadBalance, whose mean planes differ
+// per group, where most of the column's Original maxima are 1 and would
+// collapse onto one key.
 func BenchmarkDecisionDecideBatch(b *testing.B) {
-	c := benchController(b)
-	col, ranges := batchColumn(64, 320, 5)
-	var bs BatchScratch
-	scratches := make([]*Scratch, len(ranges))
-	for g := range scratches {
-		scratches[g] = &Scratch{}
-	}
-	out := make([]Decision, len(ranges))
-	if err := c.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
-		b.Fatal(err)
-	}
+	base, ranges := batchColumn(64, 320, 5)
 	servers := 0
 	for _, r := range ranges {
 		servers += r.Hi - r.Lo
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
+	run := func(b *testing.B, scheme Scheme, churn bool) {
+		c := benchController(b)
+		col := append([]float64(nil), base...)
+		var bs BatchScratch
+		scratches := make([]*Scratch, len(ranges))
+		for g := range scratches {
+			scratches[g] = &Scratch{}
+		}
+		out := make([]Decision, len(ranges))
+		if churn {
+			fillController(b, c)
+		}
+		if err := c.DecideBatch(col, ranges, scheme, &bs, scratches, out); err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if churn {
+				f := 1 - float64(i%1000003+1)/(1<<30)
+				for k, u := range base {
+					col[k] = u * f
+				}
+			}
+			if err := c.DecideBatch(col, ranges, scheme, &bs, scratches, out); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(servers), "servers/op")
 	}
-	b.ReportMetric(float64(servers), "servers/op")
+	b.Run("warm", func(b *testing.B) { run(b, Original, false) })
+	b.Run("churn", func(b *testing.B) { run(b, LoadBalance, true) })
 }

@@ -26,12 +26,34 @@ import (
 //
 // Settings are a pure function of (plane, cold side), so two workers racing
 // to fill the same key compute identical values and either insert is
-// correct; the CAS loop re-checks the chain to keep duplicates out. The
-// table never grows: distinct planes are bounded by the quantum (or by the
-// trace's distinct utilization means) and distinct colds by the environment
-// source's quantization grid, and an overfull bucket only degrades into a
-// longer — still correct — chain walk.
-const cacheBuckets = 1 << 12
+// correct; the CAS loop re-checks the chain to keep duplicates out.
+//
+// The bucket array is fixed, and the table is not allowed to fill with keys
+// that never come back. Distinct planes are bounded by the quantum, but at
+// the exact quantum (0) a plane is a raw float and almost never repeats: a
+// 12 h exact replay would otherwise leave ~17 entries chained per bucket and
+// a month-long one millions, each allocated, walked twice and never read.
+// Admission therefore follows TinyLFU's doorkeeper (Einziger et al., 2017):
+//
+//   - While the table holds fewer than cacheBuckets entries, every miss
+//     publishes its entry.
+//   - The publish that brings the table to cacheBuckets entries installs a
+//     direct-mapped table of doorSlots 64-bit (plane, cold) fingerprints.
+//     From then on a miss is published only if its fingerprint is already
+//     there — its second miss. A first miss records the fingerprint and
+//     allocates nothing.
+//
+// Repeating keys (quantized planes, integer-percent trace utilizations)
+// still get cached after one extra scan; one-shot exact planes never
+// lengthen a chain. The 128 KiB doorkeeper is allocated lazily, so a
+// controller that stays below capacity never pays for it; h2pserved builds
+// one controller per run. Two keys sharing a slot evict each other's
+// fingerprint; like a racing overwrite, that only costs one more scan.
+const (
+	cacheBuckets = 1 << 12
+	doorBits     = 14
+	doorSlots    = 1 << doorBits
+)
 
 // cacheEntry is one memoized Choose outcome in a bucket chain. key holds
 // math.Float64bits of the quantized plane and cold the bits of the cold-side
@@ -49,10 +71,16 @@ type cacheEntry struct {
 	next    *cacheEntry
 }
 
+// doorkeeper remembers the fingerprints of keys that missed once and were
+// not admitted (see the admission rule above). Zero marks an empty slot.
+type doorkeeper [doorSlots]atomic.Uint64
+
 // decisionCache is the sharded lock-free table. The zero value is ready to
 // use.
 type decisionCache struct {
 	buckets [cacheBuckets]atomic.Pointer[cacheEntry]
+	entries atomic.Int64               // successful publishes
+	door    atomic.Pointer[doorkeeper] // nil until entries reaches cacheBuckets
 }
 
 // bucketOf spreads the 64 key bits over the buckets with a Fibonacci hash:
@@ -83,24 +111,55 @@ func (dc *decisionCache) load(key, cold uint64) (Setting, units.Watts, int32, bo
 	return Setting{}, 0, 0, false
 }
 
-// store publishes a freshly computed outcome. Exactly one allocation; lost
-// CAS races re-check the chain so a (plane, cold) pair is inserted at most
-// once.
-func (dc *decisionCache) store(key, cold uint64, setting Setting, power units.Watts, cell int32) {
+// store publishes a freshly computed outcome and reports whether this call
+// published it. Once the doorkeeper is installed, a first miss only records
+// its fingerprint and returns false without allocating. A published entry
+// costs exactly one allocation; lost CAS races re-check the chain so a
+// (plane, cold) pair is inserted at most once.
+func (dc *decisionCache) store(key, cold uint64, setting Setting, power units.Watts, cell int32) bool {
+	if door := dc.door.Load(); door != nil && !door.admit(key, cold) {
+		return false
+	}
 	b := &dc.buckets[cacheBucket(key, cold)]
-	e := &cacheEntry{key: key, cold: cold, setting: setting, power: power, cell: cell}
+	var e *cacheEntry
 	for {
 		head := b.Load()
 		for cur := head; cur != nil; cur = cur.next {
 			if cur.key == key && cur.cold == cold {
-				return // another worker published it first
+				return false // another worker published it first
 			}
+		}
+		if e == nil {
+			e = &cacheEntry{key: key, cold: cold, setting: setting, power: power, cell: cell}
 		}
 		e.next = head
 		if b.CompareAndSwap(head, e) {
-			return
+			if dc.entries.Add(1) >= cacheBuckets && dc.door.Load() == nil {
+				dc.door.CompareAndSwap(nil, new(doorkeeper))
+			}
+			return true
 		}
 	}
+}
+
+// admit reports whether (key, cold) missed before. On a first miss it
+// records the pair's fingerprint, overwriting whatever shared its slot, and
+// returns false.
+func (d *doorkeeper) admit(key, cold uint64) bool {
+	// A splitmix64 finalizer over both halves of the key: the slot comes
+	// from the top bits, and the low bit is forced so no fingerprint is the
+	// empty-slot zero.
+	h := key ^ (cold * 0x9E3779B97F4A7C15)
+	h = (h ^ h>>30) * 0xBF58476D1CE4E5B9
+	h = (h ^ h>>27) * 0x94D049BB133111EB
+	h ^= h >> 31
+	fp := h | 1
+	slot := &d[h>>(64-doorBits)]
+	if slot.Load() == fp {
+		return true
+	}
+	slot.Store(fp)
+	return false
 }
 
 // The cache's hit/call/insert counters live in telemetry.Counter instances

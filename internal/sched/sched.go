@@ -190,10 +190,11 @@ func (c *Controller) PowerAtCold(s Setting, u float64, cold units.Celsius) units
 // settings whose CPU temperature does not exceed TSafe+Band.
 //
 // Outcomes are memoized per (quantized) plane: traces revisit the same
-// plane constantly, and the chosen setting is a pure function of it. A
-// cache hit performs zero allocations and takes no mutex — one atomic load
-// plus a chain walk — so concurrent workers never serialize on a warm
-// controller.
+// plane constantly, and the chosen setting is a pure function of it. Once
+// the cache is full, a plane is memoized on its second miss (see cache.go),
+// so one-shot exact planes do not crowd it. A cache hit performs zero
+// allocations and takes no mutex — one atomic load plus a chain walk — so
+// concurrent workers never serialize on a warm controller.
 func (c *Controller) Choose(planeU float64) (Setting, units.Watts, error) {
 	return c.ChooseCold(planeU, c.ColdSource)
 }
@@ -233,8 +234,9 @@ func (c *Controller) chooseCached(planeU float64, cold units.Celsius) (Setting, 
 	if err != nil {
 		return Setting{}, 0, 0, err
 	}
-	c.cache.store(key, cb, setting, power, cell)
-	c.inserts.AddHint(hint, 1)
+	if c.cache.store(key, cb, setting, power, cell) {
+		c.inserts.AddHint(hint, 1)
+	}
 	c.observeChoice(hint, setting)
 	return setting, power, cell, nil
 }
