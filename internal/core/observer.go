@@ -31,8 +31,11 @@ type RunObserver interface {
 
 // CacheStatsSink is optionally implemented by a RunObserver that wants the
 // decision-cache hit rate in its progress records. The run loop hands it a
-// lifetime (hits, calls) reader over the run's controller before the first
-// interval; the observer may call it at any point during the run.
+// live lifetime (hits, calls) reader over the run's controller before the
+// first interval; the observer may call it at any point during the run. When
+// the run returns — on every exit path, after its pipeline has joined — the
+// run loop attaches a second, frozen reader that returns the run's final
+// counts and holds no reference to the engine.
 type CacheStatsSink interface {
 	AttachCacheStats(stats func() (hits, calls uint64))
 }
@@ -59,8 +62,10 @@ type ShardStats struct {
 }
 
 // ShardStatsSink is optionally implemented by a RunObserver passed in
-// RunOptions.Observer: the run loop hands it a ShardStats reader before the
-// first interval, and the observer may call it whenever it records progress.
+// RunOptions.Observer: the run loop hands it a live ShardStats reader before
+// the first interval, and the observer may call it whenever it records
+// progress. As with CacheStatsSink, the run loop re-attaches a frozen reader
+// over the run's final ShardStats when the run returns.
 type ShardStatsSink interface {
 	AttachShardStats(stats func() ShardStats)
 }

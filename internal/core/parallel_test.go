@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/fault"
+	"github.com/h2p-sim/h2p/internal/lookup"
 	"github.com/h2p-sim/h2p/internal/sched"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
@@ -227,6 +228,35 @@ func TestFleetSharesSpaces(t *testing.T) {
 	}
 	if c == a {
 		t.Error("different axes must not share a space")
+	}
+}
+
+// TestFleetSharesSegmentIndex checks that engines built by one fleet share
+// the segment index their miss scans prune with: the space memoizes it per
+// band, so the second engine's run reuses the first one's build.
+func TestFleetSharesSegmentIndex(t *testing.T) {
+	f := NewFleet()
+	gcfg := trace.CanonicalConfigs(60)[0]
+	var ctrls []*sched.Controller
+	for _, scheme := range streamEquivSchemes {
+		eng, err := f.Engine(smallConfig(scheme))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := trace.NewGeneratorSource(gcfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RunSource(src, nil); err != nil {
+			t.Fatal(err)
+		}
+		ctrls = append(ctrls, eng.Controller())
+	}
+	index := func(c *sched.Controller) *lookup.SegmentIndex {
+		return c.Space.SegmentIndex(c.TSafe-c.Band, c.TSafe+c.Band)
+	}
+	if a, b := index(ctrls[0]), index(ctrls[1]); a == nil || a != b {
+		t.Errorf("engines from one fleet use segment indexes %p and %p, want one shared index", a, b)
 	}
 }
 

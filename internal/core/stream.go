@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,9 +27,6 @@ type RunOptions struct {
 	// regardless of trace length; the summary aggregates are bit-identical
 	// either way.
 	KeepSeries bool
-	// OnInterval, when non-nil, observes each merged interval as it
-	// completes — the streaming alternative to reading Result.Intervals.
-	OnInterval func(interval int, ir IntervalResult)
 	// Checkpoint enables periodic checkpoints.
 	Checkpoint *CheckpointOptions
 	// Resume continues a checkpointed run instead of starting at interval 0.
@@ -144,15 +142,31 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 		m.circulations.Set(float64(nCircs))
 	}
 
+	// The sinks get live readers for the run. The deferred re-attach runs
+	// after the pipeline's join below (defers unwind in reverse), on every
+	// exit path, and swaps in the run's final values: an observer that
+	// outlives the run then holds O(shards) bytes, not the engine.
 	obs := opts.Observer
 	var stats *statsCollector
 	if obs != nil {
 		if sink, ok := obs.(CacheStatsSink); ok {
 			sink.AttachCacheStats(e.controller.CacheStats)
+			defer func() {
+				hits, calls := e.controller.CacheStats()
+				sink.AttachCacheStats(func() (uint64, uint64) { return hits, calls })
+			}()
 		}
 		if sink, ok := obs.(ShardStatsSink); ok {
 			stats = newStatsCollector(shards)
 			sink.AttachShardStats(stats.snapshot)
+			defer func() {
+				final := stats.snapshot()
+				sink.AttachShardStats(func() ShardStats {
+					st := final
+					st.StepSeconds = slices.Clone(final.StepSeconds)
+					return st
+				})
+			}()
 		}
 	}
 	// timed gates the pipeline's clock reads: they exist for the telemetry
@@ -353,9 +367,6 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 		ir := MergeInterval(sl.col, sl.parts)
 		e.met.observeInterval(i, sl.start, ir)
 		agg.Fold(ir)
-		if opts.OnInterval != nil {
-			opts.OnInterval(i, ir)
-		}
 		if obs != nil {
 			obs.ObserveInterval(i, ir)
 		}

@@ -73,12 +73,21 @@ func LoadPlan(path string) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fault: %w", err)
 	}
-	p := &Plan{}
-	if err := json.Unmarshal(b, p); err != nil {
+	p, err := decodePlan(b)
+	if err != nil {
 		return nil, fmt.Errorf("fault: %s: %w", path, err)
 	}
+	return p, nil
+}
+
+// decodePlan parses and validates a JSON Plan document.
+func decodePlan(b []byte) (*Plan, error) {
+	p := &Plan{}
+	if err := json.Unmarshal(b, p); err != nil {
+		return nil, err
+	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("fault: %s: %w", path, err)
+		return nil, err
 	}
 	return p, nil
 }

@@ -168,7 +168,7 @@ func (s *Space) observeBatchScan(planes, cells int) {
 }
 
 // envelopeEps is the relative widening applied to per-segment temperature
-// envelopes in BuildSegmentIndex. A blend w0*t0 + w1*t1 with weights in
+// envelopes in buildSegmentIndex. A blend w0*t0 + w1*t1 with weights in
 // [0, 1] stays within a few ulps of [min(t0,t1), max(t0,t1)]; widening by
 // nine orders of magnitude more than that guarantees no cell that could pass
 // an exact band comparison is ever pruned, while still excluding essentially
@@ -181,8 +181,9 @@ const envelopeEps = 1e-9
 // band [lo, hi]. A plane's safety-slab members are always a subset of its
 // segment's list, so a slab scan walks the list — typically a small fraction
 // of the plane — instead of every cell, then applies the exact criterion.
-// The index depends only on the space and the band, so the controller builds
-// it once and shares it across workers; it is immutable after construction.
+// The index depends only on the space and the band, so the space builds it
+// once per band (Space.SegmentIndex) and every controller on the space shares
+// it; it is immutable after construction.
 type SegmentIndex struct {
 	lo, hi float64
 	cands  [][]int32
@@ -193,10 +194,33 @@ func (idx *SegmentIndex) Matches(lo, hi units.Celsius) bool {
 	return idx.lo == float64(lo) && idx.hi == float64(hi)
 }
 
-// BuildSegmentIndex precomputes the per-segment candidate cells for the CPU
-// temperature band [lo, hi]. Cost is one pass over the stencils (cells × nu);
-// the result is shared and read-only.
-func (s *Space) BuildSegmentIndex(lo, hi units.Celsius) *SegmentIndex {
+// maxSegmentIndexes bounds the per-band memo. Controllers derive their band
+// from the CPU spec, so a space sees one band in practice; bands past the
+// bound are built per call rather than retained.
+const maxSegmentIndexes = 8
+
+// SegmentIndex returns the space's segment index for the CPU temperature
+// band [lo, hi], building it on the band's first use. Later calls for the
+// same band return the same index, so every engine sharing the space (a
+// Fleet's engines) shares one copy. Safe for concurrent use.
+func (s *Space) SegmentIndex(lo, hi units.Celsius) *SegmentIndex {
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
+	for _, idx := range s.segIdx {
+		if idx.Matches(lo, hi) {
+			return idx
+		}
+	}
+	idx := s.buildSegmentIndex(lo, hi)
+	if len(s.segIdx) < maxSegmentIndexes {
+		s.segIdx = append(s.segIdx, idx)
+	}
+	return idx
+}
+
+// buildSegmentIndex precomputes the per-segment candidate cells for the CPU
+// temperature band [lo, hi]. Cost is one pass over the stencils (cells × nu).
+func (s *Space) buildSegmentIndex(lo, hi units.Celsius) *SegmentIndex {
 	t := s.tabs
 	segs := t.nu - 1
 	if segs < 1 {

@@ -3,6 +3,7 @@ package lookup
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/h2p-sim/h2p/internal/cpu"
@@ -233,4 +234,46 @@ func BenchmarkDecisionBatchEval(b *testing.B) {
 		s.BatchEval(100, &loc, cpuT, out)
 	}
 	sinkUnits = units.Celsius(cpuT[0])
+}
+
+// TestSegmentIndexMemoizedPerBand pins the space's per-band memo: one index
+// per band however many callers ask, concurrently or not, identical to a
+// fresh build; bands past the memo's bound are still answered, just not kept.
+func TestSegmentIndexMemoizedPerBand(t *testing.T) {
+	s := batchSpace(t)
+	const lo, hi = units.Celsius(61), units.Celsius(63)
+
+	got := make(chan *SegmentIndex, 8)
+	for g := 0; g < cap(got); g++ {
+		go func() { got <- s.SegmentIndex(lo, hi) }()
+	}
+	first := <-got
+	for g := 1; g < cap(got); g++ {
+		if idx := <-got; idx != first {
+			t.Fatal("concurrent callers got different indexes for one band")
+		}
+	}
+	if s.SegmentIndex(lo, hi) != first {
+		t.Error("a repeated band rebuilt its index")
+	}
+	if !reflect.DeepEqual(first, s.buildSegmentIndex(lo, hi)) {
+		t.Error("memoized index differs from a fresh build")
+	}
+
+	other := s.SegmentIndex(lo-1, hi+1)
+	if other == first || !other.Matches(lo-1, hi+1) {
+		t.Error("a second band must get its own index")
+	}
+	for k := 0; k < 2*maxSegmentIndexes; k++ {
+		b := units.Celsius(k)
+		if idx := s.SegmentIndex(lo-b, hi); !idx.Matches(lo-b, hi) {
+			t.Fatalf("band %d: index built for another band", k)
+		}
+	}
+	if n := len(s.segIdx); n != maxSegmentIndexes {
+		t.Errorf("memo holds %d indexes, want the bound %d", n, maxSegmentIndexes)
+	}
+	if s.SegmentIndex(lo, hi) != first {
+		t.Error("an early band lost its memoized index")
+	}
 }

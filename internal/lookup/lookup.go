@@ -13,6 +13,7 @@ package lookup
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/h2p-sim/h2p/internal/cpu"
 	"github.com/h2p-sim/h2p/internal/numeric"
@@ -80,6 +81,9 @@ type Space struct {
 	// pointer rather than a plain field: the space itself stays immutable
 	// and shareable while AttachTelemetry publishes the instruments.
 	met spaceMetricsPtr
+	// segIdx memoizes SegmentIndex per band (batch.go), guarded by segMu.
+	segMu  sync.Mutex
+	segIdx []*SegmentIndex
 }
 
 // errBandNotPositive matches the historical SafetySlab/PlaneIntersection

@@ -342,7 +342,7 @@ func (bs *BatchScratch) missKeysView() []uint64 {
 //
 // The scan is the segment-pruned two-pass: for each missed plane (ascending,
 // since misses derive from the sorted unique keys) the slab members are
-// gathered through the controller's SegmentIndex — walking only the cells
+// gathered through the space's SegmentIndex for the band — walking only the cells
 // whose stencil envelope can intersect the band, a small fraction of the
 // plane — and the power argmax folds over the gathered rows. Planes with an
 // empty slab fall back to the full below-band sweep, exactly like the serial
@@ -357,7 +357,7 @@ func (c *Controller) scanMisses(bs *BatchScratch, cold units.Celsius) error {
 		return nil
 	}
 	tsHi := c.TSafe + c.Band
-	idx := c.segmentIndex()
+	idx := c.Space.SegmentIndex(c.TSafe-c.Band, tsHi)
 	bs.growCandidates(c.Space.Cells())
 	var evals uint64
 	for m, j := range bs.missIdx {

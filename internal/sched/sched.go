@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"github.com/h2p-sim/h2p/internal/lookup"
 	"github.com/h2p-sim/h2p/internal/stats"
@@ -91,25 +90,6 @@ type Controller struct {
 	// A controller assembled without NewController leaves it nil and the
 	// candidate scan falls back to the (bit-identical) module path.
 	curve *powerCurve
-
-	// slabIdx caches the per-segment candidate index the batch miss scan
-	// prunes with (lookup.BuildSegmentIndex over [TSafe-Band, TSafe+Band]).
-	// It is built lazily on first use and rebuilt if the band parameters are
-	// changed between calls; concurrent rebuilds are benign (the index is a
-	// pure function of the space and the band).
-	slabIdx atomic.Pointer[lookup.SegmentIndex]
-}
-
-// segmentIndex returns the cached candidate index for the current band,
-// (re)building it when absent or stale.
-func (c *Controller) segmentIndex() *lookup.SegmentIndex {
-	tsLo, tsHi := c.TSafe-c.Band, c.TSafe+c.Band
-	if idx := c.slabIdx.Load(); idx != nil && idx.Matches(tsLo, tsHi) {
-		return idx
-	}
-	idx := c.Space.BuildSegmentIndex(tsLo, tsHi)
-	c.slabIdx.Store(idx)
-	return idx
 }
 
 // CacheStats reports the decision cache's lifetime hit count and total
