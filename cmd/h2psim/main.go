@@ -70,7 +70,6 @@ func main() {
 	envSeed := flag.Int64("env-seed", 1, "seasonal environment jitter seed")
 	reuse := flag.Bool("reuse", false, "divert heat to a district-heating reuse sink when demand and outlet grade allow")
 	storageWh := flag.Float64("storage-wh", 0, "buffer harvested power in a hybrid SC+battery store of this total capacity (0 = none)")
-	flag.Bool("stream", false, "no-op kept for existing command lines: every run streams its trace with O(servers) memory")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: runs snapshot themselves here at interval boundaries")
 	checkpointEvery := flag.Int("checkpoint-every", 256, "checkpoint cadence in intervals")
 	resume := flag.Bool("resume", false, "resume the runs recorded in -checkpoint; output is byte-identical to an uninterrupted run")

@@ -34,9 +34,9 @@ type Circulation struct {
 	// of the batched column kernels. Results are bit-identical either way.
 	serialDecide bool
 	plant        chiller.Plant
-	pump       hydro.Pump
-	maxFlow    units.LitersPerHour
-	hxApproach units.Celsius
+	pump         hydro.Pump
+	maxFlow      units.LitersPerHour
+	hxApproach   units.Celsius
 	// env is the facility environment: each step samples the interval's
 	// wet-bulb, TEG cold side and reuse demand from it. The source is a pure
 	// function of the interval index and read-only, so concurrent
@@ -82,7 +82,7 @@ func newCirculation(index, lo, hi int, cfg Config, ctl *sched.Controller, plant 
 		reuse:        cfg.Reuse,
 		met:          met,
 		inj:          inj,
-		sensor: hydro.LastGoodSensor{MaxStale: inj.MaxSensorStale()},
+		sensor:       hydro.LastGoodSensor{MaxStale: inj.MaxSensorStale()},
 		pump: hydro.Pump{
 			Name:       "circ",
 			MaxFlow:    cfg.PumpMaxFlow,
@@ -183,10 +183,11 @@ func (c *Circulation) Step(col []float64, interval int) (CirculationInterval, er
 // serial attempt that survives its injected-error check would recompute the
 // identical decision. Only the finish — injected-error check, harvest, pump,
 // plant — is retried; a circulation that fails every attempt degrades
-// exactly as under Step.
-func (c *Circulation) stepWithDecision(interval int, d *sched.Decision) (CirculationInterval, error) {
+// exactly as under Step. smp is the interval's environment sample, the one
+// the decision was made against.
+func (c *Circulation) stepWithDecision(interval int, smp env.Sample, d *sched.Decision) (CirculationInterval, error) {
 	if c.inj == nil {
-		return c.finishOnce(interval, 0, d)
+		return c.finishOnce(interval, 0, smp, d)
 	}
 	retry := c.inj.Retry()
 	attempts := retry.Attempts()
@@ -197,7 +198,7 @@ func (c *Circulation) stepWithDecision(interval int, d *sched.Decision) (Circula
 			}
 			c.met.observeFault(c.Index, faultObs{retries: 1})
 		}
-		ci, err := c.finishOnce(interval, a, d)
+		ci, err := c.finishOnce(interval, a, smp, d)
 		if err == nil {
 			ci.Retries = a
 			return ci, nil
@@ -229,12 +230,12 @@ func (c *Circulation) stepOnce(col []float64, interval, attempt int) (Circulatio
 	if err != nil {
 		return CirculationInterval{}, err
 	}
-	return c.finish(interval, t0, d, smp)
+	return c.finish(interval, t0, &d, smp)
 }
 
 // finishOnce is one stepWithDecision attempt: stepOnce with the decision
 // taken as given.
-func (c *Circulation) finishOnce(interval, attempt int, d *sched.Decision) (CirculationInterval, error) {
+func (c *Circulation) finishOnce(interval, attempt int, smp env.Sample, d *sched.Decision) (CirculationInterval, error) {
 	var t0 time.Time
 	if c.met != nil {
 		t0 = time.Now()
@@ -243,10 +244,7 @@ func (c *Circulation) finishOnce(interval, attempt int, d *sched.Decision) (Circ
 		return CirculationInterval{}, fmt.Errorf("circulation %d interval %d attempt %d: %w",
 			c.Index, interval, attempt, fault.ErrInjected)
 	}
-	// Re-sampling here (rather than passing the batch kernel's sample down)
-	// keeps the signatures stable; the source is pure, so the sample is
-	// identical to the one the decision was made against.
-	return c.finish(interval, t0, *d, c.env.At(interval))
+	return c.finish(interval, t0, d, smp)
 }
 
 // finish turns a scheme decision into the circulation's interval
@@ -254,7 +252,7 @@ func (c *Circulation) finishOnce(interval, attempt int, d *sched.Decision) (Circ
 // fault accounting. It is the shared tail of the serial and batched step
 // paths. smp is the interval's environment sample — the same one the
 // decision was evaluated against.
-func (c *Circulation) finish(interval int, t0 time.Time, d sched.Decision, smp env.Sample) (CirculationInterval, error) {
+func (c *Circulation) finish(interval int, t0 time.Time, d *sched.Decision, smp env.Sample) (CirculationInterval, error) {
 	ci := CirculationInterval{
 		CPUPower:   d.TotalCPUPower(),
 		Inlet:      d.Setting.Inlet,
@@ -270,12 +268,13 @@ func (c *Circulation) finish(interval int, t0 time.Time, d sched.Decision, smp e
 	if flow > c.maxFlow {
 		flow = c.maxFlow
 	}
-	meanOutlet := c.ctl.Space.OutletTemp(d.PlaneU, d.Setting.Flow, d.Setting.Inlet)
+	meanOutlet := d.PlaneOutlet
 	if ff := c.inj.FlowFactor(interval, c.Index); ff < 1 {
 		ci.PumpDrooped = true
 		realized := flow * units.LitersPerHour(ff)
-		// Re-evaluate the plane physics at the realized flow. The TEG sum
-		// is rescaled by the plane-utilization power ratio: exact under
+		// Re-evaluate the plane physics at the realized flow. It is off the
+		// look-up grid, so these lookups stay trilinear. The TEG sum is
+		// rescaled by the plane-utilization power ratio: exact under
 		// LoadBalance (every server runs at the plane utilization) and
 		// first-order under Original (servers share one setting; the hottest
 		// server dominates the ratio).
@@ -299,7 +298,7 @@ func (c *Circulation) finish(interval int, t0 time.Time, d sched.Decision, smp e
 	// the sensed outlet, re-supplied below the inlet target by the HX
 	// approach. The control loop acts on the sensor; ci.Outlet stays the
 	// physical truth.
-	heat := d.TotalCPUPower()
+	heat := ci.CPUPower
 	ci.Outlet = meanOutlet
 	sensedOutlet := meanOutlet
 	if c.inj != nil {
@@ -334,7 +333,7 @@ func (c *Circulation) finish(interval int, t0 time.Time, d sched.Decision, smp e
 // while under faults open-circuit modules are excluded from both the sum and
 // the contributing-server count, and degraded modules are scaled by their
 // physical output factor.
-func (c *Circulation) harvest(ci *CirculationInterval, d sched.Decision, interval int) {
+func (c *Circulation) harvest(ci *CirculationInterval, d *sched.Decision, interval int) {
 	if c.inj == nil {
 		ci.TEGPower = d.TotalTEGPower()
 		return

@@ -534,7 +534,8 @@ func stepBlock(circs []Circulation, lo, hi int, col []float64, interval int, ws 
 	}
 	c0 := &circs[lo]
 	// The environment is a pure function of the interval and shared by every
-	// circulation, so one sample serves the whole block's decisions.
+	// circulation, so one sample serves the whole block's decisions and
+	// finishes.
 	smp := c0.env.At(interval)
 	if err := c0.ctl.DecideBatchCold(col, ws.ranges, c0.scheme, smp.ColdSide, &ws.bs, ws.scrs, ws.decs); err != nil {
 		if c0.inj != nil {
@@ -552,7 +553,7 @@ func stepBlock(circs []Circulation, lo, hi int, col []float64, interval int, ws 
 		return
 	}
 	for k := 0; k < n; k++ {
-		parts[lo+k], errs[lo+k] = circs[lo+k].stepWithDecision(interval, &ws.decs[k])
+		parts[lo+k], errs[lo+k] = circs[lo+k].stepWithDecision(interval, smp, &ws.decs[k])
 	}
 }
 

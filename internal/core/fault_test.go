@@ -268,6 +268,60 @@ func TestPumpDroopPhysics(t *testing.T) {
 	}
 }
 
+// A healthy circulation's outlet is its decision's PlaneOutlet, blended at
+// the decided grid cell. Under pump droop the realized flow is off the grid,
+// so the outlet must still be the trilinear value at that flow.
+func TestPumpDroopOutletAtRealizedFlow(t *testing.T) {
+	tr, err := trace.Generate(trace.CommonConfig(40), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, droop := range []bool{false, true} {
+		cfg := smallConfig(sched.LoadBalance)
+		if droop {
+			cfg.Faults = &fault.Plan{Specs: []fault.Spec{{
+				Kind:     fault.PumpDroop,
+				Severity: 0.4,
+				Windows:  []fault.Window{{From: 0, To: 1 << 30, Unit: -1}},
+			}}}
+		}
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circs := eng.circulationsRange(tr.Servers(), 0, cfg.Circulations(tr.Servers()))
+		parts := make([]CirculationInterval, len(circs))
+		errs := make([]error, len(circs))
+		var ws workerState
+		col := make([]float64, tr.Servers())
+		for i := 0; i < tr.Intervals(); i++ {
+			if col, err = tr.Column(i, col); err != nil {
+				t.Fatal(err)
+			}
+			stepBlock(circs, 0, len(circs), col, i, &ws, parts, errs)
+			for k, ci := range parts {
+				if errs[k] != nil {
+					t.Fatal(errs[k])
+				}
+				d := ws.decs[k]
+				if ci.PumpDrooped != droop {
+					t.Fatalf("droop=%v interval %d circulation %d: PumpDrooped = %v", droop, i, k, ci.PumpDrooped)
+				}
+				want := d.PlaneOutlet
+				if droop {
+					want = eng.Controller().Space.OutletTemp(d.PlaneU, ci.Flow, d.Setting.Inlet)
+					if ci.Outlet == d.PlaneOutlet {
+						t.Fatalf("interval %d circulation %d: drooped outlet is the commanded-flow %v", i, k, d.PlaneOutlet)
+					}
+				}
+				if math.Float64bits(float64(ci.Outlet)) != math.Float64bits(float64(want)) {
+					t.Fatalf("droop=%v interval %d circulation %d: outlet %v, want %v", droop, i, k, ci.Outlet, want)
+				}
+			}
+		}
+	}
+}
+
 // Fault activation is a pure function of coordinates, so a faulted run is
 // bit-identical to the serial reference for any worker count.
 func TestFaultedRunParallelDeterminism(t *testing.T) {

@@ -92,6 +92,35 @@ func TestDecideIntoAllocationFree(t *testing.T) {
 	}
 }
 
+// TestDecideBatchColdLoadBalanceAllocationFree pins the month engine's steady
+// state: a warm LoadBalance column of many circulations, at a cold side off
+// the controller's default, evaluates each decided cell through the reused
+// batch scratch without allocating.
+func TestDecideBatchColdLoadBalanceAllocationFree(t *testing.T) {
+	c := newController(t)
+	col := make([]float64, 60)
+	for i := range col {
+		col[i] = float64(i%17) / 17
+	}
+	ranges := make([]Range, 6)
+	scrs := make([]*Scratch, len(ranges))
+	for g := range ranges {
+		ranges[g] = Range{Lo: 10 * g, Hi: 10 * (g + 1)}
+		scrs[g] = &Scratch{}
+	}
+	out := make([]Decision, len(ranges))
+	var bs BatchScratch
+	decide := func() {
+		if err := c.DecideBatchCold(col, ranges, LoadBalance, 23.5, &bs, scrs, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decide()
+	if allocs := testing.AllocsPerRun(100, decide); allocs != 0 {
+		t.Errorf("warm LoadBalance DecideBatchCold = %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestCacheStatsAllocationFree verifies the atomic counters never allocate
 // (and, being lock-free, can run concurrently with Choose — the -race
 // coverage lives in TestDecisionCacheConcurrentStores).

@@ -22,7 +22,8 @@ import (
 //     (lookup.GatherSlab over the controller's SegmentIndex), folding the
 //     slab filter, the safety fallback and the power argmax in cell order,
 //  4. scatter settings back to groups and evaluate the per-server outputs
-//     with the flattened-stencil kernels (lookup.BatchEval).
+//     and the plane's outlet temperature with the flattened-stencil kernels
+//     (lookup.BatchEval) at the decided cell.
 //
 // Every step replicates the serial operation sequence exactly — same
 // comparisons, same blend order, same argmax tie-breaking (first strictly
@@ -290,36 +291,34 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 			PerServerPower:    sc.power,
 			PerServerCPUPower: sc.cpuPower,
 		}
+		// The decided setting is the cell's grid-aligned {flow, inlet}, so
+		// the per-server trilinear lookups collapse to one column location
+		// plus a two-term blend per server at the cell, and the curve
+		// reproduces PowerAt bit for bit. Balancing makes every server
+		// identical, so LoadBalance evaluates one server and broadcasts,
+		// exactly as the serial path does.
+		m := n
 		if scheme == LoadBalance {
-			// Balancing makes every server identical: evaluate once and
-			// broadcast, exactly as the serial path does.
-			u := sc.eff[0]
-			pw := c.PowerAtCold(d.Setting, u, cold)
-			cp := spec.Power(u)
-			for i := range sc.eff {
-				d.PerServerPower[i] = pw
-				d.PerServerCPUPower[i] = cp
-			}
-			if t := c.Space.CPUTemp(u, d.Setting.Flow, d.Setting.Inlet); t > d.MaxCPUTemp {
+			m = 1
+		}
+		cell := int(bs.uCell[j])
+		bs.growServers(m)
+		c.Space.LocateColumn(sc.eff[:m], &bs.loc)
+		c.Space.BatchEval(cell, &bs.loc, bs.cpuT, bs.outT)
+		c.curve.powerAtColumn(cell, bs.outT, d.PerServerPower[:m], float64(cold))
+		for i := range m {
+			d.PerServerCPUPower[i] = spec.Power(sc.eff[i])
+			if t := units.Celsius(bs.cpuT[i]); t > d.MaxCPUTemp {
 				d.MaxCPUTemp = t
 			}
-		} else {
-			// The per-server trilinear lookups collapse to one column
-			// location plus a two-term blend per server at the decided cell;
-			// the curve reproduces PowerAt bit-for-bit on the cell's
-			// grid-aligned setting.
-			cell := int(bs.uCell[j])
-			c.Space.LocateColumn(sc.eff, &bs.loc)
-			bs.growServers(n)
-			c.Space.BatchEval(cell, &bs.loc, bs.cpuT, bs.outT)
-			c.curve.powerAtColumn(cell, bs.outT, d.PerServerPower, float64(cold))
-			for i := range sc.eff {
-				d.PerServerCPUPower[i] = spec.Power(sc.eff[i])
-				if t := units.Celsius(bs.cpuT[i]); t > d.MaxCPUTemp {
-					d.MaxCPUTemp = t
-				}
-			}
 		}
+		for i := m; i < n; i++ {
+			d.PerServerPower[i] = d.PerServerPower[0]
+			d.PerServerCPUPower[i] = d.PerServerCPUPower[0]
+		}
+		// The plane utilization is one of the evaluated servers': the column
+		// maximum under Original, the broadcast mean under LoadBalance.
+		d.PlaneOutlet = units.Celsius(bs.outT[slices.Index(sc.eff[:m], d.PlaneU)])
 		out[g] = d
 	}
 	return nil

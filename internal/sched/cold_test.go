@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"github.com/h2p-sim/h2p/internal/units"
@@ -104,7 +105,8 @@ func TestDecideBatchColdMatchesSerialCold(t *testing.T) {
 					t.Fatalf("cold=%v %s group %d: %v", cold, scheme, g, err)
 				}
 				got := out[g]
-				if got.Setting != want.Setting || got.PlaneU != want.PlaneU || got.MaxCPUTemp != want.MaxCPUTemp {
+				if got.Setting != want.Setting || got.PlaneU != want.PlaneU || got.MaxCPUTemp != want.MaxCPUTemp ||
+					math.Float64bits(float64(got.PlaneOutlet)) != math.Float64bits(float64(want.PlaneOutlet)) {
 					t.Fatalf("cold=%v %s group %d: %+v vs %+v", cold, scheme, g, got, want)
 				}
 				for i := range want.PerServerPower {

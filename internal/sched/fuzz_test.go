@@ -175,7 +175,8 @@ func requireDecisionsMatch(t *testing.T, path string, g int, r refDecision, got 
 	t.Helper()
 	if got.Scheme != r.d.Scheme || got.Setting != r.d.Setting ||
 		math.Float64bits(got.PlaneU) != math.Float64bits(r.d.PlaneU) ||
-		math.Float64bits(float64(got.MaxCPUTemp)) != math.Float64bits(float64(r.d.MaxCPUTemp)) {
+		math.Float64bits(float64(got.MaxCPUTemp)) != math.Float64bits(float64(r.d.MaxCPUTemp)) ||
+		math.Float64bits(float64(got.PlaneOutlet)) != math.Float64bits(float64(r.d.PlaneOutlet)) {
 		t.Fatalf("%s group %d: header differs: got %+v want %+v", path, g, got, r.d)
 	}
 	if len(got.PerServerPower) != len(r.pw) {

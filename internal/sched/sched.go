@@ -360,6 +360,9 @@ type Decision struct {
 	PerServerCPUPower []units.Watts
 	// MaxCPUTemp is the hottest die in the circulation under the setting.
 	MaxCPUTemp units.Celsius
+	// PlaneOutlet is the coolant outlet temperature at PlaneU under
+	// Setting: the circulation's mean outlet, the TEG hot side.
+	PlaneOutlet units.Celsius
 }
 
 // Scratch holds the reusable per-circulation buffers of the decision path:
@@ -464,6 +467,7 @@ func (c *Controller) DecideSerialCold(us []float64, scheme Scheme, cold units.Ce
 		Setting:           setting,
 		PerServerPower:    sc.power,
 		PerServerCPUPower: sc.cpuPower,
+		PlaneOutlet:       c.Space.OutletTemp(planeU, setting.Flow, setting.Inlet),
 	}
 	spec := c.Space.Spec()
 	if scheme == LoadBalance {

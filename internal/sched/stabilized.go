@@ -89,6 +89,7 @@ func (s *StabilizedController) decideWith(setting Setting, us []float64, scheme 
 		Setting:           setting,
 		PerServerPower:    make([]units.Watts, len(eff)),
 		PerServerCPUPower: make([]units.Watts, len(eff)),
+		PlaneOutlet:       s.Inner.Space.OutletTemp(planeU, setting.Flow, setting.Inlet),
 	}
 	spec := s.Inner.Space.Spec()
 	for i, u := range eff {

@@ -451,8 +451,17 @@ func (t TraceSpec) Open(traceDir string) (trace.Source, error) {
 }
 
 // Meta resolves the request's trace metadata without running anything — the
-// manifest fields and the admission-time size check both come from it.
+// manifest fields and the admission-time size check both come from it. A
+// generator spec's shape follows from its configuration alone, so no
+// generator is seeded; a file ref is opened and closed.
 func (t TraceSpec) Meta(traceDir string) (trace.Meta, error) {
+	if t.File == "" {
+		cfg, err := t.generatorConfig()
+		if err != nil {
+			return trace.Meta{}, err
+		}
+		return cfg.Meta()
+	}
 	src, err := t.Open(traceDir)
 	if err != nil {
 		return trace.Meta{}, err

@@ -220,3 +220,31 @@ func TestEnvironmentBlock(t *testing.T) {
 		t.Error("seasonal environment block did not move the config hash")
 	}
 }
+
+// TraceSpec.Meta derives a generator spec's shape from its configuration
+// without seeding a generator; it must equal the opened source's Meta for
+// every class, on the canonical and a trimmed horizon, and fail with the
+// source's error text on a shape the generator rejects.
+func TestGeneratorMetaMatchesSource(t *testing.T) {
+	for _, class := range []string{"drastic", "irregular", "common"} {
+		for _, intervals := range []int{0, 24} {
+			for _, servers := range []int{1, 60, 0} {
+				spec := TraceSpec{Class: class, Servers: servers, Seed: 5, Intervals: intervals}
+				got, gotErr := spec.Meta("")
+				src, wantErr := spec.Open("")
+				if servers == 0 {
+					if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+						t.Fatalf("%+v: Meta err %v, Open err %v", spec, gotErr, wantErr)
+					}
+					continue
+				}
+				if gotErr != nil || wantErr != nil {
+					t.Fatalf("%+v: Meta err %v, Open err %v", spec, gotErr, wantErr)
+				}
+				if want := src.Meta(); got != want {
+					t.Fatalf("%+v: Meta %+v, source Meta %+v", spec, got, want)
+				}
+			}
+		}
+	}
+}

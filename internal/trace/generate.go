@@ -92,9 +92,9 @@ func CommonConfig(servers int) GeneratorConfig {
 // construction — the RNG consumption order is shared code, not a re-derived
 // twin.
 type GeneratorSource struct {
-	cfg       GeneratorConfig
-	intervals int
-	rng       *rand.Rand
+	cfg  GeneratorConfig
+	meta Meta
+	rng  *rand.Rand
 
 	// Per-server process state: persistent base levels, AR(1) noise, and
 	// the remaining length/height of any in-flight load spike.
@@ -107,18 +107,34 @@ type GeneratorSource struct {
 	next   int
 }
 
+// Meta validates cfg and reports the shape of the trace it generates: the
+// Meta of a GeneratorSource built from it, without seeding a generator.
+func (cfg GeneratorConfig) Meta() (Meta, error) {
+	if cfg.Servers <= 0 {
+		return Meta{}, errors.New("trace: Servers must be positive")
+	}
+	if cfg.Interval <= 0 || cfg.Horizon < cfg.Interval {
+		return Meta{}, errors.New("trace: bad horizon/interval")
+	}
+	return Meta{
+		Name:      cfg.Name,
+		Class:     cfg.Class,
+		Servers:   cfg.Servers,
+		Intervals: int(cfg.Horizon / cfg.Interval),
+		Interval:  cfg.Interval,
+	}, nil
+}
+
 // NewGeneratorSource validates cfg and draws the per-server base levels,
 // leaving the stream positioned at interval 0.
 func NewGeneratorSource(cfg GeneratorConfig, seed int64) (*GeneratorSource, error) {
-	if cfg.Servers <= 0 {
-		return nil, errors.New("trace: Servers must be positive")
-	}
-	if cfg.Interval <= 0 || cfg.Horizon < cfg.Interval {
-		return nil, errors.New("trace: bad horizon/interval")
+	meta, err := cfg.Meta()
+	if err != nil {
+		return nil, err
 	}
 	g := &GeneratorSource{
 		cfg:         cfg,
-		intervals:   int(cfg.Horizon / cfg.Interval),
+		meta:        meta,
 		rng:         rand.New(rand.NewSource(seed)),
 		base:        make([]float64, cfg.Servers),
 		noise:       make([]float64, cfg.Servers),
@@ -134,20 +150,12 @@ func NewGeneratorSource(cfg GeneratorConfig, seed int64) (*GeneratorSource, erro
 }
 
 // Meta reports the generated trace's shape.
-func (g *GeneratorSource) Meta() Meta {
-	return Meta{
-		Name:      g.cfg.Name,
-		Class:     g.cfg.Class,
-		Servers:   g.cfg.Servers,
-		Intervals: g.intervals,
-		Interval:  g.cfg.Interval,
-	}
-}
+func (g *GeneratorSource) Meta() Meta { return g.meta }
 
 // NextColumn generates the next interval's column into dst. The per-call
 // cost is O(servers) with zero allocations in steady state.
 func (g *GeneratorSource) NextColumn(dst []float64) (int, error) {
-	if g.next >= g.intervals {
+	if g.next >= g.meta.Intervals {
 		return 0, io.EOF
 	}
 	if len(dst) != g.cfg.Servers {
