@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet vuln test race check fuzz-check load-check bench bench-all experiments clean
+.PHONY: all build vet vuln test race check fuzz-check load-check perfbench-check bench bench-all experiments clean
 
 all: check
 
@@ -61,17 +61,24 @@ load-check:
 		-servers 60 -intervals 24 -submit-burst 50 \
 		-expect-accepted 50 -expect-rejected 5
 
+# perfbench-check vets and tests the benchmark driver. perfbench is its own
+# Go module (it replaces the simulator with ../), so `go build ./...` at the
+# root never compiles it; this gate catches a change to the simulator's
+# exported API that would break it.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # check is the tier-1 gate: vet + best-effort vuln scan + build +
 # race-enabled tests of every package + the fuzz smoke runs + the
-# multi-tenant load profile.
-check: vet vuln build race fuzz-check load-check
+# multi-tenant load profile + the benchmark driver's vet and tests.
+check: vet vuln build race fuzz-check load-check perfbench-check
 
 # bench tracks the decision hot path across PRs: the Decision* benchmarks in
 # internal/lookup (candidate scan) and internal/sched (controller) run with
 # -benchmem and land in BENCH_decision.json as a test2json stream, and the
-# end-to-end IntervalThroughput* benchmarks in internal/core (10k-server
-# columns through Engine.RunSourceContext, batch vs. pinned-serial) land in
-# BENCH_interval.json. Render or compare snapshots with `go run
+# end-to-end IntervalThroughput* benchmarks in internal/core (one control
+# interval over 10k-server columns through the batched block step, churn and
+# warm cache regimes, per-class sweep) land in BENCH_interval.json. Render or compare snapshots with `go run
 # ./cmd/h2pbenchdiff BENCH_decision.json [other.json]`; add `-threshold 10`
 # to fail on >10% ns/op regressions.
 # The ShardScaling benchmark runs the full month-scale trace once per rung of

@@ -51,7 +51,6 @@ func main() {
 	faultPlan := flag.String("fault-plan", "", "fault plan for trace-driven experiments: JSON file or 'kind:rate[:severity],...' DSL")
 	faultSeed := flag.Int64("fault-seed", 1, "fault activation seed")
 	stream := flag.Bool("stream", false, "evaluate traces through streaming generator sources with O(servers) memory (bit-identical results)")
-	serial := flag.Bool("serial", false, "pin engines to the legacy per-server decide loop instead of the batch kernels (bit-identical results; for A/B timing)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	benchEnv := flag.Bool("bench-env", false, "print the benchmark environment header (one JSON line, `make bench` stamps it into BENCH_*.json) and exit")
@@ -85,7 +84,7 @@ func main() {
 	params := experiments.EvalParams{
 		Servers: *servers, Seed: *seed, Workers: *workers,
 		Faults: plan, FaultSeed: *faultSeed,
-		Streaming: *stream, SerialDecide: *serial,
+		Streaming: *stream,
 	}
 	if *shards < -1 {
 		fmt.Fprintln(os.Stderr, "h2pbench: -shards must be -1 (unset), 0 (all CPUs) or positive")

@@ -26,15 +26,10 @@ type benchIntervalState struct {
 	ws      workerState
 }
 
-func newBenchIntervalState(b *testing.B, servers int, disableBatch bool) *benchIntervalState {
-	return newBenchIntervalClassState(b, servers, disableBatch, trace.CommonConfig(servers))
-}
-
-func newBenchIntervalClassState(b *testing.B, servers int, disableBatch bool, gcfg trace.GeneratorConfig) *benchIntervalState {
+func newBenchIntervalState(b *testing.B, servers int, gcfg trace.GeneratorConfig) *benchIntervalState {
 	b.Helper()
 	cfg := DefaultConfig(sched.Original)
 	cfg.Workers = 1
-	cfg.DisableBatch = disableBatch
 	space, err := lookup.Build(cfg.Spec, cfg.Axes)
 	if err != nil {
 		b.Fatal(err)
@@ -90,21 +85,12 @@ func (st *benchIntervalState) column(i int, churn bool) []float64 {
 	return st.buf
 }
 
-// step runs one interval over column i through the configured path.
-func (st *benchIntervalState) step(b *testing.B, i int, batch, churn bool) {
+// step runs one interval over column i through the batched block step.
+func (st *benchIntervalState) step(b *testing.B, i int, churn bool) {
 	col := st.column(i, churn)
-	if batch {
-		stepBlock(st.circs, 0, len(st.circs), col, i, &st.ws, st.parts, st.errs)
-		for ci, err := range st.errs {
-			if err != nil {
-				b.Fatalf("circulation %d: %v", ci, err)
-			}
-		}
-		return
-	}
-	for ci := range st.circs {
-		var err error
-		if st.parts[ci], err = st.circs[ci].Step(col, i); err != nil {
+	stepBlock(st.circs, 0, len(st.circs), col, i, &st.ws, st.parts, st.errs)
+	for ci, err := range st.errs {
+		if err != nil {
 			b.Fatalf("circulation %d: %v", ci, err)
 		}
 	}
@@ -121,18 +107,13 @@ func (st *benchIntervalState) step(b *testing.B, i int, batch, churn bool) {
 const churnWindow = 128
 
 // benchInterval measures one full control interval — decide + harvest +
-// plant — over a 10k-server column, single worker, on either path. The two
-// benchmarks differ only in the decide data path, so their ns/op ratio is
-// the batch kernels' interval speedup. The churn variants present fresh
-// plane keys every iteration (decision-cache misses, the CacheQuantum=0
-// steady state); the warm variants replay the ring verbatim (all hits).
-func benchInterval(b *testing.B, servers int, batch, churn bool) {
-	benchIntervalClass(b, servers, batch, churn, trace.CommonConfig(servers))
-}
-
-func benchIntervalClass(b *testing.B, servers int, batch, churn bool, gcfg trace.GeneratorConfig) {
-	st := newBenchIntervalClassState(b, servers, !batch, gcfg)
-	st.step(b, 0, batch, false) // warm the scratches and the ring's cache keys
+// plant — over a 10k-server column, single worker. The churn variants
+// present fresh plane keys every iteration (decision-cache misses, the
+// CacheQuantum=0 steady state); the warm variants replay the ring verbatim
+// (all hits).
+func benchInterval(b *testing.B, servers int, churn bool, gcfg trace.GeneratorConfig) {
+	st := newBenchIntervalState(b, servers, gcfg)
+	st.step(b, 0, false) // warm the scratches and the ring's cache keys
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if churn && i > 0 && i%churnWindow == 0 {
@@ -140,31 +121,25 @@ func benchIntervalClass(b *testing.B, servers int, batch, churn bool, gcfg trace
 			st.reset(b)
 			b.StartTimer()
 		}
-		st.step(b, i, batch, churn)
+		st.step(b, i, churn)
 	}
 	b.ReportMetric(float64(servers)*float64(b.N)/b.Elapsed().Seconds(), "servers/s")
 }
 
-func BenchmarkIntervalThroughputSerial10k(b *testing.B) { benchInterval(b, 10000, false, true) }
-func BenchmarkIntervalThroughputBatch10k(b *testing.B)  { benchInterval(b, 10000, true, true) }
+func BenchmarkIntervalThroughputBatch10k(b *testing.B) {
+	benchInterval(b, 10000, true, trace.CommonConfig(10000))
+}
 
-func BenchmarkIntervalThroughputSerialWarm10k(b *testing.B) { benchInterval(b, 10000, false, false) }
-func BenchmarkIntervalThroughputBatchWarm10k(b *testing.B)  { benchInterval(b, 10000, true, false) }
+func BenchmarkIntervalThroughputBatchWarm10k(b *testing.B) {
+	benchInterval(b, 10000, false, trace.CommonConfig(10000))
+}
 
-// BenchmarkIntervalThroughputClasses runs the churn regime per trace class on
-// both decide paths; the before/after throughput table in EXPERIMENTS.md is
-// these rows.
+// BenchmarkIntervalThroughputClasses runs the churn regime per trace class.
 func BenchmarkIntervalThroughputClasses(b *testing.B) {
 	const servers = 10000
 	for _, gcfg := range trace.CanonicalConfigs(servers) {
-		for _, batch := range []bool{false, true} {
-			path := "serial"
-			if batch {
-				path = "batch"
-			}
-			b.Run(fmt.Sprintf("class=%s/path=%s", gcfg.Class, path), func(b *testing.B) {
-				benchIntervalClass(b, servers, batch, true, gcfg)
-			})
-		}
+		b.Run(fmt.Sprintf("class=%s", gcfg.Class), func(b *testing.B) {
+			benchInterval(b, servers, true, gcfg)
+		})
 	}
 }

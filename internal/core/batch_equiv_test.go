@@ -21,9 +21,11 @@ func degradePlan() *fault.Plan {
 
 // TestBatchMatchesSerialEngine is the batch kernel's acceptance pin at the
 // engine layer: for every trace class, scheme, worker count and fault plan,
-// the batched interval path (the default) must reproduce the legacy
-// per-circulation path (DisableBatch) of the serial reference loop bit for
-// bit — every summary metric and every IntervalResult.
+// the run loop must reproduce the serial referee (one ShardRunner, no
+// pipeline) bit for bit — every summary metric and every IntervalResult.
+// The scalar half of the contract — the batch kernel against the per-server
+// trilinear loop — is pinned in internal/sched by its equivalence suites and
+// FuzzDecideBatchEquivalence.
 func TestBatchMatchesSerialEngine(t *testing.T) {
 	const servers, seed = 60, 31
 	plans := []*fault.Plan{nil, degradePlan()}
@@ -38,9 +40,7 @@ func TestBatchMatchesSerialEngine(t *testing.T) {
 				cfg := smallConfig(scheme)
 				cfg.Faults = plan
 				cfg.FaultSeed = 77
-				serialCfg := cfg
-				serialCfg.DisableBatch = true
-				want := referenceTrace(t, serialCfg, tr)
+				want := referenceTrace(t, cfg, tr)
 				for _, workers := range streamEquivWorkers {
 					cfg.Workers = workers
 					batchEng, err := NewEngine(cfg)
@@ -52,7 +52,7 @@ func TestBatchMatchesSerialEngine(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s/%s workers=%d plan=%d: batch result differs from serial",
+						t.Errorf("%s/%s workers=%d plan=%d: run differs from the serial referee",
 							gcfg.Class, scheme, workers, p)
 					}
 				}
@@ -74,17 +74,7 @@ func TestBatchMatchesSerialQuantized(t *testing.T) {
 		cfg := smallConfig(scheme)
 		cfg.Workers = 4
 		cfg.DecisionQuantum = 1.0 / 512
-
-		serialCfg := cfg
-		serialCfg.DisableBatch = true
-		serialEng, err := NewEngine(serialCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := serialEng.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := referenceTrace(t, cfg, tr)
 		batchEng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +84,7 @@ func TestBatchMatchesSerialQuantized(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s quantized: batch result differs from serial", scheme)
+			t.Errorf("%s quantized: run differs from the serial referee", scheme)
 		}
 	}
 }
@@ -118,90 +108,86 @@ func (p *poisonedSource) NextColumn(dst []float64) (int, error) {
 }
 
 // TestBatchDecideErrorMatchesSerial checks the no-injector decide-failure
-// path: a poisoned column must surface the same lowest-circulation error,
-// with the same message, on both paths.
+// path: a poisoned column must surface the lowest failing circulation's
+// error, with exactly the text the per-circulation scalar decide loop
+// printed for this column, for every worker count.
 func TestBatchDecideErrorMatchesSerial(t *testing.T) {
 	const servers = 60
+	const want = "interval 5 circulation 1: sched: utilization 1.75 outside [0,1]"
 	gcfg := trace.CommonConfig(servers)
-	poisoned := func() trace.Source {
+	for _, workers := range streamEquivWorkers {
 		src, err := trace.NewGeneratorSource(gcfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := smallConfig(sched.Original)
+		cfg.Workers = workers
+		eng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Utilization above 1 fails Choose's validation in circulation 1
 		// (servers 20-39).
-		return &poisonedSource{Source: src, interval: 5, server: 25, value: 1.75}
-	}
-	for _, workers := range streamEquivWorkers {
-		cfg := smallConfig(sched.Original)
-		cfg.Workers = workers
-
-		serialCfg := cfg
-		serialCfg.DisableBatch = true
-		serialEng, err := NewEngine(serialCfg)
-		if err != nil {
-			t.Fatal(err)
+		_, err = eng.RunSource(&poisonedSource{Source: src, interval: 5, server: 25, value: 1.75}, nil)
+		if err == nil {
+			t.Fatal("engine accepted a poisoned column")
 		}
-		_, serialErr := serialEng.RunSource(poisoned(), nil)
-		if serialErr == nil {
-			t.Fatal("serial engine accepted a poisoned column")
-		}
-		batchEng, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, batchErr := batchEng.RunSource(poisoned(), nil)
-		if batchErr == nil {
-			t.Fatal("batch engine accepted a poisoned column")
-		}
-		if serialErr.Error() != batchErr.Error() {
-			t.Errorf("workers=%d: batch error %q != serial %q", workers, batchErr, serialErr)
+		if err.Error() != want {
+			t.Errorf("workers=%d: error %q, want %q", workers, err, want)
 		}
 	}
 }
 
 // TestBatchDecideErrorDegradesUnderInjector checks the injector-active
 // decide-failure fallback: when the batch decision fails for a block under
-// an active fault plan, the block re-runs the legacy per-circulation path,
-// so the poisoned circulation degrades (exactly as serially) instead of
-// aborting the run.
+// an active fault plan, each circulation is decided alone, so the poisoned
+// circulation degrades after every retry attempt instead of aborting the
+// run, and every other circulation finishes exactly as in an unpoisoned run.
 func TestBatchDecideErrorDegradesUnderInjector(t *testing.T) {
-	const servers = 60
+	const servers, poisoned = 60, 3
 	gcfg := trace.CommonConfig(servers)
-	poisoned := func() trace.Source {
-		src, err := trace.NewGeneratorSource(gcfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &poisonedSource{Source: src, interval: 3, server: 25, value: 1.75}
-	}
 	cfg := smallConfig(sched.Original)
 	cfg.Workers = 4
 	cfg.Faults = &fault.Plan{Specs: []fault.Spec{{Kind: fault.TEGDegrade, Rate: 0.05, Severity: 0.5}}}
 	cfg.FaultSeed = 5
-
-	serialCfg := cfg
-	serialCfg.DisableBatch = true
-	serialEng, err := NewEngine(serialCfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(poison bool) *Result {
+		var src trace.Source
+		src, err := trace.NewGeneratorSource(gcfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if poison {
+			src = &poisonedSource{Source: src, interval: poisoned, server: 25, value: 1.75}
+		}
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.RunSource(src, &RunOptions{KeepSeries: true})
+		if err != nil {
+			t.Fatalf("poison=%v: faulted engine errored instead of degrading: %v", poison, err)
+		}
+		return res
 	}
-	want, err := serialEng.RunSource(poisoned(), nil)
-	if err != nil {
-		t.Fatalf("serial faulted engine errored instead of degrading: %v", err)
+	clean, got := run(false), run(true)
+	retries := cfg.Faults.Retry.Attempts() - 1
+	if got.Faults.DegradedIntervals != 1 || got.Faults.StepRetries != int64(retries) {
+		t.Fatalf("faults %+v: want exactly one degraded circulation-interval with %d retries",
+			got.Faults, retries)
 	}
-	batchEng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if len(got.Intervals) != len(clean.Intervals) {
+		t.Fatalf("%d intervals, unpoisoned run has %d", len(got.Intervals), len(clean.Intervals))
 	}
-	got, err := batchEng.RunSource(poisoned(), nil)
-	if err != nil {
-		t.Fatalf("batch faulted engine errored instead of degrading: %v", err)
-	}
-	if want.Faults.DegradedIntervals == 0 {
-		t.Fatal("poisoned circulation did not degrade on the serial path")
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("batch faulted result differs from serial")
+	for i := range got.Intervals {
+		if i == poisoned {
+			if ir := got.Intervals[i]; ir.DegradedCirculations != 1 || ir.StepRetries != retries {
+				t.Errorf("interval %d: %d degraded circulations, %d retries; want 1 and %d",
+					i, ir.DegradedCirculations, ir.StepRetries, retries)
+			}
+			continue
+		}
+		if got.Intervals[i] != clean.Intervals[i] {
+			t.Errorf("interval %d differs from the unpoisoned run", i)
+		}
 	}
 }

@@ -27,16 +27,12 @@ type Circulation struct {
 	// Lo and Hi bound the circulation's server slice in the trace column.
 	Lo, Hi int
 
-	scheme sched.Scheme
-	ctl    *sched.Controller
-	// serialDecide (Config.DisableBatch) pins Step's decision to the scalar
-	// reference path DecideSerial — per-server trilinear lookups — instead
-	// of the batched column kernels. Results are bit-identical either way.
-	serialDecide bool
-	plant        chiller.Plant
-	pump         hydro.Pump
-	maxFlow      units.LitersPerHour
-	hxApproach   units.Celsius
+	scheme     sched.Scheme
+	ctl        *sched.Controller
+	plant      chiller.Plant
+	pump       hydro.Pump
+	maxFlow    units.LitersPerHour
+	hxApproach units.Celsius
 	// env is the facility environment: each step samples the interval's
 	// wet-bulb, TEG cold side and reuse demand from it. The source is a pure
 	// function of the interval index and read-only, so concurrent
@@ -47,7 +43,7 @@ type Circulation struct {
 	reuse *heatreuse.Sink
 
 	// inj is the engine's fault injector; nil (the fault-free default) keeps
-	// every Step bit-identical to an engine with no fault layer at all.
+	// every step bit-identical to an engine with no fault layer at all.
 	inj *fault.Injector
 	// sensor guards the circulation's outlet-temperature channel against
 	// injected sensor-stuck faults with bounded last-good fallback. Exactly
@@ -55,13 +51,13 @@ type Circulation struct {
 	sensor hydro.LastGoodSensor
 
 	// scratch backs the controller's per-server decision buffers across
-	// control intervals, so a circulation's steady-state Step performs no
+	// control intervals, so a circulation's steady-state step performs no
 	// allocations. Exactly one worker steps a circulation per interval, so
 	// the scratch needs no synchronization.
 	scratch sched.Scratch
 
-	// met is the engine's telemetry (nil when disabled). Step records its
-	// own latency and the outlet-temperature series through it, sharded by
+	// met is the engine's telemetry (nil when disabled). Each step records
+	// its own latency and the outlet-temperature series through it, sharded by
 	// circulation index.
 	met *engineMetrics
 }
@@ -71,18 +67,17 @@ type Circulation struct {
 // control interval.
 func newCirculation(index, lo, hi int, cfg Config, ctl *sched.Controller, plant chiller.Plant, src env.Source, met *engineMetrics, inj *fault.Injector) Circulation {
 	return Circulation{
-		Index:        index,
-		Lo:           lo,
-		Hi:           hi,
-		scheme:       cfg.Scheme,
-		ctl:          ctl,
-		serialDecide: cfg.DisableBatch,
-		plant:        plant,
-		env:          src,
-		reuse:        cfg.Reuse,
-		met:          met,
-		inj:          inj,
-		sensor:       hydro.LastGoodSensor{MaxStale: inj.MaxSensorStale()},
+		Index:  index,
+		Lo:     lo,
+		Hi:     hi,
+		scheme: cfg.Scheme,
+		ctl:    ctl,
+		plant:  plant,
+		env:    src,
+		reuse:  cfg.Reuse,
+		met:    met,
+		inj:    inj,
+		sensor: hydro.LastGoodSensor{MaxStale: inj.MaxSensorStale()},
 		pump: hydro.Pump{
 			Name:       "circ",
 			MaxFlow:    cfg.PumpMaxFlow,
@@ -142,52 +137,22 @@ type CirculationInterval struct {
 	Retries int
 }
 
-// Step runs one control interval: it reads the circulation's servers from
-// the datacenter-wide utilization column, decides the cooling setting and
-// (under LoadBalance) the workload placement, harvests TEG power, and
-// dispatches the facility plant. col is the full datacenter column; Step
-// only touches col[c.Lo:c.Hi]. interval is the trace interval index, which
-// keys the fault injector's activation schedule.
+// stepWithDecision runs one control interval for the circulation from the
+// interval's scheme decision d, made against the environment sample smp by
+// the batched column kernel (or by Decide, in stepBlock's fallback, which
+// passes its error as derr): TEG harvest, pump, heat reuse and plant
+// dispatch.
 //
 // Without an injector, errors propagate to the caller untouched. With one,
-// a failing step is retried under the plan's capped-exponential-backoff
+// a failing attempt is retried under the plan's capped-exponential-backoff
 // policy; a circulation that fails every attempt returns a Degraded
 // contribution (no error) so one bad circulation cannot abort the
-// datacenter run.
-func (c *Circulation) Step(col []float64, interval int) (CirculationInterval, error) {
+// datacenter run. The decision is a pure function of the column, so it is
+// made once outside the loop: an attempt fails on an injected step error or
+// on the decide error, exactly as if each attempt had decided anew.
+func (c *Circulation) stepWithDecision(interval int, smp env.Sample, d *sched.Decision, derr error) (CirculationInterval, error) {
 	if c.inj == nil {
-		return c.stepOnce(col, interval, 0)
-	}
-	retry := c.inj.Retry()
-	attempts := retry.Attempts()
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			if d := retry.Delay(a - 1); d > 0 {
-				time.Sleep(d)
-			}
-			c.met.observeFault(c.Index, faultObs{retries: 1})
-		}
-		ci, err := c.stepOnce(col, interval, a)
-		if err == nil {
-			ci.Retries = a
-			return ci, nil
-		}
-	}
-	c.met.observeFault(c.Index, faultObs{degraded: true})
-	return CirculationInterval{Degraded: true, Retries: attempts - 1}, nil
-}
-
-// stepWithDecision is Step with the interval's scheme decision already made
-// by the batched column kernel. The decision is a pure function of the
-// column, so precomputing it outside the retry loop changes no outcome: a
-// serial attempt that survives its injected-error check would recompute the
-// identical decision. Only the finish — injected-error check, harvest, pump,
-// plant — is retried; a circulation that fails every attempt degrades
-// exactly as under Step. smp is the interval's environment sample, the one
-// the decision was made against.
-func (c *Circulation) stepWithDecision(interval int, smp env.Sample, d *sched.Decision) (CirculationInterval, error) {
-	if c.inj == nil {
-		return c.finishOnce(interval, 0, smp, d)
+		return c.finishOnce(interval, 0, smp, d, derr)
 	}
 	retry := c.inj.Retry()
 	attempts := retry.Attempts()
@@ -198,7 +163,7 @@ func (c *Circulation) stepWithDecision(interval int, smp env.Sample, d *sched.De
 			}
 			c.met.observeFault(c.Index, faultObs{retries: 1})
 		}
-		ci, err := c.finishOnce(interval, a, smp, d)
+		ci, err := c.finishOnce(interval, a, smp, d, derr)
 		if err == nil {
 			ci.Retries = a
 			return ci, nil
@@ -208,9 +173,9 @@ func (c *Circulation) stepWithDecision(interval int, smp env.Sample, d *sched.De
 	return CirculationInterval{Degraded: true, Retries: attempts - 1}, nil
 }
 
-// stepOnce is one step attempt: the injected-error gate, the scheme decision
-// and the finish.
-func (c *Circulation) stepOnce(col []float64, interval, attempt int) (CirculationInterval, error) {
+// finishOnce is one stepWithDecision attempt: the injected-error gate, the
+// decide error, then the finish.
+func (c *Circulation) finishOnce(interval, attempt int, smp env.Sample, d *sched.Decision, derr error) (CirculationInterval, error) {
 	var t0 time.Time
 	if c.met != nil {
 		t0 = time.Now()
@@ -219,39 +184,16 @@ func (c *Circulation) stepOnce(col []float64, interval, attempt int) (Circulatio
 		return CirculationInterval{}, fmt.Errorf("circulation %d interval %d attempt %d: %w",
 			c.Index, interval, attempt, fault.ErrInjected)
 	}
-	smp := c.env.At(interval)
-	var d sched.Decision
-	var err error
-	if c.serialDecide {
-		d, err = c.ctl.DecideSerialCold(col[c.Lo:c.Hi], c.scheme, smp.ColdSide, &c.scratch)
-	} else {
-		d, err = c.ctl.DecideIntoCold(col[c.Lo:c.Hi], c.scheme, smp.ColdSide, &c.scratch)
-	}
-	if err != nil {
-		return CirculationInterval{}, err
-	}
-	return c.finish(interval, t0, &d, smp)
-}
-
-// finishOnce is one stepWithDecision attempt: stepOnce with the decision
-// taken as given.
-func (c *Circulation) finishOnce(interval, attempt int, smp env.Sample, d *sched.Decision) (CirculationInterval, error) {
-	var t0 time.Time
-	if c.met != nil {
-		t0 = time.Now()
-	}
-	if c.inj.StepError(interval, c.Index, attempt) {
-		return CirculationInterval{}, fmt.Errorf("circulation %d interval %d attempt %d: %w",
-			c.Index, interval, attempt, fault.ErrInjected)
+	if derr != nil {
+		return CirculationInterval{}, derr
 	}
 	return c.finish(interval, t0, d, smp)
 }
 
 // finish turns a scheme decision into the circulation's interval
 // contribution: TEG harvest, pump power, heat reuse, plant dispatch and the
-// fault accounting. It is the shared tail of the serial and batched step
-// paths. smp is the interval's environment sample — the same one the
-// decision was evaluated against.
+// fault accounting. smp is the interval's environment sample — the same one
+// the decision was evaluated against.
 func (c *Circulation) finish(interval int, t0 time.Time, d *sched.Decision, smp env.Sample) (CirculationInterval, error) {
 	ci := CirculationInterval{
 		CPUPower:   d.TotalCPUPower(),
@@ -279,8 +221,8 @@ func (c *Circulation) finish(interval int, t0 time.Time, d *sched.Decision, smp 
 		// first-order under Original (servers share one setting; the hottest
 		// server dominates the ratio).
 		droopOutlet := c.ctl.Space.OutletTemp(d.PlaneU, realized, d.Setting.Inlet)
-		healthy := c.ctl.PowerAtCold(d.Setting, d.PlaneU, smp.ColdSide)
-		drooped := c.ctl.PowerAtCold(sched.Setting{Flow: realized, Inlet: d.Setting.Inlet}, d.PlaneU, smp.ColdSide)
+		healthy := c.ctl.PowerAt(d.Setting, d.PlaneU, smp.ColdSide)
+		drooped := c.ctl.PowerAt(sched.Setting{Flow: realized, Inlet: d.Setting.Inlet}, d.PlaneU, smp.ColdSide)
 		if healthy > 0 {
 			ci.TEGPower *= units.Watts(float64(drooped) / float64(healthy))
 		}

@@ -101,12 +101,6 @@ type Config struct {
 	// circulation count clamp down. Results are bit-identical for any
 	// value.
 	Workers int
-	// DisableBatch forces the legacy per-circulation decide path instead of
-	// the batched column kernels (sched.Controller.DecideBatch). The batch
-	// path is bit-identical to the legacy one for every scheme, worker count
-	// and fault plan — this switch exists as the referee for the equivalence
-	// suites and for A/B benchmarking, not as a compatibility escape.
-	DisableBatch bool
 	// DecisionQuantum is the cooling controller's plane-utilization cache
 	// quantum (sched.Controller.CacheQuantum). 0 — the default, and the
 	// paper-faithful setting — memoizes exact planes only; a positive
@@ -516,13 +510,14 @@ func (ws *workerState) grow(n int) {
 // batched decision kernel and the per-circulation finish, writing each
 // circulation's contribution (or error) into its slot.
 //
-// The decision is a pure function of the column, so one DecideBatch serves
-// every retry attempt of every circulation in the block. If the batch
-// decision itself fails under an active fault injector, the block falls back
-// to the legacy per-circulation Step — reproducing exactly the serial
-// retry-then-degrade semantics for decide-stage failures. With no injector a
-// decide failure is fatal, attributed to the block's lowest failing
-// circulation with the untouched serial error.
+// The decision is a pure function of the column, so one DecideBatchCold
+// serves every retry attempt of every circulation in the block. If the batch
+// decision fails under an active fault injector, each circulation is decided
+// alone with Decide, and its decision or decide error enters its retry loop:
+// a circulation whose decision fails fails every attempt and degrades, while
+// the others finish normally. With no injector a decide failure is fatal,
+// attributed to the block's lowest failing circulation with the untouched
+// single-circulation error.
 func stepBlock(circs []Circulation, lo, hi int, col []float64, interval int, ws *workerState, parts []CirculationInterval, errs []error) {
 	n := hi - lo
 	ws.grow(n)
@@ -540,7 +535,10 @@ func stepBlock(circs []Circulation, lo, hi int, col []float64, interval int, ws 
 	if err := c0.ctl.DecideBatchCold(col, ws.ranges, c0.scheme, smp.ColdSide, &ws.bs, ws.scrs, ws.decs); err != nil {
 		if c0.inj != nil {
 			for k := 0; k < n; k++ {
-				parts[lo+k], errs[lo+k] = circs[lo+k].Step(col, interval)
+				c := &circs[lo+k]
+				var derr error
+				ws.decs[k], derr = c.ctl.Decide(col[c.Lo:c.Hi], c.scheme, smp.ColdSide, &c.scratch)
+				parts[lo+k], errs[lo+k] = c.stepWithDecision(interval, smp, &ws.decs[k], derr)
 			}
 			return
 		}
@@ -553,7 +551,7 @@ func stepBlock(circs []Circulation, lo, hi int, col []float64, interval int, ws 
 		return
 	}
 	for k := 0; k < n; k++ {
-		parts[lo+k], errs[lo+k] = circs[lo+k].stepWithDecision(interval, smp, &ws.decs[k])
+		parts[lo+k], errs[lo+k] = circs[lo+k].stepWithDecision(interval, smp, &ws.decs[k], nil)
 	}
 }
 

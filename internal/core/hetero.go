@@ -89,6 +89,7 @@ func (e *HeterogeneousEngine) Run(tr *trace.Trace) (HeterogeneousResult, error) 
 	cpuSum := make([]float64, k)
 	serverIntervals := make([]float64, k)
 	col := make([]float64, tr.Servers())
+	var sc sched.Scratch
 	for i := 0; i < tr.Intervals(); i++ {
 		var err error
 		col, err = tr.Column(i, col)
@@ -108,7 +109,8 @@ func (e *HeterogeneousEngine) Run(tr *trace.Trace) (HeterogeneousResult, error) 
 			if i == 0 {
 				res.Circulations[sku]++
 			}
-			d, err := e.controllers[sku].Decide(col[lo:hi], e.cfg.Scheme)
+			ctl := e.controllers[sku]
+			d, err := ctl.Decide(col[lo:hi], e.cfg.Scheme, ctl.ColdSource, &sc)
 			if err != nil {
 				return HeterogeneousResult{}, err
 			}

@@ -77,12 +77,6 @@ func (e *Engine) NewShardRunner(totalServers, circLo, circHi int) (*ShardRunner,
 // kernel is grouping-invariant and every circulation keeps its global fault
 // identity.
 func (r *ShardRunner) Step(col []float64, interval int, parts []CirculationInterval, errs []error) {
-	if r.eng.cfg.DisableBatch {
-		for k := range r.circs {
-			parts[k], errs[k] = r.circs[k].Step(col, interval)
-		}
-		return
-	}
 	stepBlock(r.circs, 0, len(r.circs), col, interval, &r.state, parts, errs)
 }
 

@@ -70,6 +70,7 @@ func (e *Engine) ValidateQuasiStatic(tr *trace.Trace, maxIntervals int) (QuasiSt
 
 	rep := QuasiStaticReport{ServersChecked: n}
 	col := make([]float64, tr.Servers())
+	var sc sched.Scratch
 	secs := tr.Interval.Seconds()
 	const probe = 10.0 // seconds between mid-interval checks
 	for i := 0; i < intervals; i++ {
@@ -79,7 +80,7 @@ func (e *Engine) ValidateQuasiStatic(tr *trace.Trace, maxIntervals int) (QuasiSt
 			return QuasiStaticReport{}, err
 		}
 		us := col[:n]
-		d, err := e.controller.Decide(us, e.cfg.Scheme)
+		d, err := e.controller.Decide(us, e.cfg.Scheme, e.controller.ColdSource, &sc)
 		if err != nil {
 			return QuasiStaticReport{}, err
 		}

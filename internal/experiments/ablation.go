@@ -61,11 +61,11 @@ func AblationFlow() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs, fp, err := freeCtl.Choose(u)
+		fs, fp, err := freeCtl.Choose(u, freeCtl.ColdSource)
 		if err != nil {
 			return nil, err
 		}
-		ps, pp, err := pinnedCtl.Choose(u)
+		ps, pp, err := pinnedCtl.Choose(u, pinnedCtl.ColdSource)
 		if err != nil {
 			return nil, err
 		}
@@ -114,12 +114,13 @@ func AblationStorage() (*Table, error) {
 		return nil, err
 	}
 	var gen []units.Watts
+	var sc sched.Scratch
 	col := make([]float64, tr.Servers())
 	for i := 0; i < tr.Intervals(); i++ {
 		if col, err = tr.Column(i, col); err != nil {
 			return nil, err
 		}
-		d, err := ctl.Decide(col, sched.LoadBalance)
+		d, err := ctl.Decide(col, sched.LoadBalance, ctl.ColdSource, &sc)
 		if err != nil {
 			return nil, err
 		}

@@ -37,11 +37,6 @@ type EvalParams struct {
 	// path — the generator source replays the exact RNG schedule Generate
 	// uses — so the flag only changes the memory profile.
 	Streaming bool
-	// SerialDecide pins every engine to the legacy per-server decide loop
-	// (see core.Config.DisableBatch) instead of the batched column kernels.
-	// Results are bit-identical; the flag exists for end-to-end A/B timing
-	// of the two interval data paths.
-	SerialDecide bool
 }
 
 // DefaultEvalParams is the paper's evaluation scale.
@@ -55,7 +50,6 @@ func (p EvalParams) Config(scheme sched.Scheme) core.Config {
 	cfg.Telemetry = p.Telemetry
 	cfg.Faults = p.Faults
 	cfg.FaultSeed = p.FaultSeed
-	cfg.DisableBatch = p.SerialDecide
 	return cfg
 }
 

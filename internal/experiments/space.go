@@ -83,7 +83,7 @@ func Fig13() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		setting, power, err := ctl.Choose(pl.u)
+		setting, power, err := ctl.Choose(pl.u, ctl.ColdSource)
 		if err != nil {
 			return nil, err
 		}

@@ -16,11 +16,11 @@ import (
 // one atomic load plus a chain walk, no mutex, no slices.
 func TestChooseHitAllocationFree(t *testing.T) {
 	c := newController(t)
-	if _, _, err := c.Choose(0.3); err != nil {
+	if _, _, err := c.Choose(0.3, c.ColdSource); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := c.Choose(0.3); err != nil {
+		if _, _, err := c.Choose(0.3, c.ColdSource); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -39,7 +39,7 @@ func TestChooseMissAllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		i++
 		u := float64(i) / 1000003
-		if _, _, err := c.Choose(u); err != nil {
+		if _, _, err := c.Choose(u, c.ColdSource); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -58,7 +58,7 @@ func TestChooseOneShotMissAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		i++
 		u := 0.5 + float64(i)/1000003
-		if _, _, err := c.Choose(u); err != nil {
+		if _, _, err := c.Choose(u, c.ColdSource); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -67,9 +67,9 @@ func TestChooseOneShotMissAllocationFree(t *testing.T) {
 	}
 }
 
-// TestDecideIntoAllocationFree pins the engine's steady state: a warm cache
-// plus a reused Scratch make a full 25-server control interval allocation-
-// free under both schemes.
+// TestDecideIntoAllocationFree pins the single-group steady state: a warm
+// cache plus a reused Scratch make a full 25-server Decide allocation-free
+// under both schemes.
 func TestDecideIntoAllocationFree(t *testing.T) {
 	c := newController(t)
 	us := make([]float64, 25)
@@ -78,16 +78,16 @@ func TestDecideIntoAllocationFree(t *testing.T) {
 	}
 	for _, scheme := range []Scheme{Original, LoadBalance} {
 		var sc Scratch
-		if _, err := c.DecideInto(us, scheme, &sc); err != nil {
+		if _, err := c.Decide(us, scheme, c.ColdSource, &sc); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := c.DecideInto(us, scheme, &sc); err != nil {
+			if _, err := c.Decide(us, scheme, c.ColdSource, &sc); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: warm DecideInto = %v allocs/op, want 0", scheme, allocs)
+			t.Errorf("%s: warm Decide = %v allocs/op, want 0", scheme, allocs)
 		}
 	}
 }
@@ -126,7 +126,7 @@ func TestDecideBatchColdLoadBalanceAllocationFree(t *testing.T) {
 // coverage lives in TestDecisionCacheConcurrentStores).
 func TestCacheStatsAllocationFree(t *testing.T) {
 	c := newController(t)
-	if _, _, err := c.Choose(0.4); err != nil {
+	if _, _, err := c.Choose(0.4, c.ColdSource); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -139,9 +139,9 @@ func TestCacheStatsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestDecideIntoMatchesDecide pins the aliasing variant to the allocating
-// one bit-for-bit, including after scratch reuse at a different size.
-func TestDecideIntoMatchesDecide(t *testing.T) {
+// TestDecideReusedScratchMatchesFresh pins a reused Scratch to a fresh one
+// bit-for-bit, including after reuse at a different size.
+func TestDecideReusedScratchMatchesFresh(t *testing.T) {
 	c := newController(t)
 	var sc Scratch
 	for _, us := range [][]float64{
@@ -150,17 +150,17 @@ func TestDecideIntoMatchesDecide(t *testing.T) {
 		{0.05, 0.6, 0.4},
 	} {
 		for _, scheme := range []Scheme{Original, LoadBalance} {
-			want, err := c.Decide(us, scheme)
+			want, err := c.Decide(us, scheme, c.ColdSource, &Scratch{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.DecideInto(us, scheme, &sc)
+			got, err := c.Decide(us, scheme, c.ColdSource, &sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Setting != want.Setting || got.PlaneU != want.PlaneU ||
 				got.MaxCPUTemp != want.MaxCPUTemp {
-				t.Fatalf("%s: DecideInto %+v != Decide %+v", scheme, got, want)
+				t.Fatalf("%s: reused scratch %+v != fresh %+v", scheme, got, want)
 			}
 			if len(got.PerServerPower) != len(want.PerServerPower) {
 				t.Fatalf("%s: length drift", scheme)

@@ -9,11 +9,11 @@ import (
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
-// This file is the batched face of the controller: where DecideSerial runs
-// Steps 1-3 and the per-server evaluation one circulation at a time through
-// scalar look-up calls, DecideBatch takes a whole *column* of utilizations
-// partitioned into groups (one group per circulation) and processes them in
-// column passes:
+// This file is the controller's one decision implementation: where the
+// scalar formulation runs Steps 1-3 and the per-server evaluation one
+// circulation at a time through trilinear look-up calls, DecideBatchCold
+// takes a whole *column* of utilizations partitioned into groups (one group
+// per circulation) and processes them in column passes:
 //
 //  1. reduce every group to its plane utilization and quantized cache key,
 //  2. sort-and-compact the keys so each distinct plane probes the sharded
@@ -28,8 +28,9 @@ import (
 // Every step replicates the serial operation sequence exactly — same
 // comparisons, same blend order, same argmax tie-breaking (first strictly
 // greater in cell-ascending order), same error messages — so the results are
-// bit-identical to DecideSerial for any input. The equivalence suites and
-// the fuzzers in this package and internal/core pin that contract.
+// bit-identical to the scalar formulation for any input. This package's
+// equivalence suites and fuzzer pin that contract against a scalar referee
+// kept in test code.
 
 // Range addresses one decision group — a circulation's servers — inside a
 // flat utilization column: the half-open window [Lo, Hi). Windows may
@@ -38,10 +39,10 @@ type Range struct {
 	Lo, Hi int
 }
 
-// GroupError attributes a DecideBatch failure to the lowest-indexed group
-// that failed. Err is exactly the error the serial path would have returned
-// for that group's slice, so unwrapping recovers the scalar behavior
-// (errors.Is/As see through the wrapper).
+// GroupError attributes a DecideBatchCold failure to the lowest-indexed
+// group that failed. Err is exactly the error Decide returns for that group's
+// slice, so unwrapping recovers the single-circulation behavior (errors.Is/As
+// see through the wrapper).
 type GroupError struct {
 	Group int
 	Err   error
@@ -50,12 +51,13 @@ type GroupError struct {
 func (e GroupError) Error() string { return fmt.Sprintf("group %d: %v", e.Group, e.Err) }
 func (e GroupError) Unwrap() error { return e.Err }
 
-// BatchScratch is the reusable working set of DecideBatch: the per-group
+// BatchScratch is the reusable working set of DecideBatchCold: the per-group
 // reduction arrays, the unique-plane cache-probe state, the fused scan
 // accumulators and the per-server temperature rows. A BatchScratch may be
 // reused across calls by one goroutine at a time (the engine keeps one per
-// worker); the zero value is ready to use. With a warm decision cache a
-// DecideBatch over a previously seen group shape performs zero allocations.
+// shard); the zero value is ready to use. With a warm decision cache a
+// DecideBatchCold over a previously seen group shape performs zero
+// allocations.
 type BatchScratch struct {
 	// Per-group state, len(ranges) wide.
 	planeU []float64 // raw (unquantized) plane utilization — what Decision.PlaneU reports
@@ -137,55 +139,32 @@ func (bs *BatchScratch) growServers(n int) {
 	bs.outT = bs.outT[:n]
 }
 
-// DecideBatch runs one control interval for every group of the column at
-// once: col holds the concatenated raw per-server utilizations, ranges
-// addresses each group's window, and the g-th Decision is written to out[g]
-// with its per-server slices aliasing scratches[g] (exactly as DecideInto
-// aliases its Scratch). Results are bit-identical to calling DecideSerial
-// per group; the only differences are mechanical — distinct planes are
-// scanned once per column instead of once per group, and the per-server
-// temperatures come from the flattened-stencil batch kernels.
+// DecideBatchCold runs one control interval for every group of the column at
+// once, against the TEG cold-side temperature cold — the per-interval value
+// of the facility environment: col holds the concatenated raw per-server
+// utilizations, ranges addresses each group's window, and the g-th Decision
+// is written to out[g] with its per-server slices aliasing scratches[g]
+// (exactly as Decide aliases its Scratch). Results are bit-identical to
+// deciding each group alone; distinct planes are scanned once per column
+// instead of once per group. The cold side joins the plane in the
+// decision-cache key, so a cached decision is always the one an uncached scan
+// at that cold side would make.
 //
 // On failure the error is a GroupError attributing the lowest-indexed failed
-// group with the exact serial error; out entries for groups before it are
-// valid, the rest are unspecified. The three slice arguments must all be
+// group with the exact single-group error; out entries for groups before it
+// are valid, the rest are unspecified. The three slice arguments must all be
 // len(ranges); each scratch must be non-nil.
-func (c *Controller) DecideBatch(col []float64, ranges []Range, scheme Scheme, bs *BatchScratch, scratches []*Scratch, out []Decision) error {
-	return c.DecideBatchCold(col, ranges, scheme, c.ColdSource, bs, scratches, out)
-}
-
-// DecideBatchCold is DecideBatch against an explicit cold-side temperature —
-// the per-interval value of the facility environment. The cold side joins
-// the plane in the decision-cache key, so a cached decision is always the
-// one an uncached scan at that cold side would make, and runs whose
-// environment is pinned at the default are bit-identical to DecideBatch.
 func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Scheme, cold units.Celsius, bs *BatchScratch, scratches []*Scratch, out []Decision) error {
 	if len(scratches) != len(ranges) || len(out) != len(ranges) {
-		return fmt.Errorf("sched: DecideBatch buffers: %d ranges, %d scratches, %d decisions", len(ranges), len(scratches), len(out))
+		return fmt.Errorf("sched: DecideBatchCold buffers: %d ranges, %d scratches, %d decisions", len(ranges), len(scratches), len(out))
 	}
-	maxN := 0
 	for g, r := range ranges {
 		if r.Lo < 0 || r.Hi > len(col) || r.Lo > r.Hi {
-			return fmt.Errorf("sched: DecideBatch range %d [%d,%d) outside column of %d servers", g, r.Lo, r.Hi, len(col))
+			return fmt.Errorf("sched: DecideBatchCold range %d [%d,%d) outside column of %d servers", g, r.Lo, r.Hi, len(col))
 		}
 		if scratches[g] == nil {
-			return fmt.Errorf("sched: DecideBatch scratch %d is nil", g)
+			return fmt.Errorf("sched: DecideBatchCold scratch %d is nil", g)
 		}
-		if n := r.Hi - r.Lo; n > maxN {
-			maxN = n
-		}
-	}
-	if c.curve == nil {
-		// No precomputed power curve (controller assembled without
-		// NewController): decide group-by-group through the scalar path.
-		for g, r := range ranges {
-			d, err := c.DecideSerialCold(col[r.Lo:r.Hi], scheme, cold, scratches[g])
-			if err != nil {
-				return GroupError{Group: g, Err: err}
-			}
-			out[g] = d
-		}
-		return nil
 	}
 
 	// Phase 1: reduce each group to its plane and cache key. Validation
@@ -281,9 +260,6 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		n := r.Hi - r.Lo
 		sc := scratches[g]
 		sc.grow(n)
-		if err := effectiveInto(sc.eff, col[r.Lo:r.Hi], scheme); err != nil {
-			return GroupError{Group: g, Err: err} // unreachable: scheme validated above
-		}
 		d := Decision{
 			Scheme:            scheme,
 			PlaneU:            bs.planeU[g],
@@ -294,20 +270,22 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		// The decided setting is the cell's grid-aligned {flow, inlet}, so
 		// the per-server trilinear lookups collapse to one column location
 		// plus a two-term blend per server at the cell, and the curve
-		// reproduces PowerAt bit for bit. Balancing makes every server
-		// identical, so LoadBalance evaluates one server and broadcasts,
-		// exactly as the serial path does.
-		m := n
+		// reproduces PowerAt bit for bit. Original evaluates every server at
+		// its own utilization. Balancing makes every server identical at the
+		// plane mean, so LoadBalance evaluates that one utilization — the
+		// mean phase 1 already computed — and broadcasts.
+		eff := col[r.Lo:r.Hi]
 		if scheme == LoadBalance {
-			m = 1
+			eff = bs.planeU[g : g+1]
 		}
+		m := len(eff)
 		cell := int(bs.uCell[j])
 		bs.growServers(m)
-		c.Space.LocateColumn(sc.eff[:m], &bs.loc)
+		c.Space.LocateColumn(eff, &bs.loc)
 		c.Space.BatchEval(cell, &bs.loc, bs.cpuT, bs.outT)
 		c.curve.powerAtColumn(cell, bs.outT, d.PerServerPower[:m], float64(cold))
 		for i := range m {
-			d.PerServerCPUPower[i] = spec.Power(sc.eff[i])
+			d.PerServerCPUPower[i] = spec.Power(eff[i])
 			if t := units.Celsius(bs.cpuT[i]); t > d.MaxCPUTemp {
 				d.MaxCPUTemp = t
 			}
@@ -318,7 +296,7 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		}
 		// The plane utilization is one of the evaluated servers': the column
 		// maximum under Original, the broadcast mean under LoadBalance.
-		d.PlaneOutlet = units.Celsius(bs.outT[slices.Index(sc.eff[:m], d.PlaneU)])
+		d.PlaneOutlet = units.Celsius(bs.outT[slices.Index(eff, d.PlaneU)])
 		out[g] = d
 	}
 	return nil

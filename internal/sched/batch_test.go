@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/h2p-sim/h2p/internal/telemetry"
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
@@ -40,7 +39,8 @@ func batchColumn(groups, maxWidth int, seed int64) ([]float64, []Range) {
 // decisionsEqual compares two decisions bit-for-bit, including the aliased
 // per-server slices.
 func decisionsEqual(a, b Decision) bool {
-	if a.Scheme != b.Scheme || a.PlaneU != b.PlaneU || a.Setting != b.Setting || a.MaxCPUTemp != b.MaxCPUTemp {
+	if a.Scheme != b.Scheme || a.PlaneU != b.PlaneU || a.Setting != b.Setting ||
+		a.MaxCPUTemp != b.MaxCPUTemp || a.PlaneOutlet != b.PlaneOutlet {
 		return false
 	}
 	return reflect.DeepEqual(a.PerServerPower, b.PerServerPower) &&
@@ -55,9 +55,9 @@ func cloneDecision(d Decision) Decision {
 }
 
 // TestDecideBatchMatchesSerial is the sched-layer bit-identity pin: for
-// every scheme and cache-quantum setting, DecideBatch over a multi-group
-// column must reproduce DecideSerial's per-group outcomes exactly — cold
-// cache and warm cache alike.
+// every scheme and cache-quantum setting, DecideBatchCold over a multi-group
+// column must reproduce the scalar referee's per-group outcomes exactly —
+// cold cache and warm cache alike.
 func TestDecideBatchMatchesSerial(t *testing.T) {
 	for _, quantum := range []float64{0, 1.0 / 512} {
 		for _, scheme := range []Scheme{Original, LoadBalance} {
@@ -73,13 +73,13 @@ func TestDecideBatchMatchesSerial(t *testing.T) {
 			}
 			out := make([]Decision, len(ranges))
 			for round := 0; round < 2; round++ { // cold then warm cache
-				if err := c.DecideBatch(col, ranges, scheme, &bs, scratches, out); err != nil {
-					t.Fatalf("q=%v %s round %d: DecideBatch: %v", quantum, scheme, round, err)
+				if err := c.DecideBatchCold(col, ranges, scheme, c.ColdSource, &bs, scratches, out); err != nil {
+					t.Fatalf("q=%v %s round %d: DecideBatchCold: %v", quantum, scheme, round, err)
 				}
 				for g, r := range ranges {
-					want, err := ref.DecideSerial(col[r.Lo:r.Hi], scheme, &Scratch{})
+					want, err := ref.decideSerial(col[r.Lo:r.Hi], scheme, ref.ColdSource)
 					if err != nil {
-						t.Fatalf("q=%v %s group %d: DecideSerial: %v", quantum, scheme, g, err)
+						t.Fatalf("q=%v %s group %d: referee: %v", quantum, scheme, g, err)
 					}
 					if !decisionsEqual(out[g], want) {
 						t.Fatalf("q=%v %s round %d group %d: batch %+v != serial %+v",
@@ -104,11 +104,11 @@ func TestDecideBatchCountersMatchSerial(t *testing.T) {
 		scratches[g] = &Scratch{}
 	}
 	out := make([]Decision, len(ranges))
-	if err := c.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
+	if err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, scratches, out); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range ranges {
-		if _, err := ref.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{}); err != nil {
+		if _, err := ref.decideSerial(col[r.Lo:r.Hi], Original, ref.ColdSource); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,11 +150,11 @@ func TestDecideBatchCountersMatchSerialPastCapacity(t *testing.T) {
 	}
 	out := make([]Decision, len(ranges))
 	for round := 0; round < 2; round++ {
-		if err := c.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
+		if err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, scratches, out); err != nil {
 			t.Fatal(err)
 		}
 		for g, r := range ranges {
-			want, err := ref.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{})
+			want, err := ref.decideSerial(col[r.Lo:r.Hi], Original, ref.ColdSource)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,14 +179,14 @@ func TestDecideBatchCountersMatchSerialPastCapacity(t *testing.T) {
 	}
 }
 
-// TestDecideBatchSharesCacheWithSerial checks the two paths read and write
-// one cache: entries published by serial Choose calls are batch hits, and
-// batch inserts satisfy later serial calls.
+// TestDecideBatchSharesCacheWithSerial checks the batch kernel and Choose
+// read and write one cache: entries published by the referee's Choose calls
+// are batch hits.
 func TestDecideBatchSharesCacheWithSerial(t *testing.T) {
 	c := newController(t)
 	col, ranges := batchColumn(9, 8, 3)
 	for _, r := range ranges {
-		if _, err := c.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{}); err != nil {
+		if _, err := c.decideSerial(col[r.Lo:r.Hi], Original, c.ColdSource); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func TestDecideBatchSharesCacheWithSerial(t *testing.T) {
 		scratches[g] = &Scratch{}
 	}
 	out := make([]Decision, len(ranges))
-	if err := c.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
+	if err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, scratches, out); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.inserts.Value(); got != inserts {
@@ -212,7 +212,7 @@ func TestDecideBatchEmptyGroup(t *testing.T) {
 	col := []float64{0.5, 0.25}
 	ranges := []Range{{0, 2}, {2, 2}}
 	var bs BatchScratch
-	err := c.DecideBatch(col, ranges, Original, &bs, []*Scratch{{}, {}}, make([]Decision, 2))
+	err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, []*Scratch{{}, {}}, make([]Decision, 2))
 	if !errors.Is(err, ErrEmptyUtilizations) {
 		t.Fatalf("empty group error = %v, want ErrEmptyUtilizations", err)
 	}
@@ -222,15 +222,15 @@ func TestDecideBatchEmptyGroup(t *testing.T) {
 	}
 }
 
-// TestDecideIntoEmptyTyped pins the adapter unwrap: DecideInto on an empty
-// slice returns the bare sentinel, exactly as the serial path does.
+// TestDecideIntoEmptyTyped pins the adapter unwrap: Decide on an empty
+// slice returns the bare sentinel, exactly as the scalar referee does.
 func TestDecideIntoEmptyTyped(t *testing.T) {
 	c := newController(t)
-	if _, err := c.DecideInto(nil, Original, &Scratch{}); !errors.Is(err, ErrEmptyUtilizations) {
-		t.Errorf("DecideInto(nil) = %v, want ErrEmptyUtilizations", err)
+	if _, err := c.Decide(nil, Original, c.ColdSource, &Scratch{}); !errors.Is(err, ErrEmptyUtilizations) {
+		t.Errorf("Decide(nil) = %v, want ErrEmptyUtilizations", err)
 	}
-	if _, err := c.DecideSerial(nil, Original, &Scratch{}); !errors.Is(err, ErrEmptyUtilizations) {
-		t.Errorf("DecideSerial(nil) = %v, want ErrEmptyUtilizations", err)
+	if _, err := c.decideSerial(nil, Original, c.ColdSource); !errors.Is(err, ErrEmptyUtilizations) {
+		t.Errorf("referee(nil) = %v, want ErrEmptyUtilizations", err)
 	}
 	if _, err := EffectiveUtilizations(nil, Original); !errors.Is(err, ErrEmptyUtilizations) {
 		t.Errorf("EffectiveUtilizations(nil) = %v, want ErrEmptyUtilizations", err)
@@ -238,7 +238,7 @@ func TestDecideIntoEmptyTyped(t *testing.T) {
 }
 
 // TestDecideBatchErrorsMatchSerial checks that per-group failures carry the
-// exact serial error text and the lowest failing group index.
+// scalar referee's exact error text and the lowest failing group index.
 func TestDecideBatchErrorsMatchSerial(t *testing.T) {
 	c := newController(t)
 	ref := newController(t)
@@ -251,12 +251,12 @@ func TestDecideBatchErrorsMatchSerial(t *testing.T) {
 		if us[0] < 0 {
 			scheme = LoadBalance
 		}
-		_, wantErr := ref.DecideSerial(us, scheme, &Scratch{})
+		_, wantErr := ref.decideSerial(us, scheme, ref.ColdSource)
 		if wantErr == nil {
-			t.Fatalf("case %v: serial unexpectedly succeeded", us)
+			t.Fatalf("case %v: referee unexpectedly succeeded", us)
 		}
 		var bs BatchScratch
-		err := c.DecideBatch(us, []Range{{0, len(us)}}, scheme, &bs, []*Scratch{{}}, make([]Decision, 1))
+		err := c.DecideBatchCold(us, []Range{{0, len(us)}}, scheme, c.ColdSource, &bs, []*Scratch{{}}, make([]Decision, 1))
 		var ge GroupError
 		if !errors.As(err, &ge) {
 			t.Fatalf("case %v: batch error %v is not a GroupError", us, err)
@@ -272,55 +272,20 @@ func TestDecideBatchValidatesArguments(t *testing.T) {
 	c := newController(t)
 	col := []float64{0.5}
 	var bs BatchScratch
-	if err := c.DecideBatch(col, []Range{{0, 1}}, Original, &bs, nil, make([]Decision, 1)); err == nil {
+	if err := c.DecideBatchCold(col, []Range{{0, 1}}, Original, c.ColdSource, &bs, nil, make([]Decision, 1)); err == nil {
 		t.Error("mismatched scratches accepted")
 	}
-	if err := c.DecideBatch(col, []Range{{0, 2}}, Original, &bs, []*Scratch{{}}, make([]Decision, 1)); err == nil {
+	if err := c.DecideBatchCold(col, []Range{{0, 2}}, Original, c.ColdSource, &bs, []*Scratch{{}}, make([]Decision, 1)); err == nil {
 		t.Error("out-of-bounds range accepted")
 	}
-	if err := c.DecideBatch(col, []Range{{0, 1}}, Original, &bs, []*Scratch{nil}, make([]Decision, 1)); err == nil {
+	if err := c.DecideBatchCold(col, []Range{{0, 1}}, Original, c.ColdSource, &bs, []*Scratch{nil}, make([]Decision, 1)); err == nil {
 		t.Error("nil scratch accepted")
 	}
 }
 
-// TestDecideBatchWithoutCurve checks the scalar fallback for controllers
-// assembled without NewController (no precomputed power curve).
-func TestDecideBatchWithoutCurve(t *testing.T) {
-	full := newController(t)
-	bare := &Controller{
-		Space:      full.Space,
-		Module:     full.Module,
-		ColdSource: full.ColdSource,
-		TSafe:      full.TSafe,
-		Band:       full.Band,
-		hits:       telemetry.NewCounter(metricCacheHits),
-		calls:      telemetry.NewCounter(metricCacheCalls),
-		inserts:    telemetry.NewCounter(metricCacheInserts),
-	}
-	col, ranges := batchColumn(5, 6, 21)
-	var bs BatchScratch
-	scratches := make([]*Scratch, len(ranges))
-	for g := range scratches {
-		scratches[g] = &Scratch{}
-	}
-	out := make([]Decision, len(ranges))
-	if err := bare.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
-		t.Fatal(err)
-	}
-	for g, r := range ranges {
-		want, err := bare.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !decisionsEqual(out[g], want) {
-			t.Fatalf("group %d: curveless batch %+v != serial %+v", g, out[g], want)
-		}
-	}
-}
-
 // TestDecideBatchAllocationFree pins the steady state of the engine's batch
-// path: with a warm cache and grown scratches, a whole-column DecideBatch
-// performs zero allocations.
+// path: with a warm cache and grown scratches, a whole-column
+// DecideBatchCold performs zero allocations.
 func TestDecideBatchAllocationFree(t *testing.T) {
 	c := newController(t)
 	col, ranges := batchColumn(17, 12, 13)
@@ -330,21 +295,21 @@ func TestDecideBatchAllocationFree(t *testing.T) {
 		scratches[g] = &Scratch{}
 	}
 	out := make([]Decision, len(ranges))
-	if err := c.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
+	if err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, scratches, out); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := c.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
+		if err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, scratches, out); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("warm DecideBatch = %v allocs/op, want 0", allocs)
+		t.Errorf("warm DecideBatchCold = %v allocs/op, want 0", allocs)
 	}
 }
 
 // TestDecideBatchOverlappingRanges checks groups may share column windows
-// (DecideInto reuses the whole column as its one group).
+// (Decide passes the whole slice as its one group).
 func TestDecideBatchOverlappingRanges(t *testing.T) {
 	c := newController(t)
 	col := []float64{0.2, 0.6, 0.9, 0.4}
@@ -352,7 +317,7 @@ func TestDecideBatchOverlappingRanges(t *testing.T) {
 	var bs BatchScratch
 	scratches := []*Scratch{{}, {}, {}}
 	out := make([]Decision, 3)
-	if err := c.DecideBatch(col, ranges, LoadBalance, &bs, scratches, out); err != nil {
+	if err := c.DecideBatchCold(col, ranges, LoadBalance, c.ColdSource, &bs, scratches, out); err != nil {
 		t.Fatal(err)
 	}
 	if !decisionsEqual(out[0], out[2]) {
@@ -386,7 +351,7 @@ func BenchmarkDecisionDecideBatch(b *testing.B) {
 		if churn {
 			fillController(b, c)
 		}
-		if err := c.DecideBatch(col, ranges, scheme, &bs, scratches, out); err != nil {
+		if err := c.DecideBatchCold(col, ranges, scheme, c.ColdSource, &bs, scratches, out); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -398,7 +363,7 @@ func BenchmarkDecisionDecideBatch(b *testing.B) {
 					col[k] = u * f
 				}
 			}
-			if err := c.DecideBatch(col, ranges, scheme, &bs, scratches, out); err != nil {
+			if err := c.DecideBatchCold(col, ranges, scheme, c.ColdSource, &bs, scratches, out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -40,7 +40,7 @@ func BenchmarkDecisionChooseMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := float64(i%1000003) / 1000003
-		if _, _, err := c.Choose(u); err != nil {
+		if _, _, err := c.Choose(u, c.ColdSource); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,13 +50,13 @@ func BenchmarkDecisionChooseMiss(b *testing.B) {
 // repeatedly, so Choose must be a pure cache read.
 func BenchmarkDecisionChooseHit(b *testing.B) {
 	c := benchController(b)
-	if _, _, err := c.Choose(0.25); err != nil {
+	if _, _, err := c.Choose(0.25, c.ColdSource); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Choose(0.25); err != nil {
+		if _, _, err := c.Choose(0.25, c.ColdSource); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func BenchmarkDecisionChooseHit(b *testing.B) {
 func BenchmarkDecisionChooseHitParallel(b *testing.B) {
 	c := benchController(b)
 	for i := 0; i <= 64; i++ {
-		if _, _, err := c.Choose(float64(i) / 64); err != nil {
+		if _, _, err := c.Choose(float64(i)/64, c.ColdSource); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkDecisionChooseHitParallel(b *testing.B) {
 		for pb.Next() {
 			u := float64(i%65) / 64
 			i++
-			if _, _, err := c.Choose(u); err != nil {
+			if _, _, err := c.Choose(u, c.ColdSource); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -87,43 +87,23 @@ func BenchmarkDecisionChooseHitParallel(b *testing.B) {
 }
 
 // BenchmarkDecisionDecide measures one full control interval for a 25-server
-// circulation with a warm decision cache — the steady-state per-circulation
-// cost inside Engine.RunContext.
+// circulation with a warm decision cache, through the scratch each engine
+// circulation holds — the steady-state per-circulation cost, expected
+// allocation-free.
 func BenchmarkDecisionDecide(b *testing.B) {
 	c := benchController(b)
 	us := make([]float64, 25)
 	for i := range us {
 		us[i] = float64(i) / 25
 	}
-	if _, err := c.Decide(us, LoadBalance); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Decide(us, LoadBalance); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecisionDecideInto is the engine's actual steady state: the same
-// interval as BenchmarkDecisionDecide but through the scratch-reusing entry
-// point each Circulation holds — expected allocation-free.
-func BenchmarkDecisionDecideInto(b *testing.B) {
-	c := benchController(b)
-	us := make([]float64, 25)
-	for i := range us {
-		us[i] = float64(i) / 25
-	}
 	var sc Scratch
-	if _, err := c.DecideInto(us, LoadBalance, &sc); err != nil {
+	if _, err := c.Decide(us, LoadBalance, c.ColdSource, &sc); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecideInto(us, LoadBalance, &sc); err != nil {
+		if _, err := c.Decide(us, LoadBalance, c.ColdSource, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}

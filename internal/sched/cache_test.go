@@ -198,7 +198,7 @@ func (dc *decisionCache) len() int {
 func fillController(t testing.TB, c *Controller) {
 	t.Helper()
 	for i := 0; i < cacheBuckets; i++ {
-		if _, _, err := c.Choose(float64(i) / (4 * cacheBuckets)); err != nil {
+		if _, _, err := c.Choose(float64(i)/(4*cacheBuckets), c.ColdSource); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestChooseAdmitsOnSecondMissPastCapacity(t *testing.T) {
 	c := newController(t)
 	fillController(t, c)
 	const u = 0.625 + 1e-9
-	want, wantP, err := c.Choose(u)
+	want, wantP, err := c.Choose(u, c.ColdSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestChooseAdmitsOnSecondMissPastCapacity(t *testing.T) {
 		{1, 1}, // then a hit
 		{2, 1},
 	} {
-		s, p, err := c.Choose(u)
+		s, p, err := c.Choose(u, c.ColdSource)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestChooseOneShotPlanesStayBounded(t *testing.T) {
 		planes = 20_000
 	}
 	for i := 0; i < planes; i++ {
-		if _, _, err := c.Choose(float64(i) / float64(planes)); err != nil {
+		if _, _, err := c.Choose(float64(i)/float64(planes), c.ColdSource); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,38 +19,37 @@ func coldTestController(t *testing.T) *Controller {
 	return c
 }
 
-// TestColdVariantsMatchDefaultAtColdSource pins the refactor's core
-// equivalence: every *Cold entry point evaluated at the controller's own
-// ColdSource is bit-identical to the historical cold-agnostic call.
+// TestColdVariantsMatchDefaultAtColdSource pins the explicit cold side at
+// the controller's default: Decide, Choose and PowerAt evaluated at
+// ColdSource reproduce the scalar referee, an independent controller and the
+// module's own MaxPower bit for bit.
 func TestColdVariantsMatchDefaultAtColdSource(t *testing.T) {
 	a := coldTestController(t)
 	b := coldTestController(t)
 	us := []float64{0.1, 0.45, 0.45, 0.83, 0.99, 0.3}
 	for _, scheme := range []Scheme{Original, LoadBalance} {
-		var sa, sb Scratch
-		da, errA := a.DecideInto(us, scheme, &sa)
-		db, errB := b.DecideIntoCold(us, scheme, b.ColdSource, &sb)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s: error mismatch: %v vs %v", scheme, errA, errB)
+		var sc Scratch
+		got, err := a.Decide(us, scheme, a.ColdSource, &sc)
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
 		}
-		if da.Setting != db.Setting || da.PlaneU != db.PlaneU || da.MaxCPUTemp != db.MaxCPUTemp {
-			t.Fatalf("%s: decisions differ: %+v vs %+v", scheme, da, db)
+		want, err := b.decideSerial(us, scheme, b.ColdSource)
+		if err != nil {
+			t.Fatalf("%s: referee: %v", scheme, err)
 		}
-		for i := range da.PerServerPower {
-			if da.PerServerPower[i] != db.PerServerPower[i] {
-				t.Fatalf("%s: server %d power %v vs %v", scheme, i, da.PerServerPower[i], db.PerServerPower[i])
-			}
+		if !decisionsEqual(got, want) {
+			t.Fatalf("%s: Decide %+v != referee %+v", scheme, got, want)
 		}
 	}
-	// Scalar entry points too.
-	sA, pA, errA := a.Choose(0.6)
-	sB, pB, errB := b.ChooseCold(0.6, b.ColdSource)
+	sA, pA, errA := a.Choose(0.6, a.ColdSource)
+	sB, pB, errB := coldTestController(t).Choose(0.6, b.ColdSource)
 	if errA != nil || errB != nil || sA != sB || pA != pB {
-		t.Fatalf("Choose vs ChooseCold: %v/%v/%v vs %v/%v/%v", sA, pA, errA, sB, pB, errB)
+		t.Fatalf("warm vs fresh Choose: %v/%v/%v vs %v/%v/%v", sA, pA, errA, sB, pB, errB)
 	}
 	set := Setting{Flow: 150, Inlet: 40}
-	if a.PowerAt(set, 0.5) != b.PowerAtCold(set, 0.5, b.ColdSource) {
-		t.Fatal("PowerAt != PowerAtCold at ColdSource")
+	dT := a.Space.OutletTemp(0.5, set.Flow, set.Inlet) - a.ColdSource
+	if got, want := a.PowerAt(set, 0.5, a.ColdSource), a.Module.MaxPower(dT, set.Flow); got != want {
+		t.Fatalf("PowerAt at ColdSource = %v, module MaxPower = %v", got, want)
 	}
 }
 
@@ -59,11 +58,11 @@ func TestColdVariantsMatchDefaultAtColdSource(t *testing.T) {
 // a colder TEG cold side strictly increases the harvest at the same plane.
 func TestColdSideChangesDecisionIndependently(t *testing.T) {
 	c := coldTestController(t)
-	_, pWarm, err := c.ChooseCold(0.6, 26)
+	_, pWarm, err := c.Choose(0.6, 26)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pCold, err := c.ChooseCold(0.6, 12)
+	_, pCold, err := c.Choose(0.6, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +71,8 @@ func TestColdSideChangesDecisionIndependently(t *testing.T) {
 	}
 	// Revisit both colds: the cached entries must reproduce the first pass
 	// exactly (no aliasing between the two).
-	_, pWarm2, _ := c.ChooseCold(0.6, 26)
-	_, pCold2, _ := c.ChooseCold(0.6, 12)
+	_, pWarm2, _ := c.Choose(0.6, 26)
+	_, pCold2, _ := c.Choose(0.6, 12)
 	if pWarm2 != pWarm || pCold2 != pCold {
 		t.Fatalf("cached revisit drifted: warm %v->%v cold %v->%v", pWarm, pWarm2, pCold, pCold2)
 	}
@@ -99,8 +98,7 @@ func TestDecideBatchColdMatchesSerialCold(t *testing.T) {
 				t.Fatalf("cold=%v %s: %v", cold, scheme, err)
 			}
 			for g, r := range ranges {
-				var sc Scratch
-				want, err := serialCtl.DecideSerialCold(col[r.Lo:r.Hi], scheme, cold, &sc)
+				want, err := serialCtl.decideSerial(col[r.Lo:r.Hi], scheme, cold)
 				if err != nil {
 					t.Fatalf("cold=%v %s group %d: %v", cold, scheme, g, err)
 				}

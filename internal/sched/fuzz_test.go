@@ -55,19 +55,25 @@ func fuzzColumn(data []byte, degrade byte) []float64 {
 
 // FuzzDecideBatchEquivalence is the batch kernels' bit-equality fuzzer: for
 // arbitrary columns (including NaN and out-of-unit utilizations), group
-// shapes (including empty groups), cache quanta, schemes and fault-degraded
-// servers, DecideBatch must reproduce the looped scalar reference —
-// DecideSerial per group, which DecideInto adapts — exactly: same decisions
-// bit for bit, or the same first failing group with the same error text. A
-// second batch round over the now-warm cache must match as well.
+// shapes (including empty groups), cache quanta, schemes, fault-degraded
+// servers and TEG cold sides, DecideBatchCold must reproduce the looped
+// scalar referee (decideSerial per group) exactly: same decisions bit for
+// bit, or the same first failing group with the same error text. Decide, the
+// single-group adapter, must match group-wise, and a second batch round over
+// the now-warm cache must match as well. The cold side is clamped to the
+// range a facility environment can produce, so the fuzzer is the scalar
+// contract for the engine's per-interval cold side.
 func FuzzDecideBatchEquivalence(f *testing.F) {
-	f.Add([]byte{10, 20, 250, 40, 50, 60, 70, 80}, 0.0, byte(2), false, byte(0))
-	f.Add([]byte{0, 252, 126, 126, 3, 200}, 1.0/512, byte(3), true, byte(5))
-	f.Add([]byte{0xFF, 100, 0xFE, 30, 0xFD, 90}, 0.0, byte(1), false, byte(0))
-	f.Add([]byte{42}, 0.25, byte(8), true, byte(1))
-	f.Add([]byte{}, 0.0, byte(1), false, byte(0))
-	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, 0.001953125, byte(5), false, byte(9))
-	f.Fuzz(func(t *testing.T, data []byte, quantum float64, nGroups byte, lb bool, degrade byte) {
+	f.Add([]byte{10, 20, 250, 40, 50, 60, 70, 80}, 0.0, byte(2), false, byte(0), 20.0)
+	f.Add([]byte{0, 252, 126, 126, 3, 200}, 1.0/512, byte(3), true, byte(5), 20.0)
+	f.Add([]byte{0xFF, 100, 0xFE, 30, 0xFD, 90}, 0.0, byte(1), false, byte(0), 20.0)
+	f.Add([]byte{42}, 0.25, byte(8), true, byte(1), 20.0)
+	f.Add([]byte{}, 0.0, byte(1), false, byte(0), 20.0)
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, 0.001953125, byte(5), false, byte(9), 20.0)
+	f.Add([]byte{10, 20, 250, 40, 50, 60, 70, 80}, 0.0, byte(3), true, byte(0), 8.0)
+	f.Add([]byte{0, 252, 126, 126, 3, 200, 90, 17}, 1.0/512, byte(2), false, byte(4), 20.0)
+	f.Add([]byte{200, 150, 100, 50, 25, 12}, 0.0, byte(2), true, byte(3), 35.0)
+	f.Fuzz(func(t *testing.T, data []byte, quantum float64, nGroups byte, lb bool, degrade byte, coldC float64) {
 		space, mod := fuzzSpace()
 		serialCtl, err := NewController(space, mod, 20)
 		if err != nil {
@@ -87,6 +93,11 @@ func FuzzDecideBatchEquivalence(f *testing.F) {
 		if lb {
 			scheme = LoadBalance
 		}
+		// Clamp the cold side into [0, 40] °C; NaN maps to the default.
+		cold := units.Celsius(20)
+		if !math.IsNaN(coldC) {
+			cold = units.Celsius(math.Min(40, math.Max(0, coldC)))
+		}
 
 		col := fuzzColumn(data, degrade)
 		groups := int(nGroups%8) + 1
@@ -95,13 +106,13 @@ func FuzzDecideBatchEquivalence(f *testing.F) {
 			ranges[g] = Range{Lo: g * len(col) / groups, Hi: (g + 1) * len(col) / groups}
 		}
 
-		// Scalar reference: DecideSerial per group, stopping at the first
-		// error exactly as the engine's legacy loop would.
+		// Scalar referee per group, stopping at the first error exactly as
+		// a per-circulation loop would.
 		refs := make([]refDecision, 0, groups)
 		var refErr error
 		refGroup := -1
 		for g, r := range ranges {
-			d, err := serialCtl.DecideSerial(col[r.Lo:r.Hi], scheme, &Scratch{})
+			d, err := serialCtl.decideSerial(col[r.Lo:r.Hi], scheme, cold)
 			if err != nil {
 				refErr, refGroup = err, g
 				break
@@ -113,22 +124,22 @@ func FuzzDecideBatchEquivalence(f *testing.F) {
 			})
 		}
 
-		// DecideInto must match DecideSerial group-wise (the adapter path).
+		// Decide must match the referee group-wise (the adapter path).
 		for g, r := range ranges {
 			if g > len(refs) {
 				break
 			}
-			d, err := batchCtl.DecideInto(col[r.Lo:r.Hi], scheme, &Scratch{})
+			d, err := batchCtl.Decide(col[r.Lo:r.Hi], scheme, cold, &Scratch{})
 			if g == len(refs) {
 				if err == nil || refErr == nil || err.Error() != refErr.Error() {
-					t.Fatalf("group %d: DecideInto err %v, DecideSerial err %v", g, err, refErr)
+					t.Fatalf("group %d: Decide err %v, referee err %v", g, err, refErr)
 				}
 				break
 			}
 			if err != nil {
-				t.Fatalf("group %d: DecideInto err %v, serial succeeded", g, err)
+				t.Fatalf("group %d: Decide err %v, referee succeeded", g, err)
 			}
-			requireDecisionsMatch(t, "DecideInto", g, refs[g], d)
+			requireDecisionsMatch(t, "Decide", g, refs[g], d)
 		}
 
 		// Two batch rounds: cold cache, then warm (hits and dedup paths).
@@ -139,23 +150,23 @@ func FuzzDecideBatchEquivalence(f *testing.F) {
 				scratches[g] = &Scratch{}
 			}
 			out := make([]Decision, groups)
-			err := batchCtl.DecideBatch(col, ranges, scheme, bs, scratches, out)
+			err := batchCtl.DecideBatchCold(col, ranges, scheme, cold, bs, scratches, out)
 			if refErr != nil {
 				var ge GroupError
 				if err == nil || !errors.As(err, &ge) {
-					t.Fatalf("round %d: DecideBatch err %v, want GroupError for group %d (%v)", round, err, refGroup, refErr)
+					t.Fatalf("round %d: DecideBatchCold err %v, want GroupError for group %d (%v)", round, err, refGroup, refErr)
 				}
 				if ge.Group != refGroup || ge.Err.Error() != refErr.Error() {
-					t.Fatalf("round %d: DecideBatch failed group %d (%v), serial failed group %d (%v)",
+					t.Fatalf("round %d: DecideBatchCold failed group %d (%v), referee failed group %d (%v)",
 						round, ge.Group, ge.Err, refGroup, refErr)
 				}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("round %d: DecideBatch err %v, serial succeeded", round, err)
+				t.Fatalf("round %d: DecideBatchCold err %v, referee succeeded", round, err)
 			}
 			for g := range refs {
-				requireDecisionsMatch(t, "DecideBatch", g, refs[g], out[g])
+				requireDecisionsMatch(t, "DecideBatchCold", g, refs[g], out[g])
 			}
 		}
 	})

@@ -16,11 +16,9 @@ import (
 // derating factor) for every one of the ~1.4k candidate cells on every cache
 // miss; the curve hoists the per-flow factors and the Eq. 6 quadratic
 // coefficients so the scan is a handful of multiply-adds per candidate,
-// bit-identical to the module path. The cold side is a per-call argument
-// (the pluggable environment varies it by interval); cold carries the
-// controller's fixed default.
+// bit-identical to the module path. The cold side is a per-call argument:
+// the pluggable environment varies it by interval.
 type powerCurve struct {
-	cold    float64    // default TEG cold-side temperature, °C (Controller.ColdSource)
 	n       float64    // TEGs in series (Eq. 7 scales per-device power by n)
 	fit     [3]float64 // Eq. 6 quadratic: fit[0] + fit[1]*x + fit[2]*x*x
 	ni      int        // inlet-axis length: candidate cell -> flow index
@@ -30,10 +28,9 @@ type powerCurve struct {
 // newPowerCurve precomputes the curve for the module against the space's
 // flow axis. The module must be fully configured (including FlowDerating)
 // before the controller is built; NewController documents that contract.
-func newPowerCurve(space *lookup.Space, module *teg.Module, cold units.Celsius) *powerCurve {
+func newPowerCurve(space *lookup.Space, module *teg.Module) *powerCurve {
 	ax := space.Axes()
 	pc := &powerCurve{
-		cold:    float64(cold),
 		n:       float64(module.N),
 		fit:     module.Device.PmaxFit,
 		ni:      len(ax.Inlet),

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/h2p-sim/h2p/internal/lookup"
 	"github.com/h2p-sim/h2p/internal/stats"
@@ -41,6 +42,13 @@ type Setting struct {
 // Controller picks cooling settings from the look-up space so that the CPU
 // stays near its safe temperature while TEG output is maximized.
 //
+// The decide surface is four methods, each taking the interval's TEG
+// cold-side temperature explicitly (the facility environment varies it):
+// Choose (Steps 1-3 for one plane), PowerAt (one server's module output),
+// Decide (one circulation) and DecideBatchCold (a column of circulations).
+// Decide is a single-group adapter over DecideBatchCold, the one decision
+// implementation.
+//
 // A Controller is safe for concurrent use by multiple goroutines as long as
 // its fields are not mutated after construction: Choose and Decide only read
 // the look-up space and module, and the decision cache is internally
@@ -51,9 +59,9 @@ type Controller struct {
 	// Module is the per-server TEG module whose output is maximized.
 	Module *teg.Module
 	// ColdSource is the default TEG cold-side water temperature (~20 °C):
-	// the value the cold-agnostic entry points (Choose, PowerAt, Decide*)
-	// evaluate against. The *Cold variants take the interval's cold side
-	// explicitly — the pluggable environment (internal/env) varies it.
+	// the value callers without a facility environment pass as the cold
+	// side. The decide surface never reads it; every entry point takes the
+	// interval's cold side as an argument.
 	ColdSource units.Celsius
 	// TSafe is the CPU safe operating temperature (Fig. 13: 62 °C).
 	TSafe units.Celsius
@@ -86,9 +94,8 @@ type Controller struct {
 	met *schedMetrics
 
 	// curve is the precomputed power-vs-outlet-temperature curve
-	// (powercurve.go), derived from Module and ColdSource by NewController.
-	// A controller assembled without NewController leaves it nil and the
-	// candidate scan falls back to the (bit-identical) module path.
+	// (powercurve.go), derived from Module by NewController. Every decide
+	// path requires it, so a Controller must come from NewController.
 	curve *powerCurve
 }
 
@@ -114,8 +121,8 @@ func (c *Controller) quantizePlane(planeU float64) float64 {
 // NewController wires a controller with the paper's defaults for the safety
 // parameters. The module must be fully configured — in particular its
 // FlowDerating — before the call: the controller precomputes the module's
-// power-vs-outlet-temperature curve here, since the cold source and the flow
-// axis are fixed for the controller's lifetime.
+// power-vs-outlet-temperature curve here, since the flow axis is fixed for
+// the controller's lifetime.
 func NewController(space *lookup.Space, module *teg.Module, cold units.Celsius) (*Controller, error) {
 	if space == nil {
 		return nil, errors.New("sched: nil look-up space")
@@ -129,7 +136,7 @@ func NewController(space *lookup.Space, module *teg.Module, cold units.Celsius) 
 		ColdSource: cold,
 		TSafe:      space.Spec().SafeTemp,
 		Band:       1,
-		curve:      newPowerCurve(space, module, cold),
+		curve:      newPowerCurve(space, module),
 		hits:       telemetry.NewCounter(metricCacheHits),
 		calls:      telemetry.NewCounter(metricCacheCalls),
 		inserts:    telemetry.NewCounter(metricCacheInserts),
@@ -138,15 +145,9 @@ func NewController(space *lookup.Space, module *teg.Module, cold units.Celsius) 
 
 // PowerAt returns the TEG module output of a server running at utilization u
 // under the given cooling setting: the outlet temperature from the look-up
-// space drives the module against the default cold source (Eqs. 2 and 7).
-func (c *Controller) PowerAt(s Setting, u float64) units.Watts {
-	return c.PowerAtCold(s, u, c.ColdSource)
-}
-
-// PowerAtCold is PowerAt against an explicit cold-side temperature — the
-// per-interval value of the facility environment. PowerAtCold(s, u,
-// c.ColdSource) is bit-identical to PowerAt(s, u).
-func (c *Controller) PowerAtCold(s Setting, u float64, cold units.Celsius) units.Watts {
+// space drives the module against the cold-side temperature cold (Eqs. 2
+// and 7).
+func (c *Controller) PowerAt(s Setting, u float64, cold units.Celsius) units.Watts {
 	outlet := c.Space.OutletTemp(u, s.Flow, s.Inlet)
 	dT := outlet - cold
 	if dT <= 0 {
@@ -156,7 +157,8 @@ func (c *Controller) PowerAtCold(s Setting, u float64, cold units.Celsius) units
 }
 
 // Choose implements Steps 1-3 of Sec. V-B1 for the control-plane utilization
-// planeU (U_max under Original, U_avg under LoadBalance):
+// planeU (U_max under Original, U_avg under LoadBalance) against the TEG
+// cold-side temperature cold:
 //
 //  1. draw the utilization plane,
 //  2. intersect it with the safety slab X (CPU temperature within
@@ -169,56 +171,42 @@ func (c *Controller) PowerAtCold(s Setting, u float64, cold units.Celsius) units
 // back to the safety-constrained optimum: maximum TEG power over all
 // settings whose CPU temperature does not exceed TSafe+Band.
 //
-// Outcomes are memoized per (quantized) plane: traces revisit the same
-// plane constantly, and the chosen setting is a pure function of it. Once
-// the cache is full, a plane is memoized on its second miss (see cache.go),
-// so one-shot exact planes do not crowd it. A cache hit performs zero
-// allocations and takes no mutex — one atomic load plus a chain walk — so
-// concurrent workers never serialize on a warm controller.
-func (c *Controller) Choose(planeU float64) (Setting, units.Watts, error) {
-	return c.ChooseCold(planeU, c.ColdSource)
-}
-
-// ChooseCold is Choose against an explicit cold-side temperature. Outcomes
-// are memoized per (quantized plane, cold) pair, so decisions made under
-// different interval environments never alias: a cached decision is always
-// exactly the one an uncached scan at that cold side would make.
-func (c *Controller) ChooseCold(planeU float64, cold units.Celsius) (Setting, units.Watts, error) {
-	setting, power, _, err := c.chooseCached(planeU, cold)
-	return setting, power, err
-}
-
-// errUtilizationOutsideUnit is Choose's validation error, shared with the
-// batch probe so both paths fail with identical messages.
-func errUtilizationOutsideUnit(planeU float64) error {
-	return fmt.Errorf("sched: utilization %v outside [0,1]", planeU)
-}
-
-// chooseCached is Choose plus the winning candidate's flat cell index, which
-// the batch per-server kernel indexes the flattened stencils with.
-func (c *Controller) chooseCached(planeU float64, cold units.Celsius) (Setting, units.Watts, int32, error) {
+// Outcomes are memoized per (quantized plane, cold) pair: traces revisit the
+// same plane constantly, the chosen setting is a pure function of the pair,
+// and decisions made under different interval environments never alias.
+// Once the cache is full, a plane is memoized on its second miss (see
+// cache.go), so one-shot exact planes do not crowd it. A cache hit performs
+// zero allocations and takes no mutex — one atomic load plus a chain walk —
+// so concurrent workers never serialize on a warm controller.
+func (c *Controller) Choose(planeU float64, cold units.Celsius) (Setting, units.Watts, error) {
 	if planeU < 0 || planeU > 1 {
-		return Setting{}, 0, 0, errUtilizationOutsideUnit(planeU)
+		return Setting{}, 0, errUtilizationOutsideUnit(planeU)
 	}
 	planeU = c.quantizePlane(planeU)
 	key := math.Float64bits(planeU)
 	cb := math.Float64bits(float64(cold))
 	hint := bucketOf(key)
 	c.calls.AddHint(hint, 1)
-	if setting, power, cell, ok := c.cache.load(key, cb); ok {
+	if setting, power, _, ok := c.cache.load(key, cb); ok {
 		c.hits.AddHint(hint, 1)
 		c.observeChoice(hint, setting)
-		return setting, power, cell, nil
+		return setting, power, nil
 	}
 	setting, power, cell, err := c.choose(planeU, cold)
 	if err != nil {
-		return Setting{}, 0, 0, err
+		return Setting{}, 0, err
 	}
 	if c.cache.store(key, cb, setting, power, cell) {
 		c.inserts.AddHint(hint, 1)
 	}
 	c.observeChoice(hint, setting)
-	return setting, power, cell, nil
+	return setting, power, nil
+}
+
+// errUtilizationOutsideUnit is Choose's validation error, shared with the
+// batch probe so both paths fail with identical messages.
+func errUtilizationOutsideUnit(planeU float64) error {
+	return fmt.Errorf("sched: utilization %v outside [0,1]", planeU)
 }
 
 // choose runs the uncached Steps 1-3 at the exact plane utilization,
@@ -236,7 +224,7 @@ func (c *Controller) choose(planeU float64, cold units.Celsius) (Setting, units.
 	err := c.Space.VisitPlaneIntersection(planeU, c.TSafe, c.Band, func(cell int, p lookup.Point) bool {
 		found = true
 		evals++
-		if pw := c.candidatePower(cell, p, cold); pw > bestP {
+		if pw := c.curve.powerAt(cell, p.Outlet, float64(cold)); pw > bestP {
 			best, bestP, bestCell = Setting{Flow: p.Flow, Inlet: p.Inlet}, pw, int32(cell)
 		}
 		return true
@@ -253,7 +241,7 @@ func (c *Controller) choose(planeU float64, cold units.Celsius) (Setting, units.
 			if p.CPUTemp <= c.TSafe+c.Band {
 				found = true
 				evals++
-				if pw := c.candidatePower(cell, p, cold); pw > bestP {
+				if pw := c.curve.powerAt(cell, p.Outlet, float64(cold)); pw > bestP {
 					best, bestP, bestCell = Setting{Flow: p.Flow, Inlet: p.Inlet}, pw, int32(cell)
 				}
 			}
@@ -278,24 +266,9 @@ func errNoSafeSetting(planeU float64) error {
 	return fmt.Errorf("sched: no safe cooling setting for u=%v", planeU)
 }
 
-// candidatePower returns the TEG module output of a streamed candidate,
-// through the precomputed curve when available. Both paths produce the same
-// bits as PowerAtCold on the candidate's setting: the streamed Outlet equals
-// the interpolated OutletTemp on grid-aligned cells.
-func (c *Controller) candidatePower(cell int, p lookup.Point, cold units.Celsius) units.Watts {
-	if c.curve != nil {
-		return c.curve.powerAt(cell, p.Outlet, float64(cold))
-	}
-	dT := p.Outlet - cold
-	if dT <= 0 {
-		return 0
-	}
-	return c.Module.MaxPower(dT, p.Flow)
-}
-
 // ErrEmptyUtilizations is returned when a decision is requested over an
 // empty utilization set — a circulation with no servers has no plane to
-// draw. DecideBatch wraps it in a GroupError attributing the offending
+// draw. DecideBatchCold wraps it in a GroupError attributing the offending
 // group; errors.Is sees through the wrapper.
 var ErrEmptyUtilizations = errors.New("sched: empty utilization set")
 
@@ -324,28 +297,19 @@ func EffectiveUtilizations(us []float64, scheme Scheme) ([]float64, error) {
 	if len(us) == 0 {
 		return nil, ErrEmptyUtilizations
 	}
-	out := make([]float64, len(us))
-	if err := effectiveInto(out, us, scheme); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// effectiveInto writes the scheme's effective utilizations into dst, which
-// must have len(us).
-func effectiveInto(dst, us []float64, scheme Scheme) error {
 	switch scheme {
 	case Original:
-		copy(dst, us)
+		return slices.Clone(us), nil
 	case LoadBalance:
+		out := make([]float64, len(us))
 		avg := stats.Mean(us)
-		for i := range dst {
-			dst[i] = avg
+		for i := range out {
+			out[i] = avg
 		}
+		return out, nil
 	default:
-		return fmt.Errorf("sched: unknown scheme %q", scheme)
+		return nil, fmt.Errorf("sched: unknown scheme %q", scheme)
 	}
-	return nil
 }
 
 // Decision is the outcome of one control interval for one circulation.
@@ -366,16 +330,14 @@ type Decision struct {
 }
 
 // Scratch holds the reusable per-circulation buffers of the decision path:
-// the effective-utilization working set and the per-server output slices a
-// Decision points into. A Scratch may be reused across DecideInto calls by
-// one goroutine at a time (the parallel engine keeps one per circulation);
-// the zero value is ready to use.
+// the per-server output slices a Decision points into. A Scratch may be
+// reused across Decide calls by one goroutine at a time (the engine keeps one
+// per circulation); the zero value is ready to use.
 type Scratch struct {
-	eff      []float64
 	power    []units.Watts
 	cpuPower []units.Watts
 
-	// Single-group adapter state: DecideInto routes through DecideBatch with
+	// Single-group adapter state: Decide routes through DecideBatchCold with
 	// the whole slice as one group, so a lone Scratch carries the batch
 	// working set and the fixed-size argument windows the adapter hands over.
 	bs   BatchScratch
@@ -386,43 +348,24 @@ type Scratch struct {
 
 // grow resizes the buffers to n servers, reusing capacity.
 func (sc *Scratch) grow(n int) {
-	if cap(sc.eff) < n {
-		sc.eff = make([]float64, n)
+	if cap(sc.power) < n {
 		sc.power = make([]units.Watts, n)
 		sc.cpuPower = make([]units.Watts, n)
 	}
-	sc.eff = sc.eff[:n]
 	sc.power = sc.power[:n]
 	sc.cpuPower = sc.cpuPower[:n]
 }
 
 // Decide runs one full control interval for a circulation with the given raw
-// per-server utilizations. The returned Decision owns freshly allocated
-// per-server slices; the engine's steady-state path is DecideInto.
-func (c *Controller) Decide(us []float64, scheme Scheme) (Decision, error) {
-	return c.DecideInto(us, scheme, &Scratch{})
-}
-
-// DecideInto is Decide with caller-owned buffers: the returned Decision's
-// PerServerPower/PerServerCPUPower alias sc and stay valid until the next
-// DecideInto with the same scratch. With a warm decision cache the call
-// performs zero allocations, which is what lets the parallel engine hold
-// its per-interval cost flat. Results are bit-identical to Decide.
+// per-server utilizations against the TEG cold-side temperature cold. The
+// returned Decision's PerServerPower/PerServerCPUPower alias sc, which must
+// be non-nil, and stay valid until the next call with the same scratch. With
+// a warm decision cache the call performs zero allocations.
 //
-// DecideInto is a thin single-group adapter over DecideBatch — the batched
-// column kernel is the one decision implementation — and stays bit-identical
-// to the scalar reference path DecideSerial.
-func (c *Controller) DecideInto(us []float64, scheme Scheme, sc *Scratch) (Decision, error) {
-	return c.DecideIntoCold(us, scheme, c.ColdSource, sc)
-}
-
-// DecideIntoCold is DecideInto against an explicit cold-side temperature.
-func (c *Controller) DecideIntoCold(us []float64, scheme Scheme, cold units.Celsius, sc *Scratch) (Decision, error) {
-	if c.curve == nil {
-		// A controller assembled without NewController has no precomputed
-		// power curve; the batch kernels require it, the scalar path does not.
-		return c.DecideSerialCold(us, scheme, cold, sc)
-	}
+// Decide is a thin single-group adapter over DecideBatchCold — the batched
+// column kernel is the one decision implementation — and returns the group's
+// error unwrapped.
+func (c *Controller) Decide(us []float64, scheme Scheme, cold units.Celsius, sc *Scratch) (Decision, error) {
 	sc.rng[0] = Range{Lo: 0, Hi: len(us)}
 	sc.self[0] = sc
 	if err := c.DecideBatchCold(us, sc.rng[:], scheme, cold, &sc.bs, sc.self[:], sc.dec[:]); err != nil {
@@ -433,68 +376,6 @@ func (c *Controller) DecideIntoCold(us []float64, scheme Scheme, cold units.Cels
 		return Decision{}, err
 	}
 	return sc.dec[0], nil
-}
-
-// DecideSerial is the scalar reference implementation of a control interval:
-// one Choose on the plane utilization, then per-server evaluation through
-// the interpolated look-up calls. The batch kernels are pinned bit-identical
-// to it — it is the referee of the equivalence suites and the fallback for
-// controllers assembled without NewController.
-func (c *Controller) DecideSerial(us []float64, scheme Scheme, sc *Scratch) (Decision, error) {
-	return c.DecideSerialCold(us, scheme, c.ColdSource, sc)
-}
-
-// DecideSerialCold is DecideSerial against an explicit cold-side
-// temperature: the per-interval environment's value flows into the plane
-// choice and every per-server power evaluation, through the exact scalar
-// operation sequence.
-func (c *Controller) DecideSerialCold(us []float64, scheme Scheme, cold units.Celsius, sc *Scratch) (Decision, error) {
-	planeU, err := PlaneUtilization(us, scheme)
-	if err != nil {
-		return Decision{}, err
-	}
-	setting, _, err := c.ChooseCold(planeU, cold)
-	if err != nil {
-		return Decision{}, err
-	}
-	sc.grow(len(us))
-	if err := effectiveInto(sc.eff, us, scheme); err != nil {
-		return Decision{}, err
-	}
-	d := Decision{
-		Scheme:            scheme,
-		PlaneU:            planeU,
-		Setting:           setting,
-		PerServerPower:    sc.power,
-		PerServerCPUPower: sc.cpuPower,
-		PlaneOutlet:       c.Space.OutletTemp(planeU, setting.Flow, setting.Inlet),
-	}
-	spec := c.Space.Spec()
-	if scheme == LoadBalance {
-		// Balancing makes every server identical: evaluate the (interpolated)
-		// per-server terms once and broadcast, instead of re-running the
-		// trilinear lookups per server. eff[i] are all the same value, so the
-		// broadcast is bit-identical to the per-server loop below.
-		u := sc.eff[0]
-		pw := c.PowerAtCold(setting, u, cold)
-		cp := spec.Power(u)
-		for i := range sc.eff {
-			d.PerServerPower[i] = pw
-			d.PerServerCPUPower[i] = cp
-		}
-		if t := c.Space.CPUTemp(u, setting.Flow, setting.Inlet); t > d.MaxCPUTemp {
-			d.MaxCPUTemp = t
-		}
-		return d, nil
-	}
-	for i, u := range sc.eff {
-		d.PerServerPower[i] = c.PowerAtCold(setting, u, cold)
-		d.PerServerCPUPower[i] = spec.Power(u)
-		if t := c.Space.CPUTemp(u, setting.Flow, setting.Inlet); t > d.MaxCPUTemp {
-			d.MaxCPUTemp = t
-		}
-	}
-	return d, nil
 }
 
 // TotalTEGPower sums the decision's per-server TEG output.

@@ -50,7 +50,7 @@ func TestNewControllerValidation(t *testing.T) {
 func TestChooseKeepsCPUSafe(t *testing.T) {
 	c := newController(t)
 	for _, u := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.95, 1} {
-		s, p, err := c.Choose(u)
+		s, p, err := c.Choose(u, c.ColdSource)
 		if err != nil {
 			t.Fatalf("u=%v: %v", u, err)
 		}
@@ -66,10 +66,10 @@ func TestChooseKeepsCPUSafe(t *testing.T) {
 
 func TestChooseRejectsBadUtilization(t *testing.T) {
 	c := newController(t)
-	if _, _, err := c.Choose(-0.1); err == nil {
+	if _, _, err := c.Choose(-0.1, c.ColdSource); err == nil {
 		t.Error("negative utilization should error")
 	}
-	if _, _, err := c.Choose(1.1); err == nil {
+	if _, _, err := c.Choose(1.1, c.ColdSource); err == nil {
 		t.Error("utilization above 1 should error")
 	}
 }
@@ -82,7 +82,7 @@ func TestChosenPowerDecreasesWithUtilization(t *testing.T) {
 	var prev units.Watts = 1e9
 	var first, last units.Watts
 	for i, u := range []float64{0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
-		_, p, err := c.Choose(u)
+		_, p, err := c.Choose(u, c.ColdSource)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestChoosePowerInPaperBand(t *testing.T) {
 	// should land in the published ~3.5-4.6 W band.
 	c := newController(t)
 	for _, u := range []float64{0.15, 0.2, 0.25, 0.3} {
-		_, p, err := c.Choose(u)
+		_, p, err := c.Choose(u, c.ColdSource)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestChoosePowerInPaperBand(t *testing.T) {
 
 func TestChoosePrefersWarmInletHighFlow(t *testing.T) {
 	c := newController(t)
-	s, _, err := c.Choose(0.25)
+	s, _, err := c.Choose(0.25, c.ColdSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestChoosePrefersWarmInletHighFlow(t *testing.T) {
 func TestPowerAtZeroBelowColdSource(t *testing.T) {
 	c := newController(t)
 	// An outlet at or below the cold source generates nothing.
-	p := c.PowerAt(Setting{Flow: 200, Inlet: 10}, 0)
+	p := c.PowerAt(Setting{Flow: 200, Inlet: 10}, 0, c.ColdSource)
 	if p != 0 {
 		t.Errorf("power below cold source = %v, want 0", p)
 	}
@@ -190,11 +190,11 @@ func TestDecideLoadBalanceBeatsOriginalOnDispersedLoad(t *testing.T) {
 	// warmer inlet and harvests more power.
 	c := newController(t)
 	us := []float64{0.05, 0.1, 0.15, 0.2, 0.1, 0.15, 0.85, 0.1, 0.2, 0.15}
-	orig, err := c.Decide(us, Original)
+	orig, err := c.Decide(us, Original, c.ColdSource, &Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := c.Decide(us, LoadBalance)
+	lb, err := c.Decide(us, LoadBalance, c.ColdSource, &Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestDecideLoadBalanceBeatsOriginalOnDispersedLoad(t *testing.T) {
 func TestDecidePerServerPowerVariesUnderOriginal(t *testing.T) {
 	c := newController(t)
 	us := []float64{0.1, 0.9}
-	d, err := c.Decide(us, Original)
+	d, err := c.Decide(us, Original, c.ColdSource, &Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +231,10 @@ func TestDecidePerServerPowerVariesUnderOriginal(t *testing.T) {
 
 func TestDecideErrors(t *testing.T) {
 	c := newController(t)
-	if _, err := c.Decide(nil, Original); err == nil {
+	if _, err := c.Decide(nil, Original, c.ColdSource, &Scratch{}); err == nil {
 		t.Error("empty circulation should error")
 	}
-	if _, err := c.Decide([]float64{0.5}, Scheme("bogus")); err == nil {
+	if _, err := c.Decide([]float64{0.5}, Scheme("bogus"), c.ColdSource, &Scratch{}); err == nil {
 		t.Error("unknown scheme should error")
 	}
 }
@@ -257,7 +257,7 @@ func TestChooseFallbackWhenSlabUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, p, err := c.Choose(0.1)
+	s, p, err := c.Choose(0.1, c.ColdSource)
 	if err != nil {
 		t.Fatalf("fallback should succeed: %v", err)
 	}
@@ -275,11 +275,11 @@ func TestChooseFallbackWhenSlabUnreachable(t *testing.T) {
 
 func TestDecisionCacheExactMemoization(t *testing.T) {
 	c := newController(t)
-	s1, p1, err := c.Choose(0.35)
+	s1, p1, err := c.Choose(0.35, c.ColdSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, p2, err := c.Choose(0.35)
+	s2, p2, err := c.Choose(0.35, c.ColdSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +297,11 @@ func TestDecisionCacheQuantization(t *testing.T) {
 	quant.CacheQuantum = 1.0 / 256
 	// Two planes within half a quantum of each other must collapse onto
 	// the same cached decision.
-	s1, p1, err := quant.Choose(0.400001)
+	s1, p1, err := quant.Choose(0.400001, quant.ColdSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, p2, err := quant.Choose(0.400002)
+	s2, p2, err := quant.Choose(0.400002, quant.ColdSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestDecisionCacheQuantization(t *testing.T) {
 	// The quantized decision matches the exact controller evaluated at
 	// the snapped plane.
 	exact := newController(t)
-	se, pe, err := exact.Choose(math.Round(0.400001*256) / 256)
+	se, pe, err := exact.Choose(math.Round(0.400001*256)/256, exact.ColdSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,10 +322,10 @@ func TestDecisionCacheQuantization(t *testing.T) {
 		t.Errorf("quantized decision %v/%v != exact at snapped plane %v/%v", s1, p1, se, pe)
 	}
 	// Quantization never pushes the plane outside [0, 1].
-	if _, _, err := quant.Choose(0.9999999); err != nil {
+	if _, _, err := quant.Choose(0.9999999, quant.ColdSource); err != nil {
 		t.Errorf("plane near 1 should stay valid: %v", err)
 	}
-	if _, _, err := quant.Choose(0.0000001); err != nil {
+	if _, _, err := quant.Choose(0.0000001, quant.ColdSource); err != nil {
 		t.Errorf("plane near 0 should stay valid: %v", err)
 	}
 }
@@ -343,7 +343,7 @@ func TestDecisionCacheConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				u := float64((i*7+g)%101) / 100
-				if _, _, err := c.Choose(u); err != nil {
+				if _, _, err := c.Choose(u, c.ColdSource); err != nil {
 					t.Errorf("concurrent Choose(%v): %v", u, err)
 					return
 				}
@@ -355,11 +355,11 @@ func TestDecisionCacheConcurrentUse(t *testing.T) {
 	ref.CacheQuantum = 1.0 / 128
 	for i := 0; i <= 100; i++ {
 		u := float64(i) / 100
-		s1, p1, err := c.Choose(u)
+		s1, p1, err := c.Choose(u, c.ColdSource)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, p2, err := ref.Choose(u)
+		s2, p2, err := ref.Choose(u, ref.ColdSource)
 		if err != nil {
 			t.Fatal(err)
 		}

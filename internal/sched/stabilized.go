@@ -44,7 +44,8 @@ func (s *StabilizedController) Reset() {
 	s.Intervals = 0
 }
 
-// Decide runs one control interval with hysteresis.
+// Decide runs one control interval with hysteresis, against the inner
+// controller's default cold side (ColdSource).
 func (s *StabilizedController) Decide(us []float64, scheme Scheme) (Decision, error) {
 	planeU, err := PlaneUtilization(us, scheme)
 	if err != nil {
@@ -55,8 +56,8 @@ func (s *StabilizedController) Decide(us []float64, scheme Scheme) (Decision, er
 	if s.hasLast {
 		heldTemp := s.Inner.Space.CPUTemp(planeU, s.last.Flow, s.last.Inlet)
 		if heldTemp <= s.Inner.TSafe+s.Inner.Band {
-			heldPower := s.Inner.PowerAt(s.last, planeU)
-			_, bestPower, err := s.Inner.Choose(planeU)
+			heldPower := s.Inner.PowerAt(s.last, planeU, s.Inner.ColdSource)
+			_, bestPower, err := s.Inner.Choose(planeU, s.Inner.ColdSource)
 			if err != nil {
 				return Decision{}, err
 			}
@@ -65,7 +66,7 @@ func (s *StabilizedController) Decide(us []float64, scheme Scheme) (Decision, er
 			}
 		}
 	}
-	setting, _, err := s.Inner.Choose(planeU)
+	setting, _, err := s.Inner.Choose(planeU, s.Inner.ColdSource)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -93,7 +94,7 @@ func (s *StabilizedController) decideWith(setting Setting, us []float64, scheme 
 	}
 	spec := s.Inner.Space.Spec()
 	for i, u := range eff {
-		d.PerServerPower[i] = s.Inner.PowerAt(setting, u)
+		d.PerServerPower[i] = s.Inner.PowerAt(setting, u, s.Inner.ColdSource)
 		d.PerServerCPUPower[i] = spec.Power(u)
 		if t := s.Inner.Space.CPUTemp(u, setting.Flow, setting.Inlet); t > d.MaxCPUTemp {
 			d.MaxCPUTemp = t

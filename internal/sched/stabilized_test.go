@@ -25,7 +25,7 @@ func TestStabilizedMatchesPlainWithZeroThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	us := []float64{0.1, 0.3, 0.2}
-	plain, err := inner.Decide(us, LoadBalance)
+	plain, err := inner.Decide(us, LoadBalance, inner.ColdSource, &Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestStabilizedReducesActuations(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		u := 0.22 + rng.Float64()*0.06
 		us := []float64{u, u + 0.02, u - 0.02}
-		plain, err := inner.Decide(us, LoadBalance)
+		plain, err := inner.Decide(us, LoadBalance, inner.ColdSource, &Scratch{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ type schedMetrics struct {
 	// curveEvals counts candidate power-curve evaluations: the Step 2-3
 	// scan work performed on cache misses.
 	curveEvals *telemetry.Counter
-	// batchGroups/batchUnique histogram each DecideBatch call's width: how
+	// batchGroups/batchUnique histogram each DecideBatchCold call's width: how
 	// many groups it decided and how many distinct (quantized) planes
 	// survived the key dedup — the batch path's cache-probe compression.
 	batchGroups *telemetry.Histogram
@@ -58,14 +58,14 @@ func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 		chosenFlow: reg.Histogram(metricChosenFlow, "chosen coolant flow per decision",
 			telemetry.LinearBuckets(20, 20, 12)),
 		curveEvals: reg.Counter(metricCurveEvals, "candidate TEG power-curve evaluations (cache-miss scan work)"),
-		batchGroups: reg.Histogram(metricBatchGroups, "decision groups per DecideBatch call",
+		batchGroups: reg.Histogram(metricBatchGroups, "decision groups per DecideBatchCold call",
 			telemetry.LinearBuckets(0, 8, 9)),
-		batchUnique: reg.Histogram(metricBatchUnique, "distinct quantized planes per DecideBatch call",
+		batchUnique: reg.Histogram(metricBatchUnique, "distinct quantized planes per DecideBatchCold call",
 			telemetry.LinearBuckets(0, 4, 9)),
 	}
 }
 
-// observeBatch records one DecideBatch call's group and unique-plane counts
+// observeBatch records one DecideBatchCold call's group and unique-plane counts
 // when decision metrics are attached. One branch when they are not.
 func (c *Controller) observeBatch(groups, unique int) {
 	if m := c.met; m != nil {

@@ -18,22 +18,22 @@ func TestAttachNilTelemetryKeepsDecideIntoAllocationFree(t *testing.T) {
 		us[i] = float64(i) / 25
 	}
 	var sc Scratch
-	if _, err := c.DecideInto(us, Original, &sc); err != nil {
+	if _, err := c.Decide(us, Original, c.ColdSource, &sc); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := c.DecideInto(us, Original, &sc); err != nil {
+		if _, err := c.Decide(us, Original, c.ColdSource, &sc); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm DecideInto with nil registry = %v allocs/op, want 0", allocs)
+		t.Errorf("warm Decide with nil registry = %v allocs/op, want 0", allocs)
 	}
 }
 
 // TestAttachedTelemetryWarmPathAllocationFree checks the enabled regime adds
 // no garbage either: counters and histograms record via atomics only, so a
-// warm DecideInto stays allocation-free with a live registry attached.
+// warm Decide stays allocation-free with a live registry attached.
 func TestAttachedTelemetryWarmPathAllocationFree(t *testing.T) {
 	c := newController(t)
 	c.AttachTelemetry(telemetry.New())
@@ -42,16 +42,16 @@ func TestAttachedTelemetryWarmPathAllocationFree(t *testing.T) {
 		us[i] = float64(i) / 25
 	}
 	var sc Scratch
-	if _, err := c.DecideInto(us, Original, &sc); err != nil {
+	if _, err := c.Decide(us, Original, c.ColdSource, &sc); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := c.DecideInto(us, Original, &sc); err != nil {
+		if _, err := c.Decide(us, Original, c.ColdSource, &sc); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm DecideInto with live registry = %v allocs/op, want 0", allocs)
+		t.Errorf("warm Decide with live registry = %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -63,7 +63,7 @@ func TestAttachedCountersMatchCacheStats(t *testing.T) {
 	reg := telemetry.New()
 	c.AttachTelemetry(reg)
 	for i := 0; i < 40; i++ {
-		if _, _, err := c.Choose(float64(i%10) / 10); err != nil { // 10 planes, 4 rounds
+		if _, _, err := c.Choose(float64(i%10)/10, c.ColdSource); err != nil { // 10 planes, 4 rounds
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestChosenSettingDistribution(t *testing.T) {
 	c.AttachTelemetry(reg)
 	const n = 25
 	for i := 0; i < n; i++ {
-		if _, _, err := c.Choose(float64(i%5) / 5); err != nil {
+		if _, _, err := c.Choose(float64(i%5)/5, c.ColdSource); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,11 +129,11 @@ func TestAttachTelemetryPreservesDecisions(t *testing.T) {
 	inst.AttachTelemetry(telemetry.New())
 	for i := 0; i <= 100; i++ {
 		u := float64(i) / 100
-		s1, p1, err := plain.Choose(u)
+		s1, p1, err := plain.Choose(u, plain.ColdSource)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, p2, err := inst.Choose(u)
+		s2, p2, err := inst.Choose(u, inst.ColdSource)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,9 +119,8 @@ func TestShardedMatchesUnshardedWithFaults(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSerialDecidePath pins the legacy per-circulation decide
-// path (DisableBatch) across shard counts, closing the loop:
-// sharded+batched == one shard+batched == one shard+serial.
+// TestShardedMatchesSerialDecidePath pins the run across shard counts on a
+// drastic trace: sharded == one shard, for both schemes.
 func TestShardedMatchesSerialDecidePath(t *testing.T) {
 	const servers, seed = 40, 3
 	gcfg := trace.DrasticConfig(servers)
@@ -129,11 +128,9 @@ func TestShardedMatchesSerialDecidePath(t *testing.T) {
 	for _, scheme := range equivSchemes {
 		cfg := shardConfig(scheme)
 		want := oneShardRun(t, cfg, gcfg, genSeed, nil)
-		cfg.DisableBatch = true
-		serial := oneShardRun(t, cfg, gcfg, genSeed, nil)
 		got := shimRun(t, cfg, gcfg, genSeed, &Options{Shards: 3})
-		if !reflect.DeepEqual(want, serial) || !reflect.DeepEqual(want, got) {
-			t.Errorf("%s serial-decide: sharded result differs from one shard", scheme)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: sharded result differs from one shard", scheme)
 		}
 	}
 }

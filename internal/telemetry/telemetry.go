@@ -10,9 +10,9 @@
 //     every instrument method is nil-receiver safe: recording on a nil
 //     Counter, Gauge, Histogram or Tracer is a branch on the receiver and
 //     nothing else — no allocation, no atomic operation, no time read. The
-//     decision hot path (sched.Controller.DecideInto, core.Circulation.Step)
-//     stays at zero allocations per warm interval, pinned by AllocsPerRun
-//     regression tests.
+//     decision hot path (sched.Controller.Decide and DecideBatchCold, the
+//     engine's interval step) stays at zero allocations per warm interval,
+//     pinned by AllocsPerRun regression tests.
 //
 //   - Enabled. Instruments are lock-free and allocation-free on the record
 //     path: counters and histograms are sharded and cache-line padded like
