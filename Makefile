@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet vuln test race check fuzz-check load-check perfbench-check bench bench-all experiments clean
+.PHONY: all build vet vuln test race check fuzz-check load-check perfbench-check results-check bench bench-all experiments clean
 
 all: check
 
@@ -68,10 +68,21 @@ load-check:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# results-check regenerates every experiment table at the paper's scale into
+# a temporary directory and diffs each CSV against the committed results/
+# (`make experiments` writes them there), so a table that drifted, or one
+# that exists but was never committed, fails the gate.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run ./cmd/h2pbench -exp all -csv "$$tmp" >/dev/null && \
+		diff -r -x '*.txt' -x '*.md' results "$$tmp" && \
+		echo "results-check: every CSV in results/ matches a fresh run"
+
 # check is the tier-1 gate: vet + best-effort vuln scan + build +
 # race-enabled tests of every package + the fuzz smoke runs + the
-# multi-tenant load profile + the benchmark driver's vet and tests.
-check: vet vuln build race fuzz-check load-check perfbench-check
+# multi-tenant load profile + the benchmark driver's vet and tests + the
+# committed experiment tables.
+check: vet vuln build race fuzz-check load-check perfbench-check results-check
 
 # bench tracks the decision hot path across PRs: the Decision* benchmarks in
 # internal/lookup (candidate scan) and internal/sched (controller) run with

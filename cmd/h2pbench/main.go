@@ -42,7 +42,6 @@ func main() {
 	servers := flag.Int("servers", 1000, "cluster size for trace-driven experiments")
 	seed := flag.Int64("seed", 42, "workload generator seed")
 	workers := flag.Int("workers", 0, "engine shards per run "+core.ParallelismFlagHelp)
-	shards := flag.Int("shards", -1, "alias for -workers that takes precedence over it; -1 = unset "+core.ParallelismFlagHelp)
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	reportPath := flag.String("report", "", "write a markdown report of every experiment to this file and exit")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry (/metrics, /metrics.json, /trace) on this address")
@@ -50,7 +49,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the span trace (JSON) to this file at exit")
 	faultPlan := flag.String("fault-plan", "", "fault plan for trace-driven experiments: JSON file or 'kind:rate[:severity],...' DSL")
 	faultSeed := flag.Int64("fault-seed", 1, "fault activation seed")
-	stream := flag.Bool("stream", false, "evaluate traces through streaming generator sources with O(servers) memory (bit-identical results)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	benchEnv := flag.Bool("bench-env", false, "print the benchmark environment header (one JSON line, `make bench` stamps it into BENCH_*.json) and exit")
@@ -84,18 +82,6 @@ func main() {
 	params := experiments.EvalParams{
 		Servers: *servers, Seed: *seed, Workers: *workers,
 		Faults: plan, FaultSeed: *faultSeed,
-		Streaming: *stream,
-	}
-	if *shards < -1 {
-		fmt.Fprintln(os.Stderr, "h2pbench: -shards must be -1 (unset), 0 (all CPUs) or positive")
-		os.Exit(1)
-	}
-	// shardCount is the resolved -shards (0 when unset), recorded in the
-	// journal manifest; -shards 0 means exactly what -workers 0 means.
-	shardCount := 0
-	if *shards >= 0 {
-		shardCount = core.ResolveParallelism(*shards)
-		params.Workers = shardCount
 	}
 	if *telemetryAddr != "" || *metricsOut != "" || *traceOut != "" {
 		params.Telemetry = telemetry.New()
@@ -130,10 +116,9 @@ func main() {
 				ServersPerCirculation: 0,
 				Scheme:                "both",
 				Workers:               core.ResolveParallelism(*workers),
-				Shards:                shardCount,
 				Seed:                  *seed,
 				FaultSeed:             *faultSeed,
-				Streaming:             *stream,
+				Streaming:             true,
 			},
 			Env: obs.CaptureEnvironment(),
 		}

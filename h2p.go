@@ -130,7 +130,7 @@ func RunContext(ctx context.Context, tr *Trace, cfg Config) (*Result, error) {
 // configuration) and returns (original, loadBalance). The two schemes run
 // concurrently over one shared look-up space.
 func Compare(tr *Trace, cfg Config) (*Result, *Result, error) {
-	return core.Compare(tr, cfg)
+	return core.NewFleet().CompareContext(context.Background(), tr, cfg)
 }
 
 // Fleet runs trace x scheme combinations concurrently, memoizing one

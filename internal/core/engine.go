@@ -23,8 +23,8 @@
 //     boundaries and resume bit-identically (checkpoint.go). The in-memory
 //     Run/RunContext API is a thin adapter over it.
 //   - Fleet (fleet.go) runs whole trace x scheme combinations
-//     concurrently, sharing one immutable look-up space per CPU spec and
-//     axes.
+//     concurrently through one driver (RunSourcesContext), sharing one
+//     immutable look-up space per CPU spec and axes.
 //
 // Results are bit-identical for any worker count: the merge follows
 // circulation index order, so no floating-point sum is ever reassociated.
@@ -419,6 +419,23 @@ func NewEngine(cfg Config) (*Engine, error) {
 // newEngineWithSpace wires an engine around an existing look-up space. The
 // space must have been built for cfg.Spec and cfg.Axes; it is only read.
 func newEngineWithSpace(cfg Config, space *lookup.Space) (*Engine, error) {
+	ctl, err := newController(cfg, space)
+	if err != nil {
+		return nil, err
+	}
+	inj, err := cfg.Faults.Compile(cfg.FaultSeed)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{cfg: cfg, controller: ctl, plant: cfg.Plant(),
+		env: cfg.EnvSource(), met: newEngineMetrics(cfg.Telemetry), inj: inj}, nil
+}
+
+// newController builds the cooling controller for cfg over space: the
+// SP1848 module stack with flow derating, cfg's cold source and decision
+// quantum, and — when cfg.Telemetry is set — the decision stack's
+// instruments.
+func newController(cfg Config, space *lookup.Space) (*sched.Controller, error) {
 	mod, err := teg.NewModule(teg.SP1848(), cfg.TEGsPerServer)
 	if err != nil {
 		return nil, err
@@ -438,12 +455,7 @@ func newEngineWithSpace(cfg Config, space *lookup.Space) (*Engine, error) {
 		ctl.AttachTelemetry(cfg.Telemetry)
 		space.AttachTelemetry(cfg.Telemetry)
 	}
-	inj, err := cfg.Faults.Compile(cfg.FaultSeed)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{cfg: cfg, controller: ctl, plant: cfg.Plant(),
-		env: cfg.EnvSource(), met: newEngineMetrics(cfg.Telemetry), inj: inj}, nil
+	return ctl, nil
 }
 
 // Controller exposes the engine's cooling controller (used by benches and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -103,7 +104,7 @@ func TestLoadBalanceBeatsOriginalOnAllClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range trs {
-		orig, lb, err := Compare(tr, smallConfig(sched.Original))
+		orig, lb, err := NewFleet().CompareContext(context.Background(), tr, smallConfig(sched.Original))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestReproductionBandsFullScale(t *testing.T) {
 	}
 	var sumOrig, sumLB, sumPreLB float64
 	for _, tr := range trs {
-		orig, lb, err := Compare(tr, DefaultConfig(sched.Original))
+		orig, lb, err := NewFleet().CompareContext(context.Background(), tr, DefaultConfig(sched.Original))
 		if err != nil {
 			t.Fatal(err)
 		}

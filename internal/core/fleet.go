@@ -64,100 +64,42 @@ func (f *Fleet) Engine(cfg Config) (*Engine, error) {
 	return newEngineWithSpace(cfg, space)
 }
 
-// fleetRun identifies one trace x scheme combination.
-type fleetRun struct {
-	tr     *trace.Trace
-	scheme sched.Scheme
-	out    **Result
-}
-
-// runAll evaluates every combination concurrently, one goroutine per run,
-// each run internally spread across cfg.Workers shards. The first error (in
-// combination order) wins; a cancelled context aborts all runs.
-func (f *Fleet) runAll(ctx context.Context, base Config, runs []fleetRun) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(runs))
-	var wg sync.WaitGroup
-	wg.Add(len(runs))
-	for i, r := range runs {
-		go func(i int, r fleetRun) {
-			defer wg.Done()
-			cfg := base
-			cfg.Scheme = r.scheme
-			eng, err := f.Engine(cfg)
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			res, err := eng.RunContext(ctx, r.tr)
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			*r.out = res
-		}(i, r)
-	}
-	wg.Wait()
-	// Prefer a real simulation error over the cancellation it triggered
-	// in sibling runs.
-	var firstCancel error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if firstCancel == nil {
-				firstCancel = err
-			}
-			continue
-		}
-		return err
-	}
-	return firstCancel
-}
-
 // CompareContext runs the trace under both schemes concurrently with
-// otherwise identical configuration and returns (original, loadBalance).
-// Results are bit-identical to running two serial engines back-to-back.
+// otherwise identical configuration and returns (original, loadBalance),
+// each with its interval series retained. Results are bit-identical to
+// running two serial engines back-to-back.
 func (f *Fleet) CompareContext(ctx context.Context, tr *trace.Trace, base Config) (*Result, *Result, error) {
-	var orig, lb *Result
-	runs := []fleetRun{
-		{tr: tr, scheme: sched.Original, out: &orig},
-		{tr: tr, scheme: sched.LoadBalance, out: &lb},
-	}
-	if err := f.runAll(ctx, base, runs); err != nil {
+	orig, lb, err := f.EvaluateContext(ctx, []*trace.Trace{tr}, base)
+	if err != nil {
 		return nil, nil, err
 	}
-	return orig, lb, nil
+	return orig[0], lb[0], nil
 }
 
-// EvaluateContext runs every trace under both schemes concurrently and
-// returns the results in trace order.
+// EvaluateContext runs every trace under both schemes concurrently through
+// RunSourcesContext, each run reading its own TraceSource over the shared
+// matrix with the interval series retained, and returns the results in
+// trace order.
 func (f *Fleet) EvaluateContext(ctx context.Context, traces []*trace.Trace, base Config) (orig, lb []*Result, err error) {
-	orig = make([]*Result, len(traces))
-	lb = make([]*Result, len(traces))
-	runs := make([]fleetRun, 0, 2*len(traces))
-	for i, tr := range traces {
+	opts := &RunOptions{KeepSeries: true}
+	runs := make([]SourceRun, 0, 2*len(traces))
+	for _, tr := range traces {
+		open := func() (trace.Source, error) { return trace.NewTraceSource(tr) }
 		runs = append(runs,
-			fleetRun{tr: tr, scheme: sched.Original, out: &orig[i]},
-			fleetRun{tr: tr, scheme: sched.LoadBalance, out: &lb[i]},
+			SourceRun{Open: open, Scheme: sched.Original, Opts: opts},
+			SourceRun{Open: open, Scheme: sched.LoadBalance, Opts: opts},
 		)
 	}
-	if err := f.runAll(ctx, base, runs); err != nil {
+	results, err := f.RunSourcesContext(ctx, base, runs)
+	if err != nil {
 		return nil, nil, err
 	}
+	orig = make([]*Result, len(traces))
+	lb = make([]*Result, len(traces))
+	for i := range traces {
+		orig[i], lb[i] = results[2*i], results[2*i+1]
+	}
 	return orig, lb, nil
-}
-
-// Compare runs the same trace under both schemes with otherwise identical
-// configuration and returns (original, loadBalance). The two schemes run
-// concurrently over one shared look-up space; results are bit-identical to
-// the historical serial implementation.
-func Compare(tr *trace.Trace, base Config) (*Result, *Result, error) {
-	return NewFleet().CompareContext(context.Background(), tr, base)
 }
 
 // SourceOpener produces the trace.Source one run reads: a fresh, private
@@ -194,7 +136,7 @@ func (f *Fleet) RunSourcesContext(ctx context.Context, base Config, runs []Sourc
 	for i, r := range runs {
 		go func(i int, r SourceRun) {
 			defer wg.Done()
-			res, err := f.runSource(ctx, base, r)
+			res, err := f.RunSource(ctx, base, r)
 			if err != nil {
 				errs[i] = err
 				if !errors.Is(err, ErrHalted) {
@@ -228,9 +170,10 @@ func (f *Fleet) RunSourcesContext(ctx context.Context, base Config, runs []Sourc
 	return results, firstHalt
 }
 
-// runSource opens one run's source, runs it, and closes the source whatever
+// RunSource evaluates one run on an engine built for base with the run's
+// scheme: it opens the run's source, runs it, and closes the source whatever
 // the outcome — an engine build failure included.
-func (f *Fleet) runSource(ctx context.Context, base Config, r SourceRun) (res *Result, err error) {
+func (f *Fleet) RunSource(ctx context.Context, base Config, r SourceRun) (res *Result, err error) {
 	src, err := r.Open()
 	if err != nil {
 		return nil, err
@@ -249,20 +192,4 @@ func (f *Fleet) runSource(ctx context.Context, base Config, r SourceRun) (res *R
 		return nil, err
 	}
 	return eng.RunSourceContext(ctx, src, r.Opts)
-}
-
-// CompareSourceContext runs one source under both schemes concurrently —
-// the streaming counterpart of CompareContext — and returns (original,
-// loadBalance). Each scheme gets its own source from open and its own
-// options; results are bit-identical to materializing the source and
-// running CompareContext.
-func (f *Fleet) CompareSourceContext(ctx context.Context, open SourceOpener, base Config, origOpts, lbOpts *RunOptions) (*Result, *Result, error) {
-	results, err := f.RunSourcesContext(ctx, base, []SourceRun{
-		{Open: open, Scheme: sched.Original, Opts: origOpts},
-		{Open: open, Scheme: sched.LoadBalance, Opts: lbOpts},
-	})
-	if err != nil {
-		return results[0], results[1], err
-	}
-	return results[0], results[1], nil
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/h2p-sim/h2p/internal/lookup"
 	"github.com/h2p-sim/h2p/internal/sched"
 	"github.com/h2p-sim/h2p/internal/stats"
-	"github.com/h2p-sim/h2p/internal/teg"
 	"github.com/h2p-sim/h2p/internal/trace"
 	"github.com/h2p-sim/h2p/internal/units"
 )
@@ -44,12 +43,7 @@ func NewHeterogeneousEngine(cfg Config, specs []cpu.Spec, assign func(circulatio
 		if err != nil {
 			return nil, err
 		}
-		mod, err := teg.NewModule(teg.SP1848(), cfg.TEGsPerServer)
-		if err != nil {
-			return nil, err
-		}
-		mod.FlowDerating = teg.DefaultFlowDerating()
-		ctl, err := sched.NewController(space, mod, cfg.ColdSource)
+		ctl, err := newController(cfg, space)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/h2p-sim/h2p/internal/cpu"
 	"github.com/h2p-sim/h2p/internal/sched"
+	"github.com/h2p-sim/h2p/internal/telemetry"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
@@ -120,5 +121,39 @@ func TestWeightedMean(t *testing.T) {
 	}
 	if got := WeightedMean([]float64{2, 4}, []int{0, 0}); got != 3 {
 		t.Errorf("zero weights should fall back to the plain mean, got %v", got)
+	}
+}
+
+// TestHeterogeneousControllersCarryEngineSetup pins that every SKU's
+// controller is built like a homogeneous engine's: it carries the decision
+// quantum and reports into the configured telemetry registry.
+func TestHeterogeneousControllersCarryEngineSetup(t *testing.T) {
+	tr, err := trace.Generate(trace.CommonConfig(60), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig(sched.LoadBalance)
+	cfg.DecisionQuantum = 1.0 / 512
+	cfg.Telemetry = telemetry.New()
+	eng, err := NewHeterogeneousEngine(cfg, allSKUs(), RoundRobinAssignment(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, ctl := range eng.controllers {
+		if ctl.CacheQuantum != cfg.DecisionQuantum {
+			t.Errorf("SKU %d controller quantum = %v, want %v", s, ctl.CacheQuantum, cfg.DecisionQuantum)
+		}
+	}
+	if _, err := eng.Run(tr); err != nil {
+		t.Fatal(err)
+	}
+	var calls uint64
+	for _, c := range cfg.Telemetry.Snapshot().Counters {
+		if c.Name == "h2p_decision_cache_calls_total" {
+			calls = c.Value
+		}
+	}
+	if calls == 0 {
+		t.Error("heterogeneous run recorded no decision-cache calls in the telemetry registry")
 	}
 }

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"sync/atomic"
-	"time"
-)
-
 // RunObserver receives run-lifecycle callbacks from the streaming run loop
 // (RunSourceContext): one call per merged interval, plus checkpoint, resume
 // and halt boundaries. It is the seam the observability layer (internal/obs)
@@ -68,57 +63,4 @@ type ShardStats struct {
 // over the run's final ShardStats when the run returns.
 type ShardStatsSink interface {
 	AttachShardStats(stats func() ShardStats)
-}
-
-// statsCollector accumulates pipeline timings with one atomic per event.
-// Writers are the decoder, the shard workers (each owning its own slot) and
-// the merger; the snapshot reader is the observer's goroutine.
-type statsCollector struct {
-	decodeNanos    atomic.Int64
-	mergeWaits     atomic.Int64
-	mergeWaitNanos atomic.Int64
-	stepNanos      []atomic.Int64
-}
-
-func newStatsCollector(shards int) *statsCollector {
-	return &statsCollector{stepNanos: make([]atomic.Int64, shards)}
-}
-
-// nil-safe observation hooks; start is always set when the collector is.
-
-func (c *statsCollector) observeDecode(start time.Time) {
-	if c == nil {
-		return
-	}
-	c.decodeNanos.Add(int64(time.Since(start)))
-}
-
-func (c *statsCollector) observeStep(shard int, start time.Time) {
-	if c == nil {
-		return
-	}
-	c.stepNanos[shard].Add(int64(time.Since(start)))
-}
-
-func (c *statsCollector) observeMergeWait(start time.Time) {
-	if c == nil {
-		return
-	}
-	c.mergeWaits.Add(1)
-	c.mergeWaitNanos.Add(int64(time.Since(start)))
-}
-
-// snapshot folds the counters into a ShardStats value.
-func (c *statsCollector) snapshot() ShardStats {
-	st := ShardStats{
-		Shards:           len(c.stepNanos),
-		DecodeSeconds:    time.Duration(c.decodeNanos.Load()).Seconds(),
-		MergeWaits:       c.mergeWaits.Load(),
-		MergeWaitSeconds: time.Duration(c.mergeWaitNanos.Load()).Seconds(),
-		StepSeconds:      make([]float64, len(c.stepNanos)),
-	}
-	for s := range c.stepNanos {
-		st.StepSeconds[s] = time.Duration(c.stepNanos[s].Load()).Seconds()
-	}
-	return st
 }

@@ -137,7 +137,6 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 	for s, r := range ranges {
 		runners[s] = &ShardRunner{eng: e, circs: e.circulationsRange(meta.Servers, r.Lo, r.Hi)}
 	}
-	pm := newPipelineMetrics(e.cfg.Telemetry, shards)
 	if m := e.met; m != nil {
 		m.circulations.Set(float64(nCircs))
 	}
@@ -147,32 +146,30 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 	// exit path, and swaps in the run's final values: an observer that
 	// outlives the run then holds O(shards) bytes, not the engine.
 	obs := opts.Observer
-	var stats *statsCollector
-	if obs != nil {
-		if sink, ok := obs.(CacheStatsSink); ok {
-			sink.AttachCacheStats(e.controller.CacheStats)
-			defer func() {
-				hits, calls := e.controller.CacheStats()
-				sink.AttachCacheStats(func() (uint64, uint64) { return hits, calls })
-			}()
-		}
-		if sink, ok := obs.(ShardStatsSink); ok {
-			stats = newStatsCollector(shards)
-			sink.AttachShardStats(stats.snapshot)
-			defer func() {
-				final := stats.snapshot()
-				sink.AttachShardStats(func() ShardStats {
-					st := final
-					st.StepSeconds = slices.Clone(final.StepSeconds)
-					return st
-				})
-			}()
-		}
+	if sink, ok := obs.(CacheStatsSink); ok {
+		sink.AttachCacheStats(e.controller.CacheStats)
+		defer func() {
+			hits, calls := e.controller.CacheStats()
+			sink.AttachCacheStats(func() (uint64, uint64) { return hits, calls })
+		}()
+	}
+	statsSink, _ := obs.(ShardStatsSink)
+	pm := newPipelineMetrics(e.cfg.Telemetry, shards, statsSink != nil)
+	if statsSink != nil {
+		statsSink.AttachShardStats(pm.snapshot)
+		defer func() {
+			final := pm.snapshot()
+			statsSink.AttachShardStats(func() ShardStats {
+				st := final
+				st.StepSeconds = slices.Clone(final.StepSeconds)
+				return st
+			})
+		}()
 	}
 	// timed gates the pipeline's clock reads: they exist for the telemetry
 	// registry and/or the observer's stats, and are skipped entirely — no
 	// time.Now anywhere in the pipeline — when neither is attached.
-	timed := e.met != nil || stats != nil
+	timed := pm != nil
 
 	// The running aggregates fold in interval order, so no floating-point
 	// sum is ever reassociated.
@@ -290,7 +287,6 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 				return
 			}
 			pm.observeDecode(i, sl.start)
-			stats.observeDecode(sl.start)
 			sl.pending.Store(int32(shards))
 			for _, ch := range work {
 				ch <- sl
@@ -319,7 +315,6 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 				}
 				runner.Step(sl.col, sl.interval, sl.parts[r.Lo:r.Hi], sl.errs[r.Lo:r.Hi])
 				pm.observeStep(s, sl.interval, t0)
-				stats.observeStep(s, t0)
 				if sl.pending.Add(-1) == 0 {
 					mergeCh <- sl
 				}
@@ -354,7 +349,6 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 				}
 			}
 			pm.observeMergeWait(i, t0)
-			stats.observeMergeWait(t0)
 		}
 		if sl.decodeErr != nil {
 			return nil, sl.decodeErr

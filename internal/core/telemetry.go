@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/telemetry"
@@ -224,59 +225,69 @@ func (m *engineMetrics) observeStep(index int, start time.Time, outlet float64) 
 	m.tracer.Record(spanCirculation, int64(index), start, d)
 }
 
-// pipelineMetrics instruments the run pipeline: per-shard step latency
-// (hinted by shard index so shards never contend on a counter cell), the
-// merger's wait for its next in-order slot (the pipeline's bubble gauge),
-// and decoder latency (the prefetch headroom). Every observation also lands
-// in the registry's span tracer, so the ring exports as a per-shard
-// timeline. nil — the default when Config.Telemetry is nil — disables
-// everything; simulation results are bit-identical either way.
+// pipelineMetrics is a run's one pipeline clock. It reads time.Since once per
+// pipeline event — a column decode, one shard stepping one interval, the
+// merger's wait for its next in-order interval — and feeds the duration to
+// the telemetry registry's instruments (hinted by shard index so shards never
+// contend; set only with Config.Telemetry, and nil-safe otherwise; the spans
+// export as a per-shard timeline) and to the cumulative counters behind the
+// observer's ShardStats. Each counter has one writer: the decoder, the
+// merger, or the shard owning its stepNanos slot. nil when neither consumer
+// is attached, so the pipeline never reads the clock; simulation results are
+// bit-identical either way.
 type pipelineMetrics struct {
-	shards    *telemetry.Gauge
-	prefetch  *telemetry.Gauge
 	steps     *telemetry.Counter
 	stepSec   *telemetry.Histogram
 	mergeWait *telemetry.Histogram
 	decodeSec *telemetry.Histogram
 	tracer    *telemetry.Tracer
 	stepNames []string
+
+	decodeNanos    atomic.Int64
+	mergeWaits     atomic.Int64
+	mergeWaitNanos atomic.Int64
+	stepNanos      []atomic.Int64
 }
 
-// newPipelineMetrics registers the pipeline's instruments with reg; a nil
-// registry yields nil (telemetry disabled).
-func newPipelineMetrics(reg *telemetry.Registry, shards int) *pipelineMetrics {
-	if reg == nil {
+// newPipelineMetrics returns the clock for a run over the given shard
+// count: registered with reg when it is non-nil, and kept for the observer
+// when stats is set. It returns nil when neither holds.
+func newPipelineMetrics(reg *telemetry.Registry, shards int, stats bool) *pipelineMetrics {
+	if reg == nil && !stats {
 		return nil
 	}
 	m := &pipelineMetrics{
-		shards:   reg.Gauge(metricShards, "engine shards in the run pipeline"),
-		prefetch: reg.Gauge(metricPrefetchDepth, "column prefetch pipeline depth (slots)"),
-		steps:    reg.Counter(metricShardSteps, "shard-intervals stepped (intervals x shards)"),
-		stepSec: reg.Histogram(metricShardStepSec, "wall-clock seconds one shard spent stepping one interval",
-			telemetry.ExponentialBuckets(1e-5, 4, 10)),
-		mergeWait: reg.Histogram(metricMergeWaitSec, "seconds the merger waited for its next in-order interval",
-			telemetry.ExponentialBuckets(1e-7, 4, 10)),
-		decodeSec: reg.Histogram(metricDecodeSec, "seconds the decoder spent producing one column",
-			telemetry.ExponentialBuckets(1e-6, 4, 10)),
-		tracer:    reg.Tracer(telemetry.DefaultTraceCapacity),
 		stepNames: make([]string, shards),
+		stepNanos: make([]atomic.Int64, shards),
 	}
 	// Names are precomputed once per run so recording a span never
 	// allocates.
 	for s := range m.stepNames {
 		m.stepNames[s] = fmt.Sprintf("shard%02d.step", s)
 	}
-	m.shards.Set(float64(shards))
-	m.prefetch.Set(pipelineDepth)
+	if reg == nil {
+		return m
+	}
+	m.steps = reg.Counter(metricShardSteps, "shard-intervals stepped (intervals x shards)")
+	m.stepSec = reg.Histogram(metricShardStepSec, "wall-clock seconds one shard spent stepping one interval",
+		telemetry.ExponentialBuckets(1e-5, 4, 10))
+	m.mergeWait = reg.Histogram(metricMergeWaitSec, "seconds the merger waited for its next in-order interval",
+		telemetry.ExponentialBuckets(1e-7, 4, 10))
+	m.decodeSec = reg.Histogram(metricDecodeSec, "seconds the decoder spent producing one column",
+		telemetry.ExponentialBuckets(1e-6, 4, 10))
+	m.tracer = reg.Tracer(telemetry.DefaultTraceCapacity)
+	reg.Gauge(metricShards, "engine shards in the run pipeline").Set(float64(shards))
+	reg.Gauge(metricPrefetchDepth, "column prefetch pipeline depth (slots)").Set(pipelineDepth)
 	return m
 }
 
-// observeStep records one shard stepping one interval, hinted by shard index.
+// observeStep records one shard stepping one interval.
 func (m *pipelineMetrics) observeStep(shard, interval int, start time.Time) {
 	if m == nil {
 		return
 	}
 	d := time.Since(start)
+	m.stepNanos[shard].Add(int64(d))
 	hint := uint64(shard)
 	m.steps.AddHint(hint, 1)
 	m.stepSec.ObserveHint(hint, d.Seconds())
@@ -289,6 +300,8 @@ func (m *pipelineMetrics) observeMergeWait(interval int, start time.Time) {
 		return
 	}
 	d := time.Since(start)
+	m.mergeWaits.Add(1)
+	m.mergeWaitNanos.Add(int64(d))
 	m.mergeWait.Observe(d.Seconds())
 	m.tracer.Record(spanMergeWait, int64(interval), start, d)
 }
@@ -299,6 +312,22 @@ func (m *pipelineMetrics) observeDecode(interval int, start time.Time) {
 		return
 	}
 	d := time.Since(start)
+	m.decodeNanos.Add(int64(d))
 	m.decodeSec.Observe(d.Seconds())
 	m.tracer.Record(spanDecode, int64(interval), start, d)
+}
+
+// snapshot folds the cumulative counters into a ShardStats value.
+func (m *pipelineMetrics) snapshot() ShardStats {
+	st := ShardStats{
+		Shards:           len(m.stepNanos),
+		DecodeSeconds:    time.Duration(m.decodeNanos.Load()).Seconds(),
+		MergeWaits:       m.mergeWaits.Load(),
+		MergeWaitSeconds: time.Duration(m.mergeWaitNanos.Load()).Seconds(),
+		StepSeconds:      make([]float64, len(m.stepNanos)),
+	}
+	for s := range m.stepNanos {
+		st.StepSeconds[s] = time.Duration(m.stepNanos[s].Load()).Seconds()
+	}
+	return st
 }

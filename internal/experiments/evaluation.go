@@ -31,12 +31,6 @@ type EvalParams struct {
 	Faults *fault.Plan
 	// FaultSeed fixes the fault activation draws (see core.Config.FaultSeed).
 	FaultSeed int64
-	// Streaming evaluates the traces through generator sources instead of
-	// materialized matrices: each engine pulls columns on the fly with an
-	// O(servers) working set. Results are bit-identical to the in-memory
-	// path — the generator source replays the exact RNG schedule Generate
-	// uses — so the flag only changes the memory profile.
-	Streaming bool
 }
 
 // DefaultEvalParams is the paper's evaluation scale.
@@ -53,54 +47,39 @@ func (p EvalParams) Config(scheme sched.Scheme) core.Config {
 	return cfg
 }
 
-// runs the three-trace comparison once, every trace x scheme combination in
-// flight concurrently over one shared look-up space. The returned classes
-// identify the traces in run order; the callers only ever needed the class,
-// which is what lets the streaming path skip materializing the traces.
-// keepSeries is only consulted on the streaming path — the in-memory API
-// always retains the interval series.
-func runComparison(p EvalParams, keepSeries bool) ([]trace.Class, []*core.Result, []*core.Result, error) {
-	if p.Streaming {
-		return runStreamingComparison(p, keepSeries)
-	}
-	traces, err := trace.GenerateAll(p.Servers, p.Seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	origs, lbs, err := core.NewFleet().EvaluateContext(context.Background(), traces, p.Config(sched.Original))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	classes := make([]trace.Class, len(traces))
-	for i, tr := range traces {
-		classes[i] = tr.Class
-	}
-	return classes, origs, lbs, nil
-}
-
-// runStreamingComparison is runComparison over generator sources: the same
-// classes, seeds and arithmetic, never materializing a matrix.
-func runStreamingComparison(p EvalParams, keepSeries bool) ([]trace.Class, []*core.Result, []*core.Result, error) {
+// canonicalRuns builds one run per canonical trace class (trace.GenerateAll's
+// classes and seeds) and scheme, trace-major: class i under schemes[j] is
+// run i*len(schemes)+j. Each run pulls its columns from its own generator
+// source, which replays Generate's exact RNG schedule, so no trace matrix is
+// ever materialized.
+func canonicalRuns(p EvalParams, opts *core.RunOptions, schemes ...sched.Scheme) ([]trace.Class, []core.SourceRun) {
 	cfgs := trace.CanonicalConfigs(p.Servers)
 	classes := make([]trace.Class, len(cfgs))
-	runs := make([]core.SourceRun, 0, 2*len(cfgs))
-	opts := &core.RunOptions{KeepSeries: keepSeries}
+	runs := make([]core.SourceRun, 0, len(schemes)*len(cfgs))
 	for i, cfg := range cfgs {
 		classes[i] = cfg.Class
 		seed := trace.CanonicalSeed(p.Seed, i)
 		open := func() (trace.Source, error) { return trace.NewGeneratorSource(cfg, seed) }
-		runs = append(runs,
-			core.SourceRun{Open: open, Scheme: sched.Original, Opts: opts},
-			core.SourceRun{Open: open, Scheme: sched.LoadBalance, Opts: opts},
-		)
+		for _, scheme := range schemes {
+			runs = append(runs, core.SourceRun{Open: open, Scheme: scheme, Opts: opts})
+		}
 	}
+	return classes, runs
+}
+
+// runComparison runs the three-trace comparison once, every trace x scheme
+// combination in flight concurrently over one shared look-up space, and
+// returns the trace classes with the (original, loadBalance) results in run
+// order. keepSeries retains each run's interval series.
+func runComparison(p EvalParams, keepSeries bool) ([]trace.Class, []*core.Result, []*core.Result, error) {
+	classes, runs := canonicalRuns(p, &core.RunOptions{KeepSeries: keepSeries}, sched.Original, sched.LoadBalance)
 	results, err := core.NewFleet().RunSourcesContext(context.Background(), p.Config(sched.Original), runs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	origs := make([]*core.Result, len(cfgs))
-	lbs := make([]*core.Result, len(cfgs))
-	for i := range cfgs {
+	origs := make([]*core.Result, len(classes))
+	lbs := make([]*core.Result, len(classes))
+	for i := range classes {
 		origs[i], lbs[i] = results[2*i], results[2*i+1]
 	}
 	return classes, origs, lbs, nil

@@ -139,7 +139,7 @@ func TestFig14And15SmallScale(t *testing.T) {
 }
 
 // TestFig14ShardedMatchesDefault pins the shard count (EvalParams.Workers,
-// which h2pbench -shards sets): spreading each run over one or three engine
+// which h2pbench -workers sets): spreading each run over one or three engine
 // shards must leave every table cell identical — the tables are formatted
 // from the folded results, so equal strings mean bit-equal aggregates.
 func TestFig14ShardedMatchesDefault(t *testing.T) {

@@ -20,10 +20,6 @@ var faultSweepRates = []float64{0, 0.05, 0.10, 0.20}
 // default). The healthy row is bit-identical to the fault-free engine; the
 // faulted rows must decline smoothly rather than collapse or go non-finite.
 func FaultSweep(p EvalParams) (*Table, error) {
-	traces, err := trace.GenerateAll(p.Servers, p.Seed)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "FAULTS",
 		Title:   "Harvested power per CPU (TEG_Original) vs TEG degradation rate",
@@ -37,21 +33,22 @@ func FaultSweep(p EvalParams) (*Table, error) {
 			cfg.Faults = &fault.Plan{Specs: []fault.Spec{{Kind: fault.TEGDegrade, Rate: rate}}}
 			cfg.FaultSeed = p.FaultSeed
 		}
+		classes, runs := canonicalRuns(p, nil, sched.Original)
+		origs, err := fleet.RunSourcesContext(context.Background(), cfg, runs)
+		if err != nil {
+			return nil, err
+		}
 		byClass := map[trace.Class]float64{}
 		var sum float64
 		var degraded int64
-		for _, tr := range traces {
-			orig, _, err := fleet.CompareContext(context.Background(), tr, cfg)
-			if err != nil {
-				return nil, err
-			}
-			byClass[tr.Class] = float64(orig.AvgTEGPowerPerServer)
+		for i, orig := range origs {
+			byClass[classes[i]] = float64(orig.AvgTEGPowerPerServer)
 			sum += float64(orig.AvgTEGPowerPerServer)
 			if orig.Faults.DegradedTEG > degraded {
 				degraded = orig.Faults.DegradedTEG
 			}
 		}
-		avg := sum / float64(len(traces))
+		avg := sum / float64(len(origs))
 		if rate == 0 {
 			baselineAvg = avg
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/h2p-sim/h2p/internal/core"
@@ -176,13 +177,14 @@ func SensitivityCirculationSize(p EvalParams) (*Table, error) {
 		Title:   "Sensitivity: circulation size vs harvested power (drastic trace)",
 		Columns: []string{"servers_per_circ", "orig_avg_W", "lb_avg_W", "gain_pct"},
 	}
+	fleet := core.NewFleet()
 	for _, n := range []int{1, 5, 10, 25, 50, 100} {
 		if n > p.Servers {
 			continue
 		}
 		cfg := p.Config(sched.Original)
 		cfg.ServersPerCirculation = n
-		o, l, err := core.Compare(tr, cfg)
+		o, l, err := fleet.CompareContext(context.Background(), tr, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,9 @@ package serve
 
 import (
 	"context"
-	"io"
 
 	"github.com/h2p-sim/h2p/internal/core"
+	"github.com/h2p-sim/h2p/internal/trace"
 )
 
 // Execute evaluates one validated request on fleet — exactly the library path
@@ -16,21 +16,10 @@ import (
 // it); Execute opens a fresh trace source per call, so concurrent executions
 // of the same request never share generator state.
 func Execute(ctx context.Context, fleet *core.Fleet, req *RunRequest, traceDir string, observer core.RunObserver) (*core.Result, error) {
-	src, err := req.Trace.Open(traceDir)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if c, ok := src.(io.Closer); ok {
-			c.Close() //nolint:errcheck // read side already drained or aborted
-		}
-	}()
-	eng, err := fleet.Engine(req.EngineConfig())
-	if err != nil {
-		return nil, err
-	}
-	return eng.RunSourceContext(ctx, src, &core.RunOptions{
-		KeepSeries: req.KeepSeries,
-		Observer:   observer,
+	cfg := req.EngineConfig()
+	return fleet.RunSource(ctx, cfg, core.SourceRun{
+		Open:   func() (trace.Source, error) { return req.Trace.Open(traceDir) },
+		Scheme: cfg.Scheme,
+		Opts:   &core.RunOptions{KeepSeries: req.KeepSeries, Observer: observer},
 	})
 }
