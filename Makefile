@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet vuln test race check fuzz-check load-check perfbench-check results-check bench bench-all experiments clean
+.PHONY: all build vet fmt-check vuln test race check fuzz-check load-check perfbench-check results-check bench bench-all experiments clean
 
 all: check
 
@@ -9,6 +9,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file in the tree (the perfbench module
+# included) is not gofmt-clean, listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l .) && if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
 
 # vuln is best-effort: govulncheck is not baked into the toolchain image and
 # the gate must stay green offline, so a missing binary (or a network
@@ -78,11 +85,11 @@ results-check:
 		diff -r -x '*.txt' -x '*.md' results "$$tmp" && \
 		echo "results-check: every CSV in results/ matches a fresh run"
 
-# check is the tier-1 gate: vet + best-effort vuln scan + build +
+# check is the tier-1 gate: vet + gofmt + best-effort vuln scan + build +
 # race-enabled tests of every package + the fuzz smoke runs + the
 # multi-tenant load profile + the benchmark driver's vet and tests + the
 # committed experiment tables.
-check: vet vuln build race fuzz-check load-check perfbench-check results-check
+check: vet fmt-check vuln build race fuzz-check load-check perfbench-check results-check
 
 # bench tracks the decision hot path across PRs: the Decision* benchmarks in
 # internal/lookup (candidate scan) and internal/sched (controller) run with
@@ -127,6 +134,8 @@ bench-all:
 experiments:
 	$(GO) run ./cmd/h2pbench -exp all -csv results
 
+# clean leaves results/ alone: the experiment tables are committed, and
+# `make experiments` regenerates them.
 clean:
 	$(GO) clean ./...
-	rm -rf results BENCH_decision.json BENCH_interval.json BENCH_shard.json BENCH_trace.json
+	rm -f BENCH_decision.json BENCH_interval.json BENCH_shard.json BENCH_trace.json

@@ -12,8 +12,8 @@ import (
 	"github.com/h2p-sim/h2p/internal/calib"
 	"github.com/h2p-sim/h2p/internal/cpu"
 	"github.com/h2p-sim/h2p/internal/mppt"
-	"github.com/h2p-sim/h2p/internal/plant"
 	"github.com/h2p-sim/h2p/internal/proto"
+	"github.com/h2p-sim/h2p/internal/tco"
 	"github.com/h2p-sim/h2p/internal/teg"
 	"github.com/h2p-sim/h2p/internal/units"
 )
@@ -139,8 +139,9 @@ func TestPrototypeToModelCalibrationLoop(t *testing.T) {
 	}
 }
 
-// TestFacilityLevelEREWithH2P runs the engine and feeds its energy ledger
-// into the facility model, checking the Green Grid metrics respond to reuse.
+// TestFacilityLevelEREWithH2P feeds a whole run's energy ledger into the
+// Green Grid metrics, with the harvested TEG energy as the reused term, and
+// checks that reuse pulls ERE below a plausible PUE.
 func TestFacilityLevelEREWithH2P(t *testing.T) {
 	traces, err := GenerateTraces(100, 7)
 	if err != nil {
@@ -150,28 +151,21 @@ func TestFacilityLevelEREWithH2P(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fac, err := plant.NewFacility(4)
+	in := tco.EREInput{IT: res.CPUEnergy, Cooling: res.PlantEnergy, Reuse: res.TEGEnergy}
+	pue, err := tco.PUE(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid := res.Intervals[len(res.Intervals)/2]
-	led, err := fac.Step(plant.StepInput{
-		ITPower:         mid.TotalCPUPower,
-		TCSReturn:       mid.MeanInlet + 1,
-		TCSSupplyTarget: mid.MeanInlet,
-		TCSFlowPerCDU:   6000, // aggregate TCS flow through each CDU
-		WetBulb:         18,
-		ReusePower:      mid.TotalTEGPower,
-		Hours:           res.Interval.Hours(),
-	})
+	ere, err := tco.ERE(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if led.ERE >= led.PUE {
-		t.Errorf("TEG reuse must pull ERE (%v) below PUE (%v)", led.ERE, led.PUE)
+	t.Logf("PUE %.3f, ERE %.3f", pue, ere)
+	if ere >= pue {
+		t.Errorf("TEG reuse must pull ERE (%v) below PUE (%v)", ere, pue)
 	}
-	if led.PUE < 1.03 || led.PUE > 1.5 {
-		t.Errorf("PUE = %v implausible", led.PUE)
+	if pue < 1.03 || pue > 1.5 {
+		t.Errorf("PUE = %v implausible", pue)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/sched"
+	"github.com/h2p-sim/h2p/internal/telemetry"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
@@ -36,6 +37,43 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := NewEngine(Config{}); err == nil {
 		t.Error("zero config should not build an engine")
+	}
+}
+
+// TestEngineControllerCarriesConfigSetup pins that the controller an engine
+// exposes — the one experiments take instead of wiring their own — is built
+// from the config: it carries the decision quantum and reports into the
+// configured telemetry registry, whether the engine comes from NewEngine or
+// a Fleet.
+func TestEngineControllerCarriesConfigSetup(t *testing.T) {
+	tr, err := trace.Generate(trace.CommonConfig(60), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := map[string]func(Config) (*Engine, error){"NewEngine": NewEngine, "Fleet": NewFleet().Engine}
+	for name, newEngine := range build {
+		cfg := smallConfig(sched.LoadBalance)
+		cfg.DecisionQuantum = 1.0 / 512
+		cfg.Telemetry = telemetry.New()
+		eng, err := newEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := eng.Controller().CacheQuantum; q != cfg.DecisionQuantum {
+			t.Errorf("%s: controller quantum = %v, want %v", name, q, cfg.DecisionQuantum)
+		}
+		if _, err := eng.Run(tr); err != nil {
+			t.Fatal(err)
+		}
+		var calls uint64
+		for _, c := range cfg.Telemetry.Snapshot().Counters {
+			if c.Name == "h2p_decision_cache_calls_total" {
+				calls = c.Value
+			}
+		}
+		if calls == 0 {
+			t.Errorf("%s: run recorded no decision-cache calls in the telemetry registry", name)
+		}
 	}
 }
 

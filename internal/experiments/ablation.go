@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/h2p-sim/h2p/internal/cpu"
+	"github.com/h2p-sim/h2p/internal/core"
 	"github.com/h2p-sim/h2p/internal/hydro"
-	"github.com/h2p-sim/h2p/internal/lookup"
 	"github.com/h2p-sim/h2p/internal/numeric"
 	"github.com/h2p-sim/h2p/internal/sched"
 	"github.com/h2p-sim/h2p/internal/storage"
 	"github.com/h2p-sim/h2p/internal/tec"
-	"github.com/h2p-sim/h2p/internal/teg"
 	"github.com/h2p-sim/h2p/internal/trace"
 	"github.com/h2p-sim/h2p/internal/units"
 )
@@ -19,20 +17,14 @@ import (
 // the cooling optimizer with full flow freedom versus pinned to the
 // prototype's 20 L/H, including the pump power each choice costs.
 func AblationFlow() (*Table, error) {
-	spec := cpu.XeonE52650V3()
-	mod, err := teg.NewModule(teg.SP1848(), 12)
+	freeCfg := core.DefaultConfig(sched.LoadBalance)
+	freeCtl, err := controller(freeCfg)
 	if err != nil {
 		return nil, err
 	}
-	mod.FlowDerating = teg.DefaultFlowDerating()
-
-	freeSpace, err := lookup.Build(spec, lookup.DefaultAxes())
-	if err != nil {
-		return nil, err
-	}
-	pinnedAxes := lookup.DefaultAxes()
-	pinnedAxes.Flow = []float64{20, 21} // degenerate band around the prototype flow
-	pinnedSpace, err := lookup.Build(spec, pinnedAxes)
+	pinnedCfg := freeCfg
+	pinnedCfg.Axes.Flow = []float64{20, 21} // degenerate band around the prototype flow
+	pinnedCtl, err := controller(pinnedCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -53,14 +45,6 @@ func AblationFlow() (*Table, error) {
 		return p.Power()
 	}
 	for _, u := range numeric.Linspace(0.1, 0.9, 5) {
-		freeCtl, err := sched.NewController(freeSpace, mod, 20)
-		if err != nil {
-			return nil, err
-		}
-		pinnedCtl, err := sched.NewController(pinnedSpace, mod, 20)
-		if err != nil {
-			return nil, err
-		}
 		fs, fp, err := freeCtl.Choose(u, freeCtl.ColdSource)
 		if err != nil {
 			return nil, err
@@ -94,37 +78,24 @@ func AblationFlow() (*Table, error) {
 // TEG output against a constant LED-lighting load (Secs. VI-B and VI-C2).
 func AblationStorage() (*Table, error) {
 	// Build a representative diurnal generation series from the common
-	// trace under load balancing at small scale.
+	// trace under load balancing at small scale: one 50-server circulation.
 	tr, err := trace.Generate(trace.CommonConfig(50), 42)
 	if err != nil {
 		return nil, err
 	}
-	spec := cpu.XeonE52650V3()
-	space, err := lookup.Build(spec, lookup.DefaultAxes())
+	cfg := core.DefaultConfig(sched.LoadBalance)
+	cfg.ServersPerCirculation = 50
+	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	mod, err := teg.NewModule(teg.SP1848(), 12)
+	res, err := eng.Run(tr)
 	if err != nil {
 		return nil, err
 	}
-	mod.FlowDerating = teg.DefaultFlowDerating()
-	ctl, err := sched.NewController(space, mod, 20)
-	if err != nil {
-		return nil, err
-	}
-	var gen []units.Watts
-	var sc sched.Scratch
-	col := make([]float64, tr.Servers())
-	for i := 0; i < tr.Intervals(); i++ {
-		if col, err = tr.Column(i, col); err != nil {
-			return nil, err
-		}
-		d, err := ctl.Decide(col, sched.LoadBalance, ctl.ColdSource, &sc)
-		if err != nil {
-			return nil, err
-		}
-		gen = append(gen, d.TotalTEGPower()/units.Watts(float64(tr.Servers())))
+	gen := make([]units.Watts, len(res.Intervals))
+	for i, ir := range res.Intervals {
+		gen[i] = ir.TEGPowerPerServer
 	}
 
 	const demand = 3.8 // W: a cluster of high-power LEDs per server position

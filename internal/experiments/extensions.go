@@ -172,8 +172,8 @@ func JobMigration(p EvalParams) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := p.Config(sched.Original)
-	engOrig, err := core.NewEngine(cfg)
+	fleet := core.NewFleet()
+	engOrig, err := fleet.Engine(p.Config(sched.Original))
 	if err != nil {
 		return nil, err
 	}
@@ -181,8 +181,7 @@ func JobMigration(p EvalParams) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Scheme = sched.LoadBalance
-	engLB, err := core.NewEngine(cfg)
+	engLB, err := fleet.Engine(p.Config(sched.LoadBalance))
 	if err != nil {
 		return nil, err
 	}
@@ -198,8 +197,7 @@ func JobMigration(p EvalParams) (*Table, error) {
 	}
 	idealGain := float64(ideal.AvgTEGPowerPerServer - orig.AvgTEGPowerPerServer)
 	t.AddRow("TEG_Original", "-", "0", "-", fmt.Sprintf("%.3f", float64(orig.AvgTEGPowerPerServer)), "0.0")
-	cfgO := p.Config(sched.Original)
-	engO, err := core.NewEngine(cfgO)
+	engO, err := fleet.Engine(p.Config(sched.Original))
 	if err != nil {
 		return nil, err
 	}

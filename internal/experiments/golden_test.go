@@ -18,13 +18,13 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // goldenIDs are the experiments whose output is a pure function of the
 // calibrated constants (no EvalParams dependence).
 var goldenIDs = []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig13",
-	"abl-tec", "aging", "dc-bus", "coolant", "sens-price"}
+	"abl-flow", "abl-store", "abl-tec", "aging", "dc-bus", "coolant", "sens-price"}
 
 // traceGoldenIDs are the trace-driven experiments: they run the engine over
 // generated traces, so their goldens are pinned at goldenTraceParams — small
 // enough that each runs in well under a second.
 var traceGoldenIDs = []string{"fig14", "fig15", "tab1", "faults", "skus",
-	"seasonal", "sens-circ", "sens-cold"}
+	"seasonal", "sens-circ", "sens-cold", "stability", "qs-valid"}
 
 var goldenTraceParams = EvalParams{Servers: 60, Seed: 42}
 

@@ -76,10 +76,10 @@ func QuasiStaticValidation(p EvalParams) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	fleet := core.NewFleet()
 	for _, tr := range traces {
 		for _, scheme := range []sched.Scheme{sched.Original, sched.LoadBalance} {
-			cfg := p.Config(scheme)
-			eng, err := core.NewEngine(cfg)
+			eng, err := fleet.Engine(p.Config(scheme))
 			if err != nil {
 				return nil, err
 			}
@@ -113,10 +113,11 @@ func SensitivityColdSource(p EvalParams) (*Table, error) {
 		Title:   "Sensitivity: natural cold-source temperature (common trace, LoadBalance)",
 		Columns: []string{"cold_source_C", "avg_W", "PRE_pct"},
 	}
+	fleet := core.NewFleet()
 	for _, cold := range []units.Celsius{15, 17.5, 20, 22.5, 25} {
 		cfg := p.Config(sched.LoadBalance)
 		cfg.ColdSource = cold
-		eng, err := core.NewEngine(cfg)
+		eng, err := fleet.Engine(cfg)
 		if err != nil {
 			return nil, err
 		}

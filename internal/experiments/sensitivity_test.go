@@ -1,6 +1,14 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"github.com/h2p-sim/h2p/internal/core"
+	"github.com/h2p-sim/h2p/internal/fault"
+	"github.com/h2p-sim/h2p/internal/sched"
+	"github.com/h2p-sim/h2p/internal/trace"
+)
 
 func TestHotSpotTable(t *testing.T) {
 	tab, err := HotSpot()
@@ -139,6 +147,80 @@ func TestSKUGeneralityTable(t *testing.T) {
 	// The low-TDP SKU has the highest PRE (same harvest, smaller draw).
 	if cellFloat(t, tab, 0, 4) <= cellFloat(t, tab, 1, 4) {
 		t.Error("D-1540 PRE should exceed E5-2650's")
+	}
+	// The mixed fleet's PRE lies between the per-SKU extremes.
+	lo, hi := cellFloat(t, tab, 0, 4), cellFloat(t, tab, 0, 4)
+	for r := 1; r < 3; r++ {
+		lo = min(lo, cellFloat(t, tab, r, 4))
+		hi = max(hi, cellFloat(t, tab, r, 4))
+	}
+	if pre := cellFloat(t, tab, 3, 4); pre < lo || pre > hi {
+		t.Errorf("mixed-fleet PRE %v%% outside the SKU range [%v, %v]", pre, lo, hi)
+	}
+}
+
+// TestSKUSubTraces pins the mixed fleet's split: SKU k's sub-trace holds the
+// servers of circulations c ≡ k (mod 3) in order and forms exactly those
+// circulations (the short tail one last), a single SKU gets the whole
+// datacenter, and a SKU with no circulation gets no sub-trace.
+func TestSKUSubTraces(t *testing.T) {
+	tr, err := trace.Generate(trace.CommonConfig(137), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(sched.LoadBalance) // 25-server circulations: 5 full, then 12
+	subs := skuSubTraces(tr, cfg, 3)
+	for k, circs := range [][]int{{0, 3}, {1, 4}, {2, 5}} {
+		var rows [][]float64
+		for j, c := range circs {
+			lo, hi := cfg.CirculationSpan(tr.Servers(), c)
+			rows = append(rows, tr.U[lo:hi]...)
+			sublo, subhi := cfg.CirculationSpan(len(subs[k].U), j)
+			if subhi-sublo != hi-lo {
+				t.Errorf("SKU %d circulation %d: %d servers, want %d", k, j, subhi-sublo, hi-lo)
+			}
+		}
+		if !reflect.DeepEqual(subs[k].U, rows) {
+			t.Errorf("SKU %d sub-trace does not hold circulations %v in order", k, circs)
+		}
+		if n := cfg.Circulations(subs[k].Servers()); n != len(circs) {
+			t.Errorf("SKU %d forms %d circulations, want %d", k, n, len(circs))
+		}
+	}
+	if one := skuSubTraces(tr, cfg, 1); !reflect.DeepEqual(one[0].U, tr.U) {
+		t.Error("a single SKU's sub-trace should be the whole datacenter")
+	}
+	small, err := tr.Slice(30) // circulations of 25 and 5 servers
+	if err != nil {
+		t.Fatal(err)
+	}
+	if subs := skuSubTraces(small, cfg, 3); subs[2] != nil {
+		t.Errorf("SKU 2 has no circulation but got %d servers", subs[2].Servers())
+	}
+}
+
+// TestSKUGeneralityMixedFleetSeesFaults pins that the mixed-fleet row runs
+// through the engine's fault layer like the per-SKU rows: degraded TEG
+// modules must lower its harvest.
+func TestSKUGeneralityMixedFleetSeesFaults(t *testing.T) {
+	plan, err := fault.ParsePlan("teg-degrade:0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := EvalParams{Servers: 75, Seed: 42}
+	clean, err := SKUGenerality(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Faults, p.FaultSeed = plan, 1
+	faulted, err := SKUGenerality(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range clean.Rows {
+		if got, want := cellFloat(t, faulted, r, 3), cellFloat(t, clean, r, 3); got >= want {
+			t.Errorf("row %d (%s): faulted harvest %v W not below fault-free %v W", r, cell(t, clean, r, 0), got, want)
+		}
 	}
 }
 

@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/h2p-sim/h2p/internal/core"
 	"github.com/h2p-sim/h2p/internal/cpu"
 	"github.com/h2p-sim/h2p/internal/lookup"
 	"github.com/h2p-sim/h2p/internal/sched"
 	"github.com/h2p-sim/h2p/internal/stats"
-	"github.com/h2p-sim/h2p/internal/teg"
 )
 
 // Fig12 reproduces the 3-D measurement space: the discrete (utilization,
@@ -45,16 +45,7 @@ func Fig12() (*Table, error) {
 // Fig13 reproduces the safety-slab selection: candidate cooling settings
 // with T_CPU within [61, 63] °C on the U_max plane versus the U_avg plane.
 func Fig13() (*Table, error) {
-	space, err := lookup.Build(cpu.XeonE52650V3(), lookup.DefaultAxes())
-	if err != nil {
-		return nil, err
-	}
-	mod, err := teg.NewModule(teg.SP1848(), 12)
-	if err != nil {
-		return nil, err
-	}
-	mod.FlowDerating = teg.DefaultFlowDerating()
-	ctl, err := sched.NewController(space, mod, 20)
+	ctl, err := controller(core.DefaultConfig(sched.LoadBalance))
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +59,7 @@ func Fig13() (*Table, error) {
 		name string
 		u    float64
 	}{{"A_max", uMax}, {"A_avg", uAvg}} {
-		cands, err := space.PlaneIntersection(pl.u, 62, 1)
+		cands, err := ctl.Space.PlaneIntersection(pl.u, 62, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -100,4 +91,15 @@ func Fig13() (*Table, error) {
 	t.Notes = append(t.Notes,
 		"the A_avg plane admits generally warmer inlets than A_max, so balancing raises TEG power")
 	return t, nil
+}
+
+// controller returns the cooling controller of an engine built for cfg: the
+// same module stack, cold source and decision quantum every trace-driven run
+// decides with.
+func controller(cfg core.Config) (*sched.Controller, error) {
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Controller(), nil
 }

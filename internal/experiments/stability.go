@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/h2p-sim/h2p/internal/cpu"
-	"github.com/h2p-sim/h2p/internal/lookup"
+	"github.com/h2p-sim/h2p/internal/core"
 	"github.com/h2p-sim/h2p/internal/sched"
-	"github.com/h2p-sim/h2p/internal/teg"
 	"github.com/h2p-sim/h2p/internal/trace"
 	"github.com/h2p-sim/h2p/internal/units"
 )
@@ -23,7 +21,7 @@ func ControlStability(p EvalParams) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	space, err := lookup.Build(cpu.XeonE52650V3(), lookup.DefaultAxes())
+	inner, err := controller(core.DefaultConfig(sched.LoadBalance))
 	if err != nil {
 		return nil, err
 	}
@@ -34,15 +32,6 @@ func ControlStability(p EvalParams) (*Table, error) {
 	}
 	var plainAvg float64
 	for _, threshold := range []units.Watts{0, 0.05, 0.15, 0.30} {
-		mod, err := teg.NewModule(teg.SP1848(), 12)
-		if err != nil {
-			return nil, err
-		}
-		mod.FlowDerating = teg.DefaultFlowDerating()
-		inner, err := sched.NewController(space, mod, 20)
-		if err != nil {
-			return nil, err
-		}
 		st, err := sched.NewStabilizedController(inner, threshold)
 		if err != nil {
 			return nil, err
@@ -82,11 +71,4 @@ func ControlStability(p EvalParams) (*Table, error) {
 		"a 0.15 W deadband removes ~2/3 of the setpoint churn for ~1.4% of the harvest",
 		"safety is preserved: a held setting is abandoned the moment it would exceed T_safe+band")
 	return t, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

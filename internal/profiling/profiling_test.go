@@ -16,7 +16,7 @@ func TestStartWritesBothProfiles(t *testing.T) {
 	}
 	// Burn a little CPU and heap so the profiles have samples to record.
 	sink := 0.0
-	for i := 0; i < 1 << 16; i++ {
+	for i := 0; i < 1<<16; i++ {
 		sink += float64(i) * 1.0000001
 	}
 	_ = sink
