@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/chiller"
@@ -55,6 +56,13 @@ type Circulation struct {
 	// allocations. Exactly one worker steps a circulation per interval, so
 	// the scratch needs no synchronization.
 	scratch sched.Scratch
+
+	// pumpMemo* cache the circulation's pump draw at the flow it last
+	// commanded (pumpPowerAt): the flow's float bits, the scaled draw, and
+	// whether the pair is valid yet.
+	pumpMemoFlow  uint64
+	pumpMemoPower units.Watts
+	pumpMemoOK    bool
 
 	// met is the engine's telemetry (nil when disabled). Each step records
 	// its own latency and the outlet-temperature series through it, sharded by
@@ -141,18 +149,19 @@ type CirculationInterval struct {
 // interval's scheme decision d, made against the environment sample smp by
 // the batched column kernel (or by Decide, in stepBlock's fallback, which
 // passes its error as derr): TEG harvest, pump, heat reuse and plant
-// dispatch.
+// dispatch. The contribution is written in place into ci, the circulation's
+// slot in the interval's parts.
 //
-// Without an injector, errors propagate to the caller untouched. With one,
-// a failing attempt is retried under the plan's capped-exponential-backoff
-// policy; a circulation that fails every attempt returns a Degraded
-// contribution (no error) so one bad circulation cannot abort the
-// datacenter run. The decision is a pure function of the column, so it is
-// made once outside the loop: an attempt fails on an injected step error or
-// on the decide error, exactly as if each attempt had decided anew.
-func (c *Circulation) stepWithDecision(interval int, smp env.Sample, d *sched.Decision, derr error) (CirculationInterval, error) {
+// Without an injector, errors propagate to the caller untouched, with the
+// slot zeroed. With one, a failing attempt is retried under the plan's
+// capped-exponential-backoff policy; a circulation that fails every attempt
+// leaves a Degraded contribution (no error) so one bad circulation cannot
+// abort the datacenter run. The decision is a pure function of the column,
+// so it is made once outside the loop: an attempt fails on an injected step
+// error or on the decide error, exactly as if each attempt had decided anew.
+func (c *Circulation) stepWithDecision(ci *CirculationInterval, interval int, smp *env.Sample, d *sched.Decision, derr error) error {
 	if c.inj == nil {
-		return c.finishOnce(interval, 0, smp, d, derr)
+		return c.finishOnce(ci, interval, 0, smp, d, derr)
 	}
 	retry := c.inj.Retry()
 	attempts := retry.Attempts()
@@ -163,46 +172,50 @@ func (c *Circulation) stepWithDecision(interval int, smp env.Sample, d *sched.De
 			}
 			c.met.observeFault(c.Index, faultObs{retries: 1})
 		}
-		ci, err := c.finishOnce(interval, a, smp, d, derr)
-		if err == nil {
+		if err := c.finishOnce(ci, interval, a, smp, d, derr); err == nil {
 			ci.Retries = a
-			return ci, nil
+			return nil
 		}
 	}
 	c.met.observeFault(c.Index, faultObs{degraded: true})
-	return CirculationInterval{Degraded: true, Retries: attempts - 1}, nil
+	// The last failed attempt left the slot zeroed.
+	ci.Degraded = true
+	ci.Retries = attempts - 1
+	return nil
 }
 
-// finishOnce is one stepWithDecision attempt: the injected-error gate, the
-// decide error, then the finish.
-func (c *Circulation) finishOnce(interval, attempt int, smp env.Sample, d *sched.Decision, derr error) (CirculationInterval, error) {
+// finishOnce is one stepWithDecision attempt: it zeroes the slot, then runs
+// the injected-error gate, the decide error and the finish. A failed attempt
+// leaves the slot zeroed.
+func (c *Circulation) finishOnce(ci *CirculationInterval, interval, attempt int, smp *env.Sample, d *sched.Decision, derr error) error {
+	*ci = CirculationInterval{}
 	var t0 time.Time
 	if c.met != nil {
 		t0 = time.Now()
 	}
 	if c.inj.StepError(interval, c.Index, attempt) {
-		return CirculationInterval{}, fmt.Errorf("circulation %d interval %d attempt %d: %w",
+		return fmt.Errorf("circulation %d interval %d attempt %d: %w",
 			c.Index, interval, attempt, fault.ErrInjected)
 	}
 	if derr != nil {
-		return CirculationInterval{}, derr
+		return derr
 	}
-	return c.finish(interval, t0, d, smp)
+	return c.finish(ci, interval, t0, d, smp)
 }
 
 // finish turns a scheme decision into the circulation's interval
-// contribution: TEG harvest, pump power, heat reuse, plant dispatch and the
-// fault accounting. smp is the interval's environment sample — the same one
-// the decision was evaluated against.
-func (c *Circulation) finish(interval int, t0 time.Time, d *sched.Decision, smp env.Sample) (CirculationInterval, error) {
-	ci := CirculationInterval{
-		CPUPower:   d.TotalCPUPower(),
-		Inlet:      d.Setting.Inlet,
-		Flow:       d.Setting.Flow,
-		MaxCPUTemp: d.MaxCPUTemp,
-		TEGServers: c.Servers(),
-	}
-	c.harvest(&ci, d, interval)
+// contribution, written into the zeroed slot ci: TEG harvest, pump power,
+// heat reuse, plant dispatch and the fault accounting. smp is the interval's
+// environment sample — the same one the decision was evaluated against. The
+// fields are assigned one by one: a composite literal would be built in a
+// temporary and copied into the slot.
+func (c *Circulation) finish(ci *CirculationInterval, interval int, t0 time.Time, d *sched.Decision, smp *env.Sample) error {
+	ci.CPUPower = d.TotalCPUPower()
+	ci.Inlet = d.Setting.Inlet
+	ci.Flow = d.Setting.Flow
+	ci.MaxCPUTemp = d.MaxCPUTemp
+	ci.TEGServers = c.Servers()
+	c.harvest(ci, d, interval)
 	// Per-server pump share at the commanded flow, derated by any injected
 	// droop. The realized flow feeds the physics below: outlet temperature,
 	// TEG output scaling and the plant dispatch all see the droop.
@@ -232,10 +245,12 @@ func (c *Circulation) finish(interval int, t0 time.Time, d *sched.Decision, smp 
 		flow, meanOutlet = realized, droopOutlet
 		ci.Flow = realized
 	}
-	if err := c.pump.SetFlow(flow); err != nil {
-		return CirculationInterval{}, err
+	pumpPower, err := c.pumpPowerAt(flow)
+	if err != nil {
+		*ci = CirculationInterval{}
+		return err
 	}
-	ci.PumpPower = c.pump.Power() * units.Watts(float64(c.Servers()))
+	ci.PumpPower = pumpPower
 	// Facility plant: reject the circulation's heat, returning water at
 	// the sensed outlet, re-supplied below the inlet target by the HX
 	// approach. The control loop acts on the sensor; ci.Outlet stays the
@@ -267,7 +282,26 @@ func (c *Circulation) finish(interval int, t0 time.Time, d *sched.Decision, smp 
 		})
 	}
 	c.met.observeStep(c.Index, t0, float64(meanOutlet))
-	return ci, nil
+	return nil
+}
+
+// pumpPowerAt commands the pump to flow and returns its draw scaled to the
+// circulation's server count. The draw is memoized on the flow's bits: the
+// pump is only re-commanded, and its cubic law only re-evaluated, when the
+// flow changes. The memo is derived state — invalid until the first call,
+// never checkpointed — and a rejected flow leaves it as it was.
+func (c *Circulation) pumpPowerAt(flow units.LitersPerHour) (units.Watts, error) {
+	bits := math.Float64bits(float64(flow))
+	if c.pumpMemoOK && bits == c.pumpMemoFlow {
+		return c.pumpMemoPower, nil
+	}
+	if err := c.pump.SetFlow(flow); err != nil {
+		return 0, err
+	}
+	c.pumpMemoFlow = bits
+	c.pumpMemoPower = c.pump.Power() * units.Watts(float64(c.Servers()))
+	c.pumpMemoOK = true
+	return c.pumpMemoPower, nil
 }
 
 // harvest fills the circulation's TEG sum. Fault-free (nil injector) it is

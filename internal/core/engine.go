@@ -550,7 +550,7 @@ func stepBlock(circs []Circulation, lo, hi int, col []float64, interval int, ws 
 				c := &circs[lo+k]
 				var derr error
 				ws.decs[k], derr = c.ctl.Decide(col[c.Lo:c.Hi], c.scheme, smp.ColdSide, &c.scratch)
-				parts[lo+k], errs[lo+k] = c.stepWithDecision(interval, smp, &ws.decs[k], derr)
+				errs[lo+k] = c.stepWithDecision(&parts[lo+k], interval, &smp, &ws.decs[k], derr)
 			}
 			return
 		}
@@ -563,7 +563,7 @@ func stepBlock(circs []Circulation, lo, hi int, col []float64, interval int, ws 
 		return
 	}
 	for k := 0; k < n; k++ {
-		parts[lo+k], errs[lo+k] = circs[lo+k].stepWithDecision(interval, smp, &ws.decs[k], nil)
+		errs[lo+k] = circs[lo+k].stepWithDecision(&parts[lo+k], interval, &smp, &ws.decs[k], nil)
 	}
 }
 
@@ -585,7 +585,8 @@ func MergeInterval(col []float64, parts []CirculationInterval) IntervalResult {
 		MaxUtilization: stats.Max(col),
 	}
 	healthy := 0
-	for _, p := range parts {
+	for i := range parts {
+		p := &parts[i]
 		if p.Degraded {
 			ir.DegradedCirculations++
 			ir.StepRetries += p.Retries

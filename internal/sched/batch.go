@@ -235,6 +235,11 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 	// the per-server outputs with the batch kernels. A key the cache did not
 	// admit stays unpublished, so its next group stores again: that is the
 	// key's second miss, exactly as the serial Choose calls would see it.
+	// The counts gather in locals and reach the shared counters once per
+	// call, on the error returns too, so the totals stay those of the
+	// per-group calls without an atomic add per group.
+	var calls, hits, inserts uint64
+	defer func() { c.addCacheCounts(calls, hits, inserts) }()
 	spec := c.Space.Spec()
 	for g, r := range ranges {
 		if bs.gErrs[g] != nil {
@@ -242,31 +247,30 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		}
 		key := bs.keys[g]
 		j, _ := slices.BinarySearch(bs.uniq, key)
-		hint := bucketOf(key)
-		c.calls.AddHint(hint, 1)
+		calls++
 		if !bs.published[j] {
 			if err := bs.uErr[j]; err != nil {
 				return GroupError{Group: g, Err: err}
 			}
 			if c.cache.store(key, cb, bs.uSetting[j], bs.uPower[j], bs.uCell[j]) {
-				c.inserts.AddHint(hint, 1)
+				inserts++
 				bs.published[j] = true
 			}
 		} else {
-			c.hits.AddHint(hint, 1)
+			hits++
 		}
-		c.observeChoice(hint, bs.uSetting[j])
+		c.observeChoice(bucketOf(key), bs.uSetting[j])
 
+		// The decision's fields are written straight into its slot.
 		n := r.Hi - r.Lo
 		sc := scratches[g]
 		sc.grow(n)
-		d := Decision{
-			Scheme:            scheme,
-			PlaneU:            bs.planeU[g],
-			Setting:           bs.uSetting[j],
-			PerServerPower:    sc.power,
-			PerServerCPUPower: sc.cpuPower,
-		}
+		d := &out[g]
+		d.Scheme = scheme
+		d.PlaneU = bs.planeU[g]
+		d.Setting = bs.uSetting[j]
+		d.PerServerPower = sc.power
+		d.PerServerCPUPower = sc.cpuPower
 		// The decided setting is the cell's grid-aligned {flow, inlet}, so
 		// the per-server trilinear lookups collapse to one column location
 		// plus a two-term blend per server at the cell, and the curve
@@ -284,12 +288,14 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		c.Space.LocateColumn(eff, &bs.loc)
 		c.Space.BatchEval(cell, &bs.loc, bs.cpuT, bs.outT)
 		c.curve.powerAtColumn(cell, bs.outT, d.PerServerPower[:m], float64(cold))
+		var maxT units.Celsius
 		for i := range m {
 			d.PerServerCPUPower[i] = spec.Power(eff[i])
-			if t := units.Celsius(bs.cpuT[i]); t > d.MaxCPUTemp {
-				d.MaxCPUTemp = t
+			if t := units.Celsius(bs.cpuT[i]); t > maxT {
+				maxT = t
 			}
 		}
+		d.MaxCPUTemp = maxT
 		for i := m; i < n; i++ {
 			d.PerServerPower[i] = d.PerServerPower[0]
 			d.PerServerCPUPower[i] = d.PerServerCPUPower[0]
@@ -297,7 +303,6 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		// The plane utilization is one of the evaluated servers': the column
 		// maximum under Original, the broadcast mean under LoadBalance.
 		d.PlaneOutlet = units.Celsius(bs.outT[slices.Index(eff, d.PlaneU)])
-		out[g] = d
 	}
 	return nil
 }

@@ -179,6 +179,77 @@ func TestDecideBatchCountersMatchSerialPastCapacity(t *testing.T) {
 	}
 }
 
+// TestDecideBatchCountersMatchSerialOnFailure pins the counter flush on the
+// error returns: when a column fails mid-way, the cache counters must hold
+// exactly what serial Choose calls count over the groups the serial path
+// reaches before (and including) the failing one. Two failures: a group
+// whose plane lies outside [0,1] (rejected before Choose counts it) and a
+// scan that finds no safe setting (counted as a call, never inserted).
+func TestDecideBatchCountersMatchSerialOnFailure(t *testing.T) {
+	col, ranges := batchColumn(24, 6, 21)
+	const fail = 17
+	warm := ranges[:fail]
+	cases := []struct {
+		name string
+		// prepare readies a controller for the failing column after the
+		// first fail groups have warmed its cache.
+		prepare func(c *Controller, col []float64)
+	}{
+		{"plane-outside-unit", func(c *Controller, col []float64) {
+			col[ranges[fail].Lo] = 1.5
+		}},
+		{"no-safe-setting", func(c *Controller, col []float64) {
+			// Warmed planes keep hitting their cached settings; the first
+			// plane the cache has not seen scans an empty intersection.
+			c.TSafe = -100
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newController(t)
+			ref := newController(t)
+			col := append([]float64(nil), col...)
+			for _, ctl := range []*Controller{c, ref} {
+				for _, r := range warm {
+					if _, err := ctl.decideSerial(col[r.Lo:r.Hi], Original, ctl.ColdSource); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tc.prepare(ctl, col)
+			}
+
+			var bs BatchScratch
+			scratches := make([]*Scratch, len(ranges))
+			for g := range scratches {
+				scratches[g] = &Scratch{}
+			}
+			err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, scratches, make([]Decision, len(ranges)))
+			var ge GroupError
+			if !errors.As(err, &ge) {
+				t.Fatalf("batch error %v is not a GroupError", err)
+			}
+			reached := -1
+			for g, r := range ranges {
+				if _, err := ref.decideSerial(col[r.Lo:r.Hi], Original, ref.ColdSource); err != nil {
+					reached = g
+					break
+				}
+			}
+			if reached != ge.Group || reached < fail {
+				t.Fatalf("batch failed at group %d, serial at %d (want >= %d)", ge.Group, reached, fail)
+			}
+			bh, bc := c.CacheStats()
+			sh, sc := ref.CacheStats()
+			if bh != sh || bc != sc {
+				t.Errorf("batch cache stats (hits=%d calls=%d) != serial (hits=%d calls=%d)", bh, bc, sh, sc)
+			}
+			if got, want := c.inserts.Value(), ref.inserts.Value(); got != want {
+				t.Errorf("batch inserts = %d, serial = %d", got, want)
+			}
+		})
+	}
+}
+
 // TestDecideBatchSharesCacheWithSerial checks the batch kernel and Choose
 // read and write one cache: entries published by the referee's Choose calls
 // are batch hits.

@@ -165,6 +165,7 @@ func (d *doorkeeper) admit(key, cold uint64) bool {
 // The cache's hit/call/insert counters live in telemetry.Counter instances
 // (see Controller and telemetry.go in this package): the same cache-line-
 // padded sharded-atomic layout the bespoke shardedCounter used to implement
-// here, now shared with the rest of the engine's instrumentation. The
-// Fibonacci bucket hash doubles as the counters' shard hint, so a given
-// plane always lands on the same shard and totals stay exact.
+// here, now shared with the rest of the engine's instrumentation. Choose
+// uses the Fibonacci bucket hash as the counters' shard hint, so a given
+// plane always lands on the same shard; DecideBatchCold adds a whole
+// column's counts at once. Either way the totals stay exact.

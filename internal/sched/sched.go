@@ -81,11 +81,13 @@ type Controller struct {
 	// a pure function of the plane, so concurrent fills are benign and
 	// order-independent.
 	cache decisionCache
-	// hits/calls/inserts instrument the cache: sharded telemetry counters
-	// (the key's bucket hash is the shard hint, so workers on distinct
-	// planes touch distinct cache lines). NewController creates them
-	// standalone; AttachTelemetry swaps in registry-owned counters so a
-	// run's exporters see them. CacheStats reads whichever are current.
+	// hits/calls/inserts instrument the cache: sharded telemetry counters.
+	// Choose adds to them per call with the key's bucket hash as the shard
+	// hint; DecideBatchCold counts a column in locals and adds each total
+	// once per call, so live reads move a column at a time. NewController
+	// creates them standalone; AttachTelemetry swaps in registry-owned
+	// counters so a run's exporters see them. CacheStats reads whichever
+	// are current.
 	hits, calls, inserts *telemetry.Counter
 
 	// met carries the optional decision metrics (chosen-setting
@@ -378,8 +380,10 @@ func (c *Controller) Decide(us []float64, scheme Scheme, cold units.Celsius, sc 
 	return sc.dec[0], nil
 }
 
-// TotalTEGPower sums the decision's per-server TEG output.
-func (d Decision) TotalTEGPower() units.Watts {
+// TotalTEGPower sums the decision's per-server TEG output. Both totals take
+// a pointer receiver: the engine calls them once per circulation-interval,
+// and a value receiver would copy the whole Decision each time.
+func (d *Decision) TotalTEGPower() units.Watts {
 	var sum units.Watts
 	for _, p := range d.PerServerPower {
 		sum += p
@@ -388,7 +392,7 @@ func (d Decision) TotalTEGPower() units.Watts {
 }
 
 // TotalCPUPower sums the decision's per-server CPU draw.
-func (d Decision) TotalCPUPower() units.Watts {
+func (d *Decision) TotalCPUPower() units.Watts {
 	var sum units.Watts
 	for _, p := range d.PerServerCPUPower {
 		sum += p

@@ -82,3 +82,18 @@ func (c *Controller) observeChoice(hint uint64, s Setting) {
 		m.chosenFlow.ObserveHint(hint, float64(s.Flow))
 	}
 }
+
+// addCacheCounts adds one DecideBatchCold call's cache accounting to the
+// shared counters: one atomic add per nonzero counter instead of one per
+// group.
+func (c *Controller) addCacheCounts(calls, hits, inserts uint64) {
+	if calls > 0 {
+		c.calls.Add(calls)
+	}
+	if hits > 0 {
+		c.hits.Add(hits)
+	}
+	if inserts > 0 {
+		c.inserts.Add(inserts)
+	}
+}

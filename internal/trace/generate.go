@@ -161,23 +161,30 @@ func (g *GeneratorSource) NextColumn(dst []float64) (int, error) {
 	if len(dst) != g.cfg.Servers {
 		return 0, fmt.Errorf("trace: column buffer has %d slots, want %d", len(dst), g.cfg.Servers)
 	}
-	cfg, i := g.cfg, g.next
+	cfg, i, rng := g.cfg, g.next, g.rng
 	// Shared diurnal component peaking mid-day.
 	diurnal := cfg.DiurnalAmplitude * math.Sin(2*math.Pi*(float64(i)/g.perDay-0.25))
 	// Shared bounded random walk.
-	g.swing += g.rng.NormFloat64() * cfg.GlobalSwingAmplitude / 4
-	g.swing = units.Clamp(g.swing, -cfg.GlobalSwingAmplitude, cfg.GlobalSwingAmplitude)
-	for s := 0; s < cfg.Servers; s++ {
-		g.noise[s] = cfg.NoisePhi*g.noise[s] + g.rng.NormFloat64()*cfg.NoiseStd
-		if g.spikeLeft[s] > 0 {
-			g.spikeLeft[s]--
-		} else if g.rng.Float64() < cfg.SpikeProb {
-			g.spikeLeft[s] = 1 + g.rng.Intn(2*cfg.SpikeDurationIntervals)
-			g.spikeHeight[s] = cfg.SpikeMin + g.rng.Float64()*(cfg.SpikeMax-cfg.SpikeMin)
+	swing := g.swing + rng.NormFloat64()*cfg.GlobalSwingAmplitude/4
+	swing = units.Clamp(swing, -cfg.GlobalSwingAmplitude, cfg.GlobalSwingAmplitude)
+	g.swing = swing
+	// Locals resliced to Servers: the loop neither reloads them through g
+	// nor bounds-checks them.
+	n := cfg.Servers
+	base, noise := g.base[:n], g.noise[:n]
+	spikeLeft, spikeHeight := g.spikeLeft[:n], g.spikeHeight[:n]
+	dst = dst[:n]
+	for s := range dst {
+		noise[s] = cfg.NoisePhi*noise[s] + rng.NormFloat64()*cfg.NoiseStd
+		if spikeLeft[s] > 0 {
+			spikeLeft[s]--
+		} else if rng.Float64() < cfg.SpikeProb {
+			spikeLeft[s] = 1 + rng.Intn(2*cfg.SpikeDurationIntervals)
+			spikeHeight[s] = cfg.SpikeMin + rng.Float64()*(cfg.SpikeMax-cfg.SpikeMin)
 		}
-		u := g.base[s] + diurnal + g.swing + g.noise[s]
-		if g.spikeLeft[s] > 0 {
-			u += g.spikeHeight[s]
+		u := base[s] + diurnal + swing + noise[s]
+		if spikeLeft[s] > 0 {
+			u += spikeHeight[s]
 		}
 		dst[s] = units.Clamp(u, 0, 1)
 	}
