@@ -3,47 +3,32 @@ package lookup
 import (
 	"math"
 
-	"github.com/h2p-sim/h2p/internal/numeric"
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
-// This file is the batch (struct-of-arrays) face of the candidate tables:
-// where tables.go streams one plane through a visitor callback per cell, the
-// kernels here evaluate a whole *column* of utilizations against the
-// flattened stencils in cache-blocked passes. The per-interval decision path
-// calls them once per circulation block instead of once per server, which is
-// what turns the controller's hot loop from interface-call-per-server into a
-// handful of linear sweeps over contiguous float64 slabs.
+// This file is the batch face of the candidate tables: where tables.go
+// streams one plane through a visitor callback per cell, the kernels here
+// serve the controller's column passes. LocateColumn and BatchEval evaluate
+// a whole column of utilizations at one decided cell, and the segment index
+// packs, per utilization segment, the rows the miss-scan kernel streams.
 //
 // Bit-identity contract: every number produced here reproduces the
-// corresponding scalar path exactly. BatchEval blends with the same
-// numeric.Cell location and the same w0*t0 + w1*t1 operation order as
-// candTables.pointAt — which tables.go already pins against Grid3D.Eval for
-// the grid-aligned flow/inlet coordinates of a candidate cell — and
-// BatchVisitPlane walks cells in VisitPlane's order within each plane, so a
-// consumer folding per-plane state in cell order observes the exact scalar
+// corresponding scalar path exactly. Each utilization is located with
+// numeric.Cell's (segment, weight) and blended in the same w0*t0 + w1*t1
+// operation order as candTables.pointAt — which tables.go already pins
+// against Grid3D.Eval for the grid-aligned flow/inlet coordinates of a
+// candidate cell — and slab rows keep VisitPlane's ascending cell order, so
+// a consumer folding per-plane state in row order observes the exact scalar
 // visit sequence.
-
-// batchBlockPlanes is the cache-blocking factor of BatchVisitPlane: planes
-// are processed in blocks of this many columns so the per-block working set
-// (two temperature rows plus the location arrays, ~10 KB) stays in L1 while
-// every candidate cell's stencil streams through once per block. Raising it
-// amortizes the stencil sweep over more planes; lowering it shrinks the
-// resident rows. 256 keeps both comfortably under a 32 KB L1d.
-const batchBlockPlanes = 256
 
 // BatchLoc holds the precomputed utilization-axis locations of one column of
 // utilizations — the struct-of-arrays (stencil index, blend weights) triple
-// per element — plus the temperature rows the blocked kernels blend into. A
-// BatchLoc may be reused across calls by one goroutine at a time (the engine
-// keeps one per worker); the zero value is ready to use.
+// per element. A BatchLoc may be reused across calls by one goroutine at a
+// time (the engine keeps one per worker); the zero value is ready to use.
 type BatchLoc struct {
 	n      int
 	iu     []int32
 	w0, w1 []float64
-	// cpu/out are the per-block blend rows BatchVisitPlane hands to its
-	// visitor, batchBlockPlanes wide.
-	cpu, out []float64
 }
 
 // Len returns the number of located elements.
@@ -62,18 +47,9 @@ func (l *BatchLoc) grow(n int) {
 	l.n = n
 }
 
-// rows returns the block blend rows, allocating them on first use.
-func (l *BatchLoc) rows() (cpu, out []float64) {
-	if l.cpu == nil {
-		l.cpu = make([]float64, batchBlockPlanes)
-		l.out = make([]float64, batchBlockPlanes)
-	}
-	return l.cpu, l.out
-}
-
 // LocateColumn precomputes the utilization-axis stencil location of every
 // element of us into l: the lower stencil index and the two linear blend
-// weights. It performs no range validation — numeric.Cell clamps to the
+// weights. It performs no range validation — the location clamps to the
 // boundary cell, so out-of-range utilizations extrapolate exactly as
 // Grid3D.Eval does, which keeps BatchEval bit-identical to the scalar
 // CPUTemp/OutletTemp calls for any input.
@@ -81,7 +57,7 @@ func (s *Space) LocateColumn(us []float64, l *BatchLoc) {
 	t := s.tabs
 	l.grow(len(us))
 	for i, u := range us {
-		iu, tx := numeric.Cell(t.uAxis, u)
+		iu, tx := t.locate(u)
 		l.iu[i] = int32(iu)
 		l.w0[i] = 1 - tx
 		l.w1[i] = tx
@@ -108,62 +84,13 @@ func (s *Space) BatchEval(cell int, l *BatchLoc, cpuT, out []float64) {
 	}
 }
 
-// BatchVisitPlane scans the candidate cells of every utilization plane in us
-// in one cache-blocked pass: planes are processed in blocks of
-// batchBlockPlanes, and within a block every cell's stencil is blended across
-// the whole block before the visitor sees it. visit is called once per
-// (cell, plane block) with lo the absolute index of the first plane the rows
-// cover; cpuT[k]/out[k] are the blended temperatures of plane lo+k at that
-// cell. Returning false stops the scan.
-//
-// Visit order per plane is exactly VisitPlane's (cell 0, 1, 2, ...), so a
-// consumer folding per-plane running state — the controller's slab filter and
-// power argmax — observes the scalar visit sequence and reproduces its
-// outcome bit for bit. Validation matches VisitPlane: every plane must lie in
-// [0, 1].
-func (s *Space) BatchVisitPlane(us []float64, l *BatchLoc, visit func(cell, lo int, cpuT, out []float64) bool) error {
-	for _, u := range us {
-		if u < 0 || u > 1 {
-			return errOutsideUnit(u)
-		}
-	}
-	s.LocateColumn(us, l)
-	cpuRow, outRow := l.rows()
-	t := s.tabs
-	cellsWalked := 0
-	for lo := 0; lo < len(us); lo += batchBlockPlanes {
-		hi := lo + batchBlockPlanes
-		if hi > len(us) {
-			hi = len(us)
-		}
-		iu, w0s, w1s := l.iu[lo:hi], l.w0[lo:hi], l.w1[lo:hi]
-		for c := 0; c < t.cells; c++ {
-			base := c * t.nu
-			tc := t.tcpu[base : base+t.nu]
-			to := t.tout[base : base+t.nu]
-			for k := range iu {
-				b := iu[k]
-				w0, w1 := w0s[k], w1s[k]
-				cpuRow[k] = w0*tc[b] + w1*tc[b+1]
-				outRow[k] = w0*to[b] + w1*to[b+1]
-			}
-			cellsWalked++
-			if !visit(c, lo, cpuRow[:hi-lo], outRow[:hi-lo]) {
-				s.observeBatchScan(len(us), cellsWalked)
-				return nil
-			}
-		}
-	}
-	s.observeBatchScan(len(us), cellsWalked)
-	return nil
-}
-
-// observeBatchScan records one batch plane scan when telemetry is attached.
-func (s *Space) observeBatchScan(planes, cells int) {
+// observeBatchScan records one plane's miss-scan row fetch when telemetry
+// is attached.
+func (s *Space) observeBatchScan(rows int) {
 	if m := s.metrics(); m != nil {
 		m.batchScans.Inc()
-		m.batchScanPlanes.Observe(float64(planes))
-		m.batchScanCells.Observe(float64(cells))
+		m.batchScanPlanes.Observe(1)
+		m.batchScanCells.Observe(float64(rows))
 	}
 }
 
@@ -175,18 +102,30 @@ func (s *Space) observeBatchScan(planes, cells int) {
 // every cell whose stencil lies clear of the band.
 const envelopeEps = 1e-9
 
+// SlabRow is one candidate cell's packed input to the miss-scan kernel on
+// one utilization segment [a_i, a_i+1]: the cell's CPU (C0, C1) and outlet
+// (O0, O1) stencil samples at the segment's two nodes, the cell's flat index
+// and its flow-axis index. A plane located in the segment with weights
+// (w0, w1) blends to CPU temperature w0*C0 + w1*C1 and outlet w0*O0 + w1*O1,
+// bit-identical to VisitPlane's Point for that cell.
+type SlabRow struct {
+	C0, C1, O0, O1 float64
+	Cell, FlowIdx  int32
+}
+
 // SegmentIndex is a precomputed pruning structure over the candidate tables:
-// for every utilization-axis segment, the ascending list of cells whose
-// (ε-widened) CPU-temperature envelope over that segment intersects a fixed
-// band [lo, hi]. A plane's safety-slab members are always a subset of its
-// segment's list, so a slab scan walks the list — typically a small fraction
-// of the plane — instead of every cell, then applies the exact criterion.
-// The index depends only on the space and the band, so the space builds it
-// once per band (Space.SegmentIndex) and every controller on the space shares
-// it; it is immutable after construction.
+// for every utilization-axis segment, the packed rows, in ascending cell
+// order, of the cells whose (ε-widened) CPU-temperature envelope over that
+// segment intersects a fixed band [lo, hi]. A plane's safety-slab members are
+// always among its segment's rows, so a slab scan streams the rows —
+// typically a small fraction of the plane, contiguous in memory — instead of
+// every cell's strided stencils, then applies the exact criterion. The index
+// depends only on the space and the band, so the space builds it once per
+// band (Space.SegmentIndex) and every controller on the space shares it; it
+// is immutable after construction.
 type SegmentIndex struct {
 	lo, hi float64
-	cands  [][]int32
+	rows   [][]SlabRow
 }
 
 // Matches reports whether the index was built for exactly this band.
@@ -218,104 +157,95 @@ func (s *Space) SegmentIndex(lo, hi units.Celsius) *SegmentIndex {
 	return idx
 }
 
-// buildSegmentIndex precomputes the per-segment candidate cells for the CPU
-// temperature band [lo, hi]. Cost is one pass over the stencils (cells × nu).
+// buildSegmentIndex packs the per-segment candidate rows for the CPU
+// temperature band [lo, hi]. Cost is one pass over the stencils (cells × nu)
+// to count and one to pack; every segment's rows share one allocation.
 func (s *Space) buildSegmentIndex(lo, hi units.Celsius) *SegmentIndex {
 	t := s.tabs
 	segs := t.nu - 1
-	if segs < 1 {
-		segs = 1
+	idx := &SegmentIndex{lo: float64(lo), hi: float64(hi), rows: make([][]SlabRow, segs)}
+	keep := func(c, b int) bool {
+		t0, t1 := t.tcpu[c*t.nu+b], t.tcpu[c*t.nu+b+1]
+		mn, mx := min(t0, t1), max(t0, t1)
+		eps := envelopeEps * (math.Abs(mn) + math.Abs(mx) + 1)
+		return mx+eps >= idx.lo && mn-eps <= idx.hi
 	}
-	idx := &SegmentIndex{lo: float64(lo), hi: float64(hi), cands: make([][]int32, segs)}
+	total := 0
 	for b := 0; b < segs; b++ {
-		var list []int32
 		for c := 0; c < t.cells; c++ {
-			base := c * t.nu
-			t0 := t.tcpu[base+b]
-			t1 := t0
-			if b+1 < t.nu {
-				t1 = t.tcpu[base+b+1]
-			}
-			mn, mx := t0, t1
-			if mn > mx {
-				mn, mx = mx, mn
-			}
-			eps := envelopeEps * (math.Abs(mn) + math.Abs(mx) + 1)
-			if mx+eps >= idx.lo && mn-eps <= idx.hi {
-				list = append(list, int32(c))
+			if keep(c, b) {
+				total++
 			}
 		}
-		idx.cands[b] = list
+	}
+	all := make([]SlabRow, 0, total)
+	for b := 0; b < segs; b++ {
+		start := len(all)
+		for c := 0; c < t.cells; c++ {
+			if keep(c, b) {
+				all = append(all, t.row(c, b))
+			}
+		}
+		idx.rows[b] = all[start:len(all):len(all)]
 	}
 	return idx
 }
 
-// GatherSlab writes the safety-slab members of plane u — exactly the cells
-// VisitPlaneIntersection(u, ...) visits with the index's band, in the same
-// ascending cell order — into cells, with their blended outlet temperatures
-// in outs (each at least s.Cells() long), and returns the member count. The
-// CPU criterion comparisons and both temperature blends are bit-identical to
-// the scalar visitor's; only the set of cells *inspected* shrinks, to the
-// plane's segment candidates (plus a full sweep when the plane extrapolates
-// off the utilization axis, where envelopes no longer bound the blend).
-func (s *Space) GatherSlab(idx *SegmentIndex, u float64, cells []int32, outs []float64) (int, error) {
-	if u < 0 || u > 1 {
-		return 0, errOutsideUnit(u)
+// row packs cell c's stencil samples on utilization segment b.
+func (t *candTables) row(c, b int) SlabRow {
+	base := c*t.nu + b
+	return SlabRow{
+		C0: t.tcpu[base], C1: t.tcpu[base+1],
+		O0: t.tout[base], O1: t.tout[base+1],
+		Cell: int32(c), FlowIdx: int32(c / t.ni),
 	}
-	t := s.tabs
-	iu, tx := numeric.Cell(t.uAxis, u)
-	w0, w1 := 1-tx, tx
-	lo, hi := idx.lo, idx.hi
-	n, walked := 0, 0
-	if tx < 0 || tx > 1 {
-		walked = t.cells
-		for c := 0; c < t.cells; c++ {
-			base := c*t.nu + iu
-			if ct := w0*t.tcpu[base] + w1*t.tcpu[base+1]; ct >= lo && ct <= hi {
-				cells[n] = int32(c)
-				outs[n] = w0*t.tout[base] + w1*t.tout[base+1]
-				n++
-			}
-		}
-	} else {
-		walked = len(idx.cands[iu])
-		for _, c := range idx.cands[iu] {
-			base := int(c)*t.nu + iu
-			if ct := w0*t.tcpu[base] + w1*t.tcpu[base+1]; ct >= lo && ct <= hi {
-				cells[n] = c
-				outs[n] = w0*t.tout[base] + w1*t.tout[base+1]
-				n++
-			}
-		}
-	}
-	s.observeBatchScan(1, walked)
-	return n, nil
 }
 
-// GatherBelow writes the plane-u cells whose blended CPU temperature is at or
-// below hi — the serial safety-fallback pass's candidates, ascending — into
-// cells/outs (each at least s.Cells() long) and returns the count. It sweeps
-// every cell, exactly as the scalar fallback does; callers reach it only for
-// the (rare) planes whose slab came back empty.
-func (s *Space) GatherBelow(u float64, hi units.Celsius, cells []int32, outs []float64) (int, error) {
-	if u < 0 || u > 1 {
-		return 0, errOutsideUnit(u)
+// planeRows packs every cell's row on segment b into *buf, growing it to
+// the plane's cell count on first use, and returns the rows.
+func (t *candTables) planeRows(b int, buf *[]SlabRow) []SlabRow {
+	if cap(*buf) < t.cells {
+		*buf = make([]SlabRow, t.cells)
 	}
+	rows := (*buf)[:t.cells]
+	for c := range rows {
+		rows[c] = t.row(c, b)
+	}
+	return rows
+}
+
+// SlabRows returns the rows the miss-scan kernel filters for plane u with
+// the index's band [lo, hi], and u's blend weights on them: the plane's
+// safety-slab members are exactly the rows whose blended CPU temperature
+// w0*C0 + w1*C1 lies in the band, in VisitPlaneIntersection's cell order.
+// For a plane inside the utilization axis the rows are its segment's
+// candidates, shared and read-only. A plane that extrapolates off the axis
+// (only a custom axis not spanning [0, 1] has such planes) is not bounded by
+// the envelopes, so it gets every cell's row, packed into *buf. The caller
+// validates u; NaN locates like numeric.Cell and matches no band.
+func (s *Space) SlabRows(idx *SegmentIndex, u float64, buf *[]SlabRow) (rows []SlabRow, w0, w1 float64) {
 	t := s.tabs
-	iu, tx := numeric.Cell(t.uAxis, u)
-	w0, w1 := 1-tx, tx
-	h := float64(hi)
-	n := 0
-	for c := 0; c < t.cells; c++ {
-		base := c*t.nu + iu
-		if ct := w0*t.tcpu[base] + w1*t.tcpu[base+1]; ct <= h {
-			cells[n] = int32(c)
-			outs[n] = w0*t.tout[base] + w1*t.tout[base+1]
-			n++
-		}
+	iu, tx := t.locate(u)
+	if tx < 0 || tx > 1 {
+		rows = t.planeRows(iu, buf)
+	} else {
+		rows = idx.rows[iu]
 	}
-	s.observeBatchScan(1, t.cells)
-	return n, nil
+	s.observeBatchScan(len(rows))
+	return rows, 1 - tx, tx
+}
+
+// PlaneRows packs every cell's row for plane u into *buf and returns them
+// with u's blend weights: the input of the safety fallback, which keeps the
+// rows whose blended CPU temperature is at or below the band's top. Filtering
+// them with the band [-Inf, hi] is that predicate bit for bit (every
+// non-NaN temperature is >= -Inf).
+func (s *Space) PlaneRows(u float64, buf *[]SlabRow) (rows []SlabRow, w0, w1 float64) {
+	t := s.tabs
+	iu, tx := t.locate(u)
+	rows = t.planeRows(iu, buf)
+	s.observeBatchScan(len(rows))
+	return rows, 1 - tx, tx
 }
 
 // CellSetting returns the (flow, inlet) coordinates of a flat candidate-cell

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/h2p-sim/h2p/internal/cpu"
+	"github.com/h2p-sim/h2p/internal/numeric"
 	"github.com/h2p-sim/h2p/internal/telemetry"
 	"github.com/h2p-sim/h2p/internal/units"
 )
@@ -87,107 +88,136 @@ func TestBatchEvalExtrapolates(t *testing.T) {
 	}
 }
 
-// TestBatchVisitPlaneMatchesVisitPlane folds the batch scan back into
-// per-plane sequences and checks every (plane, cell) temperature pair against
-// the scalar visitor, across a column wide enough to span multiple blocks.
-func TestBatchVisitPlaneMatchesVisitPlane(t *testing.T) {
-	s := batchSpace(t)
-	for _, n := range []int{1, 7, batchBlockPlanes, batchBlockPlanes + 1, 3*batchBlockPlanes + 5} {
-		us := batchColumn(n, int64(n))
-		for i := range us { // BatchVisitPlane validates [0, 1]
-			us[i] = math.Min(1, math.Max(0, us[i]))
-		}
-		type pair struct{ cpu, out float64 }
-		got := make([][]pair, n)
-		for p := range got {
-			got[p] = make([]pair, 0, s.Cells())
-		}
-		var loc BatchLoc
-		err := s.BatchVisitPlane(us, &loc, func(cell, lo int, cpuT, out []float64) bool {
-			for k := range cpuT {
-				got[lo+k] = append(got[lo+k], pair{cpuT[k], out[k]})
-			}
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p, u := range us {
-			cell := 0
-			err := s.VisitPlane(u, func(c int, pt Point) bool {
-				g := got[p][cell]
-				if c != cell || g.cpu != float64(pt.CPUTemp) || g.out != float64(pt.Outlet) {
-					t.Fatalf("n=%d plane %d cell %d: batch = %+v, scalar = (%v, %v)",
-						n, p, c, g, pt.CPUTemp, pt.Outlet)
-				}
-				cell++
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cell != len(got[p]) {
-				t.Fatalf("n=%d plane %d: batch visited %d cells, scalar %d", n, p, len(got[p]), cell)
-			}
-		}
-	}
-}
-
-// TestBatchVisitPlaneValidates matches VisitPlane's [0, 1] contract.
-func TestBatchVisitPlaneValidates(t *testing.T) {
-	s := batchSpace(t)
-	var loc BatchLoc
-	// NaN is deliberately absent: it fails neither bound, exactly as in the
-	// scalar VisitPlane (the controller's own validation sits above both).
-	for _, us := range [][]float64{{-0.1}, {0.5, 1.5}} {
-		err := s.BatchVisitPlane(us, &loc, func(int, int, []float64, []float64) bool { return true })
-		if err == nil {
-			t.Errorf("BatchVisitPlane(%v) accepted an out-of-range plane", us)
-		}
-	}
-}
-
-// TestBatchVisitPlaneEarlyStop checks that a false visitor return stops the
-// scan immediately.
-func TestBatchVisitPlaneEarlyStop(t *testing.T) {
-	s := batchSpace(t)
-	var loc BatchLoc
-	calls := 0
-	err := s.BatchVisitPlane([]float64{0.5}, &loc, func(cell, lo int, _, _ []float64) bool {
-		calls++
-		return calls < 3
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Fatalf("visitor called %d times after stop at 3", calls)
-	}
-}
-
-// TestBatchScanTelemetry checks the batch scan instruments record planes and
-// blocked cells.
+// TestBatchScanTelemetry checks the slab-row helpers record one batch scan
+// per call, observing one plane and the rows handed out: the segment's
+// candidates for SlabRows, every cell for PlaneRows.
 func TestBatchScanTelemetry(t *testing.T) {
 	s := batchSpace(t)
 	reg := telemetry.New()
 	s.AttachTelemetry(reg)
-	var loc BatchLoc
-	us := batchColumn(batchBlockPlanes+3, 9)
-	for i := range us {
-		us[i] = math.Min(1, math.Max(0, us[i]))
-	}
-	if err := s.BatchVisitPlane(us, &loc, func(int, int, []float64, []float64) bool { return true }); err != nil {
-		t.Fatal(err)
+	idx := s.SegmentIndex(61, 63)
+	var buf []SlabRow
+	slab, _, _ := s.SlabRows(idx, 0.63, &buf)
+	if _, _, _ = s.PlaneRows(0.63, &buf); len(buf) != s.Cells() {
+		t.Fatalf("PlaneRows buffer holds %d rows, want %d", len(buf), s.Cells())
 	}
 	snap := reg.Snapshot()
 	found := false
 	for _, c := range snap.Counters {
-		if c.Name == metricBatchScans && c.Value == 1 {
+		if c.Name == metricBatchScans && c.Value == 2 {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("batch scan counter not recorded: %+v", snap.Counters)
+	}
+	for _, h := range snap.Histograms {
+		switch h.Name {
+		case metricBatchScanPlanes:
+			if h.Count != 2 || h.Sum != 2 {
+				t.Errorf("planes histogram count=%d sum=%v, want 2/2", h.Count, h.Sum)
+			}
+		case metricBatchScanCells:
+			if want := float64(len(slab) + s.Cells()); h.Count != 2 || h.Sum != want {
+				t.Errorf("cells histogram count=%d sum=%v, want 2/%v", h.Count, h.Sum, want)
+			}
+		}
+	}
+}
+
+// locateAxes are the utilization axes the locate tests sweep: the default
+// uniform axis, and two strictly increasing non-uniform ones that do not
+// span [0, 1], so unit planes extrapolate. Nodes bunched early make the
+// direct guess undershoot by several nodes; nodes bunched late make it
+// overshoot.
+func locateAxes() []Axes {
+	early, late := DefaultAxes(), DefaultAxes()
+	early.Utilization = []float64{0.05, 0.06, 0.1, 0.35, 0.36, 0.37, 0.5, 0.9, 0.95}
+	late.Utilization = []float64{0.05, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95}
+	return []Axes{DefaultAxes(), early, late}
+}
+
+// TestLocateMatchesNumericCell pins the direct-index locate to
+// numeric.Cell bit for bit: at every axis node and its Nextafter
+// neighbours, at segment midpoints, at 0 and 1, and at NaN, ±Inf and
+// out-of-axis values.
+func TestLocateMatchesNumericCell(t *testing.T) {
+	for _, ax := range locateAxes() {
+		s, err := Build(cpu.XeonE52650V3(), ax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs := s.tabs
+		qs := []float64{0, 1, math.Copysign(0, -1), -0.5, 1.5, -1e300, 1e300,
+			math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64}
+		for i, a := range ax.Utilization {
+			qs = append(qs, a, math.Nextafter(a, math.Inf(-1)), math.Nextafter(a, math.Inf(1)))
+			if i+1 < len(ax.Utilization) {
+				qs = append(qs, (a+ax.Utilization[i+1])/2)
+			}
+		}
+		rng := rand.New(rand.NewSource(4))
+		for range 1000 {
+			qs = append(qs, rng.Float64())
+		}
+		for _, q := range qs {
+			gi, gt := tabs.locate(q)
+			wi, wt := numeric.Cell(ax.Utilization, q)
+			if gi != wi || math.Float64bits(gt) != math.Float64bits(wt) {
+				t.Fatalf("axis %v u=%v: locate = (%d, %v), numeric.Cell = (%d, %v)",
+					ax.Utilization, q, gi, gt, wi, wt)
+			}
+		}
+	}
+}
+
+// TestSlabRowsMatchVisitPlane ports the per-cell temperature identity of
+// the candidate scan onto the packed rows: for planes across both locate
+// axes, every row PlaneRows packs blends, with the returned weights, to
+// exactly VisitPlane's CPU and outlet temperatures for its cell, in cell
+// order with the cell's flow index; and SlabRows hands out a subsequence of
+// them that contains every VisitPlaneIntersection member.
+func TestSlabRowsMatchVisitPlane(t *testing.T) {
+	const tsafe, band = units.Celsius(62), units.Celsius(1)
+	for _, ax := range locateAxes() {
+		s, err := Build(cpu.XeonE52650V3(), ax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := s.SegmentIndex(tsafe-band, tsafe+band)
+		var buf, slabBuf []SlabRow
+		for k := 0; k <= 400; k++ {
+			u := float64(k) / 400
+			rows, w0, w1 := s.PlaneRows(u, &buf)
+			err := s.VisitPlane(u, func(c int, p Point) bool {
+				r := rows[c]
+				if int(r.Cell) != c || int(r.FlowIdx) != s.CellFlowIndex(c) ||
+					w0*r.C0+w1*r.C1 != float64(p.CPUTemp) || w0*r.O0+w1*r.O1 != float64(p.Outlet) {
+					t.Fatalf("u=%v cell %d: row %+v with (%v, %v) != point %+v", u, c, r, w0, w1, p)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slab, sw0, sw1 := s.SlabRows(idx, u, &slabBuf)
+			if sw0 != w0 || sw1 != w1 {
+				t.Fatalf("u=%v: SlabRows weights (%v, %v) != PlaneRows (%v, %v)", u, sw0, sw1, w0, w1)
+			}
+			next := 0
+			err = s.VisitPlaneIntersection(u, tsafe, band, func(c int, _ Point) bool {
+				for next < len(slab) && int(slab[next].Cell) < c {
+					next++
+				}
+				if next == len(slab) || slab[next] != rows[c] {
+					t.Fatalf("u=%v: slab member cell %d missing from the slab rows", u, c)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

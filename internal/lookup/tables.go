@@ -25,24 +25,30 @@ import (
 type candTables struct {
 	nu    int       // len(axes.Utilization): stencil stride
 	cells int       // len(axes.Flow) * len(axes.Inlet)
+	ni    int       // len(axes.Inlet): cell -> flow index divisor
 	uAxis []float64 // the utilization axis (shared with axes)
-	flow  []float64 // per-cell flow coordinate, len cells
-	inlet []float64 // per-cell inlet coordinate, len cells
-	tcpu  []float64 // per-cell utilization stencils, len cells*nu
-	tout  []float64 // per-cell utilization stencils, len cells*nu
+	// uScale maps an in-axis utilization to locate's first guess at its
+	// segment: (nu-1) / (last node - first node).
+	uScale float64
+	flow   []float64 // per-cell flow coordinate, len cells
+	inlet  []float64 // per-cell inlet coordinate, len cells
+	tcpu   []float64 // per-cell utilization stencils, len cells*nu
+	tout   []float64 // per-cell utilization stencils, len cells*nu
 }
 
 // buildCandTables transposes the x-major grids into cell-major stencils.
 func buildCandTables(axes Axes, tcpu, tout *numeric.Grid3D) *candTables {
 	nu, nf, ni := len(axes.Utilization), len(axes.Flow), len(axes.Inlet)
 	t := &candTables{
-		nu:    nu,
-		cells: nf * ni,
-		uAxis: axes.Utilization,
-		flow:  make([]float64, nf*ni),
-		inlet: make([]float64, nf*ni),
-		tcpu:  make([]float64, nf*ni*nu),
-		tout:  make([]float64, nf*ni*nu),
+		nu:     nu,
+		cells:  nf * ni,
+		ni:     ni,
+		uAxis:  axes.Utilization,
+		uScale: float64(nu-1) / (axes.Utilization[nu-1] - axes.Utilization[0]),
+		flow:   make([]float64, nf*ni),
+		inlet:  make([]float64, nf*ni),
+		tcpu:   make([]float64, nf*ni*nu),
+		tout:   make([]float64, nf*ni*nu),
 	}
 	for j, f := range axes.Flow {
 		for k, tin := range axes.Inlet {
@@ -57,6 +63,31 @@ func buildCandTables(axes Axes, tcpu, tout *numeric.Grid3D) *candTables {
 		}
 	}
 	return t
+}
+
+// locate returns numeric.Cell(t.uAxis, u) — the lower node index of u's
+// utilization segment and the blend weight inside it — without the binary
+// search. An in-axis u starts from the direct guess (u-a0)·uScale, clamped
+// to the axis and exact on a uniform one; the two fix-up loops then walk to
+// the smallest i with axis[i] >= u, which is sort.SearchFloat64s's index on
+// any strictly increasing axis, so the clamp and the weight below are
+// numeric.Cell's bit for bit. NaN, ±Inf and out-of-axis values take
+// numeric.Cell itself.
+func (t *candTables) locate(u float64) (int, float64) {
+	ax := t.uAxis
+	last := len(ax) - 1
+	if !(u >= ax[0] && u <= ax[last]) {
+		return numeric.Cell(ax, u)
+	}
+	i := min(max(int((u-ax[0])*t.uScale), 0), last)
+	for i > 0 && ax[i-1] >= u {
+		i--
+	}
+	for ax[i] < u {
+		i++
+	}
+	i = max(i, 1)
+	return i - 1, (u - ax[i-1]) / (ax[i] - ax[i-1])
 }
 
 // pointAt assembles the interpolated Point of cell c at the plane located by

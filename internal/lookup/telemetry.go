@@ -19,8 +19,8 @@ const (
 
 // spaceMetrics instruments the candidate-table visitors: how often planes
 // are scanned (cache-miss work in the decision path) and how many cells each
-// scan walks before the visitor stops it, plus the batch kernels' column
-// widths and blocked scan lengths.
+// scan walks before the visitor stops it, plus, per miss-scan row fetch
+// (SlabRows, PlaneRows), the planes located and the rows handed out.
 type spaceMetrics struct {
 	planeScans      *telemetry.Counter
 	planeScanCells  *telemetry.Histogram

@@ -16,11 +16,12 @@ import (
 // per circulation) and processes them in column passes:
 //
 //  1. reduce every group to its plane utilization and quantized cache key,
-//  2. sort-and-compact the keys so each distinct plane probes the sharded
-//     decision cache exactly once,
-//  3. resolve all cache-missed planes with the segment-pruned slab scan
-//     (lookup.GatherSlab over the controller's SegmentIndex), folding the
-//     slab filter, the safety fallback and the power argmax in cell order,
+//     interning the key so each group records its distinct-plane index,
+//  2. probe the sharded decision cache exactly once per distinct plane,
+//  3. resolve all cache-missed planes with one fused kernel over the packed
+//     slab rows of the controller's SegmentIndex (lookup.SlabRows): the
+//     band filter, the outlet blend and the power argmax in one pass in
+//     cell order, rerun over the whole plane for the safety fallback,
 //  4. scatter settings back to groups and evaluate the per-server outputs
 //     and the plane's outlet temperature with the flattened-stencil kernels
 //     (lookup.BatchEval) at the decided cell.
@@ -52,21 +53,29 @@ func (e GroupError) Error() string { return fmt.Sprintf("group %d: %v", e.Group,
 func (e GroupError) Unwrap() error { return e.Err }
 
 // BatchScratch is the reusable working set of DecideBatchCold: the per-group
-// reduction arrays, the unique-plane cache-probe state, the fused scan
-// accumulators and the per-server temperature rows. A BatchScratch may be
-// reused across calls by one goroutine at a time (the engine keeps one per
-// shard); the zero value is ready to use. With a warm decision cache a
+// reduction arrays, the key table, the unique-plane cache-probe state, the
+// miss scan's full-plane rows and the per-server temperature rows. A
+// BatchScratch may be reused across calls by one goroutine at a time (the
+// engine keeps one per shard); the zero value is ready to use. With a warm decision cache a
 // DecideBatchCold over a previously seen group shape performs zero
 // allocations.
 type BatchScratch struct {
 	// Per-group state, len(ranges) wide.
 	planeU []float64 // raw (unquantized) plane utilization — what Decision.PlaneU reports
-	keys   []uint64  // quantized-plane cache key; valid only where gErrs[g] == nil
 	gErrs  []error   // per-group reduction/validation failure, serial message
+	gUniq  []int32   // index of the group's cache key in uniq; valid only where gErrs[g] == nil
+
+	// slots is the open-addressing table intern uses to find a key's index
+	// in uniq: a power of two at least twice the group count wide, each
+	// slot 0 (empty) or a uniq index plus one. shift turns the key's
+	// Fibonacci hash into a slot.
+	slots []int32
+	shift uint
 
 	// Per-unique-key state, one entry per distinct key among the valid
-	// groups, sorted ascending. published starts true for keys already in
-	// the cache and flips true when a group's scatter gets the miss admitted.
+	// groups, in order of first appearance. published starts true for keys
+	// already in the cache and flips true when a group's scatter gets the
+	// miss admitted.
 	uniq      []uint64
 	published []bool
 	uSetting  []Setting
@@ -79,17 +88,15 @@ type BatchScratch struct {
 	missPlane []float64
 	missIdx   []int32
 
-	// Candidate rows for the miss scan, Space.Cells() wide: the gathered
-	// slab (or fallback) member cells of one plane and their blended outlet
-	// temperatures, over which the power argmax folds.
-	candCell []int32
-	candOut  []float64
+	// plane holds a whole plane's packed rows, Space.Cells() wide, for the
+	// miss scan's rare full-plane passes (the safety fallback and planes off
+	// a custom utilization axis); allocated on first use.
+	plane []lookup.SlabRow
 
 	// Per-server temperature rows for the scatter phase, widest-group wide.
 	cpuT, outT []float64
 
-	// loc is the column-location scratch shared by the miss scan and the
-	// per-server evaluations (they run strictly one after the other).
+	// loc is the column-location scratch of the per-server evaluations.
 	loc lookup.BatchLoc
 }
 
@@ -103,11 +110,35 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// growGroups sizes the per-group arrays.
+// growGroups sizes the per-group arrays and empties the key table.
 func (bs *BatchScratch) growGroups(n int) {
 	bs.planeU = resize(bs.planeU, n)
-	bs.keys = resize(bs.keys, n)
 	bs.gErrs = resize(bs.gErrs, n)
+	bs.gUniq = resize(bs.gUniq, n)
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	bs.slots = resize(bs.slots, 1<<bits)
+	bs.shift = 64 - bits
+	bs.uniq = bs.uniq[:0]
+}
+
+// intern returns key's index in uniq, appending the key on its first
+// appearance. The table is at most half full, so the linear probe is short.
+func (bs *BatchScratch) intern(key uint64) int32 {
+	mask := uint64(len(bs.slots) - 1)
+	for h := (key * 0x9E3779B97F4A7C15) >> bs.shift; ; h = (h + 1) & mask {
+		s := bs.slots[h]
+		if s == 0 {
+			bs.uniq = append(bs.uniq, key)
+			bs.slots[h] = int32(len(bs.uniq))
+			return int32(len(bs.uniq) - 1)
+		}
+		if bs.uniq[s-1] == key {
+			return s - 1
+		}
+	}
 }
 
 // growUnique sizes the per-unique-key arrays.
@@ -117,16 +148,6 @@ func (bs *BatchScratch) growUnique(n int) {
 	bs.uPower = resize(bs.uPower, n)
 	bs.uCell = resize(bs.uCell, n)
 	bs.uErr = resize(bs.uErr, n)
-}
-
-// growCandidates sizes the gather rows to the plane's cell count.
-func (bs *BatchScratch) growCandidates(cells int) {
-	if cap(bs.candCell) < cells {
-		bs.candCell = make([]int32, cells)
-		bs.candOut = make([]float64, cells)
-	}
-	bs.candCell = bs.candCell[:cells]
-	bs.candOut = bs.candOut[:cells]
 }
 
 // growServers sizes the per-server temperature rows.
@@ -167,10 +188,10 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		}
 	}
 
-	// Phase 1: reduce each group to its plane and cache key. Validation
-	// follows the serial sequence exactly: empty/unknown-scheme from
-	// PlaneUtilization first, then Choose's unit-interval check on the raw
-	// plane, then quantization.
+	// Phase 1: reduce each group to its plane and cache key, and intern the
+	// key. Validation follows the serial sequence exactly: empty/unknown-
+	// scheme from PlaneUtilization first, then Choose's unit-interval check
+	// on the raw plane, then quantization.
 	bs.growGroups(len(ranges))
 	for g, r := range ranges {
 		planeU, err := PlaneUtilization(col[r.Lo:r.Hi], scheme)
@@ -183,18 +204,10 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 			bs.gErrs[g] = errUtilizationOutsideUnit(planeU)
 			continue
 		}
-		bs.keys[g] = math.Float64bits(c.quantizePlane(planeU))
+		bs.gUniq[g] = bs.intern(math.Float64bits(c.quantizePlane(planeU)))
 	}
 
 	// Phase 2: one cache probe per distinct key.
-	bs.uniq = bs.uniq[:0]
-	for g := range ranges {
-		if bs.gErrs[g] == nil {
-			bs.uniq = append(bs.uniq, bs.keys[g])
-		}
-	}
-	slices.Sort(bs.uniq)
-	bs.uniq = slices.Compact(bs.uniq)
 	bs.growUnique(len(bs.uniq))
 	cb := math.Float64bits(float64(cold))
 	bs.missPlane = bs.missPlane[:0]
@@ -210,25 +223,12 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 	}
 	c.observeBatch(len(ranges), len(bs.uniq))
 
-	// Phase 3: resolve all missed planes with the segment-pruned slab scan.
-	// Gather order per plane is cell-ascending — VisitPlane's — so the
+	// Phase 3: resolve all missed planes with the fused slab-row kernel.
+	// Row order per plane is cell-ascending — VisitPlane's — so the
 	// strictly-greater argmax picks the exact setting the serial two-pass
-	// scan picks.
-	if len(bs.missPlane) > 0 {
-		if err := c.scanMisses(bs, cold); err != nil {
-			// Attribute the scan failure to the lowest group holding a
-			// missed key, matching the serial "first circulation to decide
-			// this plane fails" behavior.
-			for g := range ranges {
-				if bs.gErrs[g] == nil {
-					if _, found := slices.BinarySearch(bs.missKeysView(), bs.keys[g]); found {
-						return GroupError{Group: g, Err: err}
-					}
-				}
-			}
-			return GroupError{Group: 0, Err: err}
-		}
-	}
+	// scan picks. A plane that finds no safe setting keeps its error in
+	// uErr, for the first group deciding it to report.
+	c.scanMisses(bs, cold)
 
 	// Phase 4: scatter in group order — publish fresh entries, account the
 	// cache counters exactly as per-group Choose calls would, and evaluate
@@ -245,8 +245,8 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		if bs.gErrs[g] != nil {
 			return GroupError{Group: g, Err: bs.gErrs[g]}
 		}
-		key := bs.keys[g]
-		j, _ := slices.BinarySearch(bs.uniq, key)
+		j := bs.gUniq[g]
+		key := bs.uniq[j]
 		calls++
 		if !bs.published[j] {
 			if err := bs.uErr[j]; err != nil {
@@ -307,59 +307,45 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 	return nil
 }
 
-// missKeysView returns the sorted keys of the missed planes. missPlane is
-// built from uniq in ascending key order, so re-deriving the bits preserves
-// sortedness for the binary search in the scan-failure attribution path.
-func (bs *BatchScratch) missKeysView() []uint64 {
-	keys := make([]uint64, len(bs.missPlane))
-	for i, p := range bs.missPlane {
-		keys[i] = math.Float64bits(p)
-	}
-	return keys
-}
-
-// scanMisses resolves every cache-missed plane, or — when the safety band is
-// not positive, which the scalar scan rejects per call — defers to the scalar
-// path so the error text matches.
+// scanMisses resolves every cache-missed plane into the unique arrays, or —
+// when the safety band is not positive, which the scalar scan rejects per
+// call — defers to the scalar path so the error text matches.
 //
-// The scan is the segment-pruned two-pass: for each missed plane (ascending,
-// since misses derive from the sorted unique keys) the slab members are
-// gathered through the space's SegmentIndex for the band — walking only the cells
-// whose stencil envelope can intersect the band, a small fraction of the
-// plane — and the power argmax folds over the gathered rows. Planes with an
-// empty slab fall back to the full below-band sweep, exactly like the serial
-// second pass. Membership, blend arithmetic, argmax order and the
-// curve-evaluation telemetry all replicate the scalar scan bit for bit.
-func (c *Controller) scanMisses(bs *BatchScratch, cold units.Celsius) error {
+// For each missed plane the fused kernel streams the plane's slab rows from
+// the space's SegmentIndex for the band — only the cells whose stencil
+// envelope can intersect the band, a small fraction of the plane —
+// filtering, blending and folding the power argmax in one pass. A plane with an empty
+// slab reruns the kernel over the whole plane with the band [-Inf,
+// TSafe+Band], exactly the serial second pass's "at or below TSafe+Band"
+// criterion; a plane with no safe setting even then records
+// errNoSafeSetting. Membership, blend arithmetic, argmax order, the
+// curve-evaluation count and the scan telemetry all replicate the scalar
+// scan bit for bit.
+func (c *Controller) scanMisses(bs *BatchScratch, cold units.Celsius) {
 	if c.Band <= 0 {
 		for m, j := range bs.missIdx {
 			_, _, _, err := c.choose(bs.missPlane[m], cold)
 			bs.uErr[j] = err
 		}
-		return nil
+		return
 	}
-	tsHi := c.TSafe + c.Band
-	idx := c.Space.SegmentIndex(c.TSafe-c.Band, tsHi)
-	bs.growCandidates(c.Space.Cells())
+	lo, hi := float64(c.TSafe-c.Band), float64(c.TSafe+c.Band)
+	idx := c.Space.SegmentIndex(c.TSafe-c.Band, c.TSafe+c.Band)
 	var evals uint64
 	for m, j := range bs.missIdx {
 		u := bs.missPlane[m]
-		n, err := c.Space.GatherSlab(idx, u, bs.candCell, bs.candOut)
-		if err != nil {
-			return err
-		}
+		rows, w0, w1 := c.Space.SlabRows(idx, u, &bs.plane)
+		n, bestP, bestCell := c.curve.scanRows(rows, w0, w1, lo, hi, float64(cold))
 		if n == 0 {
 			// The slab is unreachable: optimize over every setting keeping
 			// the die at or below TSafe+Band, as the serial fallback does.
-			if n, err = c.Space.GatherBelow(u, tsHi, bs.candCell, bs.candOut); err != nil {
-				return err
-			}
+			rows, w0, w1 = c.Space.PlaneRows(u, &bs.plane)
+			n, bestP, bestCell = c.curve.scanRows(rows, w0, w1, math.Inf(-1), hi, float64(cold))
 		}
 		if n == 0 {
 			bs.uErr[j] = errNoSafeSetting(u)
 			continue
 		}
-		bestP, bestCell := c.curve.argmaxColumn(bs.candCell, bs.candOut, n, float64(cold))
 		flow, inlet := c.Space.CellSetting(int(bestCell))
 		bs.uSetting[j] = Setting{Flow: flow, Inlet: inlet}
 		bs.uPower[j] = bestP
@@ -369,5 +355,4 @@ func (c *Controller) scanMisses(bs *BatchScratch, cold units.Celsius) error {
 	if m := c.met; m != nil {
 		m.curveEvals.Add(evals)
 	}
-	return nil
 }

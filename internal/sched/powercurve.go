@@ -67,21 +67,31 @@ func (pc *powerCurve) powerAt(cell int, outlet units.Celsius, cold float64) unit
 	return units.Watts(p * pc.n)
 }
 
-// argmaxColumn folds powerAt over gathered candidate rows — cells[i] paired
-// with outlet temperature outs[i] — returning the first strictly-greatest
-// power and its cell, exactly the serial scan's tie-breaking (rows arrive in
-// ascending cell order). The fit coefficients and cold-side temperature are
-// hoisted; the per-element operation sequence is powerAt's, so the winning
-// power is bit-identical to the scalar fold.
-func (pc *powerCurve) argmaxColumn(cells []int32, outs []float64, n int, cold float64) (units.Watts, int32) {
+// scanRows is the miss scan's one kernel. For a plane with blend weights
+// (w0, w1) it keeps each row whose blended CPU temperature ct satisfies
+// ct >= lo && ct <= hi — the scalar scan's band predicate, so a NaN never
+// passes — blends the kept row's outlet temperature, evaluates powerAt's
+// operation sequence on it (the row carries its flow index, so the
+// derating factor needs no division) and keeps the first strictly greater
+// power. Rows arrive in ascending cell order, so the winner is the scalar
+// fold's exactly. It returns the member count, the best power (-1 when no
+// row passes) and the best cell.
+func (pc *powerCurve) scanRows(rows []lookup.SlabRow, w0, w1, lo, hi, cold float64) (int, units.Watts, int32) {
 	f0, f1, f2 := pc.fit[0], pc.fit[1], pc.fit[2]
 	scale := pc.n
+	factors := pc.factors
+	n := 0
 	bestP := units.Watts(-1)
 	bestCell := int32(0)
-	for i := 0; i < n; i++ {
+	for i := range rows {
+		r := &rows[i]
+		if ct := w0*r.C0 + w1*r.C1; !(ct >= lo && ct <= hi) {
+			continue
+		}
+		n++
 		var pw units.Watts
-		if dT := outs[i] - cold; dT > 0 {
-			x := math.Abs(dT * pc.factors[int(cells[i])/pc.ni])
+		if dT := w0*r.O0 + w1*r.O1 - cold; dT > 0 {
+			x := math.Abs(dT * factors[r.FlowIdx])
 			p := f0 + f1*x + f2*x*x
 			if p < 0 {
 				p = 0
@@ -89,10 +99,10 @@ func (pc *powerCurve) argmaxColumn(cells []int32, outs []float64, n int, cold fl
 			pw = units.Watts(p * scale)
 		}
 		if pw > bestP {
-			bestP, bestCell = pw, cells[i]
+			bestP, bestCell = pw, r.Cell
 		}
 	}
-	return bestP, bestCell
+	return n, bestP, bestCell
 }
 
 // powerAtColumn is powerAt over a column of outlet temperatures at one fixed
