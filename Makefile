@@ -48,6 +48,7 @@ fuzz-check:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadLongFormat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVSourceMatchesReadCSV$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseFloat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDecideBatchEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/h2psim -run '^$$' -fuzz '^FuzzResumeCheckpoint$$' -fuzztime $(FUZZTIME)
@@ -107,20 +108,22 @@ check: vet fmt-check vuln build race fuzz-check load-check perfbench-check resul
 # The CSVSource benchmark (index and decode of a generated 2k-server drastic
 # CSV, in MB/s and values/s) lands in BENCH_trace.json.
 # Each artifact opens with the h2p_bench_env header line (`h2pbench
-# -bench-env`): go version, GOMAXPROCS, CPU model, commit. h2pbenchdiff
-# reads it back and warns when two compared artifacts come from different
-# environments, so hardware deltas are not mistaken for regressions.
+# -bench-env`): go version, GOMAXPROCS, CPU model, commit. `go run` stamps
+# no VCS revision by default, so the header lines build with
+# -buildvcs=true. h2pbenchdiff reads the header back and warns when two
+# compared artifacts come from different environments, so hardware deltas
+# are not mistaken for regressions.
 bench:
-	$(GO) run ./cmd/h2pbench -bench-env > BENCH_decision.json
+	$(GO) run -buildvcs=true ./cmd/h2pbench -bench-env > BENCH_decision.json
 	$(GO) test -run '^$$' -bench Decision -benchmem -count=1 -json \
 		./internal/lookup ./internal/sched >> BENCH_decision.json
-	$(GO) run ./cmd/h2pbench -bench-env > BENCH_interval.json
+	$(GO) run -buildvcs=true ./cmd/h2pbench -bench-env > BENCH_interval.json
 	$(GO) test -run '^$$' -bench IntervalThroughput -benchmem -count=1 -json \
 		./internal/core >> BENCH_interval.json
-	$(GO) run ./cmd/h2pbench -bench-env > BENCH_shard.json
+	$(GO) run -buildvcs=true ./cmd/h2pbench -bench-env > BENCH_shard.json
 	$(GO) test -run '^$$' -bench ShardScaling -benchmem -benchtime 1x -count=1 -json \
 		./internal/core >> BENCH_shard.json
-	$(GO) run ./cmd/h2pbench -bench-env > BENCH_trace.json
+	$(GO) run -buildvcs=true ./cmd/h2pbench -bench-env > BENCH_trace.json
 	$(GO) test -run '^$$' -bench '^BenchmarkCSVSource$$' -benchmem -count=1 -json \
 		./internal/trace >> BENCH_trace.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_decision.json

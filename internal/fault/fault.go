@@ -223,15 +223,18 @@ func (p *Plan) Empty() bool { return p == nil || len(p.Specs) == 0 }
 
 // compiledSpec is one spec with its derived constants resolved.
 type compiledSpec struct {
-	spec       Spec
-	stream     uint64  // per-spec hash stream id, so identical specs differ
+	spec Spec
+	// key is the first hash round, mix(seed ^ stream), resolved once per
+	// compile: the stream id makes identical specs differ, and every
+	// activation query continues the hash from here.
+	key        uint64
 	factor     float64 // TEGDegrade: output factor; PumpDroop: flow factor
 	persistent bool    // the kind's default, resolved once off the hot path
 }
 
 // active reports whether the spec fires for (interval, unit) under the
 // injector's seed. attempt only matters for StepError.
-func (cs *compiledSpec) active(seed uint64, interval, unit, attempt int) bool {
+func (cs *compiledSpec) active(interval, unit, attempt int) bool {
 	if len(cs.spec.Windows) > 0 {
 		for _, w := range cs.spec.Windows {
 			if w.contains(interval, unit) {
@@ -243,9 +246,9 @@ func (cs *compiledSpec) active(seed uint64, interval, unit, attempt int) bool {
 	if cs.persistent {
 		// Persistent rate-based faults affect a fixed population fraction
 		// for the whole run: the unit's draw is interval-independent.
-		return u01(seed, cs.stream, uint64(unit), 0, 0) < cs.spec.Rate
+		return u01(cs.key, uint64(unit), 0, 0) < cs.spec.Rate
 	}
-	return u01(seed, cs.stream, uint64(unit), uint64(interval)+1, uint64(attempt)+1) < cs.spec.Rate
+	return u01(cs.key, uint64(unit), uint64(interval)+1, uint64(attempt)+1) < cs.spec.Rate
 }
 
 // Injector is a compiled Plan bound to a seed: a stateless oracle the
@@ -260,7 +263,6 @@ func (cs *compiledSpec) active(seed uint64, interval, unit, attempt int) bool {
 // sees exactly the faults the uninterrupted run would have, so checkpoints
 // carry no injector state.
 type Injector struct {
-	seed     uint64
 	retry    RetryPolicy
 	maxStale int
 
@@ -280,10 +282,12 @@ func (p *Plan) Compile(seed int64) (*Injector, error) {
 	if p.Empty() {
 		return nil, nil
 	}
-	in := &Injector{seed: mix(uint64(seed)), retry: p.Retry}
+	in := &Injector{retry: p.Retry}
+	mixedSeed := mix(uint64(seed))
 	explicitStale := 0
 	for i, s := range p.Specs {
-		cs := compiledSpec{spec: s, stream: mix(uint64(i) + 0x5eed), persistent: kindDefaults[s.Kind].persistent}
+		stream := mix(uint64(i) + 0x5eed)
+		cs := compiledSpec{spec: s, key: mix(mixedSeed ^ stream), persistent: kindDefaults[s.Kind].persistent}
 		switch s.Kind {
 		case TEGDegrade:
 			deg, err := teg.NewDegradation(s.severity())
@@ -338,7 +342,7 @@ func (in *Injector) TEGFactor(interval, server int) float64 {
 	}
 	f := 1.0
 	for i := range in.tegDegrade {
-		if in.tegDegrade[i].active(in.seed, interval, server, 0) {
+		if in.tegDegrade[i].active(interval, server, 0) {
 			f *= in.tegDegrade[i].factor
 		}
 	}
@@ -352,7 +356,7 @@ func (in *Injector) TEGOpen(interval, server int) bool {
 		return false
 	}
 	for i := range in.tegOpen {
-		if in.tegOpen[i].active(in.seed, interval, server, 0) {
+		if in.tegOpen[i].active(interval, server, 0) {
 			return true
 		}
 	}
@@ -368,7 +372,7 @@ func (in *Injector) FlowFactor(interval, circ int) float64 {
 	}
 	f := 1.0
 	for i := range in.pumpDroop {
-		if in.pumpDroop[i].active(in.seed, interval, circ, 0) {
+		if in.pumpDroop[i].active(interval, circ, 0) {
 			f *= in.pumpDroop[i].factor
 		}
 	}
@@ -385,7 +389,7 @@ func (in *Injector) SensorStuck(interval, circ int) bool {
 		return false
 	}
 	for i := range in.sensorStuck {
-		if in.sensorStuck[i].active(in.seed, interval, circ, 0) {
+		if in.sensorStuck[i].active(interval, circ, 0) {
 			return true
 		}
 	}
@@ -399,7 +403,7 @@ func (in *Injector) StepError(interval, circ, attempt int) bool {
 		return false
 	}
 	for i := range in.stepError {
-		if in.stepError[i].active(in.seed, interval, circ, attempt) {
+		if in.stepError[i].active(interval, circ, attempt) {
 			return true
 		}
 	}
@@ -414,10 +418,10 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// u01 maps the hash of the activation coordinates to a uniform [0, 1).
-func u01(seed, stream, unit, interval, attempt uint64) float64 {
-	h := mix(seed ^ stream)
-	h = mix(h + unit*0x9e3779b97f4a7c15)
+// u01 maps the hash of the activation coordinates to a uniform [0, 1). key
+// is the spec's compiled first round, mix(seed ^ stream).
+func u01(key, unit, interval, attempt uint64) float64 {
+	h := mix(key + unit*0x9e3779b97f4a7c15)
 	h = mix(h + interval*0xbf58476d1ce4e5b9)
 	if attempt != 0 {
 		h = mix(h + attempt*0x94d049bb133111eb)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -191,7 +190,7 @@ func (s *CSVSource) fill() {
 			f, err := s.readField(c, buf)
 			var v float64
 			if err == nil {
-				v, err = strconv.ParseFloat(string(f), 64)
+				v, err = parseFloat(f)
 			}
 			if err != nil {
 				width = k
