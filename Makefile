@@ -93,7 +93,8 @@ results-check:
 check: vet fmt-check vuln build race fuzz-check load-check perfbench-check results-check
 
 # bench tracks the decision hot path across PRs: the Decision* benchmarks in
-# internal/lookup (candidate scan) and internal/sched (controller) run with
+# internal/lookup (the Fig. 13 plane query and the per-server batch blend)
+# and internal/sched (Choose misses and hits, Decide, DecideBatch) run with
 # -benchmem and land in BENCH_decision.json as a test2json stream, and the
 # end-to-end IntervalThroughput* benchmarks in internal/core (one control
 # interval over 10k-server columns through the batched block step, churn and

@@ -59,7 +59,7 @@ func Fig13() (*Table, error) {
 		name string
 		u    float64
 	}{{"A_max", uMax}, {"A_avg", uAvg}} {
-		cands, err := ctl.Space.PlaneIntersection(pl.u, 62, 1)
+		cands, err := ctl.Space.PlaneIntersection(pl.u, ctl.TSafe, ctl.Band)
 		if err != nil {
 			return nil, err
 		}

@@ -6,20 +6,19 @@ import (
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
-// This file is the batch face of the candidate tables: where tables.go
-// streams one plane through a visitor callback per cell, the kernels here
+// This file is the batch face of the candidate tables: the kernels here
 // serve the controller's column passes. LocateColumn and BatchEval evaluate
 // a whole column of utilizations at one decided cell, and the segment index
 // packs, per utilization segment, the rows the miss-scan kernel streams.
 //
 // Bit-identity contract: every number produced here reproduces the
-// corresponding scalar path exactly. Each utilization is located with
-// numeric.Cell's (segment, weight) and blended in the same w0*t0 + w1*t1
-// operation order as candTables.pointAt — which tables.go already pins
-// against Grid3D.Eval for the grid-aligned flow/inlet coordinates of a
-// candidate cell — and slab rows keep VisitPlane's ascending cell order, so
-// a consumer folding per-plane state in row order observes the exact scalar
-// visit sequence.
+// trilinear look-up (Space.At) exactly. Each utilization is located with
+// numeric.Cell's (segment, weight) and blended as w0*t0 + w1*t1, which is
+// Grid3D.Eval's operation sequence at the grid-aligned flow/inlet
+// coordinates of a candidate cell (the collapsed axes contribute exact 0/1
+// weights), and slab rows keep PlaneIntersection's ascending (flow-major)
+// cell order, so a consumer folding per-plane state in row order observes
+// the seed's candidate sequence.
 
 // BatchLoc holds the precomputed utilization-axis locations of one column of
 // utilizations — the struct-of-arrays (stencil index, blend weights) triple
@@ -107,7 +106,7 @@ const envelopeEps = 1e-9
 // (O0, O1) stencil samples at the segment's two nodes, the cell's flat index
 // and its flow-axis index. A plane located in the segment with weights
 // (w0, w1) blends to CPU temperature w0*C0 + w1*C1 and outlet w0*O0 + w1*O1,
-// bit-identical to VisitPlane's Point for that cell.
+// bit-identical to Space.At at the plane and the cell's setting.
 type SlabRow struct {
 	C0, C1, O0, O1 float64
 	Cell, FlowIdx  int32
@@ -217,7 +216,7 @@ func (t *candTables) planeRows(b int, buf *[]SlabRow) []SlabRow {
 // SlabRows returns the rows the miss-scan kernel filters for plane u with
 // the index's band [lo, hi], and u's blend weights on them: the plane's
 // safety-slab members are exactly the rows whose blended CPU temperature
-// w0*C0 + w1*C1 lies in the band, in VisitPlaneIntersection's cell order.
+// w0*C0 + w1*C1 lies in the band, in PlaneIntersection's cell order.
 // For a plane inside the utilization axis the rows are its segment's
 // candidates, shared and read-only. A plane that extrapolates off the axis
 // (only a custom axis not spanning [0, 1] has such planes) is not bounded by
@@ -250,7 +249,7 @@ func (s *Space) PlaneRows(u float64, buf *[]SlabRow) (rows []SlabRow, w0, w1 flo
 
 // CellSetting returns the (flow, inlet) coordinates of a flat candidate-cell
 // index — the cooling setting a batch argmax over that cell resolves to. The
-// values are the exact axis floats the scalar visitors put in Point.Flow and
+// values are the exact axis floats PlaneIntersection puts in Point.Flow and
 // Point.Inlet.
 func (s *Space) CellSetting(cell int) (units.LitersPerHour, units.Celsius) {
 	t := s.tabs

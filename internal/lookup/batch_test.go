@@ -171,12 +171,13 @@ func TestLocateMatchesNumericCell(t *testing.T) {
 	}
 }
 
-// TestSlabRowsMatchVisitPlane ports the per-cell temperature identity of
-// the candidate scan onto the packed rows: for planes across both locate
-// axes, every row PlaneRows packs blends, with the returned weights, to
-// exactly VisitPlane's CPU and outlet temperatures for its cell, in cell
-// order with the cell's flow index; and SlabRows hands out a subsequence of
-// them that contains every VisitPlaneIntersection member.
+// TestSlabRowsMatchVisitPlane pins the packed rows against the trilinear
+// look-up: for planes across both locate axes (including planes a custom
+// axis extrapolates), every row PlaneRows packs blends, with the returned
+// weights, to exactly Space.At's CPU and outlet temperatures at its cell's
+// setting, in cell order with the cell's flow index; and SlabRows hands out
+// a subsequence of them that contains every cell whose CPU temperature lies
+// in the band — PlaneIntersection's members.
 func TestSlabRowsMatchVisitPlane(t *testing.T) {
 	const tsafe, band = units.Celsius(62), units.Celsius(1)
 	for _, ax := range locateAxes() {
@@ -184,38 +185,33 @@ func TestSlabRowsMatchVisitPlane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ni := len(ax.Inlet)
 		idx := s.SegmentIndex(tsafe-band, tsafe+band)
 		var buf, slabBuf []SlabRow
 		for k := 0; k <= 400; k++ {
 			u := float64(k) / 400
 			rows, w0, w1 := s.PlaneRows(u, &buf)
-			err := s.VisitPlane(u, func(c int, p Point) bool {
-				r := rows[c]
-				if int(r.Cell) != c || int(r.FlowIdx) != s.CellFlowIndex(c) ||
-					w0*r.C0+w1*r.C1 != float64(p.CPUTemp) || w0*r.O0+w1*r.O1 != float64(p.Outlet) {
-					t.Fatalf("u=%v cell %d: row %+v with (%v, %v) != point %+v", u, c, r, w0, w1, p)
-				}
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			slab, sw0, sw1 := s.SlabRows(idx, u, &slabBuf)
 			if sw0 != w0 || sw1 != w1 {
 				t.Fatalf("u=%v: SlabRows weights (%v, %v) != PlaneRows (%v, %v)", u, sw0, sw1, w0, w1)
 			}
 			next := 0
-			err = s.VisitPlaneIntersection(u, tsafe, band, func(c int, _ Point) bool {
+			for c, r := range rows {
+				flow, inlet := s.CellSetting(c)
+				p := s.At(u, flow, inlet)
+				if int(r.Cell) != c || int(r.FlowIdx) != c/ni ||
+					w0*r.C0+w1*r.C1 != float64(p.CPUTemp) || w0*r.O0+w1*r.O1 != float64(p.Outlet) {
+					t.Fatalf("u=%v cell %d: row %+v with (%v, %v) != point %+v", u, c, r, w0, w1, p)
+				}
+				if p.CPUTemp < tsafe-band || p.CPUTemp > tsafe+band {
+					continue
+				}
 				for next < len(slab) && int(slab[next].Cell) < c {
 					next++
 				}
-				if next == len(slab) || slab[next] != rows[c] {
+				if next == len(slab) || slab[next] != r {
 					t.Fatalf("u=%v: slab member cell %d missing from the slab rows", u, c)
 				}
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 		}
 	}
@@ -248,9 +244,8 @@ func TestBatchLocReuse(t *testing.T) {
 
 var sinkUnits units.Celsius
 
-// BenchmarkDecisionBatchEval measures the per-server batch blend against the
-// scalar trilinear path it replaces (BenchmarkDecisionPlaneScan covers the
-// candidate scan).
+// BenchmarkDecisionBatchEval measures the per-server batch blend the
+// decision kernel evaluates at a decided cell.
 func BenchmarkDecisionBatchEval(b *testing.B) {
 	s := batchSpace(b)
 	us := batchColumn(10000, 5)

@@ -7,9 +7,8 @@ import (
 )
 
 // The Decision* benchmarks feed make bench / BENCH_decision.json alongside
-// the controller benchmarks in internal/sched: they isolate the candidate
-// scan itself, comparing the seed's materializing queries against the
-// streaming visitors over the flattened tables.
+// the controller benchmarks in internal/sched: they isolate the look-up
+// space's own queries.
 
 func benchSpace(b *testing.B) *Space {
 	b.Helper()
@@ -20,8 +19,8 @@ func benchSpace(b *testing.B) *Space {
 	return s
 }
 
-// BenchmarkDecisionPlaneMaterialize is the seed-shaped query: build the full
-// []Point candidate slice for one utilization plane.
+// BenchmarkDecisionPlaneMaterialize is the Fig. 13 query: build the full
+// []Point candidate slice for one utilization plane over Space.At.
 func BenchmarkDecisionPlaneMaterialize(b *testing.B) {
 	s := benchSpace(b)
 	b.ReportAllocs()
@@ -34,65 +33,4 @@ func BenchmarkDecisionPlaneMaterialize(b *testing.B) {
 			b.Fatal("no candidates")
 		}
 	}
-}
-
-// BenchmarkDecisionPlaneScan is the streamed equivalent: visit the same
-// candidates without materializing them.
-func BenchmarkDecisionPlaneScan(b *testing.B) {
-	s := benchSpace(b)
-	b.ReportAllocs()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		n := 0
-		err := s.VisitPlaneIntersection(0.25, 62, 1, func(_ int, p Point) bool {
-			sink += float64(p.Outlet)
-			n++
-			return true
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n == 0 {
-			b.Fatal("no candidates")
-		}
-	}
-	_ = sink
-}
-
-// BenchmarkDecisionSlabMaterialize walks every utilization plane the
-// seed-shaped way (the LoadBalance fallback's worst case).
-func BenchmarkDecisionSlabMaterialize(b *testing.B) {
-	s := benchSpace(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := s.SafetySlab(62, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) == 0 {
-			b.Fatal("empty slab")
-		}
-	}
-}
-
-// BenchmarkDecisionSlabScan streams the same slab allocation-free.
-func BenchmarkDecisionSlabScan(b *testing.B) {
-	s := benchSpace(b)
-	b.ReportAllocs()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		n := 0
-		err := s.VisitSafetySlab(62, 1, func(p Point) bool {
-			sink += float64(p.CPUTemp)
-			n++
-			return true
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n == 0 {
-			b.Fatal("empty slab")
-		}
-	}
-	_ = sink
 }

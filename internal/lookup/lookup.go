@@ -74,10 +74,9 @@ type Space struct {
 	tcpu *numeric.Grid3D
 	tout *numeric.Grid3D
 	// tabs is the flattened cell-major view of the same samples, built once
-	// so the decision hot path can stream candidates without allocating
-	// (tables.go).
+	// for the decision hot path's kernels (tables.go, batch.go).
 	tabs *candTables
-	// met holds the optional visitor-scan metrics (telemetry.go). An atomic
+	// met holds the optional miss-scan metrics (telemetry.go). An atomic
 	// pointer rather than a plain field: the space itself stays immutable
 	// and shareable while AttachTelemetry publishes the instruments.
 	met spaceMetricsPtr
@@ -86,14 +85,10 @@ type Space struct {
 	segIdx []*SegmentIndex
 }
 
-// errBandNotPositive matches the historical SafetySlab/PlaneIntersection
-// validation error.
-var errBandNotPositive = errors.New("lookup: safety band must be positive")
-
-// errOutsideUnit matches the historical PlaneIntersection validation error.
-func errOutsideUnit(u float64) error {
-	return fmt.Errorf("lookup: utilization %v outside [0,1]", u)
-}
+// ErrBandNotPositive is the error of a Steps 1-3 query whose safety band
+// half-width is not positive: PlaneIntersection returns it, and so do the
+// controller's Choose and DecideBatchCold.
+var ErrBandNotPositive = errors.New("lookup: safety band must be positive")
 
 // newSpace wires a Space around fitted grids, deriving the flattened
 // candidate tables. Every constructor (Build, ReadJSON) must come through
@@ -178,59 +173,29 @@ func (s *Space) GridPoints() []Point {
 	return out
 }
 
-// SafetySlab returns the grid points whose CPU temperature falls within
-// [tsafe-band, tsafe+band]: the space X of Step 2 (Fig. 13 uses band = 1 °C
-// around T_safe = 62 °C). It streams the grid through VisitSafetySlab rather
-// than materializing the whole point cloud and filtering it; only the slab
-// itself is allocated.
-func (s *Space) SafetySlab(tsafe, band units.Celsius) ([]Point, error) {
-	var out []Point
-	err := s.VisitSafetySlab(tsafe, band, func(p Point) bool {
-		out = append(out, p)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // PlaneIntersection returns candidate cooling settings on the utilization
-// plane u that keep the CPU inside the safety band: the region A of Step 3.
-// For every (flow, inlet) grid cell it solves the interpolated space at the
-// exact plane, so candidates are continuous in u rather than snapped to the
-// utilization axis.
+// plane u that keep the CPU inside the safety band: the region A of Step 3
+// (Fig. 13). For every (flow, inlet) grid cell, in flow-major order, it
+// solves the interpolated space at the exact plane, so candidates are
+// continuous in u rather than snapped to the utilization axis. The
+// controller's miss scan (SlabRows) selects the same cells.
 func (s *Space) PlaneIntersection(u float64, tsafe, band units.Celsius) ([]Point, error) {
+	if band <= 0 {
+		return nil, ErrBandNotPositive
+	}
+	if u < 0 || u > 1 {
+		return nil, fmt.Errorf("lookup: utilization %v outside [0,1]", u)
+	}
 	var out []Point
-	err := s.VisitPlaneIntersection(u, tsafe, band, func(_ int, p Point) bool {
-		out = append(out, p)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MaxInletOnPlane returns, for the utilization plane u, the candidate with
-// the warmest inlet temperature inside the safety band — a convenient
-// summary of how much headroom a plane offers (Fig. 13's observation that
-// the U_avg plane admits warmer inlets than the U_max plane).
-func (s *Space) MaxInletOnPlane(u float64, tsafe, band units.Celsius) (Point, error) {
-	cands, err := s.PlaneIntersection(u, tsafe, band)
-	if err != nil {
-		return Point{}, err
-	}
-	if len(cands) == 0 {
-		return Point{}, fmt.Errorf("lookup: no safe cooling setting on plane u=%v", u)
-	}
-	best := cands[0]
-	for _, p := range cands[1:] {
-		if p.Inlet > best.Inlet {
-			best = p
+	for _, f := range s.axes.Flow {
+		for _, tin := range s.axes.Inlet {
+			p := s.At(u, units.LitersPerHour(f), units.Celsius(tin))
+			if p.CPUTemp >= tsafe-band && p.CPUTemp <= tsafe+band {
+				out = append(out, p)
+			}
 		}
 	}
-	return best, nil
+	return out, nil
 }
 
 // FitError returns the largest absolute difference between the interpolated

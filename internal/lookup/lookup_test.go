@@ -1,6 +1,7 @@
 package lookup
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -68,25 +69,6 @@ func TestGridPointsCount(t *testing.T) {
 	}
 }
 
-func TestSafetySlab(t *testing.T) {
-	s := buildDefault(t)
-	slab, err := s.SafetySlab(62, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slab) == 0 {
-		t.Fatal("safety slab is empty")
-	}
-	for _, p := range slab {
-		if p.CPUTemp < 61 || p.CPUTemp > 63 {
-			t.Fatalf("slab point %v outside [61,63]", p.CPUTemp)
-		}
-	}
-	if _, err := s.SafetySlab(62, 0); err == nil {
-		t.Error("zero band should error")
-	}
-}
-
 func TestPlaneIntersection(t *testing.T) {
 	s := buildDefault(t)
 	cands, err := s.PlaneIntersection(0.25, 62, 1)
@@ -107,23 +89,45 @@ func TestPlaneIntersection(t *testing.T) {
 	if _, err := s.PlaneIntersection(1.5, 62, 1); err == nil {
 		t.Error("out-of-range utilization should error")
 	}
-	if _, err := s.PlaneIntersection(0.5, 62, -1); err == nil {
-		t.Error("bad band should error")
+	for _, band := range []units.Celsius{0, -1} {
+		if _, err := s.PlaneIntersection(0.5, 62, band); !errors.Is(err, ErrBandNotPositive) {
+			t.Errorf("band %v: err %v, want ErrBandNotPositive", band, err)
+		}
 	}
+	// With a safety target far below anything reachable the intersection
+	// is empty, which is not an error.
+	if cands, err := s.PlaneIntersection(1.0, 20, 0.5); err != nil || len(cands) != 0 {
+		t.Errorf("unreachable safety target: %d candidates, err %v; want none", len(cands), err)
+	}
+}
+
+// warmestInlet returns the candidate of the u plane's safety-slab
+// intersection (T_safe 62 °C ± 1 °C) with the warmest inlet: how much
+// headroom the plane offers.
+func warmestInlet(t *testing.T, s *Space, u float64) Point {
+	t.Helper()
+	cands, err := s.PlaneIntersection(u, 62, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) == 0 {
+		t.Fatalf("no safe cooling setting on plane u=%v", u)
+	}
+	best := cands[0]
+	for _, p := range cands[1:] {
+		if p.Inlet > best.Inlet {
+			best = p
+		}
+	}
+	return best
 }
 
 func TestAvgPlaneAdmitsWarmerInletThanMaxPlane(t *testing.T) {
 	// Fig. 13: the inlet temperatures in A_avg are generally higher than
 	// in A_max. Use representative U_max = 0.6, U_avg = 0.25.
 	s := buildDefault(t)
-	maxPt, err := s.MaxInletOnPlane(0.6, 62, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avgPt, err := s.MaxInletOnPlane(0.25, 62, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	maxPt := warmestInlet(t, s, 0.6)
+	avgPt := warmestInlet(t, s, 0.25)
 	if avgPt.Inlet <= maxPt.Inlet {
 		t.Errorf("A_avg warmest inlet %v should exceed A_max %v", avgPt.Inlet, maxPt.Inlet)
 	}
@@ -134,27 +138,12 @@ func TestAvgPlaneAdmitsWarmerInletThanMaxPlane(t *testing.T) {
 	}
 }
 
-func TestMaxInletOnPlaneEmpty(t *testing.T) {
-	// With a safety target far below anything reachable the intersection
-	// is empty.
-	s := buildDefault(t)
-	if _, err := s.MaxInletOnPlane(1.0, 20, 0.5); err == nil {
-		t.Error("unreachable safety target should error")
-	}
-}
-
 func TestHigherUtilizationNeedsColderInlet(t *testing.T) {
 	// The Fig. 14 explanation: high utilization forces a low inlet
 	// temperature, hence low TEG power.
 	s := buildDefault(t)
-	warm, err := s.MaxInletOnPlane(0.1, 62, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, err := s.MaxInletOnPlane(0.95, 62, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := warmestInlet(t, s, 0.1)
+	hot := warmestInlet(t, s, 0.95)
 	if hot.Inlet >= warm.Inlet {
 		t.Errorf("u=0.95 inlet %v should be colder than u=0.1 inlet %v", hot.Inlet, warm.Inlet)
 	}

@@ -8,30 +8,21 @@ import (
 
 // Exported look-up space metric names.
 const (
-	metricPlaneScans      = "h2p_lookup_plane_scans_total"
-	metricPlaneScanCells  = "h2p_lookup_plane_scan_cells"
-	metricSlabScans       = "h2p_lookup_slab_scans_total"
-	metricSlabScanPoints  = "h2p_lookup_slab_scan_points"
 	metricBatchScans      = "h2p_lookup_batch_scans_total"
 	metricBatchScanPlanes = "h2p_lookup_batch_scan_planes"
 	metricBatchScanCells  = "h2p_lookup_batch_scan_cells"
 )
 
-// spaceMetrics instruments the candidate-table visitors: how often planes
-// are scanned (cache-miss work in the decision path) and how many cells each
-// scan walks before the visitor stops it, plus, per miss-scan row fetch
-// (SlabRows, PlaneRows), the planes located and the rows handed out.
+// spaceMetrics instruments the decision path's miss scan: per row fetch
+// (SlabRows, PlaneRows) — cache-miss work — the planes located and the rows
+// handed out.
 type spaceMetrics struct {
-	planeScans      *telemetry.Counter
-	planeScanCells  *telemetry.Histogram
-	slabScans       *telemetry.Counter
-	slabScanPoints  *telemetry.Histogram
 	batchScans      *telemetry.Counter
 	batchScanPlanes *telemetry.Histogram
 	batchScanCells  *telemetry.Histogram
 }
 
-// AttachTelemetry registers the space's visitor metrics with reg. The
+// AttachTelemetry registers the space's miss-scan metrics with reg. The
 // grids themselves stay immutable — the metrics hang off an atomic pointer,
 // so attaching is safe even while other goroutines are mid-scan, and
 // attaching the same registry from several engines sharing one space (the
@@ -43,12 +34,6 @@ func (s *Space) AttachTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	s.met.Store(&spaceMetrics{
-		planeScans: reg.Counter(metricPlaneScans, "utilization-plane candidate scans"),
-		planeScanCells: reg.Histogram(metricPlaneScanCells, "candidate cells walked per plane scan",
-			telemetry.LinearBuckets(0, 200, 8)),
-		slabScans: reg.Counter(metricSlabScans, "safety-slab grid scans"),
-		slabScanPoints: reg.Histogram(metricSlabScanPoints, "grid points visited per safety-slab scan",
-			telemetry.LinearBuckets(0, 4000, 8)),
 		batchScans: reg.Counter(metricBatchScans, "batched candidate-plane scans"),
 		batchScanPlanes: reg.Histogram(metricBatchScanPlanes, "utilization planes evaluated per batch scan",
 			telemetry.LinearBuckets(0, 32, 9)),

@@ -1,72 +1,66 @@
 package lookup
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/h2p-sim/h2p/internal/telemetry"
-	"github.com/h2p-sim/h2p/internal/units"
 )
 
-// TestAttachTelemetryCountsScans checks the visitor instrumentation: every
-// plane and slab visit increments its scan counter and histograms the number
-// of cells/points actually touched, including early-terminated scans.
+// TestAttachTelemetryCountsScans checks the space's instrument set: the
+// registry holds exactly the three miss-scan instruments, and every row
+// fetch counts one scan.
 func TestAttachTelemetryCountsScans(t *testing.T) {
 	s := buildDefault(t)
 	reg := telemetry.New()
 	s.AttachTelemetry(reg)
-
-	// One full plane scan, then one that stops after 10 cells.
-	if err := s.VisitPlane(0.5, func(int, Point) bool { return true }); err != nil {
-		t.Fatal(err)
+	idx := s.SegmentIndex(61, 63)
+	var buf []SlabRow
+	for k := range 10 {
+		s.SlabRows(idx, float64(k)/10, &buf)
 	}
-	n := 0
-	if err := s.VisitPlane(0.5, func(int, Point) bool { n++; return n < 10 }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.VisitSafetySlab(60, 3, func(Point) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
+	s.PlaneRows(0.5, &buf)
 
 	snap := reg.Snapshot()
-	counters := map[string]uint64{}
+	var names []string
 	for _, c := range snap.Counters {
-		counters[c.Name] = c.Value
-	}
-	if counters["h2p_lookup_plane_scans_total"] != 2 {
-		t.Errorf("plane scans = %d, want 2", counters["h2p_lookup_plane_scans_total"])
-	}
-	if counters["h2p_lookup_slab_scans_total"] != 1 {
-		t.Errorf("slab scans = %d, want 1", counters["h2p_lookup_slab_scans_total"])
-	}
-	ax := s.Axes()
-	cells := len(ax.Flow) * len(ax.Inlet)
-	for _, h := range snap.Histograms {
-		switch h.Name {
-		case "h2p_lookup_plane_scan_cells":
-			if h.Count != 2 || h.Sum != float64(cells+10) {
-				t.Errorf("plane-scan histogram count=%d sum=%v, want 2/%d", h.Count, h.Sum, cells+10)
-			}
-		case "h2p_lookup_slab_scan_points":
-			if h.Count != 1 || h.Sum <= 0 {
-				t.Errorf("slab-scan histogram count=%d sum=%v", h.Count, h.Sum)
-			}
+		if strings.HasPrefix(c.Name, "h2p_lookup_") {
+			names = append(names, c.Name)
 		}
+		if c.Name == metricBatchScans && c.Value != 11 {
+			t.Errorf("batch scans = %d, want 11", c.Value)
+		}
+	}
+	for _, h := range snap.Histograms {
+		if strings.HasPrefix(h.Name, "h2p_lookup_") {
+			names = append(names, h.Name)
+		}
+	}
+	slices.Sort(names)
+	want := []string{metricBatchScanCells, metricBatchScanPlanes, metricBatchScans}
+	if !slices.Equal(names, want) {
+		t.Errorf("look-up instruments %v, want %v", names, want)
 	}
 }
 
 // TestUninstrumentedSpaceScansFreely pins the disabled path: a space never
-// offered a registry must keep visitor scans allocation-free.
+// offered a registry must keep the miss scan's row fetches allocation-free
+// once the caller's full-plane buffer is grown.
 func TestUninstrumentedSpaceScansFreely(t *testing.T) {
 	s := buildDefault(t)
-	sink := units.Celsius(0)
+	idx := s.SegmentIndex(61, 63)
+	var buf []SlabRow
+	s.PlaneRows(0.5, &buf)
+	var sink float64
 	allocs := testing.AllocsPerRun(20, func() {
-		_ = s.VisitPlane(0.5, func(_ int, p Point) bool {
-			sink = p.CPUTemp
-			return true
-		})
+		rows, w0, _ := s.SlabRows(idx, 0.5, &buf)
+		sink += w0 * float64(len(rows))
+		rows, w0, _ = s.PlaneRows(0.5, &buf)
+		sink += w0 * rows[0].C0
 	})
 	if allocs != 0 {
-		t.Errorf("uninstrumented VisitPlane = %v allocs/op, want 0", allocs)
+		t.Errorf("uninstrumented row fetches = %v allocs/op, want 0", allocs)
 	}
 	_ = sink
 }

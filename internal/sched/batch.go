@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the controller's one decision implementation: where the
-// scalar formulation runs Steps 1-3 and the per-server evaluation one
+// seed formulation runs Steps 1-3 and the per-server evaluation one
 // circulation at a time through trilinear look-up calls, DecideBatchCold
 // takes a whole *column* of utilizations partitioned into groups (one group
 // per circulation) and processes them in column passes:
@@ -18,20 +18,21 @@ import (
 //  1. reduce every group to its plane utilization and quantized cache key,
 //     interning the key so each group records its distinct-plane index,
 //  2. probe the sharded decision cache exactly once per distinct plane,
-//  3. resolve all cache-missed planes with one fused kernel over the packed
-//     slab rows of the controller's SegmentIndex (lookup.SlabRows): the
-//     band filter, the outlet blend and the power argmax in one pass in
-//     cell order, rerun over the whole plane for the safety fallback,
+//  3. resolve all cache-missed planes with resolvePlane, the fused kernel
+//     over the packed slab rows of the space's SegmentIndex
+//     (lookup.SlabRows) that also serves Choose's misses: the band filter,
+//     the outlet blend and the power argmax in one pass in cell order,
+//     rerun over the whole plane for the safety fallback,
 //  4. scatter settings back to groups and evaluate the per-server outputs
 //     and the plane's outlet temperature with the flattened-stencil kernels
 //     (lookup.BatchEval) at the decided cell.
 //
-// Every step replicates the serial operation sequence exactly — same
+// Every step replicates the seed's operation sequence exactly — same
 // comparisons, same blend order, same argmax tie-breaking (first strictly
 // greater in cell-ascending order), same error messages — so the results are
-// bit-identical to the scalar formulation for any input. This package's
-// equivalence suites and fuzzer pin that contract against a scalar referee
-// kept in test code.
+// bit-identical to the seed formulation for any input. This package's
+// equivalence suites and fuzzer pin that contract against referees kept in
+// test code (referee_test.go).
 
 // Range addresses one decision group — a circulation's servers — inside a
 // flat utilization column: the half-open window [Lo, Hi). Windows may
@@ -224,8 +225,8 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 	c.observeBatch(len(ranges), len(bs.uniq))
 
 	// Phase 3: resolve all missed planes with the fused slab-row kernel.
-	// Row order per plane is cell-ascending — VisitPlane's — so the
-	// strictly-greater argmax picks the exact setting the serial two-pass
+	// Row order per plane is cell-ascending — PlaneIntersection's — so the
+	// strictly-greater argmax picks the exact setting the seed's two-pass
 	// scan picks. A plane that finds no safe setting keeps its error in
 	// uErr, for the first group deciding it to report.
 	c.scanMisses(bs, cold)
@@ -307,52 +308,54 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 	return nil
 }
 
-// scanMisses resolves every cache-missed plane into the unique arrays, or —
-// when the safety band is not positive, which the scalar scan rejects per
-// call — defers to the scalar path so the error text matches.
-//
-// For each missed plane the fused kernel streams the plane's slab rows from
-// the space's SegmentIndex for the band — only the cells whose stencil
-// envelope can intersect the band, a small fraction of the plane —
-// filtering, blending and folding the power argmax in one pass. A plane with an empty
-// slab reruns the kernel over the whole plane with the band [-Inf,
-// TSafe+Band], exactly the serial second pass's "at or below TSafe+Band"
-// criterion; a plane with no safe setting even then records
-// errNoSafeSetting. Membership, blend arithmetic, argmax order, the
-// curve-evaluation count and the scan telemetry all replicate the scalar
-// scan bit for bit.
+// scanMisses resolves every cache-missed plane into the unique arrays with
+// resolvePlane, fetching the space's SegmentIndex for the band once per
+// call. A plane that finds no safe setting records its error in uErr.
 func (c *Controller) scanMisses(bs *BatchScratch, cold units.Celsius) {
-	if c.Band <= 0 {
-		for m, j := range bs.missIdx {
-			_, _, _, err := c.choose(bs.missPlane[m], cold)
-			bs.uErr[j] = err
-		}
-		return
-	}
-	lo, hi := float64(c.TSafe-c.Band), float64(c.TSafe+c.Band)
 	idx := c.Space.SegmentIndex(c.TSafe-c.Band, c.TSafe+c.Band)
 	var evals uint64
 	for m, j := range bs.missIdx {
-		u := bs.missPlane[m]
-		rows, w0, w1 := c.Space.SlabRows(idx, u, &bs.plane)
-		n, bestP, bestCell := c.curve.scanRows(rows, w0, w1, lo, hi, float64(cold))
-		if n == 0 {
-			// The slab is unreachable: optimize over every setting keeping
-			// the die at or below TSafe+Band, as the serial fallback does.
-			rows, w0, w1 = c.Space.PlaneRows(u, &bs.plane)
-			n, bestP, bestCell = c.curve.scanRows(rows, w0, w1, math.Inf(-1), hi, float64(cold))
-		}
-		if n == 0 {
-			bs.uErr[j] = errNoSafeSetting(u)
+		setting, power, cell, n, err := c.resolvePlane(idx, bs.missPlane[m], cold, &bs.plane)
+		if err != nil {
+			bs.uErr[j] = err
 			continue
 		}
-		flow, inlet := c.Space.CellSetting(int(bestCell))
-		bs.uSetting[j] = Setting{Flow: flow, Inlet: inlet}
-		bs.uPower[j] = bestP
-		bs.uCell[j] = bestCell
+		bs.uSetting[j], bs.uPower[j], bs.uCell[j] = setting, power, cell
 		evals += uint64(n)
 	}
 	if m := c.met; m != nil {
 		m.curveEvals.Add(evals)
 	}
+}
+
+// resolvePlane runs the uncached Steps 1-3 for the plane u against the cold
+// side cold: the one implementation behind every Choose miss and every
+// DecideBatchCold miss. idx must be the space's SegmentIndex for
+// [TSafe-Band, TSafe+Band]; buf holds the plane's packed rows for the rare
+// full-plane passes and is grown on first use.
+//
+// The fused kernel streams the plane's slab rows from idx — only the cells
+// whose stencil envelope can intersect the band, a small fraction of the
+// plane — filtering, blending and folding the power argmax in one pass in
+// cell order. A plane with an empty slab reruns the kernel over the whole
+// plane with the band [-Inf, TSafe+Band]: the safety fallback, every setting
+// keeping the die at or below TSafe+Band. A plane with no safe setting even
+// then fails with errNoSafeSetting. It returns the setting, its power, its
+// flat cell index and the number of candidates whose power was evaluated.
+func (c *Controller) resolvePlane(idx *lookup.SegmentIndex, u float64, cold units.Celsius, buf *[]lookup.SlabRow) (Setting, units.Watts, int32, int, error) {
+	if c.Band <= 0 {
+		return Setting{}, 0, 0, 0, lookup.ErrBandNotPositive
+	}
+	lo, hi := float64(c.TSafe-c.Band), float64(c.TSafe+c.Band)
+	rows, w0, w1 := c.Space.SlabRows(idx, u, buf)
+	n, bestP, bestCell := c.curve.scanRows(rows, w0, w1, lo, hi, float64(cold))
+	if n == 0 {
+		rows, w0, w1 = c.Space.PlaneRows(u, buf)
+		n, bestP, bestCell = c.curve.scanRows(rows, w0, w1, math.Inf(-1), hi, float64(cold))
+	}
+	if n == 0 {
+		return Setting{}, 0, 0, 0, errNoSafeSetting(u)
+	}
+	flow, inlet := c.Space.CellSetting(int(bestCell))
+	return Setting{Flow: flow, Inlet: inlet}, bestP, bestCell, n, nil
 }

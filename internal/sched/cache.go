@@ -59,7 +59,7 @@ const (
 // math.Float64bits of the quantized plane and cold the bits of the cold-side
 // temperature; setting/power/cell are immutable after the entry is
 // published. cell is the flat candidate-cell index the setting came from
-// (lookup.VisitPlane numbering): the batch decision kernel indexes the
+// (flow-major, lookup.SlabRow.Cell): the batch decision kernel indexes the
 // flattened stencils with it, so a cache hit skips the setting-to-cell
 // resolution along with the scan.
 type cacheEntry struct {

@@ -58,7 +58,8 @@ func fuzzColumn(data []byte, degrade byte) []float64 {
 // shapes (including empty groups), cache quanta, schemes, fault-degraded
 // servers and TEG cold sides, DecideBatchCold must reproduce the looped
 // scalar referee (decideSerial per group) exactly: same decisions bit for
-// bit, or the same first failing group with the same error text. Decide, the
+// bit, or the same first failing group with the same error text — and each
+// group's Steps 1-3 outcome must be chooseRef's. Decide, the
 // single-group adapter, must match group-wise, and a second batch round over
 // the now-warm cache must match as well. The cold side is clamped to the
 // range a facility environment can produce, so the fuzzer is the scalar
@@ -122,6 +123,27 @@ func FuzzDecideBatchEquivalence(f *testing.F) {
 				pw:  append([]units.Watts(nil), d.PerServerPower...),
 				cpw: append([]units.Watts(nil), d.PerServerCPUPower...),
 			})
+		}
+
+		// Each group's Steps 1-3 outcome — every decided group's, and the
+		// failing group's error once its plane is drawn — must be
+		// chooseRef's, bit for bit.
+		for g, r := range ranges {
+			if g > len(refs) {
+				break
+			}
+			planeU, err := PlaneUtilization(col[r.Lo:r.Hi], scheme)
+			if err != nil {
+				continue
+			}
+			ws, wp, werr := serialCtl.chooseRef(planeU, cold)
+			gs, gp, gerr := serialCtl.Choose(planeU, cold)
+			if !sameChoice(gs, gp, gerr, ws, wp, werr) {
+				t.Fatalf("group %d u=%v: Choose (%+v, %v, %v) != reference (%+v, %v, %v)", g, planeU, gs, gp, gerr, ws, wp, werr)
+			}
+			if g < len(refs) && gs != refs[g].d.Setting {
+				t.Fatalf("group %d: reference setting %+v, decided %+v", g, ws, refs[g].d.Setting)
+			}
 		}
 
 		// Decide must match the referee group-wise (the adapter path).

@@ -46,36 +46,22 @@ func newPowerCurve(space *lookup.Space, module *teg.Module) *powerCurve {
 	return pc
 }
 
-// powerAt returns the module output of the candidate in cell (flow-major
-// flat index, as visited by lookup.VisitPlane) whose interpolated outlet
-// temperature is outlet. The operation sequence replicates
-// Controller.PowerAt -> Module.MaxPower -> Device.MaxPowerEmpirical exactly,
-// so the curve and the module produce bit-identical watts:
-// multiplying by a precomputed factor equals Module.effectiveDeltaT
-// (a factor of exactly 1.0 is the IEEE identity), and the quadratic is
-// evaluated in MaxPowerEmpirical's order.
-func (pc *powerCurve) powerAt(cell int, outlet units.Celsius, cold float64) units.Watts {
-	dT := float64(outlet) - cold
-	if dT <= 0 {
-		return 0
-	}
-	x := math.Abs(dT * pc.factors[cell/pc.ni])
-	p := pc.fit[0] + pc.fit[1]*x + pc.fit[2]*x*x
-	if p < 0 {
-		p = 0
-	}
-	return units.Watts(p * pc.n)
-}
-
 // scanRows is the miss scan's one kernel. For a plane with blend weights
 // (w0, w1) it keeps each row whose blended CPU temperature ct satisfies
-// ct >= lo && ct <= hi — the scalar scan's band predicate, so a NaN never
-// passes — blends the kept row's outlet temperature, evaluates powerAt's
-// operation sequence on it (the row carries its flow index, so the
-// derating factor needs no division) and keeps the first strictly greater
-// power. Rows arrive in ascending cell order, so the winner is the scalar
-// fold's exactly. It returns the member count, the best power (-1 when no
-// row passes) and the best cell.
+// ct >= lo && ct <= hi — PlaneIntersection's band predicate, so a NaN never
+// passes — blends the kept row's outlet temperature, evaluates the module
+// output on it and keeps the first strictly greater power. Rows arrive in
+// ascending cell order, so the winner is the seed's argmax exactly. It
+// returns the member count, the best power (-1 when no row passes) and the
+// best cell.
+//
+// The power's operation sequence replicates Controller.PowerAt ->
+// Module.MaxPower -> Device.MaxPowerEmpirical exactly, so the curve and the
+// module produce bit-identical watts: multiplying by the row's precomputed
+// flow factor (the row carries its flow index, so the lookup needs no
+// division) equals Module.effectiveDeltaT (a factor of exactly 1.0 is the
+// IEEE identity), and the quadratic is evaluated in MaxPowerEmpirical's
+// order.
 func (pc *powerCurve) scanRows(rows []lookup.SlabRow, w0, w1, lo, hi, cold float64) (int, units.Watts, int32) {
 	f0, f1, f2 := pc.fit[0], pc.fit[1], pc.fit[2]
 	scale := pc.n
@@ -105,10 +91,10 @@ func (pc *powerCurve) scanRows(rows []lookup.SlabRow, w0, w1, lo, hi, cold float
 	return n, bestP, bestCell
 }
 
-// powerAtColumn is powerAt over a column of outlet temperatures at one fixed
-// cell: the per-cell derating factor and the fit coefficients are hoisted out
-// of the loop, with the identical per-element operation sequence, so every
-// output is bit-identical to the scalar call.
+// powerAtColumn is scanRows' power evaluation over a column of outlet
+// temperatures at one fixed cell: the per-cell derating factor and the fit
+// coefficients are hoisted out of the loop, with the identical per-element
+// operation sequence, so every output is bit-identical to Controller.PowerAt.
 func (pc *powerCurve) powerAtColumn(cell int, outs []float64, dst []units.Watts, cold float64) {
 	factor := pc.factors[cell/pc.ni]
 	f0, f1, f2 := pc.fit[0], pc.fit[1], pc.fit[2]

@@ -1,9 +1,59 @@
 package sched
 
-import "github.com/h2p-sim/h2p/internal/units"
+import (
+	"fmt"
+
+	"github.com/h2p-sim/h2p/internal/lookup"
+	"github.com/h2p-sim/h2p/internal/units"
+)
+
+// chooseRef is the Steps 1-3 referee: Choose's uncached outcome in the
+// seed's formulation, written on the interpolated look-up (Space.CPUTemp)
+// and the module's own MaxPower (PowerAt) and never touching the candidate
+// tables, the slab rows or the power curve. It draws the (quantized) plane,
+// keeps the (flow, inlet) grid settings whose CPU temperature lies within
+// TSafe±Band, falls back to every setting at or below TSafe+Band when none
+// does, and returns the first strictly most powerful candidate in
+// flow-major order. Choose must reproduce it bit for bit, error text
+// included.
+func (c *Controller) chooseRef(planeU float64, cold units.Celsius) (Setting, units.Watts, error) {
+	if planeU < 0 || planeU > 1 {
+		return Setting{}, 0, fmt.Errorf("sched: utilization %v outside [0,1]", planeU)
+	}
+	planeU = c.quantizePlane(planeU)
+	if c.Band <= 0 {
+		return Setting{}, 0, lookup.ErrBandNotPositive
+	}
+	ax := c.Space.Axes()
+	lo, hi := c.TSafe-c.Band, c.TSafe+c.Band
+	best, bestP, found := Setting{}, units.Watts(-1), false
+	for _, inBand := range []func(units.Celsius) bool{
+		func(t units.Celsius) bool { return t >= lo && t <= hi },
+		func(t units.Celsius) bool { return t <= hi }, // the safety fallback
+	} {
+		for _, f := range ax.Flow {
+			for _, tin := range ax.Inlet {
+				s := Setting{Flow: units.LitersPerHour(f), Inlet: units.Celsius(tin)}
+				if !inBand(c.Space.CPUTemp(planeU, s.Flow, s.Inlet)) {
+					continue
+				}
+				found = true
+				if pw := c.PowerAt(s, planeU, cold); pw > bestP {
+					best, bestP = s, pw
+				}
+			}
+		}
+		if found {
+			return best, bestP, nil
+		}
+	}
+	return Setting{}, 0, fmt.Errorf("sched: no safe cooling setting for u=%v", planeU)
+}
 
 // decideSerial is the scalar referee of the decision path: one Choose on the
-// plane utilization, then per-server evaluation through the interpolated
+// plane utilization (pinned to chooseRef by TestChooseMatchesReference; the
+// counter suites rely on decideSerial going through Choose's cache
+// accounting), then per-server evaluation through the interpolated
 // look-up calls and the module's own MaxPower (PowerAt), one circulation at
 // a time. DecideBatchCold — and Decide, its single-group adapter — must
 // reproduce it bit for bit: this package's equivalence suites and

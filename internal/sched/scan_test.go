@@ -33,94 +33,89 @@ func scanController(t *testing.T, uAxis []float64) *Controller {
 	return c
 }
 
-// visitFold is the kernel's referee: it folds the points a scalar visitor
-// streams, counting them and taking the first strictly greatest powerAt.
-func visitFold(t *testing.T, c *Controller, cold float64, visit func(func(int, lookup.Point) bool) error) (int, units.Watts, int32) {
-	t.Helper()
-	n, best, bestCell := 0, units.Watts(-1), int32(0)
-	err := visit(func(cell int, p lookup.Point) bool {
-		n++
-		if pw := c.curve.powerAt(cell, p.Outlet, cold); pw > best {
-			best, bestCell = pw, int32(cell)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+// sameChoice reports whether two Choose outcomes are bit-identical: the
+// setting, the power's bits and the error text.
+func sameChoice(s1 Setting, p1 units.Watts, e1 error, s2 Setting, p2 units.Watts, e2 error) bool {
+	if (e1 == nil) != (e2 == nil) {
+		return false
 	}
-	return n, best, bestCell
+	if e1 != nil {
+		return e1.Error() == e2.Error()
+	}
+	return s1 == s2 && math.Float64bits(float64(p1)) == math.Float64bits(float64(p2))
 }
 
-// TestScanRowsMatchesVisitFold pins the fused miss-scan kernel against the
-// scalar visitor folds: on a dense sweep of planes through every
-// utilization segment, the kernel over SlabRows with the band must match a
-// VisitPlaneIntersection + powerAt fold, and the kernel over PlaneRows with
-// [-Inf, TSafe+Band] must match the fallback's VisitPlane fold keeping
-// CPUTemp <= TSafe+Band — member count, best power bits and best cell. The
-// sweep runs on the default axis, on a custom axis off which the unit
-// planes extrapolate, and with a band no plane reaches (every slab empty,
-// every fallback the whole plane) and one below every temperature (nothing
-// safe at all).
-func TestScanRowsMatchesVisitFold(t *testing.T) {
+// TestChooseMatchesReference pins Choose's miss path — resolvePlane, the
+// fused slab-row kernel — against chooseRef bit for bit: setting, power
+// bits and error text. The sweep crosses every utilization segment of the
+// default axis and of a custom axis off which the unit planes extrapolate,
+// four cold sides, a cache quantum, a band narrow enough that many slabs
+// fall between grid cells (the fallback decides under a binding
+// TSafe+Band cap), a T_safe no plane reaches (every decision the uncapped
+// fallback) and one below every temperature (no safe setting at all). A
+// band that is not positive fails Choose and DecideBatchCold with
+// lookup.ErrBandNotPositive.
+func TestChooseMatchesReference(t *testing.T) {
+	type config struct {
+		tsafe, band units.Celsius
+		quantum     float64
+	}
+	configs := []config{{62, 1, 0}, {62, 0.02, 0}, {62, 1, 1.0 / 512}, {200, 1, 0}, {-100, 1, 0}}
 	axes := [][]float64{
 		lookup.DefaultAxes().Utilization,
 		{0.05, 0.06, 0.1, 0.35, 0.36, 0.37, 0.5, 0.9, 0.95},
 	}
+	colds := []units.Celsius{12, 20, 27.5, 35}
+	steps := 8
+	if raceEnabled {
+		steps = 2
+	}
 	for _, uAxis := range axes {
-		for _, tsafe := range []units.Celsius{62, 200, -100} {
+		planes := []float64{0, 1, math.Nextafter(1, 0)}
+		for b := 0; b+1 < len(uAxis); b++ {
+			for k := 0; k < steps; k++ {
+				planes = append(planes, uAxis[b]+float64(k)/float64(steps)*(uAxis[b+1]-uAxis[b]))
+			}
+		}
+		for _, cfg := range configs {
 			c := scanController(t, uAxis)
-			c.TSafe = tsafe
-			lo, hi := c.TSafe-c.Band, c.TSafe+c.Band
-			idx := c.Space.SegmentIndex(lo, hi)
-			var buf []lookup.SlabRow
-			steps := 64
-			if raceEnabled {
-				steps = 8
-			}
-			planes := []float64{0, 1}
-			for b := 0; b+1 < len(uAxis); b++ {
-				for k := 0; k < steps; k++ {
-					planes = append(planes, uAxis[b]+float64(k)/float64(steps)*(uAxis[b+1]-uAxis[b]))
+			c.TSafe, c.Band, c.CacheQuantum = cfg.tsafe, cfg.band, cfg.quantum
+			ok, capped := 0, 0
+			for k, u := range planes {
+				cold := colds[k%len(colds)]
+				ws, wp, werr := c.chooseRef(u, cold)
+				gs, gp, gerr := c.Choose(u, cold)
+				if !sameChoice(gs, gp, gerr, ws, wp, werr) {
+					t.Fatalf("axis %v %+v u=%v cold %v: Choose (%+v, %v, %v) != reference (%+v, %v, %v)",
+						uAxis, cfg, u, cold, gs, gp, gerr, ws, wp, werr)
 				}
-			}
-			slabs := 0
-			for _, u := range planes {
-				for _, cold := range []float64{12, 20, 27.5} {
-					rows, w0, w1 := c.Space.SlabRows(idx, u, &buf)
-					gn, gp, gc := c.curve.scanRows(rows, w0, w1, float64(lo), float64(hi), cold)
-					wn, wp, wc := visitFold(t, c, cold, func(v func(int, lookup.Point) bool) error {
-						return c.Space.VisitPlaneIntersection(u, c.TSafe, c.Band, v)
-					})
-					if gn != wn || math.Float64bits(float64(gp)) != math.Float64bits(float64(wp)) || (wn > 0 && gc != wc) {
-						t.Fatalf("axis %v tsafe %v u=%v cold %v: slab kernel (%d, %v, %d) != fold (%d, %v, %d)",
-							uAxis, tsafe, u, cold, gn, gp, gc, wn, wp, wc)
-					}
-					if gn > 0 {
-						slabs++
-						continue
-					}
-					rows, w0, w1 = c.Space.PlaneRows(u, &buf)
-					gn, gp, gc = c.curve.scanRows(rows, w0, w1, math.Inf(-1), float64(hi), cold)
-					wn, wp, wc = visitFold(t, c, cold, func(v func(int, lookup.Point) bool) error {
-						return c.Space.VisitPlane(u, func(cell int, p lookup.Point) bool {
-							if p.CPUTemp <= hi {
-								return v(cell, p)
-							}
-							return true
-						})
-					})
-					if gn != wn || math.Float64bits(float64(gp)) != math.Float64bits(float64(wp)) || (wn > 0 && gc != wc) {
-						t.Fatalf("axis %v tsafe %v u=%v cold %v: fallback kernel (%d, %v, %d) != fold (%d, %v, %d)",
-							uAxis, tsafe, u, cold, gn, gp, gc, wn, wp, wc)
+				if gerr == nil {
+					ok++
+					if gt := c.Space.CPUTemp(c.quantizePlane(u), gs.Flow, gs.Inlet); gt < c.TSafe-c.Band {
+						capped++ // the slab was empty: the capped fallback chose
 					}
 				}
 			}
-			if tsafe == 62 && slabs == 0 {
-				t.Errorf("axis %v: the sweep never found a non-empty slab", uAxis)
+			if reachable := cfg.tsafe != -100; (ok == len(planes)) != reachable || (ok == 0) == reachable {
+				t.Errorf("axis %v %+v: %d of %d planes found a setting", uAxis, cfg, ok, len(planes))
 			}
-			if tsafe != 62 && slabs != 0 {
-				t.Errorf("axis %v tsafe %v: %d planes found a slab no plane reaches", uAxis, tsafe, slabs)
+			if cfg.band < 1 && (capped == 0 || capped == ok) {
+				t.Errorf("axis %v %+v: the fallback decided %d of %d planes, want some but not all", uAxis, cfg, capped, ok)
 			}
+		}
+	}
+
+	c := newController(t)
+	for _, band := range []units.Celsius{0, -1} {
+		c.Band = band
+		if _, _, err := c.Choose(0.5, c.ColdSource); !errors.Is(err, lookup.ErrBandNotPositive) {
+			t.Errorf("band %v: Choose err %v, want ErrBandNotPositive", band, err)
+		}
+		var bs BatchScratch
+		err := c.DecideBatchCold([]float64{0.4, 0.5}, []Range{{0, 2}}, Original, c.ColdSource, &bs, []*Scratch{{}}, make([]Decision, 1))
+		var ge GroupError
+		if !errors.As(err, &ge) || ge.Group != 0 || !errors.Is(err, lookup.ErrBandNotPositive) {
+			t.Errorf("band %v: DecideBatchCold err %v, want group 0's ErrBandNotPositive", band, err)
 		}
 	}
 }
@@ -142,12 +137,16 @@ func TestScanRowsPredicateAndTies(t *testing.T) {
 		row(63, 45, 5),         // ...tied on the upper edge: the first wins
 		row(63.25, 58, 6),      // above the band
 	}
+	// The rows' flow index 3 is the module's flow; the cold side is 20 °C.
+	power := func(outlet units.Celsius) units.Watts {
+		return c.Module.MaxPower(outlet-20, units.LitersPerHour(c.Space.Axes().Flow[3]))
+	}
 	n, best, cell := c.curve.scanRows(rows, 0.5, 0.5, 61, 63, 20)
-	if want := c.curve.powerAt(3*c.curve.ni, 45, 20); n != 3 || best != want || cell != 4 {
+	if want := power(45); n != 3 || best != want || cell != 4 {
 		t.Errorf("band [61, 63]: (%d, %v, %d), want (3, %v, 4)", n, best, cell, want)
 	}
 	n, best, cell = c.curve.scanRows(rows, 0.5, 0.5, math.Inf(-1), 63, 20)
-	if want := c.curve.powerAt(3*c.curve.ni, 50, 20); n != 4 || best != want || cell != 1 {
+	if want := power(50); n != 4 || best != want || cell != 1 {
 		t.Errorf("band [-Inf, 63]: (%d, %v, %d), want (4, %v, 1)", n, best, cell, want)
 	}
 	if n, best, _ = c.curve.scanRows(rows[2:3], 0.5, 0.5, math.Inf(-1), math.Inf(1), 20); n != 0 || best != -1 {

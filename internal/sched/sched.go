@@ -173,9 +173,11 @@ func (c *Controller) PowerAt(s Setting, u float64, cold units.Celsius) units.Wat
 // back to the safety-constrained optimum: maximum TEG power over all
 // settings whose CPU temperature does not exceed TSafe+Band.
 //
-// Outcomes are memoized per (quantized plane, cold) pair: traces revisit the
-// same plane constantly, the chosen setting is a pure function of the pair,
-// and decisions made under different interval environments never alias.
+// A miss runs resolvePlane, the fused slab-row kernel DecideBatchCold's
+// misses run, at the quantized plane. Outcomes are memoized per (quantized
+// plane, cold) pair: traces revisit the same plane constantly, the chosen
+// setting is a pure function of the pair, and decisions made under
+// different interval environments never alias.
 // Once the cache is full, a plane is memoized on its second miss (see
 // cache.go), so one-shot exact planes do not crowd it. A cache hit performs
 // zero allocations and takes no mutex — one atomic load plus a chain walk —
@@ -194,9 +196,14 @@ func (c *Controller) Choose(planeU float64, cold units.Celsius) (Setting, units.
 		c.observeChoice(hint, setting)
 		return setting, power, nil
 	}
-	setting, power, cell, err := c.choose(planeU, cold)
+	idx := c.Space.SegmentIndex(c.TSafe-c.Band, c.TSafe+c.Band)
+	var buf []lookup.SlabRow
+	setting, power, cell, evals, err := c.resolvePlane(idx, planeU, cold, &buf)
 	if err != nil {
 		return Setting{}, 0, err
+	}
+	if m := c.met; m != nil {
+		m.curveEvals.Add(uint64(evals))
 	}
 	if c.cache.store(key, cb, setting, power, cell) {
 		c.inserts.AddHint(hint, 1)
@@ -211,59 +218,7 @@ func errUtilizationOutsideUnit(planeU float64) error {
 	return fmt.Errorf("sched: utilization %v outside [0,1]", planeU)
 }
 
-// choose runs the uncached Steps 1-3 at the exact plane utilization,
-// streaming the candidate cells of the flattened look-up tables instead of
-// materializing a []Point: Step 2's slab intersection and Step 3's argmax
-// fuse into one allocation-free scan. The visit order matches the seed's
-// PlaneIntersection order and the power evaluation is bit-identical, so the
-// chosen setting never drifts from the slice-based implementation.
-func (c *Controller) choose(planeU float64, cold units.Celsius) (Setting, units.Watts, int32, error) {
-	best := Setting{}
-	bestP := units.Watts(-1)
-	bestCell := int32(0)
-	found := false
-	evals := 0 // candidate power evaluations, reported once per miss
-	err := c.Space.VisitPlaneIntersection(planeU, c.TSafe, c.Band, func(cell int, p lookup.Point) bool {
-		found = true
-		evals++
-		if pw := c.curve.powerAt(cell, p.Outlet, float64(cold)); pw > bestP {
-			best, bestP, bestCell = Setting{Flow: p.Flow, Inlet: p.Inlet}, pw, int32(cell)
-		}
-		return true
-	})
-	if err != nil {
-		return Setting{}, 0, 0, err
-	}
-	if !found {
-		// Fallback: the slab is unreachable (at low utilization even the
-		// warmest admissible inlet cannot push the die up to TSafe), so
-		// optimize over every setting keeping the die at or below
-		// TSafe+Band.
-		err = c.Space.VisitPlane(planeU, func(cell int, p lookup.Point) bool {
-			if p.CPUTemp <= c.TSafe+c.Band {
-				found = true
-				evals++
-				if pw := c.curve.powerAt(cell, p.Outlet, float64(cold)); pw > bestP {
-					best, bestP, bestCell = Setting{Flow: p.Flow, Inlet: p.Inlet}, pw, int32(cell)
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return Setting{}, 0, 0, err
-		}
-	}
-	if m := c.met; m != nil {
-		m.curveEvals.Add(uint64(evals))
-	}
-	if !found {
-		return Setting{}, 0, 0, errNoSafeSetting(planeU)
-	}
-	return best, bestP, bestCell, nil
-}
-
-// errNoSafeSetting is the empty-intersection failure, shared between the
-// scalar and batch scans so both report identical errors.
+// errNoSafeSetting is resolvePlane's empty-intersection failure.
 func errNoSafeSetting(planeU float64) error {
 	return fmt.Errorf("sched: no safe cooling setting for u=%v", planeU)
 }

@@ -52,23 +52,19 @@ func (s *StabilizedController) Decide(us []float64, scheme Scheme) (Decision, er
 		return Decision{}, err
 	}
 	s.Intervals++
+	setting, bestPower, err := s.Inner.Choose(planeU, s.Inner.ColdSource)
+	if err != nil {
+		return Decision{}, err
+	}
 	// Is the held setting still safe and close enough to optimal?
 	if s.hasLast {
 		heldTemp := s.Inner.Space.CPUTemp(planeU, s.last.Flow, s.last.Inlet)
 		if heldTemp <= s.Inner.TSafe+s.Inner.Band {
 			heldPower := s.Inner.PowerAt(s.last, planeU, s.Inner.ColdSource)
-			_, bestPower, err := s.Inner.Choose(planeU, s.Inner.ColdSource)
-			if err != nil {
-				return Decision{}, err
-			}
 			if bestPower-heldPower <= s.GainThreshold {
 				return s.decideWith(s.last, us, scheme, planeU)
 			}
 		}
-	}
-	setting, _, err := s.Inner.Choose(planeU, s.Inner.ColdSource)
-	if err != nil {
-		return Decision{}, err
 	}
 	if !s.hasLast || setting != s.last {
 		s.Changes++

@@ -123,3 +123,28 @@ func TestStabilizedReset(t *testing.T) {
 		t.Error("reset incomplete")
 	}
 }
+
+// TestStabilizedChoosesOncePerInterval pins the stabilized controller's
+// cache accounting: each Decide makes exactly one Choose call, whichever
+// branch it takes — keeping the held setting, switching because it turned
+// unsafe, or switching because re-optimizing gains more than the deadband.
+func TestStabilizedChoosesOncePerInterval(t *testing.T) {
+	inner := newController(t)
+	st, err := NewStabilizedController(inner, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		u := 0.1 + rng.Float64()*0.8
+		if _, err := st.Decide([]float64{u, u / 2}, LoadBalance); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Changes == 0 || st.Changes == st.Intervals {
+		t.Fatalf("%d changes in %d intervals: the walk must both hold and switch", st.Changes, st.Intervals)
+	}
+	if _, calls := inner.CacheStats(); calls != uint64(st.Intervals) {
+		t.Errorf("%d Choose calls for %d intervals, want one per interval", calls, st.Intervals)
+	}
+}
