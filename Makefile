@@ -56,6 +56,7 @@ fuzz-check:
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/env -run '^$$' -fuzz '^FuzzEnvProfile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzTEGTable$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/h2pbenchdiff -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 
 # load-check runs the deterministic multi-tenant load profile against a

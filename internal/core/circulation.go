@@ -46,6 +46,9 @@ type Circulation struct {
 	// inj is the engine's fault injector; nil (the fault-free default) keeps
 	// every step bit-identical to an engine with no fault layer at all.
 	inj *fault.Injector
+	// teg is inj's TEGTable for the circulation's servers: every module's
+	// state for the whole run, or nil when it must be queried per interval.
+	teg []float64
 	// sensor guards the circulation's outlet-temperature channel against
 	// injected sensor-stuck faults with bounded last-good fallback. Exactly
 	// one worker steps a circulation per interval, so it needs no locking.
@@ -85,6 +88,7 @@ func newCirculation(index, lo, hi int, cfg Config, ctl *sched.Controller, plant 
 		reuse:  cfg.Reuse,
 		met:    met,
 		inj:    inj,
+		teg:    inj.TEGTable(lo, hi),
 		sensor: hydro.LastGoodSensor{MaxStale: inj.MaxSensorStale()},
 		pump: hydro.Pump{
 			Name:       "circ",
@@ -308,7 +312,8 @@ func (c *Circulation) pumpPowerAt(flow units.LitersPerHour) (units.Watts, error)
 // the straight per-server sum — bit-identical to summing the decision —
 // while under faults open-circuit modules are excluded from both the sum and
 // the contributing-server count, and degraded modules are scaled by their
-// physical output factor.
+// physical output factor. Both come from the circulation's TEG table when
+// the plan has one, and from the injector's per-interval queries otherwise.
 func (c *Circulation) harvest(ci *CirculationInterval, d *sched.Decision, interval int) {
 	if c.inj == nil {
 		ci.TEGPower = d.TotalTEGPower()
@@ -316,13 +321,20 @@ func (c *Circulation) harvest(ci *CirculationInterval, d *sched.Decision, interv
 	}
 	var sum units.Watts
 	for i, p := range d.PerServerPower {
-		server := c.Lo + i
-		if c.inj.TEGOpen(interval, server) {
+		var f float64
+		if c.teg != nil {
+			f = c.teg[i]
+		} else if server := c.Lo + i; c.inj.TEGOpen(interval, server) {
+			f = fault.TEGTableOpen
+		} else {
+			f = c.inj.TEGFactor(interval, server)
+		}
+		if f == fault.TEGTableOpen {
 			ci.OpenTEG++
 			ci.TEGServers--
 			continue
 		}
-		if f := c.inj.TEGFactor(interval, server); f < 1 {
+		if f < 1 {
 			ci.DegradedTEG++
 			p *= units.Watts(f)
 		}

@@ -363,6 +363,38 @@ func (in *Injector) TEGOpen(interval, server int) bool {
 	return false
 }
 
+// TEGTableOpen is a TEGTable entry's value for an open-circuit module.
+const TEGTableOpen = -1.0
+
+// TEGTable returns the TEG state of servers [lo, hi) for the whole run: entry
+// i is TEGTableOpen when server lo+i's module is open-circuit, else its
+// TEGFactor. A rate-based TEG fault is persistent, so when every TEG spec is
+// rate-based the state cannot change between intervals and one table
+// replaces the per-interval queries. The table is nil when a TEG spec is
+// windowed, and for the nil injector: query TEGOpen and TEGFactor then. It
+// is derived from the injector alone, so it needs no checkpointing.
+func (in *Injector) TEGTable(lo, hi int) []float64 {
+	if in == nil {
+		return nil
+	}
+	for _, specs := range [...][]compiledSpec{in.tegDegrade, in.tegOpen} {
+		for i := range specs {
+			if len(specs[i].spec.Windows) > 0 {
+				return nil
+			}
+		}
+	}
+	table := make([]float64, hi-lo)
+	for i := range table {
+		if in.TEGOpen(0, lo+i) {
+			table[i] = TEGTableOpen
+		} else {
+			table[i] = in.TEGFactor(0, lo+i)
+		}
+	}
+	return table
+}
+
 // FlowFactor returns the circulation pump's realized-over-commanded flow
 // ratio at the interval: 1 when healthy, the product of active droops
 // otherwise (never below 0).

@@ -301,3 +301,67 @@ func TestActivationOrderAndAccessIndependent(t *testing.T) {
 		}
 	}
 }
+
+// requireTEGTable checks in's TEGTable for servers [lo, hi) against the
+// per-interval queries at each of intervals: nil exactly when a TEG spec is
+// windowed, else equal to TEGOpen and, bit for bit, TEGFactor.
+func requireTEGTable(t testing.TB, p *Plan, in *Injector, lo, hi int, intervals ...int) {
+	t.Helper()
+	windowed := false
+	for _, s := range p.Specs {
+		windowed = windowed || (s.Kind == TEGDegrade || s.Kind == TEGOpen) && len(s.Windows) > 0
+	}
+	table := in.TEGTable(lo, hi)
+	if (table == nil) != (in == nil || windowed) {
+		t.Fatalf("plan %v: table %v, windowed TEG spec %v", p, table, windowed)
+	}
+	if table == nil {
+		return
+	}
+	if len(table) != hi-lo {
+		t.Fatalf("plan %v: table of %d entries for servers [%d, %d)", p, len(table), lo, hi)
+	}
+	for _, interval := range intervals {
+		for i, f := range table {
+			server := lo + i
+			if open := in.TEGOpen(interval, server); open != (f == TEGTableOpen) {
+				t.Fatalf("plan %v: server %d interval %d: table %v, TEGOpen %v", p, server, interval, f, open)
+			} else if !open && math.Float64bits(f) != math.Float64bits(in.TEGFactor(interval, server)) {
+				t.Fatalf("plan %v: server %d interval %d: table %v, TEGFactor %v", p, server, interval, f, in.TEGFactor(interval, server))
+			}
+		}
+	}
+}
+
+func TestTEGTableMatchesQueries(t *testing.T) {
+	window := []Window{{From: 3, To: 9, Unit: -1}, {From: 0, To: 40, Unit: 17}}
+	plans := map[string]*Plan{
+		"persistent": {Specs: []Spec{
+			{Kind: TEGDegrade, Rate: 0.3}, {Kind: TEGDegrade, Rate: 0.2, Severity: 0.6}, {Kind: TEGOpen, Rate: 0.1},
+		}},
+		"persistent and transient": {Specs: []Spec{
+			{Kind: TEGDegrade, Rate: 0.25, Severity: 0.3}, {Kind: SensorStuck, Rate: 0.1}, {Kind: StepError, Rate: 0.05},
+			{Kind: PumpDroop, Windows: window},
+		}},
+		"no TEG spec":     {Specs: []Spec{{Kind: PumpDroop, Rate: 0.2}}},
+		"windowed":        {Specs: []Spec{{Kind: TEGOpen, Windows: window}}},
+		"mixed TEG specs": {Specs: []Spec{{Kind: TEGOpen, Rate: 0.1}, {Kind: TEGDegrade, Windows: window}}},
+	}
+	intervals := make([]int, 48)
+	for i := range intervals {
+		intervals[i] = i
+	}
+	for name, p := range plans {
+		for seed := int64(0); seed < 4; seed++ {
+			in, err := p.Compile(seed)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			requireTEGTable(t, p, in, 5, 200, intervals...)
+		}
+	}
+	var none *Injector
+	if none.TEGTable(0, 10) != nil {
+		t.Fatal("the nil injector has a TEG table")
+	}
+}

@@ -92,3 +92,28 @@ func checkPlan(t *testing.T, p *Plan) {
 		}
 	}
 }
+
+// FuzzTEGTable draws a TEG plan — a degradation and an open-circuit stream,
+// each rate-based or windowed — a seed, a server range and an interval, and
+// checks that the injector's TEGTable agrees with its per-interval queries.
+func FuzzTEGTable(f *testing.F) {
+	f.Add(0.3, 0.1, 0.5, uint8(0), int64(1), uint16(0), uint8(64), uint16(0))
+	f.Add(0.02, 0.0, 0.3, uint8(1), int64(7), uint16(900), uint8(200), uint16(37))
+	f.Add(1.0, 1.0, 1.0, uint8(3), int64(-5), uint16(12), uint8(1), uint16(5))
+	f.Fuzz(func(t *testing.T, degrade, open, severity float64, windowed uint8, seed int64, lo uint16, n uint8, interval uint16) {
+		p := &Plan{}
+		for i, s := range []Spec{{Kind: TEGDegrade, Rate: degrade, Severity: severity}, {Kind: TEGOpen, Rate: open}} {
+			if windowed>>i&1 == 1 {
+				s.Rate, s.Windows = 0, []Window{{From: int(interval) / 2, To: int(interval) + 1, Unit: int(lo) + i - 1}}
+			}
+			if s.Validate() == nil {
+				p.Specs = append(p.Specs, s)
+			}
+		}
+		in, err := p.Compile(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireTEGTable(t, p, in, int(lo), int(lo)+int(n), int(interval))
+	})
+}

@@ -23,7 +23,15 @@ func parseFloat(b []byte) (float64, error) {
 
 // parseDecimal is parseFloat's fast path; ok is false when b must go to
 // strconv.
-func parseDecimal(b []byte) (f float64, ok bool) {
+func parseDecimal(b []byte) (float64, bool) {
+	f, n, ok := parseDecimalPrefix(b)
+	return f, ok && n == len(b)
+}
+
+// parseDecimalPrefix parses the plain decimal that starts b and reports how
+// many bytes it spans, so a caller can take a field straight out of a
+// larger buffer; ok is false when that decimal must go to strconv.
+func parseDecimalPrefix(b []byte) (f float64, n int, ok bool) {
 	i, neg := 0, false
 	if len(b) > 0 && b[0] == '-' {
 		i, neg = 1, true
@@ -50,7 +58,7 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 		digits = digits || i > frac
 	}
 	if !digits || nd > maxMantDigits {
-		return 0, false
+		return 0, 0, false
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
@@ -65,15 +73,12 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 			i++
 		}
 		if i == start {
-			return 0, false
+			return 0, 0, false
 		}
 		if eneg {
 			e = -e
 		}
 		exp10 += e
-	}
-	if i != len(b) {
-		return 0, false
 	}
 	// Exact: man and 10^|exp10| are both float64 integers, so one IEEE
 	// multiply or divide rounds correctly.
@@ -83,11 +88,12 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 			f = -f
 		}
 		if exp10 < 0 {
-			return f / exactPow10[-exp10], true
+			return f / exactPow10[-exp10], i, true
 		}
-		return f * exactPow10[exp10], true
+		return f * exactPow10[exp10], i, true
 	}
-	return eiselLemire64(man, exp10, neg)
+	f, ok = eiselLemire64(man, exp10, neg)
+	return f, i, ok
 }
 
 // maxMantDigits is how many significant decimal digits fit a uint64

@@ -13,28 +13,30 @@ import (
 // The canonical CSV layout is server-major (one row per server), but the
 // engine pulls interval-major columns. CSVSource squares that with an
 // O(servers) working set: an index pass records each data row's byte span,
-// then one cursor per row walks its fields in lockstep. Every row cursor
-// buffers its bytes in its own slot of one shared slab, and one visit to a
-// row decodes csvBlock consecutive fields into a column-major staging block,
-// so most NextColumn calls only copy a staged column out. Memory is
-// O(servers × (csvRowBufSize + 8·csvBlock)) bytes regardless of how many
-// intervals the file holds; the matrix itself never exists in memory.
-
-// csvRowBufSize is each row cursor's slot in the slab: large enough to cover
-// a couple of dozen float fields per refill, small enough that a fleet-sized
-// trace (12.5k servers) needs only ~6 MiB of cursor buffers.
-const csvRowBufSize = 512
+// then one {off, end} cursor per row walks its fields in lockstep. One row
+// visit decodes csvBlock consecutive fields into a column-major staging
+// block, so most NextColumn calls only copy a staged column out. The rows'
+// bytes pass through one shared read stripe: a single read loads the next
+// visit of a row and of every following row whose visit still fits, and
+// fields are parsed in place out of it. Memory is O(8·csvBlock·servers)
+// bytes plus the stripe regardless of how many intervals the file holds;
+// the matrix itself never exists in memory.
 
 // csvMaxFieldLen bounds a single CSV field; the longest float64 the writer
 // emits is ~24 bytes, so anything past this is a corrupt or hostile file.
 const csvMaxFieldLen = 64
 
 // csvBlock is how many consecutive fields one row visit decodes: the staging
-// block holds csvBlock columns of float64s (1.6 MB at 12.5k servers).
-const csvBlock = 16
+// block holds csvBlock columns of float64s (3.2 MB at 12.5k servers).
+const csvBlock = 32
 
-// csvIndexChunk is the index pass's read size.
+// csvIndexChunk is the index pass's read size, and the read stripe's.
 const csvIndexChunk = 64 << 10
+
+// csvVisitSpan bounds the bytes one row visit reads: the server id and
+// csvBlock fields, each at most csvMaxFieldLen bytes and a comma. It is the
+// smallest stripe the decoder works with.
+const csvVisitSpan = (csvBlock + 1) * (csvMaxFieldLen + 1)
 
 // csvMetaPrefix opens a #h2p-trace meta row that has more than one field.
 const csvMetaPrefix = "#h2p-trace,"
@@ -54,14 +56,16 @@ type CSVSource struct {
 	meta Meta
 	ra   io.ReaderAt
 	rows []csvCursor // one per server row
-	// slab holds every row cursor's read buffer, csvRowBufSize bytes each,
-	// and block the staged columns, column-major: block[k*servers+r] is row
-	// r's value at interval blockStart+k. Both are allocated by the first
-	// NextColumn, so opening a file only to read its Meta costs the index.
-	slab  []byte
-	block []float64
-	field []byte // scratch for a field that straddles a refill
-	next  int
+	// stripe holds the file bytes [base, base+len(stripe)) of the last
+	// read, and block the staged columns, column-major: block[k*servers+r]
+	// is row r's value at interval blockStart+k. Both are allocated by the
+	// first NextColumn, so opening a file only to read its Meta costs the
+	// index; stripeSize is the stripe's capacity until then.
+	stripe     []byte
+	stripeSize int
+	base       int64
+	block      []float64
+	next       int
 	// Columns [blockStart, blockEnd) are staged. When err is set, it is the
 	// decode error of interval blockEnd, returned once that interval is due.
 	blockStart, blockEnd int
@@ -69,11 +73,9 @@ type CSVSource struct {
 	closer               io.Closer
 }
 
-// csvCursor walks one data row: the file bytes [off, end) are still unread,
-// and [lo, hi) of the row's slab slot holds read bytes not yet consumed.
+// csvCursor walks one data row: the file bytes [off, end) are still unread.
 type csvCursor struct {
 	off, end int64
-	lo, hi   int
 }
 
 // OpenCSVFile opens path as a streaming trace source. Close releases the
@@ -101,6 +103,12 @@ func OpenCSVFile(path string) (*CSVSource, error) {
 // positioned at interval 0. The index pass streams the file once with a
 // fixed-size buffer; only the per-row offsets (O(servers)) are retained.
 func NewCSVSource(ra io.ReaderAt, size int64) (*CSVSource, error) {
+	return newCSVSource(ra, size, csvIndexChunk)
+}
+
+// newCSVSource is NewCSVSource with a read stripe of stripe bytes, raised
+// to csvVisitSpan if smaller.
+func newCSVSource(ra io.ReaderAt, size int64, stripe int) (*CSVSource, error) {
 	idx, err := indexCSV(ra, size, csvIndexChunk)
 	if err != nil {
 		return nil, err
@@ -123,7 +131,10 @@ func NewCSVSource(ra io.ReaderAt, size int64) (*CSVSource, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
-	return &CSVSource{meta: meta, ra: ra, rows: idx.rows}, nil
+	// A row visit never reads past the file, so a stripe larger than the
+	// file is never filled.
+	stripe = int(min(int64(max(stripe, csvVisitSpan)), size))
+	return &CSVSource{meta: meta, ra: ra, rows: idx.rows, stripeSize: stripe}, nil
 }
 
 // Meta reports the file's shape.
@@ -164,99 +175,135 @@ func (s *CSVSource) NextColumn(dst []float64) (int, error) {
 }
 
 // fill stages the columns from interval next on: each row visit decodes up
-// to csvBlock consecutive fields. A decode error ends the staged run just
-// before its interval, so the columns ahead of it are still delivered. The
-// error kept is the one a column-at-a-time reader would meet first: lowest
-// interval, then lowest row — later rows only decode the fields before the
-// earliest failing interval seen so far.
+// to csvBlock consecutive fields, and the first fill consumes every row's
+// server id before them. A decode error ends the staged run just before its
+// interval, so the columns ahead of it are still delivered. The error kept
+// is the one a column-at-a-time reader would meet first: any server id
+// error, else the lowest interval, then lowest row — later rows only decode
+// the fields before the earliest failing interval seen so far.
+//
+// Each field is parsed straight out of the stripe. The fast path takes a
+// plain decimal of at most csvMaxFieldLen bytes that a comma or the row's
+// end closes; any other field is split off at its comma and checked by
+// nextField, then parsed by parseFloat, which produces every error.
 func (s *CSVSource) fill() {
 	n := s.meta.Servers
-	if s.slab == nil {
-		s.slab = make([]byte, n*csvRowBufSize)
+	ids := s.stripe == nil
+	if ids {
+		s.stripe = make([]byte, 0, s.stripeSize)
 		s.block = make([]float64, min(csvBlock, s.meta.Intervals)*n)
-		s.field = make([]byte, 0, csvMaxFieldLen+csvRowBufSize)
-		for r := range s.rows {
-			if _, err := s.readField(&s.rows[r], s.slot(r)); err != nil {
-				s.err = fmt.Errorf("trace: row %d server id: %w", r, err)
-				return
-			}
-		}
 	}
 	start := s.next
 	width := min(csvBlock, s.meta.Intervals-start)
 	for r := range s.rows {
-		c, buf := &s.rows[r], s.slot(r)
-		for k := 0; k < width; k++ {
-			f, err := s.readField(c, buf)
-			var v float64
-			if err == nil {
-				v, err = parseFloat(f)
+		if width == 0 && !ids {
+			break
+		}
+		c := &s.rows[r]
+		fields := width
+		if ids {
+			fields++
+		}
+		if err := s.load(r, fields); err != nil {
+			if ids {
+				s.err = fmt.Errorf("trace: row %d server id: %w", r, err)
+				return
 			}
+			width = 0
+			s.err = fmt.Errorf("trace: row %d interval %d: %w", r, start, err)
+			break
+		}
+		// The window [p, lim) of the stripe holds the row's next bytes: at
+		// least csvMaxFieldLen+1 per field left in the visit, or all of them
+		// up to the row's end (or the file's, if it shrank since the index),
+		// so no field runs past it, and a field of at most csvMaxFieldLen
+		// bytes that reaches lim ends the row.
+		p := int(c.off - s.base)
+		lim := int(min(c.end, s.base+int64(len(s.stripe))) - s.base)
+		if ids {
+			// A server id error wins over every interval error; no column
+			// has been staged yet.
+			_, m, err := nextField(s.stripe[p:lim])
 			if err != nil {
-				width = k
-				s.err = fmt.Errorf("trace: row %d interval %d: %w", r, start+k, err)
-				break
+				s.err = fmt.Errorf("trace: row %d server id: %w", r, err)
+				return
+			}
+			p += m
+		}
+		for k := 0; k < width; k++ {
+			b := s.stripe[p:lim]
+			v, m, ok := parseDecimalPrefix(b)
+			if ok && m <= csvMaxFieldLen && (m == len(b) || b[m] == ',') {
+				m = min(m+1, len(b)) // and the comma
+			} else {
+				f, fm, err := nextField(b)
+				if err == nil {
+					v, err = parseFloat(f)
+				}
+				if err != nil {
+					width = k
+					s.err = fmt.Errorf("trace: row %d interval %d: %w", r, start+k, err)
+					break
+				}
+				m = fm
 			}
 			s.block[k*n+r] = v
+			p += m
 		}
+		c.off = s.base + int64(p)
 	}
 	s.blockStart, s.blockEnd = start, start+width
 }
 
-// slot is row r's read buffer in the slab.
-func (s *CSVSource) slot(r int) []byte {
-	return s.slab[r*csvRowBufSize : (r+1)*csvRowBufSize]
-}
-
-// readField consumes the row's next comma-delimited field; buf is the row's
-// slab slot. The result aliases buf, or the source's scratch when the field
-// straddles a refill; it is valid until the next readField. The last field
-// of a row ends at the row's end instead of a comma.
-func (s *CSVSource) readField(c *csvCursor, buf []byte) ([]byte, error) {
-	win := buf[c.lo:c.hi]
-	if i := bytes.IndexByte(win, ','); i >= 0 {
-		c.lo += i + 1
-		return checkField(win[:i])
+// load makes the stripe hold the next visit of row r, fields fields long.
+// When those bytes are not in it yet, one read fills the stripe from the
+// row's cursor on, up to the end of the last following row visit that still
+// fits. A file shorter than the index saw ends the row early, as a section
+// reader would: the short read's window stops where the file does.
+func (s *CSVSource) load(r, fields int) error {
+	c := &s.rows[r]
+	end := c.visitEnd(fields)
+	if c.off >= s.base && end <= s.base+int64(len(s.stripe)) {
+		return nil
 	}
-	f := append(s.field[:0], win...)
-	c.lo = c.hi
-	for len(f) <= csvMaxFieldLen {
-		if c.off >= c.end {
-			if len(f) == 0 {
-				return nil, io.ErrUnexpectedEOF
-			}
+	for _, d := range s.rows[r+1:] {
+		e := d.visitEnd(fields)
+		if e > c.off+int64(cap(s.stripe)) {
 			break
 		}
-		if err := s.refill(c, buf); err != nil {
-			return nil, err
-		}
-		win = buf[:c.hi]
-		if i := bytes.IndexByte(win, ','); i >= 0 {
-			c.lo = i + 1
-			f = append(f, win[:i]...)
-			break
-		}
-		f = append(f, win...)
-		c.lo = c.hi
+		end = e
 	}
-	s.field = f
-	return checkField(f)
-}
-
-// refill reads the row's next bytes into its slab slot buf. A file shorter
-// than the index saw ends the row early, as a section reader would.
-func (s *CSVSource) refill(c *csvCursor, buf []byte) error {
-	want := min(int64(len(buf)), c.end-c.off)
-	n, err := s.ra.ReadAt(buf[:want], c.off)
-	if int64(n) < want {
-		if err != nil && err != io.EOF {
-			return err
-		}
-		c.end = c.off + int64(n)
+	want := end - c.off
+	n, err := s.ra.ReadAt(s.stripe[:want], c.off)
+	s.base, s.stripe = c.off, s.stripe[:n]
+	if int64(n) < want && err != nil && err != io.EOF {
+		return err
 	}
-	c.off += int64(n)
-	c.lo, c.hi = 0, n
 	return nil
+}
+
+// visitEnd bounds the file bytes a visit of fields fields reads from the
+// row: each field is at most csvMaxFieldLen bytes and a comma, and none
+// runs past the row's end.
+func (c *csvCursor) visitEnd(fields int) int64 {
+	return c.off + min(int64(fields)*(csvMaxFieldLen+1), c.end-c.off)
+}
+
+// nextField splits the row's next comma-delimited field off b, the row's
+// unread bytes in the stripe, and returns it with the bytes it consumed. It
+// looks at csvMaxFieldLen+1 bytes at most: a longer field fails checkField.
+// The last field of a row ends at the row's end instead of a comma.
+func nextField(b []byte) ([]byte, int, error) {
+	if len(b) == 0 {
+		return nil, 0, io.ErrUnexpectedEOF
+	}
+	head := b[:min(len(b), csvMaxFieldLen+1)]
+	if i := bytes.IndexByte(head, ','); i >= 0 {
+		f, err := checkField(head[:i])
+		return f, i + 1, err
+	}
+	f, err := checkField(head)
+	return f, len(head), err
 }
 
 // checkField applies the streaming reader's field rules in the order a

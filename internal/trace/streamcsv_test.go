@@ -14,10 +14,21 @@ import (
 // drainCSV opens raw as a CSVSource and pulls every column, interval-major,
 // stopping at the first error.
 func drainCSV(raw string) (Meta, [][]float64, error) {
-	src, err := NewCSVSource(strings.NewReader(raw), int64(len(raw)))
+	return drainCSVStripe(raw, csvIndexChunk)
+}
+
+// drainCSVStripe is drainCSV through a read stripe of stripe bytes.
+func drainCSVStripe(raw string, stripe int) (Meta, [][]float64, error) {
+	src, err := newCSVSource(strings.NewReader(raw), int64(len(raw)), stripe)
 	if err != nil {
 		return Meta{}, nil, err
 	}
+	return drainOpened(src)
+}
+
+// drainOpened pulls every column of an opened source, interval-major,
+// stopping at the first error.
+func drainOpened(src *CSVSource) (Meta, [][]float64, error) {
 	m := src.Meta()
 	var cols [][]float64
 	col := make([]float64, m.Servers)
@@ -42,10 +53,11 @@ func drainCSV(raw string) (Meta, [][]float64, error) {
 
 // straddleCSV is a headerless matrix of fixed-width fields, with line ends
 // eol, behind as many leading blank lines as it takes for ok to hold. It
-// runs past the first index chunk.
+// runs past the first index chunk and past the end of the stripe as the
+// first load, from row 0, lays it out.
 func straddleCSV(eol string, ok func(raw string) bool) string {
 	var body strings.Builder
-	for r := 0; body.Len() <= csvIndexChunk+csvRowBufSize; r++ {
+	for r := 0; body.Len() <= csvIndexChunk+csvVisitSpan; r++ {
 		fmt.Fprintf(&body, "%03d", r)
 		for i := 0; i < 60; i++ {
 			fmt.Fprintf(&body, ",0.%08d", (r*60+i)*7919%100000000)
@@ -64,9 +76,23 @@ func midField(raw string, off int) bool {
 	return !strings.ContainsAny(raw[off-1:off+1], ",\r\n")
 }
 
-// refillStraddle is a two-row matrix whose last fields cross each row's
-// first cursor refill, at row byte csvRowBufSize.
-var refillStraddle = "0" + strings.Repeat(",0.5", 127) + ",0.25\n1" + strings.Repeat(",0.5", 127) + ",0.75\n"
+// rowByte512Straddle is a two-row matrix whose last fields cross row byte
+// 512.
+var rowByte512Straddle = "0" + strings.Repeat(",0.5", 127) + ",0.25\n1" + strings.Repeat(",0.5", 127) + ",0.75\n"
+
+// loadStraddle is a two-row matrix of 600 fields, every one 0.5 but row 1's
+// field at interval k, which is f, and a stripe size that ends strictly
+// inside that field when the first load starts at row 0: row 1's visit does
+// not fit that load, and the decoder must read it again from row 1's
+// cursor. Row 0 is long enough for any k < csvBlock to keep the stripe at
+// least csvVisitSpan bytes.
+func loadStraddle(k int, f string) (raw string, stripe int) {
+	const intervals = 600
+	row0 := "0" + strings.Repeat(",0.5", intervals)
+	row1 := "1" + strings.Repeat(",0.5", k) + "," + f + strings.Repeat(",0.5", intervals-k-1)
+	start := len(row0) + 1 + len("1") + 4*k + len(",")
+	return row0 + "\n" + row1 + "\n", start + max(1, len(f)/2)
+}
 
 // csvSourceSeeds are the differential fuzzer's seed inputs.
 func csvSourceSeeds(t testing.TB) []string {
@@ -80,7 +106,7 @@ func csvSourceSeeds(t testing.TB) []string {
 	}
 	return []string{
 		canonical.String(),
-		refillStraddle,
+		rowByte512Straddle,
 		// A blank CRLF line before the meta row.
 		"\r\n#h2p-trace,x,common,5m0s\nserver,t0\n0,0.5\n",
 		// A meta row longer than 4 KiB.
@@ -127,34 +153,14 @@ func csvSourceSeeds(t testing.TB) []string {
 func FuzzCSVSourceMatchesReadCSV(f *testing.F) {
 	// Besides the input, each case names an index chunk size: indexing in
 	// chunks that small puts chunk boundaries inside fields, inside CRLF
-	// pairs and inside the meta row, and must not change the index.
+	// pairs and inside the meta row, and must not change the index. It also
+	// draws a read stripe between csvVisitSpan and csvIndexChunk bytes,
+	// which moves the stripe's end through the rows.
 	for i, s := range csvSourceSeeds(f) {
-		f.Add(s, uint16([]int{1, 2, 7, 64}[i%4]))
+		f.Add(s, uint16([]int{1, 2, 7, 64}[i%4]), uint16(i*977))
 	}
-	f.Fuzz(func(t *testing.T, raw string, chunk uint16) {
-		dense, denseErr := ReadCSV(strings.NewReader(raw))
-		m, cols, srcErr := drainCSV(raw)
-		switch {
-		case srcErr == nil && denseErr != nil:
-			t.Fatalf("CSVSource accepted an input ReadCSV rejects: %v", denseErr)
-		case srcErr != nil && denseErr == nil:
-			if !strings.Contains(raw, `"`) && !errors.Is(srcErr, errCSVFieldTooLong) {
-				t.Fatalf("CSVSource rejected an input ReadCSV accepts: %v", srcErr)
-			}
-		case srcErr == nil:
-			want := Meta{Name: dense.Name, Class: dense.Class, Servers: dense.Servers(),
-				Intervals: dense.Intervals(), Interval: dense.Interval}
-			if m != want {
-				t.Fatalf("meta %+v, ReadCSV %+v", m, want)
-			}
-			for i, col := range cols {
-				for s, v := range col {
-					if math.Float64bits(v) != math.Float64bits(dense.U[s][i]) {
-						t.Fatalf("cell (s=%d, i=%d): streamed %v, dense %v", s, i, v, dense.U[s][i])
-					}
-				}
-			}
-		}
+	f.Fuzz(func(t *testing.T, raw string, chunk, stripe uint16) {
+		requireMatchesReadCSV(t, raw, csvVisitSpan+int(stripe)%(csvIndexChunk-csvVisitSpan+1))
 		if chunk == 0 {
 			return
 		}
@@ -167,6 +173,39 @@ func FuzzCSVSourceMatchesReadCSV(f *testing.F) {
 			t.Fatalf("index in %d-byte chunks differs: %+v, want %+v", chunk, *got, *ref)
 		}
 	})
+}
+
+// requireMatchesReadCSV drains raw through a read stripe of stripe bytes
+// and holds the result to ReadCSV's, as FuzzCSVSourceMatchesReadCSV states
+// it, and its error text to the default stripe's.
+func requireMatchesReadCSV(t *testing.T, raw string, stripe int) {
+	t.Helper()
+	dense, denseErr := ReadCSV(strings.NewReader(raw))
+	m, cols, srcErr := drainCSVStripe(raw, stripe)
+	if _, _, err := drainCSV(raw); fmt.Sprint(err) != fmt.Sprint(srcErr) {
+		t.Fatalf("%.40q, stripe %d: error %v, default stripe %v", raw, stripe, srcErr, err)
+	}
+	switch {
+	case srcErr == nil && denseErr != nil:
+		t.Fatalf("%.40q, stripe %d: CSVSource accepted an input ReadCSV rejects: %v", raw, stripe, denseErr)
+	case srcErr != nil && denseErr == nil:
+		if !strings.Contains(raw, `"`) && !errors.Is(srcErr, errCSVFieldTooLong) {
+			t.Fatalf("%.40q, stripe %d: CSVSource rejected an input ReadCSV accepts: %v", raw, stripe, srcErr)
+		}
+	case srcErr == nil:
+		want := Meta{Name: dense.Name, Class: dense.Class, Servers: dense.Servers(),
+			Intervals: dense.Intervals(), Interval: dense.Interval}
+		if m != want {
+			t.Fatalf("%.40q, stripe %d: meta %+v, ReadCSV %+v", raw, stripe, m, want)
+		}
+		for i, col := range cols {
+			for s, v := range col {
+				if math.Float64bits(v) != math.Float64bits(dense.U[s][i]) {
+					t.Fatalf("%.40q, stripe %d: cell (s=%d, i=%d): streamed %v, dense %v", raw, stripe, s, i, v, dense.U[s][i])
+				}
+			}
+		}
+	}
 }
 
 func TestCSVSourceBlankCRLFLineBeforeMeta(t *testing.T) {
@@ -223,52 +262,265 @@ func TestCSVSourceWideMetaRowBounded(t *testing.T) {
 }
 
 // TestCSVSourceStraddlingFields decodes fields that cross the decoder's
-// read boundaries at their real sizes: a field across row 0's first cursor
-// refill, one across the first index chunk boundary, and a CRLF pair split
-// by that chunk boundary.
+// read boundaries at their real sizes: a field across the first index chunk
+// boundary, a CRLF pair split by it, and fields across the end of the
+// stripe as the first load, from row 0, lays it out — at the default size
+// and, through stripes cut to size, inside row 1's first visit. A row whose
+// visit crosses the stripe's end is read again from its cursor on.
 func TestCSVSourceStraddlingFields(t *testing.T) {
-	for _, raw := range []string{
-		refillStraddle,
-		straddleCSV("\n", func(raw string) bool {
+	type input struct {
+		raw    string
+		stripe int
+	}
+	cases := []input{
+		{rowByte512Straddle, csvIndexChunk},
+		{straddleCSV("\n", func(raw string) bool {
 			row0 := strings.IndexFunc(raw, func(c rune) bool { return c != '\n' })
-			return midField(raw, row0+csvRowBufSize) && midField(raw, csvIndexChunk)
-		}),
-		straddleCSV("\r\n", func(raw string) bool { return raw[csvIndexChunk-1:csvIndexChunk+1] == "\r\n" }),
-	} {
-		dense, err := ReadCSV(strings.NewReader(raw))
+			return midField(raw, row0+csvIndexChunk) && midField(raw, csvIndexChunk)
+		}), csvIndexChunk},
+		{straddleCSV("\r\n", func(raw string) bool { return raw[csvIndexChunk-1:csvIndexChunk+1] == "\r\n" }), csvIndexChunk},
+	}
+	for _, k := range []int{0, 1, csvBlock / 2, csvBlock - 1} {
+		raw, stripe := loadStraddle(k, "0.123456789")
+		cases = append(cases, input{raw, stripe})
+	}
+	for _, tc := range cases {
+		if tc.stripe != csvIndexChunk && !midField(tc.raw, tc.stripe) {
+			t.Fatalf("%.40q: a %d-byte stripe ends outside a field", tc.raw, tc.stripe)
+		}
+		dense, err := ReadCSV(strings.NewReader(tc.raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cols, err := drainCSV(raw)
+		_, cols, err := drainCSVStripe(tc.raw, tc.stripe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireColumnsEqualTrace(t, cols, dense)
 	}
-	if !midField(refillStraddle, csvRowBufSize) {
-		t.Fatal("refillStraddle has no field across the first refill")
+	if !midField(rowByte512Straddle, 512) {
+		t.Fatal("rowByte512Straddle has no field across row byte 512")
 	}
 }
 
 func TestCSVSourceFieldCaps(t *testing.T) {
-	// A field of exactly the cap, straddling a refill, is accepted.
-	if _, _, err := drainCSV("0" + strings.Repeat(",0.5", 124) + ",0." + strings.Repeat("1", 62) + "\n"); err != nil {
+	capField := "0." + strings.Repeat("1", 62)
+	for _, raw := range []string{
+		// A field of exactly the cap, across row byte 512.
+		"0" + strings.Repeat(",0.5", 124) + "," + capField + "\n",
+		// The same field as the last of a row, and as a server id.
+		"0," + capField + "\n",
+		capField[2:] + "00,0.5\n",
+	} {
+		if _, _, err := drainCSV(raw); err != nil {
+			t.Errorf("%.40q: %v", raw, err)
+		}
+	}
+	// A field of exactly the cap across the stripe's end.
+	raw, stripe := loadStraddle(csvBlock-1, capField)
+	if _, _, err := drainCSVStripe(raw, stripe); err != nil {
+		t.Errorf("cap-sized field across the stripe's end: %v", err)
+	}
+	type fieldCase struct {
+		raw    string
+		stripe int
+		want   string
+	}
+	cases := []fieldCase{
+		{"0,0." + strings.Repeat("1", 70) + "\n", csvIndexChunk, "trace: row 0 interval 0: field exceeds 64 bytes"},
+		// Over-long and quoted fields across row byte 512.
+		{"0" + strings.Repeat(",0.5", 124) + ",0." + strings.Repeat("1", 70) + "\n", csvIndexChunk, "trace: row 0 interval 124: field exceeds 64 bytes"},
+		{"0" + strings.Repeat(",0.5", 124) + ",0." + strings.Repeat("1", 62) + "\"\n", csvIndexChunk, "trace: row 0 interval 124: quoted fields are not supported by the streaming reader"},
+		{"0,0." + strings.Repeat("1", 62) + "\"\n", csvIndexChunk, "trace: row 0 interval 0: quoted fields are not supported by the streaming reader"},
+		// A quote past the first csvMaxFieldLen+1 bytes is not looked for.
+		{"0,0." + strings.Repeat("1", 63) + "\"\n", csvIndexChunk, "trace: row 0 interval 0: field exceeds 64 bytes"},
+		{"0,0.5\"\n", csvIndexChunk, "trace: row 0 interval 0: quoted fields are not supported by the streaming reader"},
+		{"0\",0.5\n", csvIndexChunk, "trace: row 0 server id: quoted fields are not supported by the streaming reader"},
+		{"0,0.5,\n", csvIndexChunk, "trace: row 0 interval 1: unexpected EOF"},
+		{"0,,0.5\n", csvIndexChunk, `trace: row 0 interval 0: strconv.ParseFloat: parsing "": invalid syntax`},
+		// A decimal the fast path would take but for its length.
+		{"0," + strings.Repeat("0", 63) + ".5\n", csvIndexChunk, "trace: row 0 interval 0: field exceeds 64 bytes"},
+		{"0," + strings.Repeat("0", 63) + ".5,0.5\n", csvIndexChunk, "trace: row 0 interval 0: field exceeds 64 bytes"},
+	}
+	// The same faults across the stripe's end.
+	for _, f := range []struct{ field, want string }{
+		{"0." + strings.Repeat("1", 70), "field exceeds 64 bytes"},
+		{"0." + strings.Repeat("1", 62) + `"`, "quoted fields are not supported by the streaming reader"},
+		{strings.Repeat("0", 63) + ".5", "field exceeds 64 bytes"},
+		{"0.5x", `strconv.ParseFloat: parsing "0.5x": invalid syntax`},
+	} {
+		raw, stripe := loadStraddle(csvBlock/2, f.field)
+		cases = append(cases, fieldCase{raw, stripe, fmt.Sprintf("trace: row 1 interval %d: %s", csvBlock/2, f.want)})
+	}
+	for _, tc := range cases {
+		_, _, err := drainCSVStripe(tc.raw, tc.stripe)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%.40q (stripe %d): error %v, want %s", tc.raw, tc.stripe, err, tc.want)
+		}
+	}
+}
+
+// stripeSizes are the read stripes the sweep decodes through: the smallest
+// one, sizes around it and a few between it and the default.
+var stripeSizes = []int{csvVisitSpan, csvVisitSpan + 1, csvVisitSpan + 63, 2*csvVisitSpan + 7, 4096, 10007, csvIndexChunk - 1, csvIndexChunk}
+
+// TestCSVSourceStripeSweep decodes the differential fuzzer's seed inputs,
+// a generated trace, matrices of cap-sized fields, which fill a visit's
+// byte bound exactly, and inputs whose fields cross the stripe's end, through
+// stripes of every size in stripeSizes, each held to
+// requireMatchesReadCSV.
+func TestCSVSourceStripeSweep(t *testing.T) {
+	inputs := csvSourceSeeds(t)
+	tr, err := Generate(DrasticConfig(40), 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ raw, want string }{
-		{"0,0." + strings.Repeat("1", 70) + "\n", "trace: row 0 interval 0: field exceeds 64 bytes"},
-		// Over-long fields that straddle row 0's first refill at byte 512.
-		{"0" + strings.Repeat(",0.5", 124) + ",0." + strings.Repeat("1", 70) + "\n", "trace: row 0 interval 124: field exceeds 64 bytes"},
-		{"0" + strings.Repeat(",0.5", 124) + ",0." + strings.Repeat("1", 62) + "\"\n", "trace: row 0 interval 124: quoted fields are not supported by the streaming reader"},
-		{"0,0." + strings.Repeat("1", 62) + "\"\n", "trace: row 0 interval 0: quoted fields are not supported by the streaming reader"},
-		{"0,0.5\"\n", "trace: row 0 interval 0: quoted fields are not supported by the streaming reader"},
-		{"0\",0.5\n", "trace: row 0 server id: quoted fields are not supported by the streaming reader"},
-		{"0,0.5,\n", "trace: row 0 interval 1: unexpected EOF"},
-		{"0,,0.5\n", `trace: row 0 interval 0: strconv.ParseFloat: parsing "": invalid syntax`},
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, buf.String())
+	// Fields of exactly csvMaxFieldLen bytes, 0.5 and 0.25 behind leading
+	// zeros, in rows of a few visits.
+	capRow := strings.Repeat(","+strings.Repeat("0", 61)+"0.5,"+strings.Repeat("0", 60)+"0.25", csvBlock+3)
+	inputs = append(inputs, "0"+capRow+"\n1"+capRow+"\n2"+capRow+"\n", "7"+capRow)
+	for _, f := range []string{"0.25", "0." + strings.Repeat("1", 62), "0." + strings.Repeat("1", 70), "x"} {
+		raw, _ := loadStraddle(csvBlock-1, f)
+		inputs = append(inputs, raw)
+	}
+	for _, raw := range inputs {
+		for _, stripe := range stripeSizes {
+			requireMatchesReadCSV(t, raw, stripe)
+		}
+	}
+}
+
+// countingReaderAt counts the reads made through it.
+type countingReaderAt struct {
+	r     io.ReaderAt
+	reads int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.r.ReadAt(p, off)
+}
+
+// TestCSVSourceReadsPerLoad bounds the decoder's reads. Rows shorter than
+// the stripe share loads: each load reaches at least stripe−csvVisitSpan
+// bytes past the previous one, so one pass over the rows reads the file in
+// at most ⌈size/(stripe−csvVisitSpan)⌉+1 loads. A row longer than the stripe
+// costs one load per visit, however many fields the visit takes.
+func TestCSVSourceReadsPerLoad(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		servers, interval int
+		stripe            int
+	}{
+		{"short rows", 200, 144, csvIndexChunk},
+		{"short rows, small stripe", 200, 144, csvVisitSpan + 100},
+		{"long rows", 6, 2000, csvVisitSpan},
 	} {
-		_, _, err := drainCSV(tc.raw)
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("%.40q: error %v, want %s", tc.raw, err, tc.want)
+		cfg := DrasticConfig(tc.servers)
+		cfg.Horizon = time.Duration(tc.interval) * cfg.Interval
+		tr, err := Generate(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ra := &countingReaderAt{r: bytes.NewReader(buf.Bytes())}
+		src, err := newCSVSource(ra, int64(buf.Len()), tc.stripe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra.reads = 0
+		if _, _, err := drainOpened(src); err != nil {
+			t.Fatal(err)
+		}
+		passes := (tc.interval + csvBlock - 1) / csvBlock
+		perPass := tc.servers
+		if adv := tc.stripe - csvVisitSpan; adv > 0 {
+			perPass = min(perPass, (buf.Len()+adv-1)/adv+1)
+		}
+		if ra.reads > passes*perPass {
+			t.Errorf("%s: %d reads for %d passes over %d bytes, want at most %d", tc.name, ra.reads, passes, buf.Len(), passes*perPass)
+		}
+	}
+}
+
+// shrunkReaderAt serves data as a file of size bytes: reads past size come
+// back short, with io.EOF.
+type shrunkReaderAt struct {
+	data string
+	size int64
+}
+
+func (s *shrunkReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off >= s.size {
+		return 0, io.EOF
+	}
+	n := copy(p, s.data[off:s.size])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// TestCSVSourceFileShrinks truncates the file between the index and the
+// decode: a row that ends early decodes the fields it still has — a field
+// cut short included, as a shorter number — and then fails at its first
+// missing field, with the error a column-at-a-time reader would meet first.
+// A row that loses its server id fails before any column is delivered.
+func TestCSVSourceFileShrinks(t *testing.T) {
+	const servers, intervals = 4, 80
+	var b strings.Builder
+	for r := 0; r < servers; r++ {
+		fmt.Fprintf(&b, "%d", 100+r)
+		for i := 0; i < intervals; i++ {
+			fmt.Fprintf(&b, ",0.%05d", (r*intervals+i)*7919%100000)
+		}
+		b.WriteByte('\n')
+	}
+	raw := b.String()
+	row := len(raw) / servers // every row has the same length
+	// field is the file offset of row r's field at interval i.
+	field := func(r, i int) int { return r*row + len("100,") + i*len("0.12345,") }
+	for _, tc := range []struct {
+		name string
+		size int
+		want string
+		cols int
+		last float64 // row 3's value in the last column delivered
+	}{
+		{"mid-field", field(3, 50) + 3, "trace: row 3 interval 51: unexpected EOF", 51, 0.9},
+		{"after a comma", field(3, 50) + 1, "trace: row 3 interval 51: unexpected EOF", 51, 0},
+		{"one digit short", field(3, 21) - 2, "trace: row 3 interval 21: unexpected EOF", 21, 0.5894},
+		{"at a row start", 3 * row, "trace: row 3 server id: unexpected EOF", 0, 0},
+		{"in an earlier row", field(2, 50) + 3, "trace: row 3 server id: unexpected EOF", 0, 0},
+		{"inside a server id", 3*row + 2, "trace: row 3 interval 0: unexpected EOF", 0, 0},
+		{"empty", 0, "trace: row 0 server id: unexpected EOF", 0, 0},
+		{"inside the last value", len(raw) - 3, "EOF", intervals, 0.261},
+		{"at the newline", len(raw) - 1, "EOF", intervals, 0.26161},
+	} {
+		ra := &shrunkReaderAt{data: raw, size: int64(len(raw))}
+		src, err := NewCSVSource(ra, int64(len(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra.size = int64(tc.size)
+		_, cols, err := drainOpened(src)
+		if err == nil {
+			err = io.EOF
+		}
+		if err.Error() != tc.want || len(cols) != tc.cols {
+			t.Errorf("%s: error %v after %d columns, want %s after %d", tc.name, err, len(cols), tc.want, tc.cols)
+			continue
+		}
+		if tc.cols > 0 && cols[tc.cols-1][3] != tc.last {
+			t.Errorf("%s: row 3 reads %v in the last column, want %v", tc.name, cols[tc.cols-1][3], tc.last)
 		}
 	}
 }
@@ -367,7 +619,7 @@ func TestCSVSourceNextColumnAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := make([]float64, servers)
-	if _, err := src.NextColumn(col); err != nil { // allocates the slab and block
+	if _, err := src.NextColumn(col); err != nil { // allocates the stripe and block
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -378,58 +630,4 @@ func TestCSVSourceNextColumnAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("NextColumn allocates %v times per column, want 0", allocs)
 	}
-}
-
-// BenchmarkCSVSource times the streaming decoder on a generated 2k-server
-// drastic CSV (12 h, 144 intervals): index is NewCSVSource alone, decode is
-// draining every column of an opened source. MB/s counts file bytes and
-// values/s the utilizations delivered.
-func BenchmarkCSVSource(b *testing.B) {
-	tr, err := Generate(DrasticConfig(2000), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	open := func(b *testing.B) *CSVSource {
-		src, err := NewCSVSource(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return src
-	}
-	report := func(b *testing.B, values int) {
-		s := b.Elapsed().Seconds()
-		b.ReportMetric(float64(len(data))*float64(b.N)/s/1e6, "MB/s")
-		if values > 0 {
-			b.ReportMetric(float64(values)*float64(b.N)/s, "values/s")
-		}
-	}
-	b.Run("index", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			open(b)
-		}
-		report(b, 0)
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		col := make([]float64, tr.Servers())
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			src := open(b)
-			b.StartTimer()
-			for {
-				if _, err := src.NextColumn(col); err == io.EOF {
-					break
-				} else if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		report(b, tr.Servers()*tr.Intervals())
-	})
 }
