@@ -14,29 +14,50 @@ import (
 // engine pulls interval-major columns. CSVSource squares that with an
 // O(servers) working set: an index pass records each data row's byte span,
 // then one {off, end} cursor per row walks its fields in lockstep. One row
-// visit decodes csvBlock consecutive fields into a column-major staging
+// visit decodes a few dozen consecutive fields into a column-major staging
 // block, so most NextColumn calls only copy a staged column out. The rows'
-// bytes pass through one shared read stripe: a single read loads the next
-// visit of a row and of every following row whose visit still fits, and
-// fields are parsed in place out of it. Memory is O(8·csvBlock·servers)
-// bytes plus the stripe regardless of how many intervals the file holds;
-// the matrix itself never exists in memory.
+// bytes pass through one shared read stripe, and fields are parsed in place
+// out of it. A read loads a window of one row sized to its next visit, from
+// the row's average field, and goes on over the windows of the following
+// rows for as long as the bytes it skips between them stay no more than the
+// bytes of the windows it holds, plus a few KiB for each window joined; a
+// visit that outruns its window is read on from where it stopped. So rows
+// far apart cost one read a visit and a decode copies about twice the file
+// however many visits its rows take, while rows close together share reads
+// and a decode copies about the file once a pass. Memory is
+// 8·csvMaxBlock·servers bytes plus the stripe regardless of how many intervals
+// the file holds; the matrix itself never exists in memory.
 
 // csvMaxFieldLen bounds a single CSV field; the longest float64 the writer
 // emits is ~24 bytes, so anything past this is a corrupt or hostile file.
 const csvMaxFieldLen = 64
 
-// csvBlock is how many consecutive fields one row visit decodes: the staging
-// block holds csvBlock columns of float64s (3.2 MB at 12.5k servers).
-const csvBlock = 32
+// csvVisitBytes is about how many bytes of its row one visit reads: a
+// visit decodes as many consecutive fields as that holds at the file's mean
+// field length, from csvMinBlock to csvMaxBlock, into a staging block of
+// that many columns of float64s. Drastic traces (~17-byte fields) take 32
+// columns (3.2 MB at 12.5k servers), whole-percent imports (~5-byte fields)
+// 80 (8 MB).
+const (
+	csvVisitBytes = 512
+	csvMinBlock   = 32
+	csvMaxBlock   = 80
+)
+
+// csvFirstBlock is how many fields the first row visit decodes after the
+// server id. The first column waits for every row's first visit, so a
+// narrow first block keeps the work before it small.
+const csvFirstBlock = 16
 
 // csvIndexChunk is the index pass's read size, and the read stripe's.
 const csvIndexChunk = 64 << 10
 
-// csvVisitSpan bounds the bytes one row visit reads: the server id and
-// csvBlock fields, each at most csvMaxFieldLen bytes and a comma. It is the
-// smallest stripe the decoder works with.
-const csvVisitSpan = (csvBlock + 1) * (csvMaxFieldLen + 1)
+// csvJoinGap is how many skipped bytes a read may take on for each row
+// visit it joins, beyond the bytes of the visits it holds. From the page
+// cache a pread costs about 1.2 µs plus 0.05 ns a byte (2-CPU x86-64 VM),
+// so one read saved pays for copying ~20 KB: joining visits 4 KiB apart
+// copies less than the reads it saves cost.
+const csvJoinGap = 4 << 10
 
 // csvMetaPrefix opens a #h2p-trace meta row that has more than one field.
 const csvMetaPrefix = "#h2p-trace,"
@@ -65,6 +86,7 @@ type CSVSource struct {
 	stripeSize int
 	base       int64
 	block      []float64
+	width      int // fields a visit decodes after the first
 	next       int
 	// Columns [blockStart, blockEnd) are staged. When err is set, it is the
 	// decode error of interval blockEnd, returned once that interval is due.
@@ -107,7 +129,7 @@ func NewCSVSource(ra io.ReaderAt, size int64) (*CSVSource, error) {
 }
 
 // newCSVSource is NewCSVSource with a read stripe of stripe bytes, raised
-// to csvVisitSpan if smaller.
+// to csvMaxFieldLen+1, one field and its comma, if smaller.
 func newCSVSource(ra io.ReaderAt, size int64, stripe int) (*CSVSource, error) {
 	idx, err := indexCSV(ra, size, csvIndexChunk)
 	if err != nil {
@@ -131,10 +153,12 @@ func newCSVSource(ra io.ReaderAt, size int64, stripe int) (*CSVSource, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
-	// A row visit never reads past the file, so a stripe larger than the
-	// file is never filled.
-	stripe = int(min(int64(max(stripe, csvVisitSpan)), size))
-	return &CSVSource{meta: meta, ra: ra, rows: idx.rows, stripeSize: stripe}, nil
+	// A read never reaches past the file, so a stripe larger than the file
+	// is never filled.
+	stripe = int(min(int64(max(stripe, csvMaxFieldLen+1)), size))
+	field := max(1, size/(int64(meta.Servers)*int64(meta.Intervals+1)))
+	width := int(min(max(csvVisitBytes/field, csvMinBlock), csvMaxBlock))
+	return &CSVSource{meta: meta, ra: ra, rows: idx.rows, stripeSize: stripe, width: width}, nil
 }
 
 // Meta reports the file's shape.
@@ -175,12 +199,13 @@ func (s *CSVSource) NextColumn(dst []float64) (int, error) {
 }
 
 // fill stages the columns from interval next on: each row visit decodes up
-// to csvBlock consecutive fields, and the first fill consumes every row's
-// server id before them. A decode error ends the staged run just before its
+// to width consecutive fields, and the first fill consumes every row's
+// server id and csvFirstBlock fields. A decode error ends the staged run just before its
 // interval, so the columns ahead of it are still delivered. The error kept
 // is the one a column-at-a-time reader would meet first: any server id
 // error, else the lowest interval, then lowest row — later rows only decode
-// the fields before the earliest failing interval seen so far.
+// the fields before the earliest failing interval seen so far. A read error
+// counts as the error of the first field the failed read was to bring in.
 //
 // Each field is parsed straight out of the stripe. The fast path takes a
 // plain decimal of at most csvMaxFieldLen bytes that a comma or the row's
@@ -191,39 +216,34 @@ func (s *CSVSource) fill() {
 	ids := s.stripe == nil
 	if ids {
 		s.stripe = make([]byte, 0, s.stripeSize)
-		s.block = make([]float64, min(csvBlock, s.meta.Intervals)*n)
+		s.block = make([]float64, min(s.width, s.meta.Intervals)*n)
 	}
 	start := s.next
-	width := min(csvBlock, s.meta.Intervals-start)
+	width := min(s.width, s.meta.Intervals-start)
+	// A visit takes fields of the left fields still in every row.
+	fields, left := width, s.meta.Intervals-start
+	if ids {
+		width = min(csvFirstBlock, s.meta.Intervals)
+		fields, left = width+1, left+1
+	}
 	for r := range s.rows {
 		if width == 0 && !ids {
 			break
 		}
 		c := &s.rows[r]
-		fields := width
-		if ids {
-			fields++
-		}
-		if err := s.load(r, fields); err != nil {
-			if ids {
-				s.err = fmt.Errorf("trace: row %d server id: %w", r, err)
-				return
-			}
-			width = 0
-			s.err = fmt.Errorf("trace: row %d interval %d: %w", r, start, err)
-			break
-		}
-		// The window [p, lim) of the stripe holds the row's next bytes: at
-		// least csvMaxFieldLen+1 per field left in the visit, or all of them
-		// up to the row's end (or the file's, if it shrank since the index),
-		// so no field runs past it, and a field of at most csvMaxFieldLen
-		// bytes that reaches lim ends the row.
-		p := int(c.off - s.base)
-		lim := int(min(c.end, s.base+int64(len(s.stripe))) - s.base)
+		// Before each field, the window [p, lim) of the stripe holds the
+		// row's next bytes: at least csvMaxFieldLen+1 of them, or all of
+		// them up to the row's end (or the file's, if it shrank since the
+		// index), so no field runs past it, and a field of at most
+		// csvMaxFieldLen bytes that reaches lim ends the row.
+		p, lim, err := s.load(r, fields, left)
 		if ids {
 			// A server id error wins over every interval error; no column
 			// has been staged yet.
-			_, m, err := nextField(s.stripe[p:lim])
+			var m int
+			if err == nil {
+				_, m, err = nextField(s.stripe[p:lim])
+			}
 			if err != nil {
 				s.err = fmt.Errorf("trace: row %d server id: %w", r, err)
 				return
@@ -231,21 +251,31 @@ func (s *CSVSource) fill() {
 			p += m
 		}
 		for k := 0; k < width; k++ {
-			b := s.stripe[p:lim]
-			v, m, ok := parseDecimalPrefix(b)
-			if ok && m <= csvMaxFieldLen && (m == len(b) || b[m] == ',') {
-				m = min(m+1, len(b)) // and the comma
-			} else {
-				f, fm, err := nextField(b)
-				if err == nil {
-					v, err = parseFloat(f)
+			if err == nil && lim-p <= csvMaxFieldLen && s.base+int64(lim) < c.end {
+				// The window ran out before the visit did: load the rest
+				// of the visit from here.
+				c.off = s.base + int64(p)
+				p, lim, err = s.load(r, width-k, s.meta.Intervals-start-k)
+			}
+			var v float64
+			m := 0
+			if err == nil {
+				b := s.stripe[p:lim]
+				var ok bool
+				v, m, ok = parseDecimalPrefix(b)
+				if ok && m <= csvMaxFieldLen && (m == len(b) || b[m] == ',') {
+					m = min(m+1, len(b)) // and the comma
+				} else {
+					var f []byte
+					if f, m, err = nextField(b); err == nil {
+						v, err = parseFloat(f)
+					}
 				}
-				if err != nil {
-					width = k
-					s.err = fmt.Errorf("trace: row %d interval %d: %w", r, start+k, err)
-					break
-				}
-				m = fm
+			}
+			if err != nil {
+				width = k
+				s.err = fmt.Errorf("trace: row %d interval %d: %w", r, start+k, err)
+				break
 			}
 			s.block[k*n+r] = v
 			p += m
@@ -255,38 +285,65 @@ func (s *CSVSource) fill() {
 	s.blockStart, s.blockEnd = start, start+width
 }
 
-// load makes the stripe hold the next visit of row r, fields fields long.
-// When those bytes are not in it yet, one read fills the stripe from the
-// row's cursor on, up to the end of the last following row visit that still
-// fits. A file shorter than the index saw ends the row early, as a section
-// reader would: the short read's window stops where the file does.
-func (s *CSVSource) load(r, fields int) error {
+// load returns the window [p, lim) of the stripe that holds row r's bytes
+// from its cursor on, reading them first when the stripe does not reach the
+// end of a visit of fields fields, left fields before the row's end. One
+// read then fills the stripe from the row's cursor on and over the same
+// visits of the following rows, for as long as they fit and the bytes it
+// skips between them stay no more than the bytes of the visits it holds
+// plus csvJoinGap for each visit it joins.
+// When that read fails, the row's own visit alone is read again, so an
+// error is met by the row whose bytes it is in. A file shorter than the
+// index saw ends every row at its new end, as a section reader would.
+func (s *CSVSource) load(r, fields, left int) (p, lim int, err error) {
 	c := &s.rows[r]
-	end := c.visitEnd(fields)
-	if c.off >= s.base && end <= s.base+int64(len(s.stripe)) {
-		return nil
+	end := c.off + min(c.visit(fields, left), int64(cap(s.stripe)))
+	if c.off < s.base || end > s.base+int64(len(s.stripe)) {
+		if err := s.read(c.off, end, s.rows[r+1:], fields, left); err != nil {
+			return 0, 0, err
+		}
 	}
-	for _, d := range s.rows[r+1:] {
-		e := d.visitEnd(fields)
-		if e > c.off+int64(cap(s.stripe)) {
+	return int(c.off - s.base), int(min(c.end, s.base+int64(len(s.stripe))) - s.base), nil
+}
+
+// read fills the stripe from file offset off on, up to at least own and
+// over the grouped visits of rows, as load describes.
+func (s *CSVSource) read(off, own int64, rows []csvCursor, fields, left int) error {
+	end := own
+	used, skipped := own-off, int64(0)
+	for _, d := range rows {
+		v := d.visit(fields, left)
+		e := d.off + v
+		skipped += d.off - end
+		used += v + csvJoinGap
+		if e > off+int64(cap(s.stripe)) || skipped > used {
 			break
 		}
 		end = e
 	}
-	want := end - c.off
-	n, err := s.ra.ReadAt(s.stripe[:want], c.off)
-	s.base, s.stripe = c.off, s.stripe[:n]
-	if int64(n) < want && err != nil && err != io.EOF {
-		return err
+	for {
+		want := end - off
+		n, err := s.ra.ReadAt(s.stripe[:want], off)
+		s.base, s.stripe = off, s.stripe[:n]
+		if int64(n) == want || err == nil || err == io.EOF {
+			return nil
+		}
+		if end == own {
+			return err
+		}
+		end = own
 	}
-	return nil
 }
 
-// visitEnd bounds the file bytes a visit of fields fields reads from the
-// row: each field is at most csvMaxFieldLen bytes and a comma, and none
-// runs past the row's end.
-func (c *csvCursor) visitEnd(fields int) int64 {
-	return c.off + min(int64(fields)*(csvMaxFieldLen+1), c.end-c.off)
+// visit estimates the bytes a visit of fields fields reads from the row,
+// left fields before its end: a quarter more than the average of the fields
+// left for each, plus one field of csvMaxFieldLen bytes and its comma, but
+// never more than that maximal field for each nor past the row's end. A
+// visit whose fields run longer than that is read in more than one load:
+// 0.5–5 % of the visits of the BenchmarkCSVSource traces are.
+func (c *csvCursor) visit(fields, left int) int64 {
+	rest := c.end - c.off
+	return min(rest, int64(fields)*(csvMaxFieldLen+1), int64(fields)*rest*5/(int64(left)*4)+csvMaxFieldLen+1)
 }
 
 // nextField splits the row's next comma-delimited field off b, the row's

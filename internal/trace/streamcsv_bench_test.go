@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,8 +16,13 @@ import (
 // and decode-file opens the file on disk with OpenCSVFile and drains it, so
 // it counts the decoder's reads. decode-file-long does the same on a
 // 300-server, 30-day file (8640 intervals), whose ~147 KB rows are longer
-// than the read stripe. MB/s counts file bytes and values/s the
-// utilizations delivered.
+// than the read stripe. Between those two sit rows a few stripes' worth of
+// visits long: decode-file-import is a 1000-server, 8-day file at 5 min
+// (2304 intervals) whose values are whole percents scaled by 0.01, as an
+// Alibaba machine_usage import writes them (~5-byte fields, ~11 KB rows),
+// and decode-file-mid a 300-server, 7-day drastic file (2016 intervals,
+// ~37 KB rows). MB/s counts file bytes and values/s the utilizations
+// delivered.
 func BenchmarkCSVSource(b *testing.B) {
 	short := benchCSV(b, 2000, 12*time.Hour)
 	open := func(b *testing.B) *CSVSource {
@@ -45,8 +51,14 @@ func BenchmarkCSVSource(b *testing.B) {
 		short.report(b, short.values)
 	})
 	b.Run("decode-file", func(b *testing.B) { benchDecodeFile(b, short) })
+	b.Run("decode-file-import", func(b *testing.B) { benchDecodeFile(b, benchCSV(b, 1000, 8*24*time.Hour, wholePercent)) })
+	b.Run("decode-file-mid", func(b *testing.B) { benchDecodeFile(b, benchCSV(b, 300, 7*24*time.Hour)) })
 	b.Run("decode-file-long", func(b *testing.B) { benchDecodeFile(b, benchCSV(b, 300, 30*24*time.Hour)) })
 }
+
+// wholePercent rounds u to a whole percent the way the Alibaba import
+// scales cpu_util_percent.
+func wholePercent(u float64) float64 { return math.Round(u*100) * AlibabaOptions().UtilScale }
 
 // benchTrace is one generated CSV of a benchmark shape.
 type benchTrace struct {
@@ -54,13 +66,22 @@ type benchTrace struct {
 	servers, values int
 }
 
-// benchCSV writes a generated drastic trace of the given size as CSV.
-func benchCSV(b *testing.B, servers int, horizon time.Duration) benchTrace {
+// benchCSV writes a generated drastic trace of the given size as CSV, with
+// every utilization passed through each of maps first.
+func benchCSV(b *testing.B, servers int, horizon time.Duration, maps ...func(float64) float64) benchTrace {
 	cfg := DrasticConfig(servers)
 	cfg.Horizon = horizon
 	tr, err := Generate(cfg, 1)
 	if err != nil {
 		b.Fatal(err)
+	}
+	for _, row := range tr.U {
+		for t, u := range row {
+			for _, f := range maps {
+				u = f(u)
+			}
+			row[t] = u
+		}
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -53,11 +54,11 @@ func drainOpened(src *CSVSource) (Meta, [][]float64, error) {
 
 // straddleCSV is a headerless matrix of fixed-width fields, with line ends
 // eol, behind as many leading blank lines as it takes for ok to hold. It
-// runs past the first index chunk and past the end of the stripe as the
-// first load, from row 0, lays it out.
+// runs a few rows past the first index chunk, and so past the stripe's
+// capacity counted from row 0.
 func straddleCSV(eol string, ok func(raw string) bool) string {
 	var body strings.Builder
-	for r := 0; body.Len() <= csvIndexChunk+csvVisitSpan; r++ {
+	for r := 0; body.Len() <= csvIndexChunk+4096; r++ {
 		fmt.Fprintf(&body, "%03d", r)
 		for i := 0; i < 60; i++ {
 			fmt.Fprintf(&body, ",0.%08d", (r*60+i)*7919%100000000)
@@ -82,16 +83,42 @@ var rowByte512Straddle = "0" + strings.Repeat(",0.5", 127) + ",0.25\n1" + string
 
 // loadStraddle is a two-row matrix of 600 fields, every one 0.5 but row 1's
 // field at interval k, which is f, and a stripe size that ends strictly
-// inside that field when the first load starts at row 0: row 1's visit does
-// not fit that load, and the decoder must read it again from row 1's
-// cursor. Row 0 is long enough for any k < csvBlock to keep the stripe at
-// least csvVisitSpan bytes.
+// inside that field when a load starts at row 1's first byte: row 1's first
+// visit, which takes csvMaxBlock fields, does not fit one load, and the
+// decoder must read the rest of it from the field on. Row 1's server id is
+// csvMaxFieldLen bytes long, so the stripe is never cut below its floor.
+// The sum of those fields is well under the row's estimated visit, so the
+// stripe, not the estimate, ends the load.
 func loadStraddle(k int, f string) (raw string, stripe int) {
 	const intervals = 600
 	row0 := "0" + strings.Repeat(",0.5", intervals)
-	row1 := "1" + strings.Repeat(",0.5", k) + "," + f + strings.Repeat(",0.5", intervals-k-1)
-	start := len(row0) + 1 + len("1") + 4*k + len(",")
-	return row0 + "\n" + row1 + "\n", start + max(1, len(f)/2)
+	id := strings.Repeat("0", csvMaxFieldLen-1) + "1"
+	row1 := id + strings.Repeat(",0.5", k) + "," + f + strings.Repeat(",0.5", intervals-k-1)
+	return row0 + "\n" + row1 + "\n", len(id) + 4*k + len(",") + max(1, len(f)/2)
+}
+
+// loadStraddleEnds reports whether a stripe of stripe bytes, filled from
+// row 1's first byte, ends strictly inside a field of raw.
+func loadStraddleEnds(raw string, stripe int) bool {
+	return midField(raw, strings.IndexByte(raw, '\n')+1+stripe)
+}
+
+// windowStraddle is a matrix whose rows open with a first visit of
+// csvFirstBlock 16-byte fields, four times the row's average, so the
+// decoder's estimate of a first visit can run out before the visit does,
+// mid-field, and the rest of the visit is then read from where the window
+// ended. A row's field at interval i < csvFirstBlock starts at byte
+// 1 + 17·i + 1 of the row.
+func windowStraddle() string {
+	long := strings.Repeat(",0.12345678901234", csvFirstBlock)
+	short := strings.Repeat(",0.5", 8*csvMaxBlock)
+	return "0" + long + short + "\n1" + long + short + "\n2" + long + short + "\n"
+}
+
+// csvPasses is how many visits the decoder makes to each row of a file of
+// the given number of intervals, width fields a visit after the first.
+func csvPasses(intervals, width int) int {
+	return 1 + (intervals-min(intervals, csvFirstBlock)+width-1)/width
 }
 
 // csvSourceSeeds are the differential fuzzer's seed inputs.
@@ -154,13 +181,13 @@ func FuzzCSVSourceMatchesReadCSV(f *testing.F) {
 	// Besides the input, each case names an index chunk size: indexing in
 	// chunks that small puts chunk boundaries inside fields, inside CRLF
 	// pairs and inside the meta row, and must not change the index. It also
-	// draws a read stripe between csvVisitSpan and csvIndexChunk bytes,
+	// draws a read stripe between csvMaxFieldLen+1 and csvIndexChunk bytes,
 	// which moves the stripe's end through the rows.
 	for i, s := range csvSourceSeeds(f) {
 		f.Add(s, uint16([]int{1, 2, 7, 64}[i%4]), uint16(i*977))
 	}
 	f.Fuzz(func(t *testing.T, raw string, chunk, stripe uint16) {
-		requireMatchesReadCSV(t, raw, csvVisitSpan+int(stripe)%(csvIndexChunk-csvVisitSpan+1))
+		requireMatchesReadCSV(t, raw, csvMaxFieldLen+1+int(stripe)%(csvIndexChunk-csvMaxFieldLen))
 		if chunk == 0 {
 			return
 		}
@@ -263,10 +290,11 @@ func TestCSVSourceWideMetaRowBounded(t *testing.T) {
 
 // TestCSVSourceStraddlingFields decodes fields that cross the decoder's
 // read boundaries at their real sizes: a field across the first index chunk
-// boundary, a CRLF pair split by it, and fields across the end of the
-// stripe as the first load, from row 0, lays it out — at the default size
-// and, through stripes cut to size, inside row 1's first visit. A row whose
-// visit crosses the stripe's end is read again from its cursor on.
+// boundary, a CRLF pair split by it, fields across the end of the stripe
+// when a load starts at row 0 and, through stripes cut to size, at row 1,
+// inside row 1's first visit, and fields across the end of the window a
+// visit's estimate reads. A visit that crosses the end of its load is read
+// again from the field it stopped at.
 func TestCSVSourceStraddlingFields(t *testing.T) {
 	type input struct {
 		raw    string
@@ -279,13 +307,14 @@ func TestCSVSourceStraddlingFields(t *testing.T) {
 			return midField(raw, row0+csvIndexChunk) && midField(raw, csvIndexChunk)
 		}), csvIndexChunk},
 		{straddleCSV("\r\n", func(raw string) bool { return raw[csvIndexChunk-1:csvIndexChunk+1] == "\r\n" }), csvIndexChunk},
+		{windowStraddle(), csvIndexChunk},
 	}
-	for _, k := range []int{0, 1, csvBlock / 2, csvBlock - 1} {
+	for _, k := range []int{0, 1, csvMaxBlock / 2, csvMaxBlock - 1} {
 		raw, stripe := loadStraddle(k, "0.123456789")
 		cases = append(cases, input{raw, stripe})
 	}
 	for _, tc := range cases {
-		if tc.stripe != csvIndexChunk && !midField(tc.raw, tc.stripe) {
+		if tc.stripe != csvIndexChunk && !loadStraddleEnds(tc.raw, tc.stripe) {
 			t.Fatalf("%.40q: a %d-byte stripe ends outside a field", tc.raw, tc.stripe)
 		}
 		dense, err := ReadCSV(strings.NewReader(tc.raw))
@@ -300,6 +329,30 @@ func TestCSVSourceStraddlingFields(t *testing.T) {
 	}
 	if !midField(rowByte512Straddle, 512) {
 		t.Fatal("rowByte512Straddle has no field across row byte 512")
+	}
+	// The first window of a windowStraddle row ends inside a field, so a
+	// read starts at a field inside some row's first window (row 2's: the
+	// read for row 0 joins the rows after it and holds rows 0 and 1 whole).
+	raw := windowStraddle()
+	row := strings.IndexByte(raw, '\n')
+	window := (&csvCursor{end: int64(row)}).visit(csvFirstBlock+1, csvFirstBlock+8*csvMaxBlock+1)
+	if !midField(raw, int(window)) {
+		t.Fatalf("windowStraddle's first window ends outside a field, at %d", window)
+	}
+	ra := &countingReaderAt{r: strings.NewReader(raw)}
+	src, err := NewCSVSource(ra, int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra.offs = nil
+	if _, _, err := drainOpened(src); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(ra.offs, func(off int64) bool {
+		in := off - int64(strings.LastIndexByte(raw[:off], '\n')+1)
+		return in > 0 && in < window && raw[off-1] == ','
+	}) {
+		t.Errorf("windowStraddle read at %v, want a read from a field inside a row's first window", ra.offs)
 	}
 }
 
@@ -317,7 +370,10 @@ func TestCSVSourceFieldCaps(t *testing.T) {
 		}
 	}
 	// A field of exactly the cap across the stripe's end.
-	raw, stripe := loadStraddle(csvBlock-1, capField)
+	raw, stripe := loadStraddle(csvMaxBlock-1, capField)
+	if !loadStraddleEnds(raw, stripe) {
+		t.Fatalf("a %d-byte stripe ends outside a field", stripe)
+	}
 	if _, _, err := drainCSVStripe(raw, stripe); err != nil {
 		t.Errorf("cap-sized field across the stripe's end: %v", err)
 	}
@@ -349,8 +405,8 @@ func TestCSVSourceFieldCaps(t *testing.T) {
 		{strings.Repeat("0", 63) + ".5", "field exceeds 64 bytes"},
 		{"0.5x", `strconv.ParseFloat: parsing "0.5x": invalid syntax`},
 	} {
-		raw, stripe := loadStraddle(csvBlock/2, f.field)
-		cases = append(cases, fieldCase{raw, stripe, fmt.Sprintf("trace: row 1 interval %d: %s", csvBlock/2, f.want)})
+		raw, stripe := loadStraddle(csvMaxBlock/2, f.field)
+		cases = append(cases, fieldCase{raw, stripe, fmt.Sprintf("trace: row 1 interval %d: %s", csvMaxBlock/2, f.want)})
 	}
 	for _, tc := range cases {
 		_, _, err := drainCSVStripe(tc.raw, tc.stripe)
@@ -361,8 +417,10 @@ func TestCSVSourceFieldCaps(t *testing.T) {
 }
 
 // stripeSizes are the read stripes the sweep decodes through: the smallest
-// one, sizes around it and a few between it and the default.
-var stripeSizes = []int{csvVisitSpan, csvVisitSpan + 1, csvVisitSpan + 63, 2*csvVisitSpan + 7, 4096, 10007, csvIndexChunk - 1, csvIndexChunk}
+// one, which holds one maximal field and its comma, sizes around it and
+// around a visit of maximal fields, and a few between those and the
+// default.
+var stripeSizes = []int{csvMaxFieldLen + 1, csvMaxFieldLen + 2, 2*csvMaxFieldLen + 1, 1000, 4096, (csvMaxBlock + 1) * (csvMaxFieldLen + 1), 10007, csvIndexChunk - 1, csvIndexChunk}
 
 // TestCSVSourceStripeSweep decodes the differential fuzzer's seed inputs,
 // a generated trace, matrices of cap-sized fields, which fill a visit's
@@ -382,10 +440,10 @@ func TestCSVSourceStripeSweep(t *testing.T) {
 	inputs = append(inputs, buf.String())
 	// Fields of exactly csvMaxFieldLen bytes, 0.5 and 0.25 behind leading
 	// zeros, in rows of a few visits.
-	capRow := strings.Repeat(","+strings.Repeat("0", 61)+"0.5,"+strings.Repeat("0", 60)+"0.25", csvBlock+3)
+	capRow := strings.Repeat(","+strings.Repeat("0", 61)+"0.5,"+strings.Repeat("0", 60)+"0.25", csvMaxBlock+3)
 	inputs = append(inputs, "0"+capRow+"\n1"+capRow+"\n2"+capRow+"\n", "7"+capRow)
 	for _, f := range []string{"0.25", "0." + strings.Repeat("1", 62), "0." + strings.Repeat("1", 70), "x"} {
-		raw, _ := loadStraddle(csvBlock-1, f)
+		raw, _ := loadStraddle(csvMaxBlock-1, f)
 		inputs = append(inputs, raw)
 	}
 	for _, raw := range inputs {
@@ -395,37 +453,60 @@ func TestCSVSourceStripeSweep(t *testing.T) {
 	}
 }
 
-// countingReaderAt counts the reads made through it.
+// countingReaderAt counts the reads made through it and the bytes they
+// return, and keeps their offsets.
 type countingReaderAt struct {
-	r     io.ReaderAt
-	reads int
+	r            io.ReaderAt
+	reads, bytes int
+	offs         []int64
 }
 
 func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.r.ReadAt(p, off)
 	c.reads++
-	return c.r.ReadAt(p, off)
+	c.bytes += n
+	c.offs = append(c.offs, off)
+	return n, err
 }
 
-// TestCSVSourceReadsPerLoad bounds the decoder's reads. Rows shorter than
-// the stripe share loads: each load reaches at least stripe−csvVisitSpan
-// bytes past the previous one, so one pass over the rows reads the file in
-// at most ⌈size/(stripe−csvVisitSpan)⌉+1 loads. A row longer than the stripe
-// costs one load per visit, however many fields the visit takes.
+// TestCSVSourceReadsPerLoad bounds the decoder's reads and the bytes they
+// copy. A load reads a row's visit and the visits of the rows after it for
+// as long as the bytes it skips between them stay no more than the bytes of
+// the visits plus csvJoinGap for each visit joined. A visit's estimate is a
+// quarter more than its fields' share of the row plus one maximal field,
+// so the bytes read stay under 2·(5/4·size + (csvMaxFieldLen+1)·visits),
+// plus csvJoinGap a visit where rows sit close enough to be joined: about
+// twice the file where rows are far apart, rather than once per pass over
+// it. Each visit costs at most one read and a few in a hundred a second,
+// and visits of short rows share reads.
 func TestCSVSourceReadsPerLoad(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		servers, interval int
 		stripe            int
+		percent           bool // whole-percent values, ~5-byte fields
+		joined            bool // rows close enough to be joined
+		shared            bool // and a stripe wide enough to join many
+		width             int  // fields a visit decodes after the first
 	}{
-		{"short rows", 200, 144, csvIndexChunk},
-		{"short rows, small stripe", 200, 144, csvVisitSpan + 100},
-		{"long rows", 6, 2000, csvVisitSpan},
+		{"short rows", 200, 144, csvIndexChunk, false, true, true, csvMinBlock},
+		{"short rows, small stripe", 200, 144, 4096, false, true, false, csvMinBlock},
+		{"whole percents", 20, 2304, csvIndexChunk, true, false, false, csvMaxBlock},
+		{"long rows", 6, 2000, csvIndexChunk, false, false, false, csvMinBlock},
+		{"long rows, small stripe", 6, 2000, (csvMaxBlock + 1) * (csvMaxFieldLen + 1), false, false, false, csvMinBlock},
 	} {
 		cfg := DrasticConfig(tc.servers)
 		cfg.Horizon = time.Duration(tc.interval) * cfg.Interval
 		tr, err := Generate(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.percent {
+			for _, row := range tr.U {
+				for i, u := range row {
+					row[i] = math.Round(u*100) * AlibabaOptions().UtilScale
+				}
+			}
 		}
 		var buf bytes.Buffer
 		if err := tr.WriteCSV(&buf); err != nil {
@@ -436,17 +517,28 @@ func TestCSVSourceReadsPerLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra.reads = 0
+		ra.reads, ra.bytes = 0, 0
 		if _, _, err := drainOpened(src); err != nil {
 			t.Fatal(err)
 		}
-		passes := (tc.interval + csvBlock - 1) / csvBlock
-		perPass := tc.servers
-		if adv := tc.stripe - csvVisitSpan; adv > 0 {
-			perPass = min(perPass, (buf.Len()+adv-1)/adv+1)
+		if tc.width != src.width {
+			t.Errorf("%s: visits of %d fields, want %d", tc.name, src.width, tc.width)
 		}
-		if ra.reads > passes*perPass {
-			t.Errorf("%s: %d reads for %d passes over %d bytes, want at most %d", tc.name, ra.reads, passes, buf.Len(), passes*perPass)
+		passes := csvPasses(tc.interval, src.width)
+		visits := passes * tc.servers
+		want := 2 * (5*buf.Len()/4 + (csvMaxFieldLen+1)*visits)
+		if tc.joined {
+			want += csvJoinGap * visits
+		}
+		if ra.bytes > want {
+			t.Errorf("%s: %d bytes read from a %d-byte file in %d passes, want at most %d", tc.name, ra.bytes, buf.Len(), passes, want)
+		}
+		want = visits + visits/20
+		if tc.shared {
+			want = visits / 2
+		}
+		if ra.reads > want {
+			t.Errorf("%s: %d reads for %d row visits, want at most %d", tc.name, ra.reads, visits, want)
 		}
 	}
 }
@@ -525,13 +617,92 @@ func TestCSVSourceFileShrinks(t *testing.T) {
 	}
 }
 
+// failingReaderAt fails every read that reaches byte at, once armed, as a
+// disk error under one block of the file would.
+type failingReaderAt struct {
+	r     io.ReaderAt
+	at    int64
+	armed bool
+}
+
+var errDiskRead = errors.New("disk read failed")
+
+func (f *failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if f.armed && off <= f.at && f.at < off+int64(len(p)) {
+		return 0, errDiskRead
+	}
+	return f.r.ReadAt(p, off)
+}
+
+// TestCSVSourceReadError pins how a read error is reported: as the error
+// of the first field the failed read was to bring in, in the row whose
+// bytes it was reading. A load that also held later rows' visits is read
+// again without them, so a bad byte in row 1 never fails row 0, and the
+// columns before the failed field are delivered first.
+func TestCSVSourceReadError(t *testing.T) {
+	// Three rows of 200 fields "0.5": a row is 801 bytes and row r's field
+	// at interval i starts at byte 802·r + 2 + 4·i. A window of 80 fields
+	// reaches about 465 bytes past its cursor, one of 16 about 150.
+	row := "0" + strings.Repeat(",0.5", 200) + "\n"
+	short := row + row + row
+	field := func(r, i int) int64 { return int64(802*r + 2 + 4*i) }
+	// windowStraddle's first window of row 1 ends 156 bytes into the row,
+	// inside its field at interval 9; the visit is read on from interval
+	// 6, the first field to start csvMaxFieldLen bytes or less before that
+	// end, and that read reaches row byte 200. Reads that join row 1 to the
+	// rows around it fail too, and are retried without them.
+	straddle := windowStraddle()
+	row1 := int64(strings.IndexByte(straddle, '\n') + 1)
+	for _, tc := range []struct {
+		name string
+		raw  string
+		at   int64
+		want string
+		cols int
+	}{
+		// The first window of row 1 reaches interval ~36: the read that
+		// fails is the one that brings in the server id.
+		{"first visit", short, field(1, 10), "trace: row 1 server id: disk read failed", 0},
+		// The second window reaches interval ~132. Row 0's load in that
+		// pass would hold it too; without it, row 0 decodes, and row 1's
+		// own load fails at the visit's first field.
+		{"second visit", short, field(1, 100), "trace: row 1 interval 16: disk read failed", csvFirstBlock},
+		{"third visit", short, field(1, 150), "trace: row 1 interval 96: disk read failed", csvFirstBlock + csvMaxBlock},
+		{"last field", short, field(2, 199), "trace: row 2 interval 96: disk read failed", csvFirstBlock + csvMaxBlock},
+		{"mid-visit reload", straddle, row1 + 200, "trace: row 1 interval 6: disk read failed", 6},
+	} {
+		ra := &failingReaderAt{r: strings.NewReader(tc.raw), at: tc.at}
+		src, err := NewCSVSource(ra, int64(len(tc.raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra.armed = true
+		_, cols, err := drainOpened(src)
+		if err == nil || err.Error() != tc.want || len(cols) != tc.cols {
+			t.Errorf("%s: error %v after %d columns, want %s after %d", tc.name, err, len(cols), tc.want, tc.cols)
+			continue
+		}
+		dense, err := ReadCSV(strings.NewReader(tc.raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, col := range cols {
+			for r, v := range col {
+				if v != dense.U[r][i] {
+					t.Fatalf("%s: cell (s=%d, i=%d): %v, want %v", tc.name, r, i, v, dense.U[r][i])
+				}
+			}
+		}
+	}
+}
+
 // TestCSVSourceDeferredErrorTiming pins when a decode error surfaces: a
 // bad field at interval k — inside a staged block or on either side of a
 // block boundary — still lets columns 0..k-1 through first, then fails with
 // the column-at-a-time message. Among bad fields, the lowest interval wins,
 // then the lowest row.
 func TestCSVSourceDeferredErrorTiming(t *testing.T) {
-	const servers, intervals = 3, 3*csvBlock + 2
+	const servers, intervals = 3, 3*csvMaxBlock + 2
 	build := func(bad map[[2]int]bool) string {
 		var b strings.Builder
 		for r := 0; r < servers; r++ {
@@ -554,8 +725,10 @@ func TestCSVSourceDeferredErrorTiming(t *testing.T) {
 	}{
 		{"first", [][2]int{{1, 0}}, 1, 0},
 		{"inside block", [][2]int{{1, 5}}, 1, 5},
-		{"block end", [][2]int{{2, csvBlock - 1}}, 2, csvBlock - 1},
-		{"block start", [][2]int{{0, csvBlock}}, 0, csvBlock},
+		{"first block end", [][2]int{{2, csvFirstBlock - 1}}, 2, csvFirstBlock - 1},
+		{"second block start", [][2]int{{0, csvFirstBlock}}, 0, csvFirstBlock},
+		{"second block end", [][2]int{{2, csvFirstBlock + csvMaxBlock - 1}}, 2, csvFirstBlock + csvMaxBlock - 1},
+		{"third block start", [][2]int{{0, csvFirstBlock + csvMaxBlock}}, 0, csvFirstBlock + csvMaxBlock},
 		{"last", [][2]int{{2, intervals - 1}}, 2, intervals - 1},
 		{"earlier interval on a later row", [][2]int{{0, 9}, {2, 3}}, 2, 3},
 		{"same interval, lowest row", [][2]int{{2, 7}, {1, 7}}, 1, 7},
@@ -600,7 +773,7 @@ func TestCSVSourceDeferredErrorTiming(t *testing.T) {
 // TestCSVSourceNextColumnAllocs pins the steady-state decoder at zero heap
 // allocations per column, block refills included.
 func TestCSVSourceNextColumnAllocs(t *testing.T) {
-	const servers, intervals, runs = 32, 8 * csvBlock, 100
+	const servers, intervals, runs = 32, 8 * csvMaxBlock, 100
 	tr, err := New("allocs", Drastic, servers, intervals, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
