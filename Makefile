@@ -109,6 +109,9 @@ check: vet fmt-check vuln build race fuzz-check load-check perfbench-check resul
 # gates throughput drops as well as ns/op growth.
 # The CSVSource benchmark (index and decode of a generated 2k-server drastic
 # CSV, in MB/s and values/s) lands in BENCH_trace.json.
+# The RunRecorder benchmark (one run's journal traffic through the recorder
+# and a draining live-hub subscriber, in ns/run and records/run, on a 24- and
+# a 144-interval run) lands in BENCH_obs.json.
 # Each artifact opens with the h2p_bench_env header line (`h2pbench
 # -bench-env`): go version, GOMAXPROCS, CPU model, commit. `go run` stamps
 # no VCS revision by default, so the header lines build with
@@ -128,10 +131,14 @@ bench:
 	$(GO) run -buildvcs=true ./cmd/h2pbench -bench-env > BENCH_trace.json
 	$(GO) test -run '^$$' -bench '^BenchmarkCSVSource$$' -benchmem -count=1 -json \
 		./internal/trace >> BENCH_trace.json
+	$(GO) run -buildvcs=true ./cmd/h2pbench -bench-env > BENCH_obs.json
+	$(GO) test -run '^$$' -bench '^BenchmarkRunRecorder$$' -benchmem -count=1 -json \
+		./internal/obs >> BENCH_obs.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_decision.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_interval.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_shard.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_trace.json
+	$(GO) run ./cmd/h2pbenchdiff BENCH_obs.json
 
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -143,4 +150,4 @@ experiments:
 # `make experiments` regenerates them.
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_decision.json BENCH_interval.json BENCH_shard.json BENCH_trace.json
+	rm -f BENCH_decision.json BENCH_interval.json BENCH_shard.json BENCH_trace.json BENCH_obs.json

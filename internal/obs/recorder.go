@@ -105,8 +105,14 @@ func (r *Recorder) write(rec *Record) {
 	if r == nil {
 		return
 	}
+	r.writeAt(rec, r.clock())
+}
+
+// writeAt appends one record stamped at a clock reading the caller already
+// holds, so a progress record costs one read of the clock, not two.
+func (r *Recorder) writeAt(rec *Record, at time.Time) {
 	r.mu.Lock()
-	rec.TimeMS = r.now().UnixMilli()
+	rec.TimeMS = at.UnixMilli()
 	if r.err == nil {
 		r.err = r.enc.Encode(rec)
 	}
@@ -163,7 +169,9 @@ func (r *Recorder) Close() error {
 // attaches when available) and turns the callback stream into manifest,
 // progress, event and done records under its run key. A nil *RunRecorder is
 // a true no-op — every method is one branch, zero allocations (pinned by
-// AllocsPerRun tests) — so callers thread it unconditionally.
+// AllocsPerRun tests) — so callers thread it unconditionally. A live one
+// observing an interval with no progress due reads the clock and allocates
+// nothing.
 //
 // Callbacks arrive from the run's merging goroutine in interval order;
 // RunRecorder therefore needs no locking of its own, only Recorder's.
@@ -171,34 +179,36 @@ type RunRecorder struct {
 	rec      *Recorder
 	run      string
 	total    int
-	every    int
-	start    time.Time
-	observed int     // intervals seen by this writer (tail only after resume)
-	sumTEG   float64 // running sum of per-interval TEG W/server
-	degraded int64   // circulation-intervals degraded, as seen by this writer
-	noted    bool    // degraded event already emitted (bounded: one per run)
+	every    int       // count cadence; <= 0 journals by wall clock
+	start    time.Time // manifest time: progress and done wall times count from it
+	due      time.Time // wall cadence: earliest next progress; zero before the first interval
+	observed int       // intervals seen by this writer (tail only after resume)
+	sumTEG   float64   // running sum of per-interval TEG W/server
+	degraded int64     // circulation-intervals degraded, as seen by this writer
+	noted    bool      // degraded event already emitted (bounded: one per run)
 
 	cacheStats func() (hits, calls uint64)
 	shardStats func() core.ShardStats
 }
 
+// progressPeriod is the wall-clock progress cadence: a run journals at most
+// one progress record per period, plus its final interval's.
+const progressPeriod = time.Second
+
 // NewRunRecorder opens a run under the recorder: computes the manifest's
 // ConfigHash, writes the manifest record and returns the per-run observer.
-// every is the progress cadence in intervals; <= 0 picks ~50 progress
-// records per run (at least 1 interval apart).
+// every > 0 writes a progress record every `every` intervals. every <= 0
+// writes at most one per second of run (progressPeriod), timed from the
+// first observed interval rather than the manifest, so a run that queued
+// before it started does not journal its first interval for the wait. Both
+// cadences always write the final interval's record.
 func NewRunRecorder(rec *Recorder, m Manifest, every int) *RunRecorder {
 	if rec == nil {
 		return nil
 	}
 	run := m.RunID + "/" + m.Trace + "/" + m.Config.Scheme
-	if every <= 0 {
-		every = m.Intervals / 50
-		if every < 1 {
-			every = 1
-		}
-	}
 	m.ConfigHash = m.Hash()
-	rr := &RunRecorder{rec: rec, run: run, total: m.Intervals, every: every, start: rec.now()}
+	rr := &RunRecorder{rec: rec, run: run, total: m.Intervals, every: every, start: rec.clock()}
 	rec.write(&Record{V: JournalVersion, Type: "manifest", Run: run, Manifest: &m})
 	return rr
 }
@@ -228,7 +238,7 @@ func (rr *RunRecorder) AttachShardStats(stats func() core.ShardStats) {
 }
 
 // ObserveInterval implements core.RunObserver: it folds the interval into
-// the running means and emits a progress record every `every` intervals.
+// the running means and emits a progress record when the cadence is due.
 func (rr *RunRecorder) ObserveInterval(interval int, ir core.IntervalResult) {
 	if rr == nil {
 		return
@@ -242,14 +252,26 @@ func (rr *RunRecorder) ObserveInterval(interval int, ir core.IntervalResult) {
 			rr.event(EventDegraded, interval, "first degraded interval (circulations excluded after retries)")
 		}
 	}
-	if rr.observed%rr.every == 0 || interval == rr.total-1 {
-		rr.progress(interval)
+	final := interval == rr.total-1
+	if rr.every > 0 {
+		if rr.observed%rr.every == 0 || final {
+			rr.progress(interval, rr.rec.clock())
+		}
+		return
+	}
+	now := rr.rec.clock()
+	if rr.due.IsZero() {
+		rr.due = now.Add(progressPeriod)
+	}
+	if final || !now.Before(rr.due) {
+		rr.due = now.Add(progressPeriod)
+		rr.progress(interval, now)
 	}
 }
 
-// progress assembles and writes one progress record.
-func (rr *RunRecorder) progress(interval int) {
-	wall := rr.rec.nowSince(rr.start)
+// progress assembles and writes one progress record stamped at now.
+func (rr *RunRecorder) progress(interval int, now time.Time) {
+	wall := now.Sub(rr.start)
 	p := &Progress{
 		Interval:             interval,
 		Done:                 interval + 1,
@@ -282,15 +304,15 @@ func (rr *RunRecorder) progress(interval int) {
 			StepSeconds:      st.StepSeconds,
 		}
 	}
-	rr.rec.write(&Record{Type: "progress", Run: rr.run, Progress: p})
+	rr.rec.writeAt(&Record{Type: "progress", Run: rr.run, Progress: p}, now)
 }
 
-// nowSince measures elapsed time on the recorder's clock (the test hook).
-func (r *Recorder) nowSince(start time.Time) time.Duration {
+// clock reads the recorder's clock (the test hook).
+func (r *Recorder) clock() time.Time {
 	r.mu.Lock()
 	now := r.now()
 	r.mu.Unlock()
-	return now.Sub(start)
+	return now
 }
 
 // ObserveCheckpoint implements core.RunObserver.
@@ -338,17 +360,18 @@ func (rr *RunRecorder) Done(res *core.Result) {
 	if rr == nil || res == nil {
 		return
 	}
+	now := rr.rec.clock()
 	d := &Done{
 		Intervals:             rr.total,
 		AvgTEGWattsPerServer:  float64(res.AvgTEGPowerPerServer),
 		PeakTEGWattsPerServer: float64(res.PeakTEGPowerPerServer),
 		PRE:                   res.PRE,
 		TEGEnergyKWh:          float64(res.TEGEnergy),
-		WallMS:                rr.rec.nowSince(rr.start).Milliseconds(),
+		WallMS:                now.Sub(rr.start).Milliseconds(),
 	}
 	if res.Faults.Any() {
 		f := res.Faults
 		d.Faults = &f
 	}
-	rr.rec.write(&Record{Type: "done", Run: rr.run, Done: d})
+	rr.rec.writeAt(&Record{Type: "done", Run: rr.run, Done: d}, now)
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -133,7 +135,7 @@ func TestRunRecorderDegradedEventOnce(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rr.ObserveInterval(i, intervalResult(4, 3))
 	}
-	rr.progress(9)
+	rr.progress(9, rec.clock())
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -350,12 +352,36 @@ func TestNilRunRecorderZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRunRecorderProgressCadence: every N intervals plus the final one.
-func TestRunRecorderProgressCadence(t *testing.T) {
+// TestLiveRunRecorderZeroAllocs pins the enabled hot path: observing an
+// interval on a live recorder with no progress due reads the clock and
+// allocates nothing.
+func TestLiveRunRecorderZeroAllocs(t *testing.T) {
+	rec := NewRecorder(io.Discard)
+	clock := &fakeClock{t: time.UnixMilli(1_000_000)} // stopped: no progress ever falls due
+	rec.now = clock.now
+	rr := NewRunRecorder(rec, testManifest(1<<30), 0)
+	ir := intervalResult(4, 0)
+	rr.ObserveInterval(0, ir) // arms the wall-clock cadence
+	allocs := testing.AllocsPerRun(1000, func() {
+		rr.ObserveInterval(3, ir)
+	})
+	if allocs != 0 {
+		t.Errorf("live RunRecorder.ObserveInterval allocates %v per call, want 0", allocs)
+	}
+}
+
+// progressAt runs total intervals through a recorder with the given cadence
+// and returns the intervals its progress records carry. The fake clock
+// advances step per read, and gap before the first interval.
+func progressAt(t *testing.T, total, every int, step, gap time.Duration) []int {
+	t.Helper()
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
-	rr := NewRunRecorder(rec, testManifest(7), 3)
-	for i := 0; i < 7; i++ {
+	clock := &fakeClock{t: time.UnixMilli(1_000_000), step: step}
+	rec.now = clock.now
+	rr := NewRunRecorder(rec, testManifest(total), every)
+	clock.t = clock.t.Add(gap)
+	for i := 0; i < total; i++ {
 		rr.ObserveInterval(i, intervalResult(1, 0))
 	}
 	if err := rec.Close(); err != nil {
@@ -371,9 +397,34 @@ func TestRunRecorderProgressCadence(t *testing.T) {
 			at = append(at, r.Progress.Interval)
 		}
 	}
-	// Cadence 3 over 7 intervals: after intervals 2 and 5, plus the final 6.
-	if len(at) != 3 || at[0] != 2 || at[1] != 5 || at[2] != 6 {
-		t.Errorf("progress intervals = %v, want [2 5 6]", at)
+	return at
+}
+
+// TestRunRecorderProgressCadence: a positive cadence writes every N
+// intervals plus the final one; the default writes by wall clock, at most
+// one record per progressPeriod plus the final one, timed from the first
+// observed interval.
+func TestRunRecorderProgressCadence(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		total     int
+		every     int
+		step, gap time.Duration
+		want      []int
+	}{
+		// Cadence 3 over 7 intervals: after intervals 2 and 5, plus the final 6.
+		{"every 3", 7, 3, time.Millisecond, 0, []int{2, 5, 6}},
+		// 100 intervals in 0.1 s of run: only the final record.
+		{"wall 1ms steps", 100, 0, time.Millisecond, 0, []int{99}},
+		// One clock read per interval with no record due: intervals 1-3 sit
+		// 0.4, 0.8 and 1.2 s after interval 0, so every third interval is due.
+		{"wall 400ms steps", 11, 0, 400 * time.Millisecond, 0, []int{3, 6, 9, 10}},
+		// Queued 5 s after the manifest: the wait does not make interval 0 due.
+		{"wall 5s queue gap", 3, 0, time.Millisecond, 5 * time.Second, []int{2}},
+	} {
+		if got := progressAt(t, c.total, c.every, c.step, c.gap); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: progress intervals = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

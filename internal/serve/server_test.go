@@ -175,6 +175,58 @@ func TestServeSubmitRunToCompletion(t *testing.T) {
 	}
 }
 
+// TestServeJournalTrafficShape pins what one small run costs the journal:
+// its manifest, at most two progress records (the wall-clock cadence writes
+// one per second of run, and this run takes milliseconds) ending at the
+// final interval, then its done record. The live summary shows the same
+// final position.
+func TestServeJournalTrafficShape(t *testing.T) {
+	s, ts, journal := testServer(t, nil)
+	const body = `{"trace":{"class":"drastic","servers":60,"seed":1,"intervals":24},"scheme":"loadbalance"}`
+	resp := submit(t, ts, "acme", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	}
+	final := waitState(t, ts, decodeStatus(t, resp).ID)
+	if final.State != StateDone {
+		t.Fatalf("final state = %s (%s)", final.State, final.Error)
+	}
+
+	var types []string
+	var last *obs.Progress
+	for _, r := range readJournal(t, s, journal) {
+		if r.Run != final.Run {
+			continue
+		}
+		types = append(types, r.Type)
+		if r.Type == "progress" {
+			last = r.Progress
+		}
+	}
+	n := len(types)
+	if n < 3 || n > 4 || types[0] != "manifest" || types[n-1] != "done" {
+		t.Fatalf("journal records for %s = %v, want manifest, 1-2 progress, done", final.Run, types)
+	}
+	for _, typ := range types[1 : n-1] {
+		if typ != "progress" {
+			t.Fatalf("journal records for %s = %v, want manifest, 1-2 progress, done", final.Run, types)
+		}
+	}
+	if last.Done != 24 || last.Total != 24 {
+		t.Errorf("last progress at %d/%d, want 24/24", last.Done, last.Total)
+	}
+
+	lr := mustGet(t, ts.URL+"/runs/"+final.Run)
+	defer lr.Body.Close()
+	var sum obs.RunSummary
+	if err := json.NewDecoder(lr.Body).Decode(&sum); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Progress == nil || sum.Progress.Done != 24 || sum.Progress.Total != 24 || sum.Records != n {
+		t.Errorf("live summary progress = %+v over %d records, want 24/24 over %d", sum.Progress, sum.Records, n)
+	}
+}
+
 func TestServeRejections(t *testing.T) {
 	_, ts, _ := testServer(t, func(c *Config) { c.MaxBodyBytes = 512 })
 	cases := []struct {

@@ -569,10 +569,13 @@ func (s *shrunkReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestCSVSourceFileShrinks truncates the file between the index and the
-// decode: a row that ends early decodes the fields it still has — a field
-// cut short included, as a shorter number — and then fails at its first
-// missing field, with the error a column-at-a-time reader would meet first.
-// A row that loses its server id fails before any column is delivered.
+// decode: a row that ends early decodes the fields the cut left whole and
+// fails with io.ErrUnexpectedEOF at the field the cut ran into, which may
+// have lost digits and so is not decoded as a shorter number — the first
+// field whose comma is gone, or the server id, else the first field the cut
+// removed whole. The error kept is the one a column-at-a-time reader would
+// meet first; a row that loses its server id fails before any column is
+// delivered. A cut that only removes the final newline loses no value.
 func TestCSVSourceFileShrinks(t *testing.T) {
 	const servers, intervals = 4, 80
 	var b strings.Builder
@@ -594,14 +597,16 @@ func TestCSVSourceFileShrinks(t *testing.T) {
 		cols int
 		last float64 // row 3's value in the last column delivered
 	}{
-		{"mid-field", field(3, 50) + 3, "trace: row 3 interval 51: unexpected EOF", 51, 0.9},
-		{"after a comma", field(3, 50) + 1, "trace: row 3 interval 51: unexpected EOF", 51, 0},
-		{"one digit short", field(3, 21) - 2, "trace: row 3 interval 21: unexpected EOF", 21, 0.5894},
+		{"mid-field", field(3, 50) + 3, "trace: row 3 interval 50: unexpected EOF", 50, 0.88591},
+		{"after a comma", field(3, 50) + 1, "trace: row 3 interval 50: unexpected EOF", 50, 0.88591},
+		{"at a comma", field(3, 50), "trace: row 3 interval 50: unexpected EOF", 50, 0.88591},
+		{"before a comma", field(3, 51) - 1, "trace: row 3 interval 50: unexpected EOF", 50, 0.88591},
+		{"one digit short", field(3, 21) - 2, "trace: row 3 interval 20: unexpected EOF", 20, 0.51021},
 		{"at a row start", 3 * row, "trace: row 3 server id: unexpected EOF", 0, 0},
 		{"in an earlier row", field(2, 50) + 3, "trace: row 3 server id: unexpected EOF", 0, 0},
-		{"inside a server id", 3*row + 2, "trace: row 3 interval 0: unexpected EOF", 0, 0},
+		{"inside a server id", 3*row + 2, "trace: row 3 server id: unexpected EOF", 0, 0},
 		{"empty", 0, "trace: row 0 server id: unexpected EOF", 0, 0},
-		{"inside the last value", len(raw) - 3, "EOF", intervals, 0.261},
+		{"inside the last value", len(raw) - 3, "trace: row 3 interval 79: unexpected EOF", intervals - 1, 0.18242},
 		{"at the newline", len(raw) - 1, "EOF", intervals, 0.26161},
 	} {
 		ra := &shrunkReaderAt{data: raw, size: int64(len(raw))}
