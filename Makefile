@@ -49,6 +49,7 @@ fuzz-check:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVSourceMatchesReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseFloat$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRNGStreamMatchesMathRand$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDecideBatchEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/h2psim -run '^$$' -fuzz '^FuzzResumeCheckpoint$$' -fuzztime $(FUZZTIME)
@@ -108,7 +109,9 @@ check: vet fmt-check vuln build race fuzz-check load-check perfbench-check resul
 # throughput column, and `h2pbenchdiff -threshold 10 old.json BENCH_shard.json`
 # gates throughput drops as well as ns/op growth.
 # The CSVSource benchmark (index and decode of a generated 2k-server drastic
-# CSV, in MB/s and values/s) lands in BENCH_trace.json.
+# CSV, in MB/s and values/s) and the GeneratorSource benchmark (one
+# 12.5k-server column from the generator, in ns/sample, common and drastic
+# classes) land in BENCH_trace.json.
 # The RunRecorder benchmark (one run's journal traffic through the recorder
 # and a draining live-hub subscriber, in ns/run and records/run, on a 24- and
 # a 144-interval run) lands in BENCH_obs.json.
@@ -129,7 +132,7 @@ bench:
 	$(GO) test -run '^$$' -bench ShardScaling -benchmem -benchtime 1x -count=1 -json \
 		./internal/core >> BENCH_shard.json
 	$(GO) run -buildvcs=true ./cmd/h2pbench -bench-env > BENCH_trace.json
-	$(GO) test -run '^$$' -bench '^BenchmarkCSVSource$$' -benchmem -count=1 -json \
+	$(GO) test -run '^$$' -bench '^Benchmark(CSVSource|GeneratorSource)$$' -benchmem -count=1 -json \
 		./internal/trace >> BENCH_trace.json
 	$(GO) run -buildvcs=true ./cmd/h2pbench -bench-env > BENCH_obs.json
 	$(GO) test -run '^$$' -bench '^BenchmarkRunRecorder$$' -benchmem -count=1 -json \

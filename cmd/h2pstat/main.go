@@ -208,6 +208,12 @@ func runStatus(s *obs.RunSummary) (status, done, avg, wall string) {
 		avg = fmt.Sprintf("%.3f", p.AvgTEGWattsPerServer)
 		wall = (time.Duration(p.WallMS) * time.Millisecond).Round(time.Millisecond).String()
 	}
+	// With no progress past its halt, a halted run's position is the halt
+	// event's. A resumed run restarts at its halt's checkpoint, so progress
+	// after the resume reads past HaltedAt.
+	if status == "halted" && s.Manifest != nil && (s.Progress == nil || s.Progress.Done <= s.HaltedAt) {
+		done = fmt.Sprintf("%d/%d", s.HaltedAt, s.Manifest.Intervals)
+	}
 	return status, done, avg, wall
 }
 

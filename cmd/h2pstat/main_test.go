@@ -270,3 +270,72 @@ func TestLoadSummariesFromServer(t *testing.T) {
 		t.Error("bad path summary fetch succeeded")
 	}
 }
+
+// TestSummaryHaltedWithoutProgress: a run halted before its first progress
+// record — the usual case under the wall-clock cadence for a run halted
+// inside its first second, as `h2psim -servers 60 -workers 2 -checkpoint
+// cp.json -checkpoint-every 20 -halt-after 60 -journal j.jsonl` does — shows
+// the halt event's position, not a dash.
+func TestSummaryHaltedWithoutProgress(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	m := obs.Manifest{
+		RunID: "T1", Trace: "alibaba-drastic", Servers: 60, Intervals: 144,
+		Config: obs.RunConfig{Servers: 60, Scheme: "TEG_LoadBalance", Workers: 2, Shards: 2, Seed: 1},
+	}
+	rec, err := obs.Create(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A count cadence longer than the halt stands in for the wall clock, so
+	// the test does not depend on how fast the intervals are observed.
+	rr := obs.NewRunRecorder(rec, m, 1000)
+	for i := 0; i < 60; i++ {
+		rr.ObserveInterval(i, core.IntervalResult{TEGPowerPerServer: units.Watts(4)})
+		if (i+1)%20 == 0 {
+			rr.ObserveCheckpoint(i + 1)
+		}
+	}
+	rr.ObserveHalt(60)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	records, err := obs.ReadJournal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := obs.Summarize(records)
+	if len(sums) != 1 {
+		t.Fatalf("journal summarizes to %d runs, want 1", len(sums))
+	}
+	s := sums[0]
+	if s.Progress != nil || s.Halts != 1 || s.HaltedAt != 60 {
+		t.Fatalf("summary progress=%v halts=%d halted_at=%d, want no progress, 1 halt at 60",
+			s.Progress, s.Halts, s.HaltedAt)
+	}
+	if status, done, avg, wall := runStatus(s); status != "halted" || done != "60/144" || avg != "-" || wall != "-" {
+		t.Errorf("halted run renders %s %s %s %s, want halted 60/144 - -", status, done, avg, wall)
+	}
+	raw, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"halted_at":60`) {
+		t.Errorf("summary JSON lacks halted_at: %s", raw)
+	}
+
+	// Progress journaled before the halt does not hide its position; progress
+	// past it (after a resume) does.
+	s.Progress = &obs.Progress{Done: 40, Total: 144, AvgTEGWattsPerServer: 4}
+	if _, done, _, _ := runStatus(s); done != "60/144" {
+		t.Errorf("progress before the halt renders %s, want 60/144", done)
+	}
+	s.Progress.Done = 80
+	if _, done, _, _ := runStatus(s); done != "80/144" {
+		t.Errorf("progress after a resume renders %s, want 80/144", done)
+	}
+}

@@ -88,8 +88,8 @@ func (h *Hub) Publish(rec *Record) {
 	}
 }
 
-// fold applies one record to a summary (the same folding Summarize does over
-// a journal file, incrementally).
+// fold applies one record to a summary: Summarize folds a journal file
+// through it, the hub each published record.
 func fold(s *RunSummary, rec *Record) {
 	s.Records++
 	if rec.TimeMS > s.LastMS {
@@ -117,6 +117,7 @@ func fold(s *RunSummary, rec *Record) {
 			s.Resumes++
 		case EventHalt:
 			s.Halts++
+			s.HaltedAt = rec.Event.Interval
 		case EventDegraded:
 			s.Degraded++
 		}

@@ -251,8 +251,11 @@ type RunSummary struct {
 	Checkpoints int `json:"checkpoints"`
 	Resumes     int `json:"resumes"`
 	Halts       int `json:"halts"`
-	Degraded    int `json:"degraded_events"`
-	Records     int `json:"records"`
+	// HaltedAt is the last halt event's position: the intervals the run
+	// had completed when it halted. Meaningful when Halts > 0.
+	HaltedAt int `json:"halted_at,omitempty"`
+	Degraded int `json:"degraded_events"`
+	Records  int `json:"records"`
 
 	// FirstMS/LastMS bound the run's records in wall-clock time.
 	FirstMS int64 `json:"first_ms"`
@@ -272,38 +275,7 @@ func Summarize(records []Record) []*RunSummary {
 			byRun[rec.Run] = s
 			order = append(order, rec.Run)
 		}
-		s.Records++
-		if rec.TimeMS > s.LastMS {
-			s.LastMS = rec.TimeMS
-		}
-		switch rec.Type {
-		case "manifest":
-			if rec.Manifest != nil {
-				s.Manifest = rec.Manifest
-			}
-		case "progress":
-			if rec.Progress != nil {
-				s.Progress = rec.Progress
-			}
-		case "event":
-			if rec.Event == nil {
-				break
-			}
-			switch rec.Event.Kind {
-			case EventCheckpoint:
-				s.Checkpoints++
-			case EventResume:
-				s.Resumes++
-			case EventHalt:
-				s.Halts++
-			case EventDegraded:
-				s.Degraded++
-			}
-		case "done":
-			if rec.Done != nil {
-				s.Done = rec.Done
-			}
-		}
+		fold(s, rec)
 	}
 	out := make([]*RunSummary, 0, len(order))
 	for _, run := range order {
