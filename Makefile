@@ -46,6 +46,7 @@ FUZZTIME ?= 5s
 fuzz-check:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadLongFormat$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzLongFormatSourceMatchesReadLongFormat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVSourceMatchesReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseFloat$$' -fuzztime $(FUZZTIME)

@@ -113,13 +113,6 @@ func (a *Aggregator) Fold(ir IntervalResult) {
 	a.next++
 }
 
-// Folded reports how many intervals have been folded so far — equivalently,
-// the next interval index the fold expects.
-func (a *Aggregator) Folded() int { return a.next }
-
-// KeepsSeries reports whether the fold retains the interval series.
-func (a *Aggregator) KeepsSeries() bool { return a.keepSeries }
-
 // Checkpoint freezes the fold at the current interval boundary: the run
 // identity, NextInterval, every running aggregate and (for series-keeping
 // folds) the retained series. The engine-side state — the sensor snapshots —

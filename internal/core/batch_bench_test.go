@@ -88,7 +88,7 @@ func (st *benchIntervalState) column(i int, churn bool) []float64 {
 // step runs one interval over column i through the batched block step.
 func (st *benchIntervalState) step(b *testing.B, i int, churn bool) {
 	col := st.column(i, churn)
-	stepBlock(st.circs, 0, len(st.circs), col, i, &st.ws, st.parts, st.errs)
+	stepBlock(st.circs, col, i, &st.ws, st.parts, st.errs)
 	for ci, err := range st.errs {
 		if err != nil {
 			b.Fatalf("circulation %d: %v", ci, err)

@@ -397,8 +397,11 @@ type Engine struct {
 	// env is cfg.EnvSource(), resolved once so every circulation and the
 	// aggregator sample the same source instance.
 	env env.Source
-	// met instruments the interval loop; nil when cfg.Telemetry is nil.
+	// met instruments each circulation step; nil when cfg.Telemetry is nil.
 	met *engineMetrics
+	// run holds the run-level registry instruments, registered with met;
+	// each run copies it into its runMetrics (newRunMetrics).
+	run runMetrics
 	// inj is cfg.Faults compiled against cfg.FaultSeed; nil when the plan
 	// is nil or empty (the fault-free fast path).
 	inj *fault.Injector
@@ -427,8 +430,9 @@ func newEngineWithSpace(cfg Config, space *lookup.Space) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	met, run := newEngineMetrics(cfg.Telemetry)
 	return &Engine{cfg: cfg, controller: ctl, plant: cfg.Plant(),
-		env: cfg.EnvSource(), met: newEngineMetrics(cfg.Telemetry), inj: inj}, nil
+		env: cfg.EnvSource(), met: met, run: run, inj: inj}, nil
 }
 
 // newController builds the cooling controller for cfg over space: the
@@ -518,9 +522,9 @@ func (ws *workerState) grow(n int) {
 	ws.decs = ws.decs[:n]
 }
 
-// stepBlock runs one contiguous block of circulations [lo, hi) through the
-// batched decision kernel and the per-circulation finish, writing each
-// circulation's contribution (or error) into its slot.
+// stepBlock runs one block of circulations through the batched decision
+// kernel and the per-circulation finish, writing each circulation's
+// contribution (or error) into its slot.
 //
 // The decision is a pure function of the column, so one DecideBatchCold
 // serves every retry attempt of every circulation in the block. If the batch
@@ -530,40 +534,39 @@ func (ws *workerState) grow(n int) {
 // the others finish normally. With no injector a decide failure is fatal,
 // attributed to the block's lowest failing circulation with the untouched
 // single-circulation error.
-func stepBlock(circs []Circulation, lo, hi int, col []float64, interval int, ws *workerState, parts []CirculationInterval, errs []error) {
-	n := hi - lo
-	ws.grow(n)
-	for k := 0; k < n; k++ {
-		c := &circs[lo+k]
+func stepBlock(circs []Circulation, col []float64, interval int, ws *workerState, parts []CirculationInterval, errs []error) {
+	ws.grow(len(circs))
+	for k := range circs {
+		c := &circs[k]
 		ws.ranges[k] = sched.Range{Lo: c.Lo, Hi: c.Hi}
 		ws.scrs[k] = &c.scratch
-		errs[lo+k] = nil
+		errs[k] = nil
 	}
-	c0 := &circs[lo]
+	c0 := &circs[0]
 	// The environment is a pure function of the interval and shared by every
 	// circulation, so one sample serves the whole block's decisions and
 	// finishes.
 	smp := c0.env.At(interval)
 	if err := c0.ctl.DecideBatchCold(col, ws.ranges, c0.scheme, smp.ColdSide, &ws.bs, ws.scrs, ws.decs); err != nil {
 		if c0.inj != nil {
-			for k := 0; k < n; k++ {
-				c := &circs[lo+k]
+			for k := range circs {
+				c := &circs[k]
 				var derr error
 				ws.decs[k], derr = c.ctl.Decide(col[c.Lo:c.Hi], c.scheme, smp.ColdSide, &c.scratch)
-				errs[lo+k] = c.stepWithDecision(&parts[lo+k], interval, &smp, &ws.decs[k], derr)
+				errs[k] = c.stepWithDecision(&parts[k], interval, &smp, &ws.decs[k], derr)
 			}
 			return
 		}
 		var ge sched.GroupError
 		if errors.As(err, &ge) {
-			errs[lo+ge.Group] = ge.Err
+			errs[ge.Group] = ge.Err
 		} else {
-			errs[lo] = err
+			errs[0] = err
 		}
 		return
 	}
-	for k := 0; k < n; k++ {
-		errs[lo+k] = circs[lo+k].stepWithDecision(&parts[lo+k], interval, &smp, &ws.decs[k], nil)
+	for k := range circs {
+		errs[k] = circs[k].stepWithDecision(&parts[k], interval, &smp, &ws.decs[k], nil)
 	}
 }
 

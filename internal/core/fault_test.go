@@ -298,7 +298,7 @@ func TestPumpDroopOutletAtRealizedFlow(t *testing.T) {
 			if col, err = tr.Column(i, col); err != nil {
 				t.Fatal(err)
 			}
-			stepBlock(circs, 0, len(circs), col, i, &ws, parts, errs)
+			stepBlock(circs, col, i, &ws, parts, errs)
 			for k, ci := range parts {
 				if errs[k] != nil {
 					t.Fatal(errs[k])

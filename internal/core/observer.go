@@ -57,10 +57,11 @@ type ShardStats struct {
 }
 
 // ShardStatsSink is optionally implemented by a RunObserver passed in
-// RunOptions.Observer: the run loop hands it a live ShardStats reader before
-// the first interval, and the observer may call it whenever it records
-// progress. As with CacheStatsSink, the run loop re-attaches a frozen reader
-// over the run's final ShardStats when the run returns.
+// RunOptions.Observer: the run loop hands it a ShardStats reader before the
+// first interval, and the observer may call it whenever it records progress.
+// The reader holds only the run's cumulative counters, never the engine, and
+// once the run returns (its pipeline joined) it reads the run's final
+// ShardStats.
 type ShardStatsSink interface {
 	AttachShardStats(stats func() ShardStats)
 }

@@ -77,7 +77,7 @@ func (e *Engine) NewShardRunner(totalServers, circLo, circHi int) (*ShardRunner,
 // kernel is grouping-invariant and every circulation keeps its global fault
 // identity.
 func (r *ShardRunner) Step(col []float64, interval int, parts []CirculationInterval, errs []error) {
-	stepBlock(r.circs, 0, len(r.circs), col, interval, &r.state, parts, errs)
+	stepBlock(r.circs, col, interval, &r.state, parts, errs)
 }
 
 // SensorStates snapshots the shard's per-circulation outlet-sensor guards in

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,7 +77,7 @@ func (e *Engine) RunSource(src trace.Source, opts *RunOptions) (*Result, error) 
 // hands the slot to the merger.
 type slot struct {
 	interval  int
-	start     time.Time // decode start, when the run is timed
+	start     time.Time // decode start (zero when the run reads no clock)
 	decodeErr error
 	col       []float64
 	parts     []CirculationInterval
@@ -137,39 +136,22 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 	for s, r := range ranges {
 		runners[s] = &ShardRunner{eng: e, circs: e.circulationsRange(meta.Servers, r.Lo, r.Hi)}
 	}
-	if m := e.met; m != nil {
-		m.circulations.Set(float64(nCircs))
-	}
-
-	// The sinks get live readers for the run. The deferred re-attach runs
-	// after the pipeline's join below (defers unwind in reverse), on every
-	// exit path, and swaps in the run's final values: an observer that
-	// outlives the run then holds O(shards) bytes, not the engine.
-	obs := opts.Observer
-	if sink, ok := obs.(CacheStatsSink); ok {
+	// rm is the run's one event path and clock; nil (and never reading the
+	// clock) with neither a registry nor an observer.
+	rm := e.newRunMetrics(nCircs, shards, opts.Observer)
+	// The cache sink gets a live reader for the run. It reads the
+	// controller, which would pin the engine and its decision cache, so the
+	// deferred re-attach — after the pipeline's join below (defers unwind in
+	// reverse), on every exit path — swaps in the run's final counts. The
+	// shard reader needs no swap: it holds only the run's O(shards)
+	// counters, which stop moving once the pipeline has joined.
+	if sink, ok := opts.Observer.(CacheStatsSink); ok {
 		sink.AttachCacheStats(e.controller.CacheStats)
 		defer func() {
 			hits, calls := e.controller.CacheStats()
 			sink.AttachCacheStats(func() (uint64, uint64) { return hits, calls })
 		}()
 	}
-	statsSink, _ := obs.(ShardStatsSink)
-	pm := newPipelineMetrics(e.cfg.Telemetry, shards, statsSink != nil)
-	if statsSink != nil {
-		statsSink.AttachShardStats(pm.snapshot)
-		defer func() {
-			final := pm.snapshot()
-			statsSink.AttachShardStats(func() ShardStats {
-				st := final
-				st.StepSeconds = slices.Clone(final.StepSeconds)
-				return st
-			})
-		}()
-	}
-	// timed gates the pipeline's clock reads: they exist for the telemetry
-	// registry and/or the observer's stats, and are skipped entirely — no
-	// time.Now anywhere in the pipeline — when neither is attached.
-	timed := pm != nil
 
 	// The running aggregates fold in interval order, so no floating-point
 	// sum is ever reassociated.
@@ -189,10 +171,7 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 		if err := trace.Skip(src, start); err != nil {
 			return nil, err
 		}
-		e.met.observeResume(start)
-		if obs != nil {
-			obs.ObserveResume(start)
-		}
+		rm.resume(start)
 	}
 
 	// The halt boundary: the first boundary at or past HaltAfter that is
@@ -271,9 +250,7 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 			case <-stop:
 				return
 			}
-			if timed {
-				sl.start = time.Now()
-			}
+			sl.start = rm.now()
 			got, err := src.NextColumn(sl.col)
 			if err != nil {
 				err = fmt.Errorf("core: source at interval %d: %w", i, err)
@@ -286,7 +263,7 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 				mergeCh <- sl
 				return
 			}
-			pm.observeDecode(i, sl.start)
+			rm.decode(i, sl.start)
 			sl.pending.Store(int32(shards))
 			for _, ch := range work {
 				ch <- sl
@@ -309,12 +286,9 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 					return
 				default:
 				}
-				var t0 time.Time
-				if timed {
-					t0 = time.Now()
-				}
+				t0 := rm.now()
 				runner.Step(sl.col, sl.interval, sl.parts[r.Lo:r.Hi], sl.errs[r.Lo:r.Hi])
-				pm.observeStep(s, sl.interval, t0)
+				rm.step(s, sl.interval, t0)
 				if sl.pending.Add(-1) == 0 {
 					mergeCh <- sl
 				}
@@ -332,10 +306,7 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 		if ok {
 			delete(early, i)
 		} else {
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
+			t0 := rm.now()
 			for sl == nil {
 				select {
 				case got := <-mergeCh:
@@ -348,7 +319,7 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 					return nil, ctx.Err()
 				}
 			}
-			pm.observeMergeWait(i, t0)
+			rm.waited(i, t0)
 		}
 		if sl.decodeErr != nil {
 			return nil, sl.decodeErr
@@ -359,11 +330,8 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 			}
 		}
 		ir := MergeInterval(sl.col, sl.parts)
-		e.met.observeInterval(i, sl.start, ir)
 		agg.Fold(ir)
-		if obs != nil {
-			obs.ObserveInterval(i, ir)
-		}
+		rm.interval(i, sl.start, ir)
 		free <- sl
 
 		done := i + 1
@@ -372,25 +340,17 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 			// merged (so every shard finished stepping it), and the decoder
 			// is parked on the gate (or, at the halt boundary, past its end
 			// bound), so no shard has seen interval done.
-			var t0 time.Time
-			if e.met != nil {
-				t0 = time.Now()
-			}
+			t0 := rm.now()
 			if err := cpo.Write(checkpointAt(agg, runners, nCircs)); err != nil {
 				return nil, fmt.Errorf("core: checkpoint at interval %d: %w", done, err)
 			}
-			e.met.observeCheckpoint(done, t0)
-			if obs != nil {
-				obs.ObserveCheckpoint(done)
-			}
+			rm.checkpoint(done, t0)
 			if done != haltDone {
 				gate <- struct{}{}
 			}
 		}
 		if haltDone > 0 && done == haltDone {
-			if obs != nil {
-				obs.ObserveHalt(done)
-			}
+			rm.halt(done)
 			return nil, ErrHalted
 		}
 	}

@@ -62,28 +62,15 @@ const (
 	spanCheckpoint  = "checkpoint"
 )
 
-// engineMetrics instruments the interval loop: wall-clock latency of whole
-// intervals and individual circulation steps, and the physical per-interval
-// series the paper's evaluation is built on (harvested TEG power, outlet
-// temperature, hottest die). nil —
-// the default when Config.Telemetry is nil — disables everything: the run
-// loop pays one pointer test per interval and never reads the clock.
+// engineMetrics instruments each circulation step: its wall-clock latency,
+// the circulation's mean outlet temperature and the fault counters. nil — the
+// default when Config.Telemetry is nil — disables everything: a step pays one
+// pointer test and never reads the clock.
 type engineMetrics struct {
-	intervals      *telemetry.Counter
-	steps          *telemetry.Counter
-	intervalSec    *telemetry.Histogram
-	stepSec        *telemetry.Histogram
-	circulations   *telemetry.Gauge
-	harvestedPower *telemetry.Histogram
-	outletTemp     *telemetry.Histogram
-	maxCPUTemp     *telemetry.Histogram
-	tracer         *telemetry.Tracer
-
-	// Checkpoint/resume counters: checkpoints written, runs resumed, and
-	// intervals skipped (not re-simulated) by resumes.
-	checkpoints   *telemetry.Counter
-	resumes       *telemetry.Counter
-	resumeSkipped *telemetry.Counter
+	steps      *telemetry.Counter
+	stepSec    *telemetry.Histogram
+	outletTemp *telemetry.Histogram
+	tracer     *telemetry.Tracer
 
 	// Fault-layer counters, sharded by circulation index like the step
 	// metrics. They only ever move when an Injector is active.
@@ -96,33 +83,36 @@ type engineMetrics struct {
 	faultDegraded       *telemetry.Counter
 }
 
-// newEngineMetrics registers the engine's instruments with reg; a nil
-// registry yields nil (telemetry disabled). Several engines sharing one
-// registry (a Fleet comparison run) share the same instruments by name and
-// aggregate into one set of series.
-func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
+// newEngineMetrics registers the engine's instruments with reg: the
+// per-circulation ones, and the run-level ones in the runMetrics every run
+// of the engine copies. A nil registry yields nil and the zero runMetrics.
+// Engines sharing one registry (a Fleet comparison run) share the same
+// instruments by name and aggregate into one set of series.
+func newEngineMetrics(reg *telemetry.Registry) (*engineMetrics, runMetrics) {
 	if reg == nil {
-		return nil
+		return nil, runMetrics{}
 	}
-	return &engineMetrics{
+	run := runMetrics{
 		intervals: reg.Counter(metricIntervals, "control intervals evaluated"),
-		steps:     reg.Counter(metricSteps, "circulation steps evaluated"),
 		intervalSec: reg.Histogram(metricIntervalSec, "wall-clock seconds per control interval",
 			telemetry.ExponentialBuckets(1e-5, 4, 10)),
-		stepSec: reg.Histogram(metricStepSec, "wall-clock seconds per circulation step",
-			telemetry.ExponentialBuckets(1e-6, 4, 10)),
 		circulations: reg.Gauge(metricCirculations, "circulations per interval"),
 		harvestedPower: reg.Histogram(metricHarvestedPower, "datacenter-mean harvested TEG power per server, one observation per interval",
 			telemetry.LinearBuckets(0, 1, 16)),
-		outletTemp: reg.Histogram(metricOutletTemp, "circulation mean coolant outlet temperature, one observation per step",
-			telemetry.LinearBuckets(30, 2, 15)),
 		maxCPUTemp: reg.Histogram(metricMaxCPUTemp, "hottest die across the datacenter, one observation per interval",
 			telemetry.LinearBuckets(40, 2, 15)),
-		tracer: reg.Tracer(telemetry.DefaultTraceCapacity),
-
 		checkpoints:   reg.Counter(metricCheckpoints, "engine checkpoints written at interval boundaries"),
 		resumes:       reg.Counter(metricResumes, "runs resumed from a checkpoint"),
 		resumeSkipped: reg.Counter(metricResumeSkipped, "intervals skipped (not re-simulated) by checkpoint resumes"),
+		tracer:        reg.Tracer(telemetry.DefaultTraceCapacity),
+	}
+	return &engineMetrics{
+		steps: reg.Counter(metricSteps, "circulation steps evaluated"),
+		stepSec: reg.Histogram(metricStepSec, "wall-clock seconds per circulation step",
+			telemetry.ExponentialBuckets(1e-6, 4, 10)),
+		outletTemp: reg.Histogram(metricOutletTemp, "circulation mean coolant outlet temperature, one observation per step",
+			telemetry.LinearBuckets(30, 2, 15)),
+		tracer: run.tracer,
 
 		faultOpenTEG:        reg.Counter(metricFaultOpenTEG, "open-circuit TEG module-intervals excluded from the harvest sum"),
 		faultDegradedTEG:    reg.Counter(metricFaultDegradedTEG, "degradation-scaled TEG module-intervals"),
@@ -131,7 +121,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		faultSensorDegraded: reg.Counter(metricFaultSensorDegraded, "outlet-sensor fallbacks past the staleness bound"),
 		faultStepRetries:    reg.Counter(metricFaultStepRetries, "circulation step retry attempts"),
 		faultDegraded:       reg.Counter(metricFaultDegraded, "circulation-intervals degraded after exhausting retries"),
-	}
+	}, run
 }
 
 // faultObs is one circulation's fault accounting for a step (or retry)
@@ -176,41 +166,6 @@ func (m *engineMetrics) observeFault(index int, o faultObs) {
 	}
 }
 
-// observeInterval records one merged control interval: its wall-clock
-// latency from decode start to merge, the harvested-power and hottest-die series, and an "interval"
-// span.
-func (m *engineMetrics) observeInterval(i int, start time.Time, ir IntervalResult) {
-	if m == nil {
-		return
-	}
-	d := time.Since(start)
-	m.intervals.Inc()
-	m.intervalSec.Observe(d.Seconds())
-	m.harvestedPower.Observe(float64(ir.TEGPowerPerServer))
-	m.maxCPUTemp.Observe(float64(ir.MaxCPUTemp))
-	m.tracer.Record(spanInterval, int64(i), start, d)
-}
-
-// observeCheckpoint records one checkpoint written at an interval boundary:
-// the counter plus a "checkpoint" span covering the drain-and-write window
-// (the pipeline is parked on the gate for its duration).
-func (m *engineMetrics) observeCheckpoint(done int, start time.Time) {
-	if m == nil {
-		return
-	}
-	m.checkpoints.Inc()
-	m.tracer.Record(spanCheckpoint, int64(done), start, time.Since(start))
-}
-
-// observeResume records one resume and the intervals it skipped.
-func (m *engineMetrics) observeResume(skipped int) {
-	if m == nil {
-		return
-	}
-	m.resumes.Inc()
-	m.resumeSkipped.Add(uint64(skipped))
-}
-
 // observeStep records one circulation step, sharded by circulation index so
 // parallel shards do not contend.
 func (m *engineMetrics) observeStep(index int, start time.Time, outlet float64) {
@@ -225,109 +180,191 @@ func (m *engineMetrics) observeStep(index int, start time.Time, outlet float64) 
 	m.tracer.Record(spanCirculation, int64(index), start, d)
 }
 
-// pipelineMetrics is a run's one pipeline clock. It reads time.Since once per
-// pipeline event — a column decode, one shard stepping one interval, the
-// merger's wait for its next in-order interval — and feeds the duration to
-// the telemetry registry's instruments (hinted by shard index so shards never
-// contend; set only with Config.Telemetry, and nil-safe otherwise; the spans
-// export as a per-shard timeline) and to the cumulative counters behind the
-// observer's ShardStats. Each counter has one writer: the decoder, the
-// merger, or the shard owning its stepNanos slot. nil when neither consumer
-// is attached, so the pipeline never reads the clock; simulation results are
-// bit-identical either way.
-type pipelineMetrics struct {
-	steps     *telemetry.Counter
-	stepSec   *telemetry.Histogram
-	mergeWait *telemetry.Histogram
-	decodeSec *telemetry.Histogram
-	tracer    *telemetry.Tracer
-	stepNames []string
+// runMetrics is one run's event path and clock: RunSourceContext reports
+// each event to it once, and it feeds the event to the registry's run-level
+// instruments (the engine's, copied from Engine.run, and the shard ones,
+// registered per run; nil-safe, and nil without a registry), to the counters
+// behind ShardStats, and to the run's observer. nil when the run has neither
+// a registry nor an observer, so the loop never reads the clock; results are
+// bit-identical either way. The decoder, the shard workers and the merger
+// report from their own goroutines; the observer only hears from the merger.
+type runMetrics struct {
+	intervals      *telemetry.Counter
+	intervalSec    *telemetry.Histogram
+	circulations   *telemetry.Gauge
+	harvestedPower *telemetry.Histogram
+	maxCPUTemp     *telemetry.Histogram
+	checkpoints    *telemetry.Counter
+	resumes        *telemetry.Counter
+	resumeSkipped  *telemetry.Counter // intervals not re-simulated
+	tracer         *telemetry.Tracer
 
-	decodeNanos    atomic.Int64
-	mergeWaits     atomic.Int64
-	mergeWaitNanos atomic.Int64
-	stepNanos      []atomic.Int64
+	// Shard pipeline instruments, hinted by shard index so shards never
+	// contend; the spans export as a per-shard timeline.
+	shardSteps *telemetry.Counter
+	stepSec    *telemetry.Histogram
+	mergeWait  *telemetry.Histogram
+	decodeSec  *telemetry.Histogram
+	stepNames  []string
+
+	stats *shardCounters
+	obs   RunObserver
 }
 
-// newPipelineMetrics returns the clock for a run over the given shard
-// count: registered with reg when it is non-nil, and kept for the observer
-// when stats is set. It returns nil when neither holds.
-func newPipelineMetrics(reg *telemetry.Registry, shards int, stats bool) *pipelineMetrics {
-	if reg == nil && !stats {
+// newRunMetrics returns the event path for one run of e over nCircs
+// circulations in shards shards, reporting to obs (which may be nil), and
+// hands an obs that implements ShardStatsSink its reader. It returns nil
+// when e has no registry and obs is nil.
+func (e *Engine) newRunMetrics(nCircs, shards int, obs RunObserver) *runMetrics {
+	reg := e.cfg.Telemetry
+	if reg == nil && obs == nil {
 		return nil
 	}
-	m := &pipelineMetrics{
-		stepNames: make([]string, shards),
-		stepNanos: make([]atomic.Int64, shards),
+	m := e.run
+	m.obs = obs
+	m.stats = &shardCounters{stepNanos: make([]atomic.Int64, shards)}
+	if sink, ok := obs.(ShardStatsSink); ok {
+		sink.AttachShardStats(m.stats.snapshot)
 	}
 	// Names are precomputed once per run so recording a span never
 	// allocates.
+	m.stepNames = make([]string, shards)
 	for s := range m.stepNames {
 		m.stepNames[s] = fmt.Sprintf("shard%02d.step", s)
 	}
 	if reg == nil {
-		return m
+		return &m
 	}
-	m.steps = reg.Counter(metricShardSteps, "shard-intervals stepped (intervals x shards)")
+	m.circulations.Set(float64(nCircs))
+	m.shardSteps = reg.Counter(metricShardSteps, "shard-intervals stepped (intervals x shards)")
 	m.stepSec = reg.Histogram(metricShardStepSec, "wall-clock seconds one shard spent stepping one interval",
 		telemetry.ExponentialBuckets(1e-5, 4, 10))
 	m.mergeWait = reg.Histogram(metricMergeWaitSec, "seconds the merger waited for its next in-order interval",
 		telemetry.ExponentialBuckets(1e-7, 4, 10))
 	m.decodeSec = reg.Histogram(metricDecodeSec, "seconds the decoder spent producing one column",
 		telemetry.ExponentialBuckets(1e-6, 4, 10))
-	m.tracer = reg.Tracer(telemetry.DefaultTraceCapacity)
 	reg.Gauge(metricShards, "engine shards in the run pipeline").Set(float64(shards))
 	reg.Gauge(metricPrefetchDepth, "column prefetch pipeline depth (slots)").Set(pipelineDepth)
-	return m
+	return &m
 }
 
-// observeStep records one shard stepping one interval.
-func (m *pipelineMetrics) observeStep(shard, interval int, start time.Time) {
+// now reads the run's clock at the start of an event; the zero time on nil.
+func (m *runMetrics) now() time.Time {
+	if m == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// resume records a run resuming at interval start.
+func (m *runMetrics) resume(start int) {
+	if m == nil {
+		return
+	}
+	m.resumes.Inc()
+	m.resumeSkipped.Add(uint64(start))
+	if m.obs != nil {
+		m.obs.ObserveResume(start)
+	}
+}
+
+// decode records one column decode.
+func (m *runMetrics) decode(interval int, start time.Time) {
 	if m == nil {
 		return
 	}
 	d := time.Since(start)
-	m.stepNanos[shard].Add(int64(d))
-	hint := uint64(shard)
-	m.steps.AddHint(hint, 1)
-	m.stepSec.ObserveHint(hint, d.Seconds())
-	m.tracer.Record(m.stepNames[shard], int64(interval), start, d)
-}
-
-// observeMergeWait records how long the merger blocked for its next slot.
-func (m *pipelineMetrics) observeMergeWait(interval int, start time.Time) {
-	if m == nil {
-		return
-	}
-	d := time.Since(start)
-	m.mergeWaits.Add(1)
-	m.mergeWaitNanos.Add(int64(d))
-	m.mergeWait.Observe(d.Seconds())
-	m.tracer.Record(spanMergeWait, int64(interval), start, d)
-}
-
-// observeDecode records one column decode.
-func (m *pipelineMetrics) observeDecode(interval int, start time.Time) {
-	if m == nil {
-		return
-	}
-	d := time.Since(start)
-	m.decodeNanos.Add(int64(d))
+	m.stats.decodeNanos.Add(int64(d))
 	m.decodeSec.Observe(d.Seconds())
 	m.tracer.Record(spanDecode, int64(interval), start, d)
 }
 
-// snapshot folds the cumulative counters into a ShardStats value.
-func (m *pipelineMetrics) snapshot() ShardStats {
-	st := ShardStats{
-		Shards:           len(m.stepNanos),
-		DecodeSeconds:    time.Duration(m.decodeNanos.Load()).Seconds(),
-		MergeWaits:       m.mergeWaits.Load(),
-		MergeWaitSeconds: time.Duration(m.mergeWaitNanos.Load()).Seconds(),
-		StepSeconds:      make([]float64, len(m.stepNanos)),
+// step records one shard stepping one interval.
+func (m *runMetrics) step(shard, interval int, start time.Time) {
+	if m == nil {
+		return
 	}
-	for s := range m.stepNanos {
-		st.StepSeconds[s] = time.Duration(m.stepNanos[s].Load()).Seconds()
+	d := time.Since(start)
+	m.stats.stepNanos[shard].Add(int64(d))
+	hint := uint64(shard)
+	m.shardSteps.AddHint(hint, 1)
+	m.stepSec.ObserveHint(hint, d.Seconds())
+	m.tracer.Record(m.stepNames[shard], int64(interval), start, d)
+}
+
+// waited records how long the merger blocked for its next slot.
+func (m *runMetrics) waited(interval int, start time.Time) {
+	if m == nil {
+		return
+	}
+	d := time.Since(start)
+	m.stats.mergeWaits.Add(1)
+	m.stats.mergeWaitNanos.Add(int64(d))
+	m.mergeWait.Observe(d.Seconds())
+	m.tracer.Record(spanMergeWait, int64(interval), start, d)
+}
+
+// interval records one merged and folded control interval: its latency
+// since decode start, the harvested-power and hottest-die series, an
+// "interval" span, and the observer's ObserveInterval.
+func (m *runMetrics) interval(i int, start time.Time, ir IntervalResult) {
+	if m == nil {
+		return
+	}
+	d := time.Since(start)
+	m.intervals.Inc()
+	m.intervalSec.Observe(d.Seconds())
+	m.harvestedPower.Observe(float64(ir.TEGPowerPerServer))
+	m.maxCPUTemp.Observe(float64(ir.MaxCPUTemp))
+	m.tracer.Record(spanInterval, int64(i), start, d)
+	if m.obs != nil {
+		m.obs.ObserveInterval(i, ir)
+	}
+}
+
+// checkpoint records one checkpoint written at an interval boundary, with a
+// "checkpoint" span covering the drain-and-write window (the pipeline is
+// parked on the gate for its duration).
+func (m *runMetrics) checkpoint(done int, start time.Time) {
+	if m == nil {
+		return
+	}
+	m.checkpoints.Inc()
+	m.tracer.Record(spanCheckpoint, int64(done), start, time.Since(start))
+	if m.obs != nil {
+		m.obs.ObserveCheckpoint(done)
+	}
+}
+
+// halt reports the run stopping cleanly at its HaltAfter boundary.
+func (m *runMetrics) halt(done int) {
+	if m != nil && m.obs != nil {
+		m.obs.ObserveHalt(done)
+	}
+}
+
+// shardCounters is the pipeline's cumulative timing counters, all that a
+// ShardStatsSink's reader holds: O(shards) words, never the engine. Each
+// has one writer (the decoder, the merger, or the shard owning its
+// stepNanos slot), and none moves once the pipeline has joined.
+type shardCounters struct {
+	decodeNanos    atomic.Int64
+	mergeWaits     atomic.Int64
+	mergeWaitNanos atomic.Int64
+	stepNanos      []atomic.Int64
+}
+
+// snapshot folds the cumulative counters into a ShardStats value.
+func (c *shardCounters) snapshot() ShardStats {
+	st := ShardStats{
+		Shards:           len(c.stepNanos),
+		DecodeSeconds:    time.Duration(c.decodeNanos.Load()).Seconds(),
+		MergeWaits:       c.mergeWaits.Load(),
+		MergeWaitSeconds: time.Duration(c.mergeWaitNanos.Load()).Seconds(),
+		StepSeconds:      make([]float64, len(c.stepNanos)),
+	}
+	for s := range c.stepNanos {
+		st.StepSeconds[s] = time.Duration(c.stepNanos[s].Load()).Seconds()
 	}
 	return st
 }

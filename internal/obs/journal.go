@@ -126,8 +126,10 @@ type Progress struct {
 	// power over the intervals observed since start/resume (the headline
 	// series; a resumed writer's mean covers its own tail only).
 	AvgTEGWattsPerServer float64 `json:"avg_teg_w_per_server"`
-	// CacheHitRate is the decision cache's lifetime hits/calls, -1 when no
-	// stats source is attached.
+	// CacheHitRate is the run's decision-cache hits/calls so far: the
+	// counts of the run's own controller, whether or not a telemetry
+	// registry aggregates it with other runs. -1 when no stats source is
+	// attached.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	// DegradedIntervals counts circulation-intervals this writer saw
 	// excluded by fault degradation; zero in a healthy run.
@@ -138,14 +140,8 @@ type Progress struct {
 }
 
 // ShardProgress is the sharded pipeline's cumulative timing counters inside
-// a Progress record.
-type ShardProgress struct {
-	Shards           int       `json:"shards"`
-	DecodeSeconds    float64   `json:"decode_seconds"`
-	MergeWaits       int64     `json:"merge_waits"`
-	MergeWaitSeconds float64   `json:"merge_wait_seconds"`
-	StepSeconds      []float64 `json:"step_seconds"`
-}
+// a Progress record: the run loop's ShardStats read, journaled as is.
+type ShardProgress = core.ShardStats
 
 // Event kinds written by the recorder.
 const (

@@ -296,13 +296,7 @@ func (rr *RunRecorder) progress(interval int, now time.Time) {
 	}
 	if rr.shardStats != nil {
 		st := rr.shardStats()
-		p.Shard = &ShardProgress{
-			Shards:           st.Shards,
-			DecodeSeconds:    st.DecodeSeconds,
-			MergeWaits:       st.MergeWaits,
-			MergeWaitSeconds: st.MergeWaitSeconds,
-			StepSeconds:      st.StepSeconds,
-		}
+		p.Shard = &st
 	}
 	rr.rec.writeAt(&Record{Type: "progress", Run: rr.run, Progress: p}, now)
 }

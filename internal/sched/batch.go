@@ -240,7 +240,7 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 	// call, on the error returns too, so the totals stay those of the
 	// per-group calls without an atomic add per group.
 	var calls, hits, inserts uint64
-	defer func() { c.addCacheCounts(calls, hits, inserts) }()
+	defer func() { c.addCacheCounts(0, calls, hits, inserts) }()
 	spec := c.Space.Spec()
 	for g, r := range ranges {
 		if bs.gErrs[g] != nil {

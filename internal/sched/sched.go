@@ -81,13 +81,11 @@ type Controller struct {
 	// a pure function of the plane, so concurrent fills are benign and
 	// order-independent.
 	cache decisionCache
-	// hits/calls/inserts instrument the cache: sharded telemetry counters.
-	// Choose adds to them per call with the key's bucket hash as the shard
-	// hint; DecideBatchCold counts a column in locals and adds each total
-	// once per call, so live reads move a column at a time. NewController
-	// creates them standalone; AttachTelemetry swaps in registry-owned
-	// counters so a run's exporters see them. CacheStats reads whichever
-	// are current.
+	// hits/calls/inserts instrument the cache: this controller's own
+	// sharded telemetry counters. Choose adds to them per call with the
+	// key's bucket hash as the shard hint; DecideBatchCold counts a column
+	// in locals and adds each total once per call, so live reads move a
+	// column at a time. An attached registry's counters move beside them.
 	hits, calls, inserts *telemetry.Counter
 
 	// met carries the optional decision metrics (chosen-setting
@@ -103,9 +101,9 @@ type Controller struct {
 
 // CacheStats reports the decision cache's lifetime hit count and total
 // Choose call count. It only sums atomic counters — it takes no lock and
-// never contends with concurrent Choose calls. The counters live in the
-// telemetry layer; this accessor is the historical API, kept as a thin
-// adapter over them.
+// never contends with concurrent Choose calls. It reads this controller's
+// own counters, never an attached registry's, which aggregate every
+// controller sharing the registry.
 func (c *Controller) CacheStats() (hits, calls uint64) {
 	return c.hits.Value(), c.calls.Value()
 }
@@ -190,9 +188,8 @@ func (c *Controller) Choose(planeU float64, cold units.Celsius) (Setting, units.
 	key := math.Float64bits(planeU)
 	cb := math.Float64bits(float64(cold))
 	hint := bucketOf(key)
-	c.calls.AddHint(hint, 1)
 	if setting, power, _, ok := c.cache.load(key, cb); ok {
-		c.hits.AddHint(hint, 1)
+		c.addCacheCounts(hint, 1, 1, 0)
 		c.observeChoice(hint, setting)
 		return setting, power, nil
 	}
@@ -200,14 +197,17 @@ func (c *Controller) Choose(planeU float64, cold units.Celsius) (Setting, units.
 	var buf []lookup.SlabRow
 	setting, power, cell, evals, err := c.resolvePlane(idx, planeU, cold, &buf)
 	if err != nil {
+		c.addCacheCounts(hint, 1, 0, 0)
 		return Setting{}, 0, err
 	}
 	if m := c.met; m != nil {
 		m.curveEvals.Add(uint64(evals))
 	}
+	var inserted uint64
 	if c.cache.store(key, cb, setting, power, cell) {
-		c.inserts.AddHint(hint, 1)
+		inserted = 1
 	}
+	c.addCacheCounts(hint, 1, 0, inserted)
 	c.observeChoice(hint, setting)
 	return setting, power, nil
 }

@@ -4,9 +4,9 @@ import (
 	"github.com/h2p-sim/h2p/internal/telemetry"
 )
 
-// Exported decision-path metric names. The cache counters exist on every
-// controller (CacheStats is built on them); the rest only when a registry is
-// attached.
+// Exported decision-path metric names. Every controller keeps its own cache
+// counters under the cache names (CacheStats reads them); the registry's
+// instruments exist only when one is attached.
 const (
 	metricCacheHits    = "h2p_decision_cache_hits_total"
 	metricCacheCalls   = "h2p_decision_cache_calls_total"
@@ -20,6 +20,9 @@ const (
 
 // schedMetrics holds the optional (registry-attached) decision metrics.
 type schedMetrics struct {
+	// hits/calls/inserts are the registry's cache counters, shared by name
+	// with every controller on the registry (a Fleet's engines).
+	hits, calls, inserts *telemetry.Counter
 	// chosenInlet/chosenFlow histogram every Choose outcome — the
 	// chosen-setting distribution across the run, one observation per
 	// control decision (hits included: the distribution weights settings by
@@ -36,23 +39,22 @@ type schedMetrics struct {
 	batchUnique *telemetry.Histogram
 }
 
-// AttachTelemetry registers the controller's decision metrics with reg and
-// swaps the cache counters for registry-owned ones, so the run's exporters
-// see hits/calls/inserts under their metric names. Attaching nil — the
-// no-op registry — leaves the controller exactly as built: standalone cache
-// counters for CacheStats and no extra instrumentation on the hot path.
+// AttachTelemetry registers the controller's decision metrics with reg, the
+// cache hits/calls/inserts among them: they count beside the controller's
+// own counters, which CacheStats keeps reading. Attaching nil — the no-op
+// registry — leaves the controller exactly as built: no extra
+// instrumentation on the hot path.
 //
 // Call before the controller is shared across goroutines (the engine does so
-// at construction); counters accumulated before the call stay behind in the
-// standalone instruments.
+// at construction); the registry counters count from the call on.
 func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	c.hits = reg.Counter(metricCacheHits, "decision cache hits")
-	c.calls = reg.Counter(metricCacheCalls, "Choose calls (cache hits + misses)")
-	c.inserts = reg.Counter(metricCacheInserts, "decision cache inserts (misses that published an entry)")
 	c.met = &schedMetrics{
+		hits:    reg.Counter(metricCacheHits, "decision cache hits"),
+		calls:   reg.Counter(metricCacheCalls, "Choose calls (cache hits + misses)"),
+		inserts: reg.Counter(metricCacheInserts, "decision cache inserts (misses that published an entry)"),
 		chosenInlet: reg.Histogram(metricChosenInlet, "chosen inlet water temperature per decision",
 			telemetry.LinearBuckets(30, 2, 15)),
 		chosenFlow: reg.Histogram(metricChosenFlow, "chosen coolant flow per decision",
@@ -83,17 +85,16 @@ func (c *Controller) observeChoice(hint uint64, s Setting) {
 	}
 }
 
-// addCacheCounts adds one DecideBatchCold call's cache accounting to the
-// shared counters: one atomic add per nonzero counter instead of one per
-// group.
-func (c *Controller) addCacheCounts(calls, hits, inserts uint64) {
-	if calls > 0 {
-		c.calls.Add(calls)
-	}
-	if hits > 0 {
-		c.hits.Add(hits)
-	}
-	if inserts > 0 {
-		c.inserts.Add(inserts)
+// addCacheCounts adds one Choose call's, or one DecideBatchCold call's, cache
+// accounting to the controller's counters and, with a registry attached, to
+// the registry's, on the counter shard picked by hint.
+func (c *Controller) addCacheCounts(hint, calls, hits, inserts uint64) {
+	c.calls.AddHint(hint, calls)
+	c.hits.AddHint(hint, hits)
+	c.inserts.AddHint(hint, inserts)
+	if m := c.met; m != nil {
+		m.calls.AddHint(hint, calls)
+		m.hits.AddHint(hint, hits)
+		m.inserts.AddHint(hint, inserts)
 	}
 }

@@ -24,7 +24,9 @@ import (
 // The streaming pass requires observations in non-decreasing bucket order
 // (the natural order of the published cluster traces; jitter within one
 // bucket is fine). Files that interleave buckets out of order are rejected
-// with ErrUnsortedLongFormat — use ReadLongFormat for those.
+// with ErrUnsortedLongFormat — use ReadLongFormat for those. Pass 1 finds
+// the first step back, so the source fails its first NextColumn and never
+// emits a column averaged over part of a bucket.
 //
 // On bucket-sorted input the emitted columns are bit-identical to
 // ReadLongFormat's matrix: both accumulate each bucket's samples in file
@@ -39,6 +41,9 @@ type LongFormatSource struct {
 
 	machines  map[string]int
 	minBucket int
+	// unsorted is pass 1's ErrUnsortedLongFormat, returned by every
+	// NextColumn; nil for bucket-sorted input.
+	unsorted error
 
 	// last carries each machine's most recent bucket mean; sum/n accumulate
 	// the bucket currently being filled.
@@ -90,6 +95,7 @@ func NewLongFormatSource(open func() (io.ReadCloser, error), o LongFormatOptions
 		need:      need,
 		machines:  scan.machines,
 		minBucket: scan.minBucket,
+		unsorted:  scan.unsorted,
 		last:      scan.firstMeans, // pre-seeded carry values
 		sum:       make([]float64, len(scan.machines)),
 		n:         make([]float64, len(scan.machines)),
@@ -122,6 +128,9 @@ func (s *LongFormatSource) Close() error { return s.rc.Close() }
 // NextColumn emits the next bucket's column: consumed observations for the
 // bucket are averaged, machines without one repeat their previous value.
 func (s *LongFormatSource) NextColumn(dst []float64) (int, error) {
+	if s.unsorted != nil {
+		return 0, s.unsorted
+	}
 	if s.next >= s.meta.Intervals {
 		return 0, io.EOF
 	}
@@ -154,6 +163,8 @@ func (s *LongFormatSource) NextColumn(dst []float64) (int, error) {
 			return 0, err
 		}
 		if row.bucket < bucket {
+			// Pass 1 found the input sorted, so the bytes changed between
+			// passes.
 			return 0, fmt.Errorf("%w: bucket %d after bucket %d", ErrUnsortedLongFormat, row.bucket, bucket)
 		}
 		if row.bucket > bucket {
@@ -195,12 +206,14 @@ type longScan struct {
 	machines             map[string]int
 	minBucket, maxBucket int
 	firstMeans           []float64
+	unsorted             error // the first step back in bucket order
 }
 
 // scanLongFormat streams the file once, retaining O(machines) state: the
 // dense machine indexing (order of first appearance, matching
 // ReadLongFormat), the bucket span, and each machine's earliest bucket's
-// mean — the seed that keeps leading gaps from reading as idle.
+// mean — the seed that keeps leading gaps from reading as idle. It notes
+// the first row whose bucket lies before an earlier row's.
 func scanLongFormat(r io.Reader, o LongFormatOptions, need int) (*longScan, error) {
 	cr := longReader(r, o)
 	scan := &longScan{
@@ -230,6 +243,9 @@ func scanLongFormat(r io.Reader, o LongFormatOptions, need int) (*longScan, erro
 			firstBucket = append(firstBucket, row.bucket)
 			firstSum = append(firstSum, 0)
 			firstN = append(firstN, 0)
+		}
+		if row.bucket < scan.maxBucket && scan.unsorted == nil {
+			scan.unsorted = fmt.Errorf("%w: bucket %d after bucket %d", ErrUnsortedLongFormat, row.bucket, scan.maxBucket)
 		}
 		if row.bucket < scan.minBucket {
 			scan.minBucket = row.bucket
