@@ -60,6 +60,7 @@ fuzz-check:
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzTEGTable$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/h2pbenchdiff -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/h2pstat -run '^$$' -fuzz '^FuzzDecodeSummaries$$' -fuzztime $(FUZZTIME)
 
 # load-check runs the deterministic multi-tenant load profile against a
 # spawned in-process server: 8 tenants x 55 submissions each against a

@@ -160,8 +160,7 @@ func main() {
 func writeReport(path string, params experiments.EvalParams) error {
 	opts := report.DefaultOptions(params)
 	return writeToFile(path, func(w io.Writer) error {
-		// The snapshot must be taken after the experiments have run, so run
-		// them explicitly instead of calling report.Generate.
+		// The snapshot must be taken after the experiments have run.
 		tables, err := experiments.RunAll(opts.Params)
 		if err != nil {
 			return err

@@ -81,12 +81,18 @@ func cmdSummary(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+	return writeSummaries(os.Stdout, sums, *asJSON)
+}
+
+// writeSummaries renders the summaries as indented JSON or as the human
+// table.
+func writeSummaries(w io.Writer, sums []*obs.RunSummary, asJSON bool) error {
+	if asJSON {
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(sums)
 	}
-	printSummaries(os.Stdout, sums)
+	printSummaries(w, sums)
 	return nil
 }
 
@@ -103,8 +109,8 @@ func loadSummaries(arg string) ([]*obs.RunSummary, error) {
 		if resp.StatusCode != http.StatusOK {
 			return nil, fmt.Errorf("summary: %s: %s", arg, resp.Status)
 		}
-		var sums []*obs.RunSummary
-		if err := json.NewDecoder(resp.Body).Decode(&sums); err != nil {
+		sums, err := decodeSummaries(resp.Body)
+		if err != nil {
 			return nil, fmt.Errorf("summary: %s: %w", arg, err)
 		}
 		return sums, nil
@@ -119,6 +125,21 @@ func loadSummaries(arg string) ([]*obs.RunSummary, error) {
 		return nil, err
 	}
 	return obs.Summarize(records), nil
+}
+
+// decodeSummaries decodes a /runs response body. It rejects a null entry,
+// which the renderers could not read.
+func decodeSummaries(r io.Reader) ([]*obs.RunSummary, error) {
+	var sums []*obs.RunSummary
+	if err := json.NewDecoder(r).Decode(&sums); err != nil {
+		return nil, err
+	}
+	for i, s := range sums {
+		if s == nil {
+			return nil, fmt.Errorf("run entry %d is null", i)
+		}
+	}
+	return sums, nil
 }
 
 // printSummaries renders the human summary table plus per-run detail lines.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -243,12 +244,16 @@ func TestSummaryRoundTripsLifecycleJournal(t *testing.T) {
 // journals on disk and servers on the network.
 func TestLoadSummariesFromServer(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/runs" {
+		switch r.URL.Path {
+		case "/runs":
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode([]*obs.RunSummary{doneSummary()}) //nolint:errcheck
+		case "/null/runs":
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `[{"run":"a"},null]`) //nolint:errcheck
+		default:
 			http.NotFound(w, r)
-			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode([]*obs.RunSummary{doneSummary()}) //nolint:errcheck
 	}))
 	defer srv.Close()
 
@@ -268,6 +273,11 @@ func TestLoadSummariesFromServer(t *testing.T) {
 
 	if _, err := loadSummaries(srv.URL + "/missing"); err == nil {
 		t.Error("bad path summary fetch succeeded")
+	}
+	// A null run must be an error naming its entry, not a nil row for the
+	// renderers to dereference.
+	if _, err := loadSummaries(srv.URL + "/null"); err == nil || !strings.Contains(err.Error(), "entry 1 is null") {
+		t.Errorf("null run entry: err = %v, want one naming entry 1", err)
 	}
 }
 

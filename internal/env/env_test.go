@@ -8,6 +8,9 @@ import (
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
+// Len returns the number of explicit samples.
+func (p *Profile) Len() int { return len(p.samples) }
+
 func TestConstantEveryIntervalIdentical(t *testing.T) {
 	c := NewConstant(18, 20)
 	want := Sample{WetBulb: 18, ColdSide: 20}

@@ -123,9 +123,6 @@ func LoadProfile(path string) (*Profile, error) {
 	return ParseProfile(data)
 }
 
-// Len returns the number of explicit samples.
-func (p *Profile) Len() int { return len(p.samples) }
-
 // At returns the interval's sample: the sequence wraps under repeat and
 // holds its last value otherwise.
 func (p *Profile) At(i int) Sample {

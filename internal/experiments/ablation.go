@@ -35,7 +35,7 @@ func AblationFlow() (*Table, error) {
 		Columns: []string{"utilization", "free_flow_LH", "free_inlet_C", "free_W", "free_pump_W", "free_net_W", "pinned_inlet_C", "pinned_W", "pinned_pump_W", "pinned_net_W"},
 	}
 	pumpPower := func(flow units.LitersPerHour) units.Watts {
-		p := hydro.Pump{Name: "srv", MaxFlow: 300, RatedPower: 4}
+		p := hydro.Pump{Name: "srv", MaxFlow: freeCfg.PumpMaxFlow, RatedPower: freeCfg.PumpRatedPower}
 		if flow > p.MaxFlow {
 			flow = p.MaxFlow
 		}

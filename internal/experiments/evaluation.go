@@ -33,9 +33,6 @@ type EvalParams struct {
 	FaultSeed int64
 }
 
-// DefaultEvalParams is the paper's evaluation scale.
-func DefaultEvalParams() EvalParams { return EvalParams{Servers: 1000, Seed: 42} }
-
 // Config returns the paper's default engine configuration bounded by the
 // params' worker count.
 func (p EvalParams) Config(scheme sched.Scheme) core.Config {
@@ -52,7 +49,7 @@ func (p EvalParams) Config(scheme sched.Scheme) core.Config {
 // run i*len(schemes)+j. Each run pulls its columns from its own generator
 // source, which replays Generate's exact RNG schedule, so no trace matrix is
 // ever materialized.
-func canonicalRuns(p EvalParams, opts *core.RunOptions, schemes ...sched.Scheme) ([]trace.Class, []core.SourceRun) {
+func canonicalRuns(p EvalParams, schemes ...sched.Scheme) ([]trace.Class, []core.SourceRun) {
 	cfgs := trace.CanonicalConfigs(p.Servers)
 	classes := make([]trace.Class, len(cfgs))
 	runs := make([]core.SourceRun, 0, len(schemes)*len(cfgs))
@@ -61,7 +58,7 @@ func canonicalRuns(p EvalParams, opts *core.RunOptions, schemes ...sched.Scheme)
 		seed := trace.CanonicalSeed(p.Seed, i)
 		open := func() (trace.Source, error) { return trace.NewGeneratorSource(cfg, seed) }
 		for _, scheme := range schemes {
-			runs = append(runs, core.SourceRun{Open: open, Scheme: scheme, Opts: opts})
+			runs = append(runs, core.SourceRun{Open: open, Scheme: scheme})
 		}
 	}
 	return classes, runs
@@ -70,9 +67,9 @@ func canonicalRuns(p EvalParams, opts *core.RunOptions, schemes ...sched.Scheme)
 // runComparison runs the three-trace comparison once, every trace x scheme
 // combination in flight concurrently over one shared look-up space, and
 // returns the trace classes with the (original, loadBalance) results in run
-// order. keepSeries retains each run's interval series.
-func runComparison(p EvalParams, keepSeries bool) ([]trace.Class, []*core.Result, []*core.Result, error) {
-	classes, runs := canonicalRuns(p, &core.RunOptions{KeepSeries: keepSeries}, sched.Original, sched.LoadBalance)
+// order.
+func runComparison(p EvalParams) ([]trace.Class, []*core.Result, []*core.Result, error) {
+	classes, runs := canonicalRuns(p, sched.Original, sched.LoadBalance)
 	results, err := core.NewFleet().RunSourcesContext(context.Background(), p.Config(sched.Original), runs)
 	if err != nil {
 		return nil, nil, nil, err
@@ -88,7 +85,7 @@ func runComparison(p EvalParams, keepSeries bool) ([]trace.Class, []*core.Result
 // Fig14 reproduces the electricity-generation evaluation: per-trace average
 // and peak per-CPU TEG power under TEG_Original and TEG_LoadBalance.
 func Fig14(p EvalParams) (*Table, error) {
-	classes, origs, lbs, err := runComparison(p, false)
+	classes, origs, lbs, err := runComparison(p)
 	if err != nil {
 		return nil, err
 	}
@@ -122,43 +119,9 @@ func Fig14(p EvalParams) (*Table, error) {
 	return t, nil
 }
 
-// Fig14Series emits the per-interval power series for one trace class under
-// both schemes (the time-series panels of Fig. 14).
-func Fig14Series(p EvalParams, class trace.Class) (*Table, error) {
-	classes, origs, lbs, err := runComparison(p, true)
-	if err != nil {
-		return nil, err
-	}
-	idx := -1
-	for i, c := range classes {
-		if c == class {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("experiments: unknown trace class %q", class)
-	}
-	t := &Table{
-		ID:      "FIG14-" + string(class),
-		Title:   fmt.Sprintf("Per-interval power series (%s)", class),
-		Columns: []string{"interval", "avg_util", "max_util", "orig_W", "lb_W"},
-	}
-	o, l := origs[idx], lbs[idx]
-	for i := range o.Intervals {
-		t.AddRow(
-			fmt.Sprintf("%d", i),
-			fmt.Sprintf("%.3f", o.Intervals[i].AvgUtilization),
-			fmt.Sprintf("%.3f", o.Intervals[i].MaxUtilization),
-			fmt.Sprintf("%.3f", float64(o.Intervals[i].TEGPowerPerServer)),
-			fmt.Sprintf("%.3f", float64(l.Intervals[i].TEGPowerPerServer)),
-		)
-	}
-	return t, nil
-}
-
 // Fig15 reproduces the power reusing efficiency per trace and scheme.
 func Fig15(p EvalParams) (*Table, error) {
-	classes, origs, lbs, err := runComparison(p, false)
+	classes, origs, lbs, err := runComparison(p)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +148,7 @@ func Fig15(p EvalParams) (*Table, error) {
 // TableI reproduces the TCO analysis: the Table I entries, the Eq. 21/22
 // comparison, and the Sec. V-D fleet worked example.
 func TableI(p EvalParams) (*Table, error) {
-	_, origs, lbs, err := runComparison(p, false)
+	_, origs, lbs, err := runComparison(p)
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"github.com/h2p-sim/h2p/internal/trace"
 )
 
 // smallParams keeps the trace-driven experiments quick in unit tests.
@@ -168,19 +166,6 @@ func TestFig14ShardedMatchesDefault(t *testing.T) {
 	}
 }
 
-func TestFig14Series(t *testing.T) {
-	tab, err := Fig14Series(smallParams(), trace.Drastic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 144 { // 12 h at 5-minute intervals
-		t.Errorf("series rows = %d, want 144", len(tab.Rows))
-	}
-	if _, err := Fig14Series(smallParams(), trace.Class("nope")); err == nil {
-		t.Error("unknown class should error")
-	}
-}
-
 func TestTableISmallScale(t *testing.T) {
 	tab, err := TableI(smallParams())
 	if err != nil {
@@ -274,7 +259,6 @@ func TestRegistry(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tab := &Table{ID: "X", Title: "t", Columns: []string{"a", "bb"}}
 	tab.AddRow("1", "2")
-	tab.AddRowf(3.14159, "x")
 	tab.Notes = append(tab.Notes, "a note")
 	var text bytes.Buffer
 	if err := tab.WriteText(&text); err != nil {
@@ -283,9 +267,6 @@ func TestTableRendering(t *testing.T) {
 	out := text.String()
 	if !strings.Contains(out, "== X: t ==") || !strings.Contains(out, "note: a note") {
 		t.Errorf("text rendering:\n%s", out)
-	}
-	if !strings.Contains(out, "3.142") {
-		t.Errorf("AddRowf float formatting missing:\n%s", out)
 	}
 	var csvBuf bytes.Buffer
 	if err := tab.WriteCSV(&csvBuf); err != nil {

@@ -33,7 +33,7 @@ func FaultSweep(p EvalParams) (*Table, error) {
 			cfg.Faults = &fault.Plan{Specs: []fault.Spec{{Kind: fault.TEGDegrade, Rate: rate}}}
 			cfg.FaultSeed = p.FaultSeed
 		}
-		classes, runs := canonicalRuns(p, nil, sched.Original)
+		classes, runs := canonicalRuns(p, sched.Original)
 		origs, err := fleet.RunSourcesContext(context.Background(), cfg, runs)
 		if err != nil {
 			return nil, err

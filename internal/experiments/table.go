@@ -29,24 +29,6 @@ type Table struct {
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddRowf appends a row of fmt.Sprintf-formatted cells; values and formats
-// alternate are not needed — each value uses %v unless it is a float64,
-// which uses %.4g.
-func (t *Table) AddRowf(values ...interface{}) {
-	row := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.4g", x)
-		case fmt.Stringer:
-			row[i] = x.String()
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // WriteText renders the table as aligned text.
 func (t *Table) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {

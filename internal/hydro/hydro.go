@@ -1,7 +1,7 @@
 // Package hydro models the hydraulic building blocks of the H2P water loops
-// (Fig. 1 and the prototype of Fig. 6): cold plates, variable-speed pumps,
-// liquid-to-liquid heat exchangers, the natural cold-water source, and the
-// temperature/flow instrumentation of the test bed.
+// (Fig. 1 and the prototype of Fig. 6): variable-speed pumps, liquid-to-liquid
+// heat exchangers, the natural cold-water source, and the temperature/flow
+// instrumentation of the test bed.
 //
 // All components are steady-state per simulation interval: coolant transport
 // delays (seconds) are far below the 5-minute control interval the paper
@@ -16,32 +16,8 @@ import (
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
-// ColdPlate is a metal water block pressed against a heat source. Heat enters
-// the coolant stream; the plate surface sits above the mean coolant
-// temperature by the plate's conductive resistance.
-type ColdPlate struct {
-	// Name identifies the plate in reports (e.g. "CPU", "TEG-hot-A").
-	Name string
-	// Rth is the surface-to-coolant thermal resistance in °C/W.
-	Rth float64
-}
-
-// Outlet returns the coolant outlet temperature when the plate absorbs power
-// q from a stream entering at tin with flow f.
-func (p ColdPlate) Outlet(tin units.Celsius, f units.LitersPerHour, q units.Watts) units.Celsius {
-	return tin + units.AdvectionDeltaT(q, f)
-}
-
-// SurfaceTemp returns the plate surface temperature: the mean coolant
-// temperature plus the conductive rise Rth*q.
-func (p ColdPlate) SurfaceTemp(tin units.Celsius, f units.LitersPerHour, q units.Watts) units.Celsius {
-	tout := p.Outlet(tin, f, q)
-	mean := (float64(tin) + float64(tout)) / 2
-	return units.Celsius(mean + p.Rth*float64(q))
-}
-
 // Pump is a variable-speed circulation pump. Electrical power follows the
-// cubic affinity law P = Idle + K*(f/MaxFlow)^3 * Rated.
+// cubic affinity law P = (f/MaxFlow)^3 * Rated.
 type Pump struct {
 	// Name identifies the pump.
 	Name string
@@ -49,8 +25,6 @@ type Pump struct {
 	MaxFlow units.LitersPerHour
 	// RatedPower is the shaft power at maximum flow.
 	RatedPower units.Watts
-	// IdlePower is the controller/standby draw at zero flow.
-	IdlePower units.Watts
 
 	flow units.LitersPerHour
 }
@@ -68,16 +42,13 @@ func (p *Pump) SetFlow(f units.LitersPerHour) error {
 	return nil
 }
 
-// Flow returns the current flow setpoint.
-func (p *Pump) Flow() units.LitersPerHour { return p.flow }
-
 // Power returns the pump's electrical draw at the current setpoint.
 func (p *Pump) Power() units.Watts {
 	if p.MaxFlow == 0 {
-		return p.IdlePower
+		return 0
 	}
 	ratio := float64(p.flow) / float64(p.MaxFlow)
-	return p.IdlePower + units.Watts(math.Pow(ratio, 3))*p.RatedPower
+	return units.Watts(math.Pow(ratio, 3)) * p.RatedPower
 }
 
 // HeatExchanger is a counter-flow liquid-to-liquid heat exchanger (the CDU
@@ -133,36 +104,19 @@ type WaterSource struct {
 	SeasonalSwing units.Celsius
 }
 
-// QiandaoLake returns the stable deep-lake source the paper cites.
-func QiandaoLake() WaterSource { return WaterSource{MeanTemp: 20, SeasonalSwing: 2.5} }
-
-// TempAt returns the supply temperature at the given fraction of the year
-// (0 = coldest point). A zero swing gives a constant source.
-func (w WaterSource) TempAt(yearFraction float64) units.Celsius {
-	phase := 2 * math.Pi * (yearFraction - 0.25) // coldest at fraction 0
-	return w.MeanTemp + units.Celsius(float64(w.SeasonalSwing)*math.Sin(phase))
-}
-
-// Temp returns the mean supply temperature (the constant-source view used by
-// the paper's evaluation, which assumes 20 °C throughout).
-func (w WaterSource) Temp() units.Celsius { return w.MeanTemp }
-
 // TemperatureSensor quantizes a reading like the prototype's DAQ channels.
 type TemperatureSensor struct {
 	// Resolution is the quantization step in °C (0 disables quantization).
 	Resolution units.Celsius
-	// Bias is a fixed calibration offset added to every reading.
-	Bias units.Celsius
 }
 
 // Read returns the sensor's report of the true temperature.
 func (s TemperatureSensor) Read(truth units.Celsius) units.Celsius {
-	v := truth + s.Bias
-	if s.Resolution > 0 {
-		steps := math.Round(float64(v) / float64(s.Resolution))
-		v = units.Celsius(steps) * s.Resolution
+	if s.Resolution <= 0 {
+		return truth
 	}
-	return v
+	steps := math.Round(float64(truth) / float64(s.Resolution))
+	return units.Celsius(steps) * s.Resolution
 }
 
 // FlowMeter quantizes a flow reading.
@@ -178,13 +132,4 @@ func (m FlowMeter) Read(truth units.LitersPerHour) units.LitersPerHour {
 	}
 	steps := math.Round(float64(truth) / float64(m.Resolution))
 	return units.LitersPerHour(steps) * m.Resolution
-}
-
-// Branch splits a flow evenly across n parallel branches, as the prototype
-// does for its two CPUs ("connected in parallel in the water circulation").
-func Branch(total units.LitersPerHour, n int) (units.LitersPerHour, error) {
-	if n <= 0 {
-		return 0, errors.New("hydro: Branch requires n >= 1")
-	}
-	return units.LitersPerHour(float64(total) / float64(n)), nil
 }

@@ -67,9 +67,6 @@ func (s *LastGoodSensor) Read(live units.Celsius, stuck bool) (units.Celsius, Se
 	return live, SensorDegraded
 }
 
-// Staleness returns how many consecutive stale servings the sensor has made.
-func (s *LastGoodSensor) Staleness() int { return s.stale }
-
 // SensorState is a LastGoodSensor's serializable snapshot: the held last-good
 // reading, the consecutive-stale count, and whether a good reading was ever
 // captured. It is the sensor's only cross-interval state, so checkpointing a

@@ -2,6 +2,9 @@ package hydro
 
 import "testing"
 
+// Staleness returns how many consecutive stale servings the sensor has made.
+func (s *LastGoodSensor) Staleness() int { return s.stale }
+
 func TestLastGoodSensorLifecycle(t *testing.T) {
 	var s LastGoodSensor // zero value: DefaultSensorMaxStale
 	// Never primed: a stuck channel degrades immediately.

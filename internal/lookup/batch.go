@@ -30,9 +30,6 @@ type BatchLoc struct {
 	w0, w1 []float64
 }
 
-// Len returns the number of located elements.
-func (l *BatchLoc) Len() int { return l.n }
-
 // grow resizes the location arrays to n elements, reusing capacity.
 func (l *BatchLoc) grow(n int) {
 	if cap(l.iu) < n {
@@ -64,12 +61,12 @@ func (s *Space) LocateColumn(us []float64, l *BatchLoc) {
 }
 
 // BatchEval blends the CPU and outlet temperatures of one candidate cell at
-// every located element of l, writing into cpuT and out (each at least
-// l.Len() long). For a column located by LocateColumn the results are
-// bit-identical to calling CPUTemp/OutletTemp element-wise at the cell's
-// (grid-aligned) flow and inlet coordinates: the collapsed flow/inlet axes
-// contribute exact 0/1 trilinear weights, so Grid3D.Eval degenerates to the
-// same two-term blend evaluated here.
+// every located element of l, writing into cpuT and out (each at least as
+// long as the located column). For a column located by LocateColumn the
+// results are bit-identical to calling CPUTemp/OutletTemp element-wise at
+// the cell's (grid-aligned) flow and inlet coordinates: the collapsed
+// flow/inlet axes contribute exact 0/1 trilinear weights, so Grid3D.Eval
+// degenerates to the same two-term blend evaluated here.
 func (s *Space) BatchEval(cell int, l *BatchLoc, cpuT, out []float64) {
 	t := s.tabs
 	base := cell * t.nu

@@ -12,6 +12,9 @@ import (
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
+// Len returns the number of located elements.
+func (l *BatchLoc) Len() int { return l.n }
+
 func batchSpace(t testing.TB) *Space {
 	t.Helper()
 	s, err := Build(cpu.XeonE52650V3(), DefaultAxes())

@@ -90,19 +90,6 @@ type Space struct {
 // controller's Choose and DecideBatchCold.
 var ErrBandNotPositive = errors.New("lookup: safety band must be positive")
 
-// newSpace wires a Space around fitted grids, deriving the flattened
-// candidate tables. Every constructor (Build, ReadJSON) must come through
-// here so the tables always exist.
-func newSpace(spec cpu.Spec, axes Axes, tcpu, tout *numeric.Grid3D) *Space {
-	return &Space{
-		axes: axes,
-		spec: spec,
-		tcpu: tcpu,
-		tout: tout,
-		tabs: buildCandTables(axes, tcpu, tout),
-	}
-}
-
 // Build samples the CPU model over the grid — standing in for the prototype
 // measurement campaign — and fits the continuous space by trilinear
 // interpolation. The returned Space is never written to again and is safe
@@ -128,7 +115,13 @@ func Build(spec cpu.Spec, axes Axes) (*Space, error) {
 	tout.Fill(func(u, f, tin float64) float64 {
 		return float64(spec.OutletTemp(u, units.LitersPerHour(f), units.Celsius(tin)))
 	})
-	return newSpace(spec, axes, tcpu, tout), nil
+	return &Space{
+		axes: axes,
+		spec: spec,
+		tcpu: tcpu,
+		tout: tout,
+		tabs: buildCandTables(axes, tcpu, tout),
+	}, nil
 }
 
 // Spec returns the CPU spec the space was measured on.

@@ -86,6 +86,3 @@ func (t *candTables) locate(u float64) (int, float64) {
 	i = max(i, 1)
 	return i - 1, (u - ax[i-1]) / (ax[i] - ax[i-1])
 }
-
-// Cells returns the number of (flow, inlet) candidate cells per plane.
-func (s *Space) Cells() int { return s.tabs.cells }

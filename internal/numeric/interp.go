@@ -1,53 +1,14 @@
+// Package numeric provides the numerical substrate the H2P simulator needs
+// and that the Go standard library does not ship: trilinear interpolation
+// over a regular 3-D grid, fixed-step ODE integration, integer minimization
+// and evenly spaced axes. Everything is deterministic and allocation-light
+// so it can run inside tight simulation loops.
 package numeric
 
 import (
 	"errors"
-	"math"
 	"sort"
 )
-
-// Interp1D is a piecewise-linear interpolant over sorted knots. Queries
-// outside the knot range are linearly extrapolated from the end segments,
-// which matches how the paper extends its "limited measurements to a general
-// relationship" (Sec. V-B).
-type Interp1D struct {
-	xs, ys []float64
-}
-
-// NewInterp1D builds an interpolant from knot coordinates. xs must be
-// strictly increasing and at least two points long.
-func NewInterp1D(xs, ys []float64) (*Interp1D, error) {
-	if len(xs) != len(ys) {
-		return nil, errors.New("numeric: Interp1D length mismatch")
-	}
-	if len(xs) < 2 {
-		return nil, errors.New("numeric: Interp1D needs at least 2 knots")
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			return nil, errors.New("numeric: Interp1D knots must be strictly increasing")
-		}
-	}
-	return &Interp1D{
-		xs: append([]float64(nil), xs...),
-		ys: append([]float64(nil), ys...),
-	}, nil
-}
-
-// Eval returns the interpolated (or extrapolated) value at x.
-func (in *Interp1D) Eval(x float64) float64 {
-	i := sort.SearchFloat64s(in.xs, x)
-	switch {
-	case i == 0:
-		i = 1
-	case i >= len(in.xs):
-		i = len(in.xs) - 1
-	}
-	x0, x1 := in.xs[i-1], in.xs[i]
-	y0, y1 := in.ys[i-1], in.ys[i]
-	t := (x - x0) / (x1 - x0)
-	return y0 + t*(y1-y0)
-}
 
 // Grid3D is a regular 3-D grid of samples supporting trilinear interpolation:
 // the continuous look-up space fitted over the (utilization, flow, inlet
@@ -146,17 +107,4 @@ func (g *Grid3D) Eval(x, y, z float64) float64 {
 		}
 	}
 	return v
-}
-
-// MaxAbsDiff returns the largest absolute difference between the grid values
-// of g and h, which must share axis lengths.
-func (g *Grid3D) MaxAbsDiff(h *Grid3D) float64 {
-	m := 0.0
-	for i := range g.V {
-		d := math.Abs(g.V[i] - h.V[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

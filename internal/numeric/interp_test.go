@@ -6,56 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestInterp1DExactAtKnots(t *testing.T) {
-	xs := []float64{0, 1, 3, 7}
-	ys := []float64{5, 6, 2, 10}
-	in, err := NewInterp1D(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if got := in.Eval(xs[i]); math.Abs(got-ys[i]) > 1e-12 {
-			t.Errorf("Eval(%v) = %v, want %v", xs[i], got, ys[i])
-		}
-	}
-	if got := in.Eval(2); math.Abs(got-4) > 1e-12 {
-		t.Errorf("midpoint Eval(2) = %v, want 4", got)
-	}
-}
-
-func TestInterp1DExtrapolates(t *testing.T) {
-	in, _ := NewInterp1D([]float64{0, 1}, []float64{0, 2})
-	if got := in.Eval(2); math.Abs(got-4) > 1e-12 {
-		t.Errorf("extrapolation = %v, want 4", got)
-	}
-	if got := in.Eval(-1); math.Abs(got+2) > 1e-12 {
-		t.Errorf("extrapolation = %v, want -2", got)
-	}
-}
-
-func TestInterp1DErrors(t *testing.T) {
-	if _, err := NewInterp1D([]float64{0}, []float64{1}); err == nil {
-		t.Error("single knot should error")
-	}
-	if _, err := NewInterp1D([]float64{0, 0}, []float64{1, 2}); err == nil {
-		t.Error("duplicate knots should error")
-	}
-	if _, err := NewInterp1D([]float64{0, 1}, []float64{1}); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
-func TestInterp1DDefensiveCopy(t *testing.T) {
-	xs := []float64{0, 1}
-	ys := []float64{0, 1}
-	in, _ := NewInterp1D(xs, ys)
-	xs[0] = 100
-	ys[1] = -1
-	if got := in.Eval(0.5); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("mutating inputs changed interpolant: %v", got)
-	}
-}
-
 func TestGrid3DReproducesLinearFieldExactly(t *testing.T) {
 	// Trilinear interpolation must be exact for multilinear fields.
 	g, err := NewGrid3D(Linspace(0, 1, 5), Linspace(0, 100, 4), Linspace(30, 55, 6))
@@ -118,15 +68,4 @@ func frac(x float64) float64 {
 		return 0.5
 	}
 	return math.Abs(x) - math.Floor(math.Abs(x))
-}
-
-func TestGrid3DMaxAbsDiff(t *testing.T) {
-	g, _ := NewGrid3D([]float64{0, 1}, []float64{0, 1}, []float64{0, 1})
-	h, _ := NewGrid3D([]float64{0, 1}, []float64{0, 1}, []float64{0, 1})
-	g.Fill(func(x, y, z float64) float64 { return 1 })
-	h.Fill(func(x, y, z float64) float64 { return 1 })
-	h.Set(1, 1, 1, 4)
-	if got := g.MaxAbsDiff(h); got != 3 {
-		t.Errorf("MaxAbsDiff = %v, want 3", got)
-	}
 }

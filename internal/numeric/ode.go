@@ -69,25 +69,3 @@ func (r *RK4) Integrate(t0, t1 float64, y []float64, h float64) error {
 	}
 	return nil
 }
-
-// Euler advances the ODE with the explicit Euler method; used as a
-// cross-check of RK4 in tests and for very stiff-insensitive systems.
-func Euler(f Derivative, t0, t1 float64, y []float64, h float64) error {
-	if h <= 0 {
-		return errors.New("numeric: Euler step must be positive")
-	}
-	dydt := make([]float64, len(y))
-	t := t0
-	for t < t1 {
-		step := h
-		if t+step > t1 {
-			step = t1 - t
-		}
-		f(t, y, dydt)
-		for i := range y {
-			y[i] += step * dydt[i]
-		}
-		t += step
-	}
-	return nil
-}

@@ -64,22 +64,3 @@ func TestRK4Errors(t *testing.T) {
 		t.Error("zero step should error")
 	}
 }
-
-func TestEulerMatchesRK4Coarsely(t *testing.T) {
-	f := func(_ float64, y, d []float64) { d[0] = -0.5 * y[0] }
-	ye := []float64{10}
-	if err := Euler(f, 0, 4, ye, 1e-4); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := NewRK4(1, f)
-	yr := []float64{10}
-	if err := r.Integrate(0, 4, yr, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ye[0]-yr[0]) > 1e-3 {
-		t.Errorf("Euler %v vs RK4 %v", ye[0], yr[0])
-	}
-	if err := Euler(f, 0, 1, ye, -1); err == nil {
-		t.Error("negative step should error")
-	}
-}

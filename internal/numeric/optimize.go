@@ -2,93 +2,7 @@ package numeric
 
 import (
 	"errors"
-	"math"
 )
-
-// Brent finds a root of f in the bracketing interval [a, b] (f(a) and f(b)
-// must have opposite signs) using Brent's method: inverse quadratic
-// interpolation with bisection fallback.
-func Brent(f func(float64) float64, a, b, tol float64, maxIter int) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if fa*fb > 0 {
-		return 0, errors.New("numeric: Brent requires a sign change on [a,b]")
-	}
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b, fa, fb = b, a, fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	for i := 0; i < maxIter; i++ {
-		if fb == 0 || math.Abs(b-a) < tol {
-			return b, nil
-		}
-		var s float64
-		if fa != fc && fb != fc {
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		useBisect := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < tol) ||
-			(!mflag && math.Abs(c-d) < tol)
-		if useBisect {
-			s = (a + b) / 2
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs := f(s)
-		d, c, fc = c, b, fb
-		if fa*fs < 0 {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b, fa, fb = b, a, fb, fa
-		}
-	}
-	return b, nil
-}
-
-// GoldenSection minimizes a unimodal f over [a, b] to the given x tolerance
-// and returns the minimizing x and f(x).
-func GoldenSection(f func(float64) float64, a, b, tol float64) (x, fx float64) {
-	const invPhi = 0.6180339887498949 // (sqrt(5)-1)/2
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for math.Abs(b-a) > tol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	x = (a + b) / 2
-	return x, f(x)
-}
 
 // ArgminInt minimizes f over the integer range [lo, hi] by exhaustive scan
 // (the paper's circulation-design objective is evaluated over divisor counts,
@@ -104,25 +18,6 @@ func ArgminInt(f func(int) float64, lo, hi int) (int, float64, error) {
 		}
 	}
 	return bestX, bestF, nil
-}
-
-// GridSearch2D maximizes f over the Cartesian product of xs and ys and
-// returns the best (x, y) and value. NaN values of f are skipped. If every
-// candidate is NaN, ok is false.
-func GridSearch2D(f func(x, y float64) float64, xs, ys []float64) (bx, by, bf float64, ok bool) {
-	bf = math.Inf(-1)
-	for _, x := range xs {
-		for _, y := range ys {
-			v := f(x, y)
-			if math.IsNaN(v) {
-				continue
-			}
-			if v > bf {
-				bx, by, bf, ok = x, y, v, true
-			}
-		}
-	}
-	return bx, by, bf, ok
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

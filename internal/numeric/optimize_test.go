@@ -3,61 +3,7 @@ package numeric
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestBrentFindsRoot(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 2*x - 5 }
-	root, err := Brent(f, 2, 3, 1e-12, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f(root)) > 1e-9 {
-		t.Errorf("f(root) = %v at root %v", f(root), root)
-	}
-}
-
-func TestBrentEndpointRoot(t *testing.T) {
-	f := func(x float64) float64 { return x - 1 }
-	root, err := Brent(f, 1, 5, 1e-12, 100)
-	if err != nil || root != 1 {
-		t.Errorf("root = %v, err = %v, want 1", root, err)
-	}
-	root, err = Brent(f, -3, 1, 1e-12, 100)
-	if err != nil || root != 1 {
-		t.Errorf("root = %v, err = %v, want 1", root, err)
-	}
-}
-
-func TestBrentNoSignChange(t *testing.T) {
-	if _, err := Brent(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-9, 50); err == nil {
-		t.Error("no sign change should error")
-	}
-}
-
-func TestBrentPropertyLinear(t *testing.T) {
-	// For any positive slope a and root r in (0, 10), Brent on [−1, 11]
-	// must recover r.
-	f := func(aRaw, rRaw float64) bool {
-		if math.IsNaN(aRaw) || math.IsInf(aRaw, 0) || math.IsNaN(rRaw) || math.IsInf(rRaw, 0) {
-			return true
-		}
-		a := 0.1 + math.Abs(math.Mod(aRaw, 10))
-		r := math.Abs(math.Mod(rRaw, 10))
-		root, err := Brent(func(x float64) float64 { return a * (x - r) }, -1, 11, 1e-12, 200)
-		return err == nil && math.Abs(root-r) < 1e-8
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	x, fx := GoldenSection(func(x float64) float64 { return (x - 2.5) * (x - 2.5) }, 0, 10, 1e-10)
-	if math.Abs(x-2.5) > 1e-8 || fx > 1e-15 {
-		t.Errorf("minimum at %v (f=%v), want 2.5", x, fx)
-	}
-}
 
 func TestArgminInt(t *testing.T) {
 	// U-shaped discrete objective like the circulation-cost curve.
@@ -71,24 +17,6 @@ func TestArgminInt(t *testing.T) {
 	}
 	if _, _, err := ArgminInt(f, 5, 4); err == nil {
 		t.Error("empty range should error")
-	}
-}
-
-func TestGridSearch2D(t *testing.T) {
-	f := func(x, y float64) float64 { return -(x-3)*(x-3) - (y-4)*(y-4) }
-	xs := Linspace(0, 10, 11)
-	ys := Linspace(0, 10, 11)
-	bx, by, bf, ok := GridSearch2D(f, xs, ys)
-	if !ok || bx != 3 || by != 4 || bf != 0 {
-		t.Errorf("grid search = (%v,%v,%v,%v)", bx, by, bf, ok)
-	}
-}
-
-func TestGridSearch2DAllNaN(t *testing.T) {
-	f := func(x, y float64) float64 { return math.NaN() }
-	_, _, _, ok := GridSearch2D(f, []float64{1}, []float64{1})
-	if ok {
-		t.Error("all-NaN grid should report !ok")
 	}
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 
@@ -86,54 +85,4 @@ func ConvertSpans(spans []telemetry.Span) TraceFile {
 func WriteTraceEvents(w io.Writer, spans []telemetry.Span) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(ConvertSpans(spans))
-}
-
-// ValidateTraceEvents parses trace_event JSON back and checks the structural
-// invariants a viewer relies on: every event has a phase, complete events
-// have non-negative ts/dur and a named track, and every tid used by a
-// complete event is named by exactly one thread_name metadata event. It
-// returns the parsed file for field-by-field inspection.
-func ValidateTraceEvents(r io.Reader) (*TraceFile, error) {
-	var tf TraceFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&tf); err != nil {
-		return nil, fmt.Errorf("obs: trace-event JSON: %w", err)
-	}
-	tracks := make(map[int]string)
-	for i, ev := range tf.TraceEvents {
-		if ev.Ph != "M" {
-			continue
-		}
-		if ev.Name != "thread_name" {
-			return nil, fmt.Errorf("obs: metadata event %d: unexpected name %q", i, ev.Name)
-		}
-		name, _ := ev.Args["name"].(string)
-		if name == "" {
-			return nil, fmt.Errorf("obs: metadata event %d: thread_name without args.name", i)
-		}
-		if prev, dup := tracks[ev.Tid]; dup {
-			return nil, fmt.Errorf("obs: tid %d named twice (%q, %q)", ev.Tid, prev, name)
-		}
-		tracks[ev.Tid] = name
-	}
-	for i, ev := range tf.TraceEvents {
-		switch ev.Ph {
-		case "M":
-		case "X":
-			if ev.Name == "" {
-				return nil, fmt.Errorf("obs: event %d: empty name", i)
-			}
-			if ev.Ts < 0 || ev.Dur < 0 {
-				return nil, fmt.Errorf("obs: event %d (%s): negative ts/dur", i, ev.Name)
-			}
-			if _, ok := tracks[ev.Tid]; !ok {
-				return nil, fmt.Errorf("obs: event %d (%s): tid %d has no thread_name", i, ev.Name, ev.Tid)
-			}
-		case "":
-			return nil, fmt.Errorf("obs: event %d: missing phase", i)
-		default:
-			return nil, fmt.Errorf("obs: event %d: unsupported phase %q", i, ev.Ph)
-		}
-	}
-	return &tf, nil
 }

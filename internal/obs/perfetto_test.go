@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -75,7 +78,7 @@ func TestPerfettoGolden(t *testing.T) {
 // wrap-around — and validates the result.
 func TestPerfettoFromTracerRing(t *testing.T) {
 	tr := telemetry.NewTracer(8)
-	base := tr.Epoch()
+	base := time.Now()
 	for i := 0; i < 20; i++ {
 		tr.Record("interval", int64(i), base.Add(time.Duration(i)*time.Millisecond), time.Millisecond)
 	}
@@ -125,4 +128,54 @@ func TestValidateTraceEventsRejects(t *testing.T) {
 			t.Errorf("%s: validator accepted %s", label, in)
 		}
 	}
+}
+
+// ValidateTraceEvents parses trace_event JSON back and checks the structural
+// invariants a viewer relies on: every event has a phase, complete events
+// have non-negative ts/dur and a named track, and every tid used by a
+// complete event is named by exactly one thread_name metadata event. It
+// returns the parsed file for field-by-field inspection.
+func ValidateTraceEvents(r io.Reader) (*TraceFile, error) {
+	var tf TraceFile
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&tf); err != nil {
+		return nil, fmt.Errorf("obs: trace-event JSON: %w", err)
+	}
+	tracks := make(map[int]string)
+	for i, ev := range tf.TraceEvents {
+		if ev.Ph != "M" {
+			continue
+		}
+		if ev.Name != "thread_name" {
+			return nil, fmt.Errorf("obs: metadata event %d: unexpected name %q", i, ev.Name)
+		}
+		name, _ := ev.Args["name"].(string)
+		if name == "" {
+			return nil, fmt.Errorf("obs: metadata event %d: thread_name without args.name", i)
+		}
+		if prev, dup := tracks[ev.Tid]; dup {
+			return nil, fmt.Errorf("obs: tid %d named twice (%q, %q)", ev.Tid, prev, name)
+		}
+		tracks[ev.Tid] = name
+	}
+	for i, ev := range tf.TraceEvents {
+		switch ev.Ph {
+		case "M":
+		case "X":
+			if ev.Name == "" {
+				return nil, fmt.Errorf("obs: event %d: empty name", i)
+			}
+			if ev.Ts < 0 || ev.Dur < 0 {
+				return nil, fmt.Errorf("obs: event %d (%s): negative ts/dur", i, ev.Name)
+			}
+			if _, ok := tracks[ev.Tid]; !ok {
+				return nil, fmt.Errorf("obs: event %d (%s): tid %d has no thread_name", i, ev.Name, ev.Tid)
+			}
+		case "":
+			return nil, fmt.Errorf("obs: event %d: missing phase", i)
+		default:
+			return nil, fmt.Errorf("obs: event %d: unsupported phase %q", i, ev.Ph)
+		}
+	}
+	return &tf, nil
 }

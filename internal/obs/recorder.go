@@ -123,16 +123,6 @@ func (r *Recorder) writeAt(rec *Record, at time.Time) {
 	}
 }
 
-// Err returns the first write error, if any.
-func (r *Recorder) Err() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
 // Flush drains the buffer to the underlying writer.
 func (r *Recorder) Flush() error {
 	if r == nil {

@@ -460,3 +460,13 @@ func TestSummarizeGroupsConcurrentRuns(t *testing.T) {
 		t.Errorf("second summary = %+v", sums[1])
 	}
 }
+
+// Err returns the first write error, if any.
+func (r *Recorder) Err() error {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
+}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestWriteMarkdownShape(t *testing.T) {
 func TestWriteTruncatesLongTables(t *testing.T) {
 	tab := &experiments.Table{ID: "BIG", Title: "big", Columns: []string{"i"}}
 	for i := 0; i < 100; i++ {
-		tab.AddRowf(float64(i))
+		tab.AddRow(strconv.Itoa(i))
 	}
 	var buf bytes.Buffer
 	opts := DefaultOptions(experiments.EvalParams{Servers: 10, Seed: 1})
@@ -82,7 +83,11 @@ func TestGenerateSmallScale(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	opts := DefaultOptions(experiments.EvalParams{Servers: 60, Seed: 42})
-	if err := Generate(&buf, opts); err != nil {
+	tables, err := experiments.RunAll(opts.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(&buf, opts, tables); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

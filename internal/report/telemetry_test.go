@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/h2p-sim/h2p/internal/experiments"
 	"github.com/h2p-sim/h2p/internal/telemetry"
@@ -37,7 +38,7 @@ func TestWriteTelemetrySnapshotSection(t *testing.T) {
 	h.Observe(3.5)
 	h.Observe(4.5)
 	tr := reg.Tracer(8)
-	tr.Record("interval", 0, tr.Epoch(), 0)
+	tr.Record("interval", 0, time.Now(), 0)
 
 	var buf bytes.Buffer
 	opts := DefaultOptions(experiments.EvalParams{Servers: 10, Seed: 1})

@@ -37,13 +37,6 @@ func NewStabilizedController(inner *Controller, gainThreshold units.Watts) (*Sta
 	return &StabilizedController{Inner: inner, GainThreshold: gainThreshold}, nil
 }
 
-// Reset clears the held setting and the actuation counters.
-func (s *StabilizedController) Reset() {
-	s.hasLast = false
-	s.Changes = 0
-	s.Intervals = 0
-}
-
 // Decide runs one control interval with hysteresis, against the inner
 // controller's default cold side (ColdSource).
 func (s *StabilizedController) Decide(us []float64, scheme Scheme) (Decision, error) {

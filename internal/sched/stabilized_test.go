@@ -112,18 +112,6 @@ func TestStabilizedSwitchesWhenUnsafe(t *testing.T) {
 	}
 }
 
-func TestStabilizedReset(t *testing.T) {
-	inner := newController(t)
-	st, _ := NewStabilizedController(inner, 0.1)
-	if _, err := st.Decide([]float64{0.2}, Original); err != nil {
-		t.Fatal(err)
-	}
-	st.Reset()
-	if st.Changes != 0 || st.Intervals != 0 || st.hasLast {
-		t.Error("reset incomplete")
-	}
-}
-
 // TestStabilizedChoosesOncePerInterval pins the stabilized controller's
 // cache accounting: each Decide makes exactly one Choose call, whichever
 // branch it takes — keeping the held setting, switching because it turned

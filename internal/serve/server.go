@@ -213,9 +213,6 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Hub returns the server's live-run hub (the one behind /runs and SSE).
-func (s *Server) Hub() *obs.Hub { return s.hub }
-
 // Handler returns the server's HTTP surface: the /api/v1 endpoints, with
 // everything else falling through to the live-run endpoints (/runs, SSE) and
 // the telemetry handler (/metrics, /metrics.json, /trace, /healthz).

@@ -464,7 +464,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	// The hub is shut down: SSE streams terminate with the shutdown frame
 	// (covered in internal/obs); Done() must be closed.
 	select {
-	case <-s.Hub().Done():
+	case <-s.hub.Done():
 	default:
 		t.Fatal("hub not shut down after drain")
 	}

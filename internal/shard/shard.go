@@ -16,10 +16,6 @@ import (
 // Stats is the run pipeline's timing read (core.ShardStats).
 type Stats = core.ShardStats
 
-// StatsSink is implemented by an observer that wants the pipeline's Stats
-// (core.ShardStatsSink).
-type StatsSink = core.ShardStatsSink
-
 // Options shapes one run. The zero value (and a nil *Options) runs with one
 // shard per CPU.
 type Options struct {

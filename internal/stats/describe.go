@@ -97,17 +97,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // RMSE returns the root-mean-square error between two equally long series.
 // The paper reports its CPU power fit (Eq. 20) has RMSE < 5 W; the model
 // calibration tests use this to enforce the same bound.

@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 )
 
@@ -27,57 +26,11 @@ func (n Normal) CDF(x float64) float64 {
 	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
 }
 
-// Quantile returns the value x such that CDF(x) = p, for p in (0, 1).
-// It inverts the CDF with a bracketed bisection refined by Newton steps,
-// which is robust over the full open interval.
-func (n Normal) Quantile(p float64) (float64, error) {
-	if !(p > 0 && p < 1) {
-		return 0, errors.New("stats: quantile probability must be in (0,1)")
-	}
-	// Initial guess from the Beasley-Springer/Moro style logistic
-	// approximation, then polish with Newton (the derivative is the PDF).
-	x := n.Mu + n.Sigma*math.Sqrt2*erfInv(2*p-1)
-	for i := 0; i < 8; i++ {
-		f := n.CDF(x) - p
-		d := n.PDF(x)
-		if d <= 0 {
-			break
-		}
-		step := f / d
-		x -= step
-		if math.Abs(step) < 1e-13*(1+math.Abs(x)) {
-			break
-		}
-	}
-	return x, nil
-}
-
-// erfInv approximates the inverse error function; the result is only used to
-// seed Newton iteration so moderate accuracy suffices.
-func erfInv(y float64) float64 {
-	if y <= -1 {
-		return math.Inf(-1)
-	}
-	if y >= 1 {
-		return math.Inf(1)
-	}
-	// Winitzki's approximation.
-	const a = 0.147
-	ln := math.Log(1 - y*y)
-	t1 := 2/(math.Pi*a) + ln/2
-	return math.Copysign(math.Sqrt(math.Sqrt(t1*t1-ln/a)-t1), y)
-}
-
 // MaxOrderStatistic describes the distribution of the maximum of m i.i.d.
 // draws from an underlying normal (Eq. 15-16 of the paper: F_max = F^m).
 type MaxOrderStatistic struct {
 	Base Normal
 	M    int // number of draws, must be >= 1
-}
-
-// CDF returns P(max <= x) = F(x)^m.
-func (o MaxOrderStatistic) CDF(x float64) float64 {
-	return math.Pow(o.Base.CDF(x), float64(o.M))
 }
 
 // PDF returns the density m*F(x)^(m-1)*f(x) of the maximum (Eq. 16).
@@ -107,16 +60,4 @@ func (o MaxOrderStatistic) Mean() float64 {
 		sum += w * x * o.PDF(x)
 	}
 	return sum * h / 3
-}
-
-// MeanApprox returns the classical asymptotic approximation
-// mu + sigma*(sqrt(2 ln m) - (ln ln m + ln 4pi)/(2 sqrt(2 ln m))), useful as a
-// cross-check of the quadrature for large m.
-func (o MaxOrderStatistic) MeanApprox() float64 {
-	m := float64(o.M)
-	if o.M <= 1 {
-		return o.Base.Mu
-	}
-	l := math.Sqrt(2 * math.Log(m))
-	return o.Base.Mu + o.Base.Sigma*(l-(math.Log(math.Log(m))+math.Log(4*math.Pi))/(2*l))
 }

@@ -66,9 +66,6 @@ func ServerSuperCap() *Element {
 // StoredWh returns the element's current stored energy.
 func (e *Element) StoredWh() float64 { return e.storedWh }
 
-// SoC returns the state of charge in [0, 1].
-func (e *Element) SoC() float64 { return e.storedWh / e.CapacityWh }
-
 // Charge absorbs up to p watts for dt hours and returns the power actually
 // accepted (before efficiency loss). p must be non-negative.
 func (e *Element) Charge(p units.Watts, dtHours float64) units.Watts {

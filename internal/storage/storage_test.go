@@ -55,8 +55,8 @@ func TestChargeRespectsRateAndCapacity(t *testing.T) {
 	if math.Abs(float64(got)-2.5) > 1e-12 {
 		t.Errorf("capacity limit: accepted %v, want 2.5", got)
 	}
-	if math.Abs(e.SoC()-1) > 1e-12 {
-		t.Errorf("SoC = %v, want 1", e.SoC())
+	if soc := e.StoredWh() / e.CapacityWh; math.Abs(soc-1) > 1e-12 {
+		t.Errorf("SoC = %v, want 1", soc)
 	}
 	if e.Charge(1, 1) != 0 {
 		t.Error("full element should refuse charge")

@@ -233,13 +233,6 @@ func (m *Module) Cost() units.USD {
 	return units.USD(float64(m.Device.UnitCost) * float64(m.N))
 }
 
-// MonthlyCapEx amortizes the module cost over the device lifespan, giving the
-// TEGCapEx entry of Table I ($0.04/(server*month) for 12 TEGs over 25 years).
-func (m *Module) MonthlyCapEx() units.USD {
-	months := m.Device.LifespanYears * 12
-	return units.USD(float64(m.Cost()) / months)
-}
-
 // FlowDerating models the secondary effect of coolant flow rate on TEG output
 // observed in Fig. 7: larger flow keeps the cold-plate faces closer to the
 // coolant temperatures, slightly raising the effective temperature

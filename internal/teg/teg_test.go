@@ -162,12 +162,9 @@ func TestDeviceValidation(t *testing.T) {
 	}
 }
 
-func TestMonthlyCapExMatchesTableI(t *testing.T) {
-	// Table I: 12 TEGs at $1 over 25 years = $0.04/(server*month).
+func TestModuleCostMatchesTableI(t *testing.T) {
+	// Table I: 12 TEGs at $1 per server.
 	m, _ := NewModule(SP1848(), 12)
-	if got := float64(m.MonthlyCapEx()); math.Abs(got-0.04) > 1e-12 {
-		t.Errorf("TEGCapEx = %v, want 0.04", got)
-	}
 	if c := m.Cost(); c != 12 {
 		t.Errorf("module cost = %v, want $12", c)
 	}

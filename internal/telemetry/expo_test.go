@@ -115,7 +115,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 func TestWriteTrace(t *testing.T) {
 	r := New()
 	tr := r.Tracer(8)
-	tr.Record("interval", 3, tr.Epoch().Add(time.Microsecond), 2*time.Microsecond)
+	tr.Record("interval", 3, tr.epoch.Add(time.Microsecond), 2*time.Microsecond)
 	var b strings.Builder
 	if err := r.WriteTrace(&b); err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestSnapshotCountsEvictedSpans(t *testing.T) {
 	r := New()
 	tr := r.Tracer(2)
 	for i := 0; i < 5; i++ {
-		tr.Record("s", 0, tr.Epoch(), 0)
+		tr.Record("s", 0, tr.epoch, 0)
 	}
 	if got := r.Snapshot().SpansRecorded; got != 5 {
 		t.Errorf("SpansRecorded = %d, want 5", got)

@@ -88,15 +88,6 @@ func histogramSum(h *metrics.Float64Histogram) float64 {
 	return total
 }
 
-// SampleSelfStats takes one self-stats sample into the registry's gauges
-// (registering them on first use). Nil-receiver safe.
-func (r *Registry) SampleSelfStats() {
-	if r == nil {
-		return
-	}
-	newSelfSampler(r).sample()
-}
-
 // StartSelfStats samples the process's runtime health into the registry
 // every `every` (<= 0 picks 5s) until the returned stop function is called.
 // A nil registry returns a no-op stop. One immediate sample is taken before

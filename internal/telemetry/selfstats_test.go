@@ -9,7 +9,7 @@ import (
 
 func TestSampleSelfStats(t *testing.T) {
 	r := New()
-	r.SampleSelfStats()
+	newSelfSampler(r).sample()
 	if v := r.Gauge(metricSelfHeapBytes, "").Value(); v <= 0 {
 		t.Errorf("heap bytes = %v, want > 0", v)
 	}
@@ -26,7 +26,6 @@ func TestSampleSelfStats(t *testing.T) {
 
 func TestSampleSelfStatsNil(t *testing.T) {
 	var r *Registry
-	r.SampleSelfStats() // must not panic
 	stop := r.StartSelfStats(time.Millisecond)
 	stop()
 	stop() // stop is idempotent

@@ -58,14 +58,6 @@ type Counter struct {
 // NewCounter returns a standalone counter (not attached to any registry).
 func NewCounter(name string) *Counter { return &Counter{name: name} }
 
-// Name returns the counter's export name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Add increments the counter by n. Safe for concurrent use; single-writer or
 // low-contention paths may call it directly, hot multi-writer paths should
 // prefer AddHint with a stable per-writer hint.
@@ -102,17 +94,6 @@ func (c *Counter) Value() uint64 {
 type Gauge struct {
 	name, help string
 	bits       atomic.Uint64
-}
-
-// NewGauge returns a standalone gauge.
-func NewGauge(name string) *Gauge { return &Gauge{name: name} }
-
-// Name returns the gauge's export name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
 
 // Set stores v. Nil-receiver safe.
@@ -165,14 +146,6 @@ func NewHistogram(name string, bounds []float64) *Histogram {
 		h.shards[i].counts = make([]atomic.Uint64, len(h.bounds)+1)
 	}
 	return h
-}
-
-// Name returns the histogram's export name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
 }
 
 // Observe records v. Nil-receiver safe; hot multi-writer paths should prefer

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestNilRegistryIsInert pins the disabled regime: a nil registry hands out
@@ -25,9 +26,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Value().Count != 0 {
 		t.Error("nil instruments must read zero")
 	}
-	if c.Name() != "" || g.Name() != "" || h.Name() != "" {
-		t.Error("nil instruments must have empty names")
-	}
 	if r.Snapshot() != nil {
 		t.Error("nil registry snapshot must be nil (disabled, not empty)")
 	}
@@ -45,7 +43,7 @@ func TestNilInstrumentRecordAllocs(t *testing.T) {
 		c.AddHint(1, 1)
 		g.Set(1)
 		h.ObserveHint(1, 1)
-		tr.Record("x", 0, tr.Epoch(), 0)
+		tr.Record("x", 0, time.Time{}, 0)
 	})
 	if allocs != 0 {
 		t.Errorf("nil-instrument records allocated %v times, want 0", allocs)
@@ -195,7 +193,7 @@ func TestBucketHelpers(t *testing.T) {
 
 // TestGauge checks set/read round-trips including negative values.
 func TestGauge(t *testing.T) {
-	g := NewGauge("g")
+	g := New().Gauge("g", "")
 	for _, v := range []float64{0, 1.5, -2.25, 1e9} {
 		g.Set(v)
 		if got := g.Value(); got != v {

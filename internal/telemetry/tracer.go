@@ -51,15 +51,6 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{epoch: time.Now(), spans: make([]Span, 0, capacity)}
 }
 
-// Epoch returns the tracer's zero time; Span.Start offsets are relative to
-// it. A nil tracer returns the zero time.
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
 // Record stores a span that started at start and lasted d. Nil-receiver
 // safe; allocation-free once the ring has wrapped (the ring grows to its
 // capacity on first use and is reused afterwards).
@@ -77,16 +68,6 @@ func (t *Tracer) Record(name string, arg int64, start time.Time, d time.Duration
 	}
 	t.next++
 	t.mu.Unlock()
-}
-
-// Len returns the number of spans currently retained.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
 }
 
 // Total returns the number of spans ever recorded, including those evicted

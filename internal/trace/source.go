@@ -29,11 +29,6 @@ func (m Meta) Validate() error {
 	return nil
 }
 
-// Duration returns the wall-clock span the source covers.
-func (m Meta) Duration() time.Duration {
-	return time.Duration(m.Intervals) * m.Interval
-}
-
 // Source is a pull-based stream of trace columns: the utilizations of every
 // server at one control interval. It is the streaming counterpart of *Trace
 // — the engine consumes one column at a time with an O(servers) working set,

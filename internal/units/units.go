@@ -61,9 +61,6 @@ const (
 // Kelvin converts a Celsius temperature to kelvin.
 func (c Celsius) Kelvin() Kelvin { return Kelvin(float64(c) + ZeroCelsiusInKelvin) }
 
-// Celsius converts a Kelvin temperature to degrees Celsius.
-func (k Kelvin) Celsius() Celsius { return Celsius(float64(k) - ZeroCelsiusInKelvin) }
-
 // String implements fmt.Stringer.
 func (c Celsius) String() string { return fmt.Sprintf("%.2f°C", float64(c)) }
 
@@ -81,11 +78,6 @@ func (u USD) String() string { return fmt.Sprintf("$%.2f", float64(u)) }
 func (f LitersPerHour) MassFlow() KgPerSecond {
 	// 1 L of water = 1 kg; 1 hour = 3600 s.
 	return KgPerSecond(float64(f) / 3600.0)
-}
-
-// LitersPerHour converts a mass flow of water back to a volumetric flow.
-func (m KgPerSecond) LitersPerHour() LitersPerHour {
-	return LitersPerHour(float64(m) * 3600.0)
 }
 
 // HeatCapacityRate returns the product m_dot*c_w in W/°C for a water stream:
@@ -124,9 +116,6 @@ func sign(x float64) int {
 // Joules converts an energy in joules to kilowatt-hours.
 func (j Joules) KilowattHours() KilowattHours { return KilowattHours(float64(j) / 3.6e6) }
 
-// Joules converts kilowatt-hours to joules.
-func (k KilowattHours) Joules() Joules { return Joules(float64(k) * 3.6e6) }
-
 // EnergyOver returns the energy, in joules, of a constant power draw p held
 // for the given number of seconds.
 func EnergyOver(p Watts, seconds float64) Joules { return Joules(float64(p) * seconds) }
@@ -140,9 +129,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// ClampC bounds a Celsius temperature to [lo, hi].
-func ClampC(x, lo, hi Celsius) Celsius {
-	return Celsius(Clamp(float64(x), float64(lo), float64(hi)))
 }
