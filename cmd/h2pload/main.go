@@ -361,7 +361,9 @@ func driveTenant(ctx context.Context, p *profile, client *http.Client, refs *ref
 	return rep
 }
 
-// waitTerminal long-polls a run until it reaches a terminal state.
+// waitTerminal long-polls a run until it reaches a terminal state. Any
+// reply but 200 fails at once with its status and the server's error text:
+// an error body carries no state, so polling on would only spin.
 func waitTerminal(ctx context.Context, client *http.Client, server, id string) (string, error) {
 	for {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, server+"/api/v1/runs/"+id+"?wait=30s", nil)
@@ -371,6 +373,11 @@ func waitTerminal(ctx context.Context, client *http.Client, server, id string) (
 		resp, err := client.Do(req)
 		if err != nil {
 			return "", err
+		}
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+			resp.Body.Close()
+			return "", fmt.Errorf("status poll: status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
 		}
 		var status serve.RunStatus
 		err = json.NewDecoder(resp.Body).Decode(&status)

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"context"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestLoadDeterministicProfile is the harness's own acceptance check: a
@@ -52,5 +58,34 @@ func TestLoadBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-spawn", "-server", "http://x"}, io.Discard, io.Discard); code != 2 {
 		t.Errorf("-spawn with -server exit = %d, want 2", code)
+	}
+}
+
+// TestWaitTerminalFailsOnErrorStatus pins the status poll's error path: a
+// reply other than 200 carries no run state, so waitTerminal must fail
+// after that one request, naming the status and the server's error text,
+// instead of re-polling until its deadline.
+func TestWaitTerminalFailsOnErrorStatus(t *testing.T) {
+	for _, code := range []int{http.StatusNotFound, http.StatusServiceUnavailable} {
+		var requests atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(code)
+			io.WriteString(w, `{"error":"no such run"}`)
+		}))
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		state, err := waitTerminal(ctx, srv.Client(), srv.URL, "r1")
+		cancel()
+		srv.Close()
+		if err == nil {
+			t.Fatalf("status %d: waitTerminal returned state %q, want an error", code, state)
+		}
+		if msg := err.Error(); !strings.Contains(msg, strconv.Itoa(code)) || !strings.Contains(msg, "no such run") {
+			t.Errorf("status %d: error %q does not name the status and the server's error", code, msg)
+		}
+		if n := requests.Load(); n != 1 {
+			t.Errorf("status %d: %d requests, want 1", code, n)
+		}
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"io"
-	"reflect"
+	"math"
+	"slices"
 	"sync"
 
 	"github.com/h2p-sim/h2p/internal/cpu"
@@ -35,12 +36,15 @@ func NewFleet() *Fleet { return &Fleet{} }
 
 // Space returns the memoized look-up space for spec and axes, building and
 // caching it on first use. Spaces are immutable after Build, so one space
-// may back any number of concurrent engines.
+// may back any number of concurrent engines. Axes match when their nodes
+// have the same bits: the same Build input, so a node Build accepts but ==
+// never matches (NaN) still finds its space.
 func (f *Fleet) Space(spec cpu.Spec, axes lookup.Axes) (*lookup.Space, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, s := range f.spaces {
-		if s.spec == spec && reflect.DeepEqual(s.axes, axes) {
+		if s.spec == spec && sameNodes(s.axes.Utilization, axes.Utilization) &&
+			sameNodes(s.axes.Flow, axes.Flow) && sameNodes(s.axes.Inlet, axes.Inlet) {
 			return s.space, nil
 		}
 	}
@@ -50,6 +54,11 @@ func (f *Fleet) Space(spec cpu.Spec, axes lookup.Axes) (*lookup.Space, error) {
 	}
 	f.spaces = append(f.spaces, fleetSpace{spec: spec, axes: axes, space: space})
 	return space, nil
+}
+
+// sameNodes reports whether two axes hold bit-identical nodes.
+func sameNodes(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // Engine builds an engine for cfg backed by the fleet's shared space.

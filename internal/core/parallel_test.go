@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -228,6 +230,50 @@ func TestFleetSharesSpaces(t *testing.T) {
 	}
 	if c == a {
 		t.Error("different axes must not share a space")
+	}
+}
+
+// TestFleetSpaceMemo pins the memo's key: axes with equal nodes in
+// distinct slices share one space, a change to one node of any axis gets a
+// different one, and an axis holding NaN (which Build accepts) finds its
+// space again rather than adding a space per call.
+func TestFleetSpaceMemo(t *testing.T) {
+	f := NewFleet()
+	cfg := DefaultConfig(sched.Original)
+	clone := func(ax lookup.Axes) lookup.Axes {
+		return lookup.Axes{
+			Utilization: slices.Clone(ax.Utilization),
+			Flow:        slices.Clone(ax.Flow),
+			Inlet:       slices.Clone(ax.Inlet),
+		}
+	}
+	space := func(ax lookup.Axes) *lookup.Space {
+		t.Helper()
+		s, err := f.Space(cfg.Spec, ax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	base := space(clone(cfg.Axes))
+	if space(clone(cfg.Axes)) != base {
+		t.Error("equal axes in distinct slices must share one space")
+	}
+	for i, node := range []func(*lookup.Axes) *float64{
+		func(ax *lookup.Axes) *float64 { return &ax.Utilization[2] },
+		func(ax *lookup.Axes) *float64 { return &ax.Flow[1] },
+		func(ax *lookup.Axes) *float64 { return &ax.Inlet[3] },
+	} {
+		ax := clone(cfg.Axes)
+		*node(&ax) += 0.001
+		if space(ax) == base {
+			t.Errorf("axis %d: a changed node must get a different space", i)
+		}
+	}
+	nan := clone(cfg.Axes)
+	nan.Utilization[3] = math.NaN()
+	if first, before := space(nan), len(f.spaces); space(clone(nan)) != first || len(f.spaces) != before {
+		t.Error("an axis holding NaN must find its memoized space")
 	}
 }
 

@@ -100,7 +100,7 @@ func TestBatchScanTelemetry(t *testing.T) {
 	s.AttachTelemetry(reg)
 	idx := s.SegmentIndex(61, 63)
 	var buf []SlabRow
-	slab, _, _ := s.SlabRows(idx, 0.63, &buf)
+	slab, _, _, _ := s.SlabRows(idx, 0.63, &buf)
 	if _, _, _ = s.PlaneRows(0.63, &buf); len(buf) != s.Cells() {
 		t.Fatalf("PlaneRows buffer holds %d rows, want %d", len(buf), s.Cells())
 	}
@@ -179,8 +179,9 @@ func TestLocateMatchesNumericCell(t *testing.T) {
 // axis extrapolates), every row PlaneRows packs blends, with the returned
 // weights, to exactly Space.At's CPU and outlet temperatures at its cell's
 // setting, in cell order with the cell's flow index; and SlabRows hands out
-// a subsequence of them that contains every cell whose CPU temperature lies
-// in the band — PlaneIntersection's members.
+// a set of those rows, each cell at most once, that contains every cell
+// whose CPU temperature lies in the band — PlaneIntersection's members —
+// sorted for exactly the planes inside the axis.
 func TestSlabRowsMatchVisitPlane(t *testing.T) {
 	const tsafe, band = units.Celsius(62), units.Celsius(1)
 	for _, ax := range locateAxes() {
@@ -189,16 +190,26 @@ func TestSlabRowsMatchVisitPlane(t *testing.T) {
 			t.Fatal(err)
 		}
 		ni := len(ax.Inlet)
+		last := len(ax.Utilization) - 1
 		idx := s.SegmentIndex(tsafe-band, tsafe+band)
 		var buf, slabBuf []SlabRow
 		for k := 0; k <= 400; k++ {
 			u := float64(k) / 400
 			rows, w0, w1 := s.PlaneRows(u, &buf)
-			slab, sw0, sw1 := s.SlabRows(idx, u, &slabBuf)
+			slab, sw0, sw1, sorted := s.SlabRows(idx, u, &slabBuf)
 			if sw0 != w0 || sw1 != w1 {
 				t.Fatalf("u=%v: SlabRows weights (%v, %v) != PlaneRows (%v, %v)", u, sw0, sw1, w0, w1)
 			}
-			next := 0
+			if inAxis := u >= ax.Utilization[0] && u <= ax.Utilization[last]; sorted != inAxis {
+				t.Fatalf("u=%v: SlabRows sorted = %v for a plane in the axis = %v", u, sorted, inAxis)
+			}
+			inSlab := make(map[int32]bool, len(slab))
+			for _, r := range slab {
+				if inSlab[r.Cell] || r != rows[r.Cell] {
+					t.Fatalf("u=%v: slab row %+v is a duplicate or differs from the plane's row", u, r)
+				}
+				inSlab[r.Cell] = true
+			}
 			for c, r := range rows {
 				flow, inlet := s.CellSetting(c)
 				p := s.At(u, flow, inlet)
@@ -206,14 +217,32 @@ func TestSlabRowsMatchVisitPlane(t *testing.T) {
 					w0*r.C0+w1*r.C1 != float64(p.CPUTemp) || w0*r.O0+w1*r.O1 != float64(p.Outlet) {
 					t.Fatalf("u=%v cell %d: row %+v with (%v, %v) != point %+v", u, c, r, w0, w1, p)
 				}
-				if p.CPUTemp < tsafe-band || p.CPUTemp > tsafe+band {
-					continue
-				}
-				for next < len(slab) && int(slab[next].Cell) < c {
-					next++
-				}
-				if next == len(slab) || slab[next] != r {
+				if p.CPUTemp >= tsafe-band && p.CPUTemp <= tsafe+band && !inSlab[r.Cell] {
 					t.Fatalf("u=%v: slab member cell %d missing from the slab rows", u, c)
+				}
+			}
+		}
+	}
+}
+
+// TestSegmentIndexOutletOrder pins the order the early-exit scan relies on:
+// within every segment, OutletMax never increases, and rows of equal
+// OutletMax run in ascending cell order.
+func TestSegmentIndexOutletOrder(t *testing.T) {
+	for _, ax := range locateAxes() {
+		s, err := Build(cpu.XeonE52650V3(), ax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, band := range [][2]units.Celsius{{61, 63}, {50, 80}, {-1000, 1000}} {
+			idx := s.SegmentIndex(band[0], band[1])
+			for b, seg := range idx.rows {
+				for i := 1; i < len(seg); i++ {
+					prev, cur := seg[i-1].OutletMax(), seg[i].OutletMax()
+					if cur > prev || (cur == prev && seg[i].Cell <= seg[i-1].Cell) {
+						t.Fatalf("axis %v band %v segment %d: row %d (cell %d, %v) after (cell %d, %v)",
+							ax.Utilization, band, b, i, seg[i].Cell, cur, seg[i-1].Cell, prev)
+					}
 				}
 			}
 		}

@@ -15,7 +15,9 @@ const (
 
 // spaceMetrics instruments the decision path's miss scan: per row fetch
 // (SlabRows, PlaneRows) — cache-miss work — the planes located and the rows
-// handed out.
+// handed out. The kernel's early exit visits only a prefix of a segment's
+// rows; the controller's h2p_decision_powercurve_evals_total counts the
+// rows it visited.
 type spaceMetrics struct {
 	batchScans      *telemetry.Counter
 	batchScanPlanes *telemetry.Histogram
@@ -37,7 +39,7 @@ func (s *Space) AttachTelemetry(reg *telemetry.Registry) {
 		batchScans: reg.Counter(metricBatchScans, "batched candidate-plane scans"),
 		batchScanPlanes: reg.Histogram(metricBatchScanPlanes, "utilization planes evaluated per batch scan",
 			telemetry.LinearBuckets(0, 32, 9)),
-		batchScanCells: reg.Histogram(metricBatchScanCells, "blocked candidate cells walked per batch scan",
+		batchScanCells: reg.Histogram(metricBatchScanCells, "slab rows handed to the miss-scan kernel per row fetch (its early exit may visit fewer)",
 			telemetry.LinearBuckets(0, 1000, 8)),
 	})
 }

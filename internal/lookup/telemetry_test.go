@@ -54,7 +54,7 @@ func TestUninstrumentedSpaceScansFreely(t *testing.T) {
 	s.PlaneRows(0.5, &buf)
 	var sink float64
 	allocs := testing.AllocsPerRun(20, func() {
-		rows, w0, _ := s.SlabRows(idx, 0.5, &buf)
+		rows, w0, _, _ := s.SlabRows(idx, 0.5, &buf)
 		sink += w0 * float64(len(rows))
 		rows, w0, _ = s.PlaneRows(0.5, &buf)
 		sink += w0 * rows[0].C0

@@ -21,15 +21,17 @@ import (
 //  3. resolve all cache-missed planes with resolvePlane, the fused kernel
 //     over the packed slab rows of the space's SegmentIndex
 //     (lookup.SlabRows) that also serves Choose's misses: the band filter,
-//     the outlet blend and the power argmax in one pass in cell order,
-//     rerun over the whole plane for the safety fallback,
+//     the outlet blend and the power argmax in one pass, hottest outlet
+//     first, that stops at a proven power bound, rerun over the whole plane
+//     for the safety fallback,
 //  4. scatter settings back to groups and evaluate the per-server outputs
 //     and the plane's outlet temperature with the flattened-stencil kernels
 //     (lookup.BatchEval) at the decided cell.
 //
 // Every step replicates the seed's operation sequence exactly — same
-// comparisons, same blend order, same argmax tie-breaking (first strictly
-// greater in cell-ascending order), same error messages — so the results are
+// comparisons, same blend order, same argmax outcome (the greatest power,
+// the lowest cell among ties: the seed's first strictly greater in
+// cell-ascending order), same error messages — so the results are
 // bit-identical to the seed formulation for any input. This package's
 // equivalence suites and fuzzer pin that contract against referees kept in
 // test code (referee_test.go).
@@ -225,10 +227,10 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 	c.observeBatch(len(ranges), len(bs.uniq))
 
 	// Phase 3: resolve all missed planes with the fused slab-row kernel.
-	// Row order per plane is cell-ascending — PlaneIntersection's — so the
-	// strictly-greater argmax picks the exact setting the seed's two-pass
-	// scan picks. A plane that finds no safe setting keeps its error in
-	// uErr, for the first group deciding it to report.
+	// Its argmax breaks ties on the lowest cell, so it picks the exact
+	// setting the seed's two-pass scan in cell order picks, whatever order
+	// it visits the rows in. A plane that finds no safe setting keeps its
+	// error in uErr, for the first group deciding it to report.
 	c.scanMisses(bs, cold)
 
 	// Phase 4: scatter in group order — publish fresh entries, account the
@@ -315,13 +317,13 @@ func (c *Controller) scanMisses(bs *BatchScratch, cold units.Celsius) {
 	idx := c.Space.SegmentIndex(c.TSafe-c.Band, c.TSafe+c.Band)
 	var evals uint64
 	for m, j := range bs.missIdx {
-		setting, power, cell, n, err := c.resolvePlane(idx, bs.missPlane[m], cold, &bs.plane)
+		setting, power, cell, visited, err := c.resolvePlane(idx, bs.missPlane[m], cold, &bs.plane)
+		evals += uint64(visited)
 		if err != nil {
 			bs.uErr[j] = err
 			continue
 		}
 		bs.uSetting[j], bs.uPower[j], bs.uCell[j] = setting, power, cell
-		evals += uint64(n)
 	}
 	if m := c.met; m != nil {
 		m.curveEvals.Add(evals)
@@ -336,26 +338,30 @@ func (c *Controller) scanMisses(bs *BatchScratch, cold units.Celsius) {
 //
 // The fused kernel streams the plane's slab rows from idx — only the cells
 // whose stencil envelope can intersect the band, a small fraction of the
-// plane — filtering, blending and folding the power argmax in one pass in
-// cell order. A plane with an empty slab reruns the kernel over the whole
-// plane with the band [-Inf, TSafe+Band]: the safety fallback, every setting
+// plane — hottest outlet first, filtering, blending and folding the power
+// argmax in one pass that stops once no later row can beat the best. A
+// plane with an empty slab reruns the kernel over the whole plane, to its
+// end, with the band [-Inf, TSafe+Band]: the safety fallback, every setting
 // keeping the die at or below TSafe+Band. A plane with no safe setting even
 // then fails with errNoSafeSetting. It returns the setting, its power, its
-// flat cell index and the number of candidates whose power was evaluated.
+// flat cell index and the number of rows the kernel visited, on failure
+// too.
 func (c *Controller) resolvePlane(idx *lookup.SegmentIndex, u float64, cold units.Celsius, buf *[]lookup.SlabRow) (Setting, units.Watts, int32, int, error) {
 	if c.Band <= 0 {
 		return Setting{}, 0, 0, 0, lookup.ErrBandNotPositive
 	}
 	lo, hi := float64(c.TSafe-c.Band), float64(c.TSafe+c.Band)
-	rows, w0, w1 := c.Space.SlabRows(idx, u, buf)
-	n, bestP, bestCell := c.curve.scanRows(rows, w0, w1, lo, hi, float64(cold))
+	rows, w0, w1, sorted := c.Space.SlabRows(idx, u, buf)
+	n, visited, bestP, bestCell := c.curve.scanRows(rows, w0, w1, lo, hi, float64(cold), sorted)
 	if n == 0 {
 		rows, w0, w1 = c.Space.PlaneRows(u, buf)
-		n, bestP, bestCell = c.curve.scanRows(rows, w0, w1, math.Inf(-1), hi, float64(cold))
+		var v int
+		n, v, bestP, bestCell = c.curve.scanRows(rows, w0, w1, math.Inf(-1), hi, float64(cold), false)
+		visited += v
 	}
 	if n == 0 {
-		return Setting{}, 0, 0, 0, errNoSafeSetting(u)
+		return Setting{}, 0, 0, visited, errNoSafeSetting(u)
 	}
 	flow, inlet := c.Space.CellSetting(int(bestCell))
-	return Setting{Flow: flow, Inlet: inlet}, bestP, bestCell, n, nil
+	return Setting{Flow: flow, Inlet: inlet}, bestP, bestCell, visited, nil
 }

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -223,4 +225,102 @@ func requireDecisionsMatch(t *testing.T, path string, g int, r refDecision, got 
 			t.Fatalf("%s group %d server %d: cpu power %v != %v", path, g, i, got.PerServerCPUPower[i], r.cpw[i])
 		}
 	}
+}
+
+// fuzzScanOutlet maps a fuzz byte to an outlet sample: a coarse grid of
+// temperatures, so rows often share outlets and tie on power, with
+// reserved values for NaN, ±Inf and a sample whose square overflows.
+func fuzzScanOutlet(b byte) float64 {
+	switch b {
+	case 0xFF:
+		return math.NaN()
+	case 0xFE:
+		return math.Inf(1)
+	case 0xFD:
+		return math.Inf(-1)
+	case 0xFC:
+		return 1e200
+	}
+	return 30 + float64(b%48)/2
+}
+
+// fuzzScanRows decodes four bytes per row (CPU samples, two outlet samples,
+// flow index and duplicate flag) into at most 32 slab rows. Cells are a
+// permutation of the row positions, so cell order is not data order; a row
+// with the duplicate flag copies an earlier row whole, cell included.
+func fuzzScanRows(data []byte) []lookup.SlabRow {
+	rows := make([]lookup.SlabRow, 0, min(len(data)/4, 32))
+	for i := 0; i+3 < len(data) && len(rows) < 32; i += 4 {
+		k := len(rows)
+		if meta := data[i+3]; meta&0x80 != 0 && k > 0 {
+			rows = append(rows, rows[int(meta&0x7F)%k])
+			continue
+		}
+		c0, c1 := 55+float64(data[i]&15), 55+float64(data[i]>>4)
+		if data[i] == 0xFF {
+			c0 = math.NaN()
+		}
+		rows = append(rows, lookup.SlabRow{
+			C0: c0, C1: c1,
+			O0: fuzzScanOutlet(data[i+1]), O1: fuzzScanOutlet(data[i+2]),
+			Cell: int32(k * 13 % 37), FlowIdx: int32(data[i+3] & 3),
+		})
+	}
+	return rows
+}
+
+// FuzzScanRows is the miss-scan kernel's exactness fuzzer: for arbitrary
+// rows (duplicate rows, tied powers, equal outlets, NaN and infinite
+// samples), bands, blend weights, cold sides (above every outlet, NaN,
+// ±Inf), derating factors (above 1, zero, negative) and Eq. 6 fits of any
+// signs, scanRows must reproduce scanRowsRef — the cell-order loop without
+// an early exit. On rows sorted as the segment index sorts them, with
+// weights (1-tx, tx) and tx in [0, 1], the early-exit scan must agree on
+// whether any row passed, the best power's bits and the best cell. On the
+// rows in data order, at any weights, the scan to the end must agree on the
+// member count too.
+func FuzzScanRows(f *testing.F) {
+	rows := []byte{
+		0x77, 40, 44, 0, 0x78, 44, 40, 1, 0x87, 44, 44, 2, 0x66, 50, 20, 3,
+		0x99, 10, 12, 0, 0x76, 40, 44, 0x81, 0x77, 46, 46, 1, 0x88, 46, 46, 2,
+	}
+	special := []byte{0x77, 0xFF, 40, 0, 0x77, 0xFE, 40, 1, 0xFF, 40, 40, 2, 0x77, 0xFC, 0xFD, 3, 0x77, 40, 40, 0x80}
+	f.Add(rows, 0.3, 61.0, 63.0, 20.0, 0.0011, -0.0003, 0.0003, 0.8, 1.3, uint8(12))
+	f.Add(rows, 0.0, 61.0, 63.0, 20.0, 0.0011, -0.0003, 0.0003, 0.8, 1.3, uint8(12))
+	f.Add(rows, 1.0, math.Inf(-1), 63.0, 45.0, 0.0011, -0.0003, 0.0003, 3.0, 0.5, uint8(12))
+	f.Add(rows, 0.5, 0.0, 100.0, 200.0, 0.0011, -0.0003, 0.0003, 1.0, 1.0, uint8(1))
+	f.Add(rows, 0.25, 0.0, 100.0, math.NaN(), 0.0011, -0.0003, 0.0003, 1.0, 1.0, uint8(1))
+	f.Add(rows, 0.25, 0.0, 100.0, math.Inf(1), 0.0011, -0.0003, 0.0003, 1.0, 1.0, uint8(1))
+	f.Add(rows, 0.25, 0.0, 100.0, math.Inf(-1), 0.0011, -0.0003, 0.0003, 1.0, 1.0, uint8(1))
+	f.Add(rows, 0.7, 60.0, 70.0, 20.0, 0.5, 0.02, -0.001, 1.2, 0.9, uint8(12))
+	f.Add(rows, 0.7, 60.0, 70.0, 20.0, -0.5, -0.02, -0.001, 1.2, -0.9, uint8(3))
+	f.Add(rows, 1.5, 60.0, 70.0, 20.0, 0.0011, -0.0003, 0.0003, 1.0, 1.0, uint8(12))
+	f.Add(special, 0.5, math.Inf(-1), math.Inf(1), 20.0, 0.0011, -0.0003, 0.0003, 0.0, 2.0, uint8(12))
+	f.Fuzz(func(t *testing.T, data []byte, tx, lo, hi, cold, f0, f1, f2, fa, fb float64, n uint8) {
+		pc := &powerCurve{n: float64(n), fit: [3]float64{f0, f1, f2}, factors: []float64{1, fa, fb, 0}}
+		for _, fc := range pc.factors {
+			pc.fmax = max(pc.fmax, math.Abs(fc))
+		}
+		rows := fuzzScanRows(data)
+		byCell := slices.Clone(rows)
+		slices.SortStableFunc(byCell, func(a, b lookup.SlabRow) int { return cmp.Compare(a.Cell, b.Cell) })
+
+		wn, wp, wc := pc.scanRowsRef(byCell, 1-tx, tx, lo, hi, cold)
+		gn, gv, gp, gc := pc.scanRows(rows, 1-tx, tx, lo, hi, cold, false)
+		if gn != wn || gv != len(rows) || math.Float64bits(float64(gp)) != math.Float64bits(float64(wp)) || gc != wc {
+			t.Fatalf("unsorted scan (n %d, visited %d, %v, cell %d) != reference (n %d, %v, cell %d)", gn, gv, gp, gc, wn, wp, wc)
+		}
+
+		if !(tx >= 0 && tx <= 1) {
+			tx = math.Abs(math.Mod(tx, 1)) // NaN stays NaN: a NaN plane's weights
+		}
+		sorted := slices.Clone(byCell)
+		slices.SortStableFunc(sorted, func(a, b lookup.SlabRow) int { return cmp.Compare(b.OutletMax(), a.OutletMax()) })
+		wn, wp, wc = pc.scanRowsRef(byCell, 1-tx, tx, lo, hi, cold)
+		gn, gv, gp, gc = pc.scanRows(sorted, 1-tx, tx, lo, hi, cold, true)
+		if (gn == 0) != (wn == 0) || gv > len(rows) || math.Float64bits(float64(gp)) != math.Float64bits(float64(wp)) || gc != wc {
+			t.Fatalf("tx %v: early-exit scan (n %d, visited %d, %v, cell %d) != reference (n %d, %v, cell %d)",
+				tx, gn, gv, gp, gc, wn, wp, wc)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/h2p-sim/h2p/internal/lookup"
 	"github.com/h2p-sim/h2p/internal/units"
@@ -105,4 +106,36 @@ func (c *Controller) decideSerial(us []float64, scheme Scheme, cold units.Celsiu
 		}
 	}
 	return d, nil
+}
+
+// scanRowsRef is the miss-scan kernel's referee: the loop scanRows ran
+// before its early exit, over rows in ascending cell order, keeping the
+// first strictly greater power. scanRows must reproduce its outcome from
+// rows in any order (sorted or not) bit for bit: whether any row passed,
+// the best power's bits and the best cell.
+func (pc *powerCurve) scanRowsRef(rows []lookup.SlabRow, w0, w1, lo, hi, cold float64) (int, units.Watts, int32) {
+	f0, f1, f2 := pc.fit[0], pc.fit[1], pc.fit[2]
+	n := 0
+	bestP := units.Watts(-1)
+	bestCell := int32(0)
+	for i := range rows {
+		r := &rows[i]
+		if ct := w0*r.C0 + w1*r.C1; !(ct >= lo && ct <= hi) {
+			continue
+		}
+		n++
+		var pw units.Watts
+		if dT := w0*r.O0 + w1*r.O1 - cold; dT > 0 {
+			x := math.Abs(dT * pc.factors[r.FlowIdx])
+			p := f0 + f1*x + f2*x*x
+			if p < 0 {
+				p = 0
+			}
+			pw = units.Watts(p * pc.n)
+		}
+		if pw > bestP {
+			bestP, bestCell = pw, r.Cell
+		}
+	}
+	return n, bestP, bestCell
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/h2p-sim/h2p/internal/cpu"
@@ -141,15 +142,15 @@ func TestScanRowsPredicateAndTies(t *testing.T) {
 	power := func(outlet units.Celsius) units.Watts {
 		return c.Module.MaxPower(outlet-20, units.LitersPerHour(c.Space.Axes().Flow[3]))
 	}
-	n, best, cell := c.curve.scanRows(rows, 0.5, 0.5, 61, 63, 20)
+	n, _, best, cell := c.curve.scanRows(rows, 0.5, 0.5, 61, 63, 20, false)
 	if want := power(45); n != 3 || best != want || cell != 4 {
 		t.Errorf("band [61, 63]: (%d, %v, %d), want (3, %v, 4)", n, best, cell, want)
 	}
-	n, best, cell = c.curve.scanRows(rows, 0.5, 0.5, math.Inf(-1), 63, 20)
+	n, _, best, cell = c.curve.scanRows(rows, 0.5, 0.5, math.Inf(-1), 63, 20, false)
 	if want := power(50); n != 4 || best != want || cell != 1 {
 		t.Errorf("band [-Inf, 63]: (%d, %v, %d), want (4, %v, 1)", n, best, cell, want)
 	}
-	if n, best, _ = c.curve.scanRows(rows[2:3], 0.5, 0.5, math.Inf(-1), math.Inf(1), 20); n != 0 || best != -1 {
+	if n, _, best, _ = c.curve.scanRows(rows[2:3], 0.5, 0.5, math.Inf(-1), math.Inf(1), 20, false); n != 0 || best != -1 {
 		t.Errorf("NaN row alone: (%d, %v), want (0, -1)", n, best)
 	}
 }
@@ -240,5 +241,73 @@ func TestDecideBatchChurnAllocationFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, decide); allocs != 0 {
 			t.Errorf("tsafe %v: churn DecideBatchCold = %v allocs/op, want 0", tsafe, allocs)
 		}
+	}
+}
+
+// TestScanBoundDominates pins the early exit's soundness: the watts the
+// kernel computes for a row never exceed bound at the row's OutletMax, over
+// random rows, blend weights (the plane ends included), cold sides and
+// fits — the default curve with its derating, and fits of every sign with
+// factors above 1, including fits whose vertex lies inside the range.
+func TestScanBoundDominates(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	curves := []*powerCurve{newController(t).curve}
+	for range 40 {
+		sign := func() float64 { return float64(rng.Intn(3) - 1) }
+		pc := &powerCurve{
+			n:       float64(1 + rng.Intn(24)),
+			fit:     [3]float64{sign() * rng.Float64(), sign() * rng.Float64() * 0.1, sign() * rng.Float64() * 0.01},
+			factors: []float64{rng.Float64() * 3, rng.Float64(), 1},
+		}
+		for _, fc := range pc.factors {
+			pc.fmax = max(pc.fmax, math.Abs(fc))
+		}
+		curves = append(curves, pc)
+	}
+	trials := 20000
+	if raceEnabled {
+		trials = 2000
+	}
+	for ci, pc := range curves {
+		for range trials {
+			r := lookup.SlabRow{O0: 20 + rng.Float64()*60, O1: 20 + rng.Float64()*60, FlowIdx: int32(rng.Intn(len(pc.factors)))}
+			if rng.Intn(4) == 0 {
+				r.O1 = r.O0 // equal samples: the blend rounds around one value
+			}
+			tx := rng.Float64()
+			switch rng.Intn(8) {
+			case 0:
+				tx = 0
+			case 1:
+				tx = 1
+			}
+			cold := rng.Float64() * 80
+			n, _, pw, _ := pc.scanRows([]lookup.SlabRow{r}, 1-tx, tx, math.Inf(-1), math.Inf(1), cold, false)
+			if b := pc.bound(r.OutletMax(), cold); n != 1 || float64(pw) > b {
+				t.Fatalf("curve %d %+v: row %+v tx %v cold %v: power %v above bound %v", ci, pc, r, tx, cold, pw, b)
+			}
+		}
+	}
+}
+
+// TestMissScanVisitsFewRows guards the early exit against silently turning
+// back into a full scan: over 10k planes of the default axes at a 20 °C
+// cold side, the miss scan visits at most 8 rows per plane on average
+// (about 4.5 today, of the ~104 its segment hands out).
+func TestMissScanVisitsFewRows(t *testing.T) {
+	c := newController(t)
+	idx := c.Space.SegmentIndex(c.TSafe-c.Band, c.TSafe+c.Band)
+	var buf []lookup.SlabRow
+	const planes = 10000
+	visited := 0
+	for k := range planes {
+		_, _, _, v, err := c.resolvePlane(idx, (float64(k)+0.5)/planes, 20, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visited += v
+	}
+	if mean := float64(visited) / planes; mean > 8 {
+		t.Errorf("miss scan visits %.2f rows per plane, want at most 8", mean)
 	}
 }

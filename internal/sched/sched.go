@@ -195,13 +195,13 @@ func (c *Controller) Choose(planeU float64, cold units.Celsius) (Setting, units.
 	}
 	idx := c.Space.SegmentIndex(c.TSafe-c.Band, c.TSafe+c.Band)
 	var buf []lookup.SlabRow
-	setting, power, cell, evals, err := c.resolvePlane(idx, planeU, cold, &buf)
+	setting, power, cell, visited, err := c.resolvePlane(idx, planeU, cold, &buf)
+	if m := c.met; m != nil {
+		m.curveEvals.Add(uint64(visited))
+	}
 	if err != nil {
 		c.addCacheCounts(hint, 1, 0, 0)
 		return Setting{}, 0, err
-	}
-	if m := c.met; m != nil {
-		m.curveEvals.Add(uint64(evals))
 	}
 	var inserted uint64
 	if c.cache.store(key, cb, setting, power, cell) {

@@ -29,8 +29,9 @@ type schedMetrics struct {
 	// how often they were commanded, not by how often they were computed).
 	chosenInlet *telemetry.Histogram
 	chosenFlow  *telemetry.Histogram
-	// curveEvals counts candidate power-curve evaluations: the Step 2-3
-	// scan work performed on cache misses.
+	// curveEvals counts the slab rows the miss-scan kernel visited — the
+	// Step 2-3 scan work performed on cache misses, up to each scan's early
+	// exit (lookup's scan-cells histogram counts the rows handed out).
 	curveEvals *telemetry.Counter
 	// batchGroups/batchUnique histogram each DecideBatchCold call's width: how
 	// many groups it decided and how many distinct (quantized) planes
@@ -59,7 +60,7 @@ func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 			telemetry.LinearBuckets(30, 2, 15)),
 		chosenFlow: reg.Histogram(metricChosenFlow, "chosen coolant flow per decision",
 			telemetry.LinearBuckets(20, 20, 12)),
-		curveEvals: reg.Counter(metricCurveEvals, "candidate TEG power-curve evaluations (cache-miss scan work)"),
+		curveEvals: reg.Counter(metricCurveEvals, "slab rows the miss-scan kernel evaluated, up to its early exit (cache-miss scan work)"),
 		batchGroups: reg.Histogram(metricBatchGroups, "decision groups per DecideBatchCold call",
 			telemetry.LinearBuckets(0, 8, 9)),
 		batchUnique: reg.Histogram(metricBatchUnique, "distinct quantized planes per DecideBatchCold call",

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
+	"github.com/h2p-sim/h2p/internal/lookup"
 	"github.com/h2p-sim/h2p/internal/telemetry"
 )
 
@@ -84,11 +86,14 @@ func TestAttachedCountersMatchCacheStats(t *testing.T) {
 
 // TestChosenSettingDistribution checks the decision histograms see one
 // observation per Choose — hits included — and that the miss scan reports
-// its power-curve evaluation work.
+// its work: the evaluation counter sums the rows each miss's kernel
+// visited, fewer than the rows the space handed out, since the early exit
+// stops short of a segment's end.
 func TestChosenSettingDistribution(t *testing.T) {
 	c := newController(t)
 	reg := telemetry.New()
 	c.AttachTelemetry(reg)
+	c.Space.AttachTelemetry(reg)
 	const n = 25
 	for i := 0; i < n; i++ {
 		if _, _, err := c.Choose(float64(i%5)/5, c.ColdSource); err != nil {
@@ -114,9 +119,29 @@ func TestChosenSettingDistribution(t *testing.T) {
 	if inlet.Mean <= 0 || flow.Mean <= 0 {
 		t.Errorf("degenerate means inlet=%v flow=%v", inlet.Mean, flow.Mean)
 	}
+	twin := newController(t)
+	idx := twin.Space.SegmentIndex(twin.TSafe-twin.Band, twin.TSafe+twin.Band)
+	var buf []lookup.SlabRow
+	var want uint64
+	for i := range 5 { // the five distinct planes, one miss each
+		_, _, _, visited, err := twin.resolvePlane(idx, float64(i)/5, twin.ColdSource, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += uint64(visited)
+	}
 	evals := reg.Counter("h2p_decision_powercurve_evals_total", "").Value()
-	if evals == 0 {
-		t.Error("miss scans must report power-curve evaluations")
+	if evals == 0 || evals != want {
+		t.Errorf("power-curve evaluations = %d, want the %d rows the misses visited", evals, want)
+	}
+	handed := math.NaN()
+	for _, h := range snap.Histograms {
+		if h.Name == "h2p_lookup_batch_scan_cells" {
+			handed = h.Sum
+		}
+	}
+	if !(float64(evals) < handed) {
+		t.Errorf("kernel visited %d rows of the %v handed out, want fewer", evals, handed)
 	}
 }
 
