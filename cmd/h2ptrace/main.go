@@ -97,12 +97,12 @@ func run(stdout io.Writer, gen string, servers int, seed int64, out, inspect, im
 		}
 		return tr.WriteCSV(w)
 	case inspect != "":
-		f, err := os.Open(inspect)
+		src, err := trace.OpenCSVFile(inspect)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		tr, err := trace.ReadCSV(f)
+		defer src.Close()
+		tr, err := trace.Materialize(src)
 		if err != nil {
 			return err
 		}

@@ -91,7 +91,9 @@ func GenerateTraces(servers int, seed int64) ([]*Trace, error) {
 }
 
 // LoadTrace parses a CSV workload trace (see Trace.WriteCSV for the format;
-// plain headerless matrices are also accepted).
+// plain headerless matrices are also accepted). It reads r to the end and
+// decodes it with the streaming reader, so quoted fields and fields over
+// 64 bytes are refused.
 func LoadTrace(r io.Reader) (*Trace, error) { return trace.ReadCSV(r) }
 
 // LoadAlibabaTrace parses a long-format usage file in the Alibaba

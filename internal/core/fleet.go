@@ -37,8 +37,7 @@ func NewFleet() *Fleet { return &Fleet{} }
 // Space returns the memoized look-up space for spec and axes, building and
 // caching it on first use. Spaces are immutable after Build, so one space
 // may back any number of concurrent engines. Axes match when their nodes
-// have the same bits: the same Build input, so a node Build accepts but ==
-// never matches (NaN) still finds its space.
+// have the same bits: the same Build input.
 func (f *Fleet) Space(spec cpu.Spec, axes lookup.Axes) (*lookup.Space, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

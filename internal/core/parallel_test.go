@@ -235,8 +235,8 @@ func TestFleetSharesSpaces(t *testing.T) {
 
 // TestFleetSpaceMemo pins the memo's key: axes with equal nodes in
 // distinct slices share one space, a change to one node of any axis gets a
-// different one, and an axis holding NaN (which Build accepts) finds its
-// space again rather than adding a space per call.
+// different one, and a NaN or infinite node on any axis fails without
+// adding a space.
 func TestFleetSpaceMemo(t *testing.T) {
 	f := NewFleet()
 	cfg := DefaultConfig(sched.Original)
@@ -259,21 +259,31 @@ func TestFleetSpaceMemo(t *testing.T) {
 	if space(clone(cfg.Axes)) != base {
 		t.Error("equal axes in distinct slices must share one space")
 	}
-	for i, node := range []func(*lookup.Axes) *float64{
+	nodes := []func(*lookup.Axes) *float64{
 		func(ax *lookup.Axes) *float64 { return &ax.Utilization[2] },
 		func(ax *lookup.Axes) *float64 { return &ax.Flow[1] },
 		func(ax *lookup.Axes) *float64 { return &ax.Inlet[3] },
-	} {
+		func(ax *lookup.Axes) *float64 { return &ax.Inlet[len(ax.Inlet)-1] },
+	}
+	for i, node := range nodes {
 		ax := clone(cfg.Axes)
 		*node(&ax) += 0.001
 		if space(ax) == base {
 			t.Errorf("axis %d: a changed node must get a different space", i)
 		}
 	}
-	nan := clone(cfg.Axes)
-	nan.Utilization[3] = math.NaN()
-	if first, before := space(nan), len(f.spaces); space(clone(nan)) != first || len(f.spaces) != before {
-		t.Error("an axis holding NaN must find its memoized space")
+	before := len(f.spaces)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i, node := range nodes {
+			ax := clone(cfg.Axes)
+			*node(&ax) = v
+			if s, err := f.Space(cfg.Spec, ax); err == nil {
+				t.Errorf("axis %d with node %v: got a space %p, want an error", i, v, s)
+			}
+		}
+	}
+	if len(f.spaces) != before {
+		t.Errorf("failed builds changed the memo from %d to %d spaces", before, len(f.spaces))
 	}
 }
 

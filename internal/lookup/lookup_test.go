@@ -29,6 +29,18 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(cpu.XeonE52650V3(), ax); err == nil {
 		t.Error("short axis should error")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ax := DefaultAxes()
+		ax.Utilization[3] = v
+		if _, err := Build(cpu.XeonE52650V3(), ax); err == nil {
+			t.Errorf("utilization node %v should error", v)
+		}
+		ax = DefaultAxes()
+		ax.Inlet[len(ax.Inlet)-1] = v
+		if _, err := Build(cpu.XeonE52650V3(), ax); err == nil {
+			t.Errorf("last inlet node %v should error", v)
+		}
+	}
 }
 
 func TestSpaceMatchesModelAtGridNodes(t *testing.T) {

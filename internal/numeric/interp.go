@@ -7,6 +7,7 @@ package numeric
 
 import (
 	"errors"
+	"math"
 	"sort"
 )
 
@@ -18,14 +19,19 @@ type Grid3D struct {
 	V       []float64 // len(X)*len(Y)*len(Z) values, x-major then y then z
 }
 
-// NewGrid3D allocates a grid over the given axes with zero values.
+// NewGrid3D allocates a grid over the given axes with zero values. Each
+// axis needs at least two finite, strictly increasing nodes.
 func NewGrid3D(x, y, z []float64) (*Grid3D, error) {
 	for _, axis := range [][]float64{x, y, z} {
 		if len(axis) < 2 {
 			return nil, errors.New("numeric: Grid3D axes need at least 2 points")
 		}
-		for i := 1; i < len(axis); i++ {
-			if axis[i] <= axis[i-1] {
+		for i, v := range axis {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, errors.New("numeric: Grid3D axis nodes must be finite")
+			}
+			// Negated, so a NaN fails it too.
+			if i > 0 && !(v > axis[i-1]) {
 				return nil, errors.New("numeric: Grid3D axes must be strictly increasing")
 			}
 		}

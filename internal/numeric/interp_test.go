@@ -41,6 +41,22 @@ func TestGrid3DErrors(t *testing.T) {
 	if _, err := NewGrid3D([]float64{0, 0}, []float64{0, 1}, []float64{0, 1}); err == nil {
 		t.Error("non-increasing axis should error")
 	}
+	for _, bad := range [][]float64{
+		{0, math.NaN(), 1},
+		{math.NaN(), 0, 1},
+		{0, 1, math.NaN()},
+		{math.Inf(-1), 0, 1},
+		{0, 1, math.Inf(1)},
+		{1, 0.5, 2},
+	} {
+		for axis := 0; axis < 3; axis++ {
+			ax := [][]float64{{0, 1}, {0, 1}, {0, 1}}
+			ax[axis] = bad
+			if _, err := NewGrid3D(ax[0], ax[1], ax[2]); err == nil {
+				t.Errorf("axis %d = %v should error", axis, bad)
+			}
+		}
+	}
 }
 
 func TestGrid3DInterpolationBoundsProperty(t *testing.T) {

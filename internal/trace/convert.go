@@ -7,13 +7,13 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 )
 
 // ConvertToCSV streams a source into the canonical WriteCSV layout without
 // ever materializing the servers × intervals matrix. The output is
-// byte-identical to Materialize(src).WriteCSV(w).
+// byte-identical to Materialize(src).WriteCSV(w): both write through the
+// one canonical row writer, which refuses names that need quoting before
+// the source is read.
 //
 // The canonical layout is server-major but sources deliver interval-major
 // columns, so the conversion transposes through a fixed-width binary spool
@@ -34,10 +34,9 @@ func ConvertToCSV(src Source, w io.Writer, tmpDir string) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	// The streamed header writer never quotes, so names that would make
-	// csv.Writer quote are rejected rather than silently corrupted.
-	if strings.ContainsAny(m.Name+string(m.Class), ",\"\r\n") {
-		return fmt.Errorf("trace: convert: name/class %q/%q need CSV quoting; rename the source", m.Name, m.Class)
+	cw, err := newCSVWriter(w, m)
+	if err != nil {
+		return err
 	}
 	spool, err := os.CreateTemp(tmpDir, "h2p-convert-*.spool")
 	if err != nil {
@@ -50,7 +49,7 @@ func ConvertToCSV(src Source, w io.Writer, tmpDir string) error {
 	if err := spoolColumns(src, spool, m); err != nil {
 		return err
 	}
-	return writeCanonicalFromSpool(spool, w, m)
+	return writeCanonicalFromSpool(spool, cw, m)
 }
 
 // convertSpoolBudget bounds the column batch the converter holds in memory
@@ -119,53 +118,25 @@ func spoolColumns(src Source, spool *os.File, m Meta) error {
 	return nil
 }
 
-// writeCanonicalFromSpool emits the canonical CSV from the server-major
-// spool. The field-by-field writer produces exactly the bytes
-// Trace.WriteCSV's csv.Writer would: plain floats never need quoting, and
-// rows end in '\n'.
-func writeCanonicalFromSpool(spool *os.File, w io.Writer, m Meta) error {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	// Meta row, then the column-header row — streamed, never assembled.
-	if _, err := fmt.Fprintf(bw, "#h2p-trace,%s,%s,%s\n", m.Name, m.Class, m.Interval); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString("server"); err != nil {
-		return err
-	}
-	for i := 0; i < m.Intervals; i++ {
-		if _, err := fmt.Fprintf(bw, ",t%d", i); err != nil {
-			return err
-		}
-	}
-	if err := bw.WriteByte('\n'); err != nil {
-		return err
-	}
+// writeCanonicalFromSpool emits the canonical rows from the server-major
+// spool through cw, the writer WriteCSV uses.
+func writeCanonicalFromSpool(spool *os.File, cw *csvWriter, m Meta) error {
 	if _, err := spool.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
 	br := bufio.NewReaderSize(spool, 64<<10)
 	cell := make([]byte, 8)
-	var num []byte
 	for s := 0; s < m.Servers; s++ {
-		if _, err := bw.WriteString(strconv.Itoa(s)); err != nil {
-			return err
-		}
+		cw.startRow(s)
 		for i := 0; i < m.Intervals; i++ {
 			if _, err := io.ReadFull(br, cell); err != nil {
 				return err
 			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(cell))
-			num = strconv.AppendFloat(num[:0], v, 'g', -1, 64)
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-			if _, err := bw.Write(num); err != nil {
-				return err
-			}
+			cw.value(math.Float64frombits(binary.LittleEndian.Uint64(cell)))
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		if err := cw.endRow(); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return cw.flush()
 }

@@ -1,100 +1,91 @@
 package trace
 
 import (
-	"encoding/csv"
-	"errors"
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"time"
+	"strings"
 )
 
-// WriteCSV serializes a trace with a two-line header (name/class/interval,
-// then column labels) followed by one row per server.
+// WriteCSV serializes a trace in the canonical layout: a two-line header
+// (name/class/interval, then column labels) followed by one row per server.
+// No field is quoted, so a name or class holding a comma, a quote, a CR or
+// an LF is refused.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	if err := t.Validate(); err != nil {
+	src, err := NewTraceSource(t) // validates t
+	if err != nil {
 		return err
 	}
-	cw := csv.NewWriter(w)
-	meta := []string{"#h2p-trace", t.Name, string(t.Class), t.Interval.String()}
-	if err := cw.Write(meta); err != nil {
+	cw, err := newCSVWriter(w, src.Meta())
+	if err != nil {
 		return err
 	}
-	header := make([]string, t.Intervals()+1)
-	header[0] = "server"
-	for i := 1; i <= t.Intervals(); i++ {
-		header[i] = fmt.Sprintf("t%d", i-1)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, t.Intervals()+1)
 	for s, u := range t.U {
-		row[0] = strconv.Itoa(s)
-		for i, v := range u {
-			row[i+1] = strconv.FormatFloat(v, 'g', -1, 64)
+		cw.startRow(s)
+		for _, v := range u {
+			cw.value(v)
 		}
-		if err := cw.Write(row); err != nil {
+		if err := cw.endRow(); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return cw.flush()
 }
 
 // ReadCSV parses a trace previously written with WriteCSV. It also accepts
-// headerless matrices (one server per row) when defaults are supplied.
+// headerless matrices (one server per row) with default metadata. It reads
+// r to the end and decodes it with CSVSource, so it takes what CSVSource
+// takes: no quoted fields, and no field longer than 64 bytes.
 func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	records, err := cr.ReadAll()
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(records) == 0 {
-		return nil, errors.New("trace: empty CSV")
-	}
-	name, class, interval := "csv-trace", Class("unknown"), 5*time.Minute
-	body := records
-	if records[0][0] == "#h2p-trace" {
-		if len(records[0]) != 4 {
-			return nil, errors.New("trace: malformed meta row")
-		}
-		name = records[0][1]
-		class = Class(records[0][2])
-		d, err := time.ParseDuration(records[0][3])
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad interval: %w", err)
-		}
-		interval = d
-		if len(records) < 3 {
-			return nil, errors.New("trace: CSV has no data rows")
-		}
-		body = records[2:] // skip meta + column header
-	}
-	servers := len(body)
-	if servers == 0 {
-		return nil, errors.New("trace: CSV has no data rows")
-	}
-	intervals := len(body[0]) - 1
-	if intervals < 1 {
-		return nil, errors.New("trace: CSV rows need a server id and at least one sample")
-	}
-	tr, err := New(name, class, servers, intervals, interval)
+	src, err := NewCSVSource(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	for s, rec := range body {
-		if len(rec) != intervals+1 {
-			return nil, fmt.Errorf("trace: row %d has %d fields, want %d", s, len(rec), intervals+1)
-		}
-		for i := 1; i < len(rec); i++ {
-			v, err := strconv.ParseFloat(rec[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: row %d field %d: %w", s, i, err)
-			}
-			tr.U[s][i-1] = v
-		}
-	}
-	return tr, tr.Validate()
+	return Materialize(src)
 }
+
+// csvWriter emits the canonical CSV, the one layout the package writes:
+// the #h2p-trace meta row, the column-label row, then per server its id
+// and its utilizations in strconv's shortest 'g' form, each row ending in
+// '\n'. Fields are never quoted. A write error sticks in the bufio.Writer:
+// endRow and flush report it.
+type csvWriter struct {
+	bw *bufio.Writer
+}
+
+// newCSVWriter refuses a name or class that would need quoting, then
+// writes m's two header rows.
+func newCSVWriter(w io.Writer, m Meta) (*csvWriter, error) {
+	if strings.ContainsAny(m.Name+string(m.Class), ",\"\r\n") {
+		return nil, fmt.Errorf("trace: name/class %q/%q need CSV quoting, which the canonical writer never emits; rename the trace", m.Name, m.Class)
+	}
+	bw := bufio.NewWriterSize(w, 64<<10)
+	fmt.Fprintf(bw, "#h2p-trace,%s,%s,%s\nserver", m.Name, m.Class, m.Interval)
+	for i := 0; i < m.Intervals; i++ {
+		fmt.Fprintf(bw, ",t%d", i)
+	}
+	bw.WriteByte('\n')
+	return &csvWriter{bw: bw}, nil
+}
+
+// startRow opens server s's row with its id.
+func (c *csvWriter) startRow(s int) {
+	c.bw.WriteString(strconv.Itoa(s))
+}
+
+// value appends one utilization to the open row.
+func (c *csvWriter) value(v float64) {
+	c.bw.Write(strconv.AppendFloat(append(c.bw.AvailableBuffer(), ','), v, 'g', -1, 64))
+}
+
+// endRow ends the open row and reports any write error so far.
+func (c *csvWriter) endRow() error { return c.bw.WriteByte('\n') }
+
+// flush writes out what is buffered.
+func (c *csvWriter) flush() error { return c.bw.Flush() }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -40,53 +39,6 @@ func FuzzReadLongFormat(f *testing.F) {
 		}
 		if cells := got.Servers() * got.Intervals(); cells > MaxLongFormatCells {
 			t.Fatalf("accepted trace has %d cells past the cap", cells)
-		}
-	})
-}
-
-// FuzzCSVRoundTrip hardens the CSV serializer pair: any trace the reader
-// accepts must survive WriteCSV -> ReadCSV with every field bit-identical —
-// name, class, interval, and the full utilization matrix.
-func FuzzCSVRoundTrip(f *testing.F) {
-	tr, err := Generate(DrasticConfig(2), 7)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add("#h2p-trace,tiny,common,5m0s\nserver,t0,t1\n0,0.25,1\n1,0,0.5\n")
-	f.Add("#h2p-trace,\"comma,name\",stable,1h0m0s\nserver,t0\n0,0.125\n")
-	f.Add("0,0.1,0.2\n1,0.3,0.4\n")
-	f.Add("0,1e-300\n")
-	f.Fuzz(func(t *testing.T, raw string) {
-		got, err := ReadCSV(strings.NewReader(raw))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if wErr := got.WriteCSV(&out); wErr != nil {
-			t.Fatalf("accepted trace fails to serialize: %v", wErr)
-		}
-		back, rErr := ReadCSV(&out)
-		if rErr != nil {
-			t.Fatalf("round-trip failed: %v", rErr)
-		}
-		if back.Name != got.Name || back.Class != got.Class || back.Interval != got.Interval {
-			t.Fatalf("round-trip changed metadata: %q/%v/%v -> %q/%v/%v",
-				got.Name, got.Class, got.Interval, back.Name, back.Class, back.Interval)
-		}
-		if back.Servers() != got.Servers() || back.Intervals() != got.Intervals() {
-			t.Fatal("round-trip changed shape")
-		}
-		for s := range got.U {
-			for i := range got.U[s] {
-				if back.U[s][i] != got.U[s][i] {
-					t.Fatalf("round-trip changed U[%d][%d]: %v -> %v", s, i, got.U[s][i], back.U[s][i])
-				}
-			}
 		}
 	})
 }

@@ -130,7 +130,7 @@ func TestCSVSourceMatchesReadCSV(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	dense, err := ReadCSV(bytes.NewReader(data))
+	dense, err := readCSVRef(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCSVSourceMatchesReadCSV(t *testing.T) {
 
 func TestCSVSourceHeaderless(t *testing.T) {
 	data := []byte("0,0.5,0.25\n1,0.75,1\n")
-	dense, err := ReadCSV(bytes.NewReader(data))
+	dense, err := readCSVRef(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,75 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
+
+// readCSVRef is the streaming decoder's referee: an independent reading of
+// the canonical CSV grammar through encoding/csv and strconv. It accepts
+// what CSVSource accepts, and also quoted fields and fields of any length.
+func readCSVRef(r io.Reader) (*Trace, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	records, err := cr.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	if len(records) == 0 {
+		return nil, errors.New("trace: empty CSV")
+	}
+	name, class, interval := "csv-trace", Class("unknown"), 5*time.Minute
+	body := records
+	if records[0][0] == "#h2p-trace" {
+		if len(records[0]) != 4 {
+			return nil, errors.New("trace: malformed meta row")
+		}
+		name = records[0][1]
+		class = Class(records[0][2])
+		d, err := time.ParseDuration(records[0][3])
+		if err != nil {
+			return nil, fmt.Errorf("trace: bad interval: %w", err)
+		}
+		interval = d
+		if len(records) < 3 {
+			return nil, errors.New("trace: CSV has no data rows")
+		}
+		body = records[2:] // skip meta + column header
+	}
+	servers := len(body)
+	if servers == 0 {
+		return nil, errors.New("trace: CSV has no data rows")
+	}
+	intervals := len(body[0]) - 1
+	if intervals < 1 {
+		return nil, errors.New("trace: CSV rows need a server id and at least one sample")
+	}
+	tr, err := New(name, class, servers, intervals, interval)
+	if err != nil {
+		return nil, err
+	}
+	for s, rec := range body {
+		if len(rec) != intervals+1 {
+			return nil, fmt.Errorf("trace: row %d has %d fields, want %d", s, len(rec), intervals+1)
+		}
+		for i := 1; i < len(rec); i++ {
+			v, err := strconv.ParseFloat(rec[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("trace: row %d field %d: %w", s, i, err)
+			}
+			tr.U[s][i-1] = v
+		}
+	}
+	return tr, tr.Validate()
+}
 
 // drainCSV opens raw as a CSVSource and pulls every column, interval-major,
 // stopping at the first error.
@@ -172,11 +232,11 @@ func csvSourceSeeds(t testing.TB) []string {
 }
 
 // FuzzCSVSourceMatchesReadCSV is the streaming decoder's differential
-// fuzzer. Whatever CSVSource opens and drains, ReadCSV accepts too, with
-// equal metadata and bit-identical columns; whatever ReadCSV rejects,
-// CSVSource rejects as well. The streaming reader may reject what ReadCSV
-// accepts in two documented cases only: the input holds a quote, or a field
-// runs past csvMaxFieldLen bytes.
+// fuzzer. Whatever CSVSource opens and drains, the referee readCSVRef
+// accepts too, with equal metadata and bit-identical columns; whatever
+// readCSVRef rejects, CSVSource rejects as well. The streaming reader may
+// reject what readCSVRef accepts in two documented cases only: the input
+// holds a quote, or a field runs past csvMaxFieldLen bytes.
 func FuzzCSVSourceMatchesReadCSV(f *testing.F) {
 	// Besides the input, each case names an index chunk size: indexing in
 	// chunks that small puts chunk boundaries inside fields, inside CRLF
@@ -187,7 +247,7 @@ func FuzzCSVSourceMatchesReadCSV(f *testing.F) {
 		f.Add(s, uint16([]int{1, 2, 7, 64}[i%4]), uint16(i*977))
 	}
 	f.Fuzz(func(t *testing.T, raw string, chunk, stripe uint16) {
-		requireMatchesReadCSV(t, raw, csvMaxFieldLen+1+int(stripe)%(csvIndexChunk-csvMaxFieldLen))
+		requireMatchesRef(t, raw, csvMaxFieldLen+1+int(stripe)%(csvIndexChunk-csvMaxFieldLen))
 		if chunk == 0 {
 			return
 		}
@@ -202,28 +262,28 @@ func FuzzCSVSourceMatchesReadCSV(f *testing.F) {
 	})
 }
 
-// requireMatchesReadCSV drains raw through a read stripe of stripe bytes
-// and holds the result to ReadCSV's, as FuzzCSVSourceMatchesReadCSV states
+// requireMatchesRef drains raw through a read stripe of stripe bytes and
+// holds the result to readCSVRef's, as FuzzCSVSourceMatchesReadCSV states
 // it, and its error text to the default stripe's.
-func requireMatchesReadCSV(t *testing.T, raw string, stripe int) {
+func requireMatchesRef(t *testing.T, raw string, stripe int) {
 	t.Helper()
-	dense, denseErr := ReadCSV(strings.NewReader(raw))
+	dense, denseErr := readCSVRef(strings.NewReader(raw))
 	m, cols, srcErr := drainCSVStripe(raw, stripe)
 	if _, _, err := drainCSV(raw); fmt.Sprint(err) != fmt.Sprint(srcErr) {
 		t.Fatalf("%.40q, stripe %d: error %v, default stripe %v", raw, stripe, srcErr, err)
 	}
 	switch {
 	case srcErr == nil && denseErr != nil:
-		t.Fatalf("%.40q, stripe %d: CSVSource accepted an input ReadCSV rejects: %v", raw, stripe, denseErr)
+		t.Fatalf("%.40q, stripe %d: CSVSource accepted an input readCSVRef rejects: %v", raw, stripe, denseErr)
 	case srcErr != nil && denseErr == nil:
 		if !strings.Contains(raw, `"`) && !errors.Is(srcErr, errCSVFieldTooLong) {
-			t.Fatalf("%.40q, stripe %d: CSVSource rejected an input ReadCSV accepts: %v", raw, stripe, srcErr)
+			t.Fatalf("%.40q, stripe %d: CSVSource rejected an input readCSVRef accepts: %v", raw, stripe, srcErr)
 		}
 	case srcErr == nil:
 		want := Meta{Name: dense.Name, Class: dense.Class, Servers: dense.Servers(),
 			Intervals: dense.Intervals(), Interval: dense.Interval}
 		if m != want {
-			t.Fatalf("%.40q, stripe %d: meta %+v, ReadCSV %+v", raw, stripe, m, want)
+			t.Fatalf("%.40q, stripe %d: meta %+v, readCSVRef %+v", raw, stripe, m, want)
 		}
 		for i, col := range cols {
 			for s, v := range col {
@@ -273,8 +333,8 @@ func (f *farthestReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // and it fails as soon as a fifth field shows, within the first chunk read.
 func TestCSVSourceWideMetaRowBounded(t *testing.T) {
 	raw := "#h2p-trace,x,common,5m0s\rserver,t0\r" + strings.Repeat("0,0.5\r", 1<<16)
-	if _, err := ReadCSV(strings.NewReader(raw)); err == nil {
-		t.Fatal("ReadCSV accepted a CR-only file")
+	if _, err := readCSVRef(strings.NewReader(raw)); err == nil {
+		t.Fatal("readCSVRef accepted a CR-only file")
 	}
 	ra := &farthestReaderAt{r: strings.NewReader(raw)}
 	if _, err := NewCSVSource(ra, int64(len(raw))); err != errCSVMetaTooWide {
@@ -317,7 +377,7 @@ func TestCSVSourceStraddlingFields(t *testing.T) {
 		if tc.stripe != csvIndexChunk && !loadStraddleEnds(tc.raw, tc.stripe) {
 			t.Fatalf("%.40q: a %d-byte stripe ends outside a field", tc.raw, tc.stripe)
 		}
-		dense, err := ReadCSV(strings.NewReader(tc.raw))
+		dense, err := readCSVRef(strings.NewReader(tc.raw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +486,7 @@ var stripeSizes = []int{csvMaxFieldLen + 1, csvMaxFieldLen + 2, 2*csvMaxFieldLen
 // a generated trace, matrices of cap-sized fields, which fill a visit's
 // byte bound exactly, and inputs whose fields cross the stripe's end, through
 // stripes of every size in stripeSizes, each held to
-// requireMatchesReadCSV.
+// requireMatchesRef.
 func TestCSVSourceStripeSweep(t *testing.T) {
 	inputs := csvSourceSeeds(t)
 	tr, err := Generate(DrasticConfig(40), 2)
@@ -448,7 +508,7 @@ func TestCSVSourceStripeSweep(t *testing.T) {
 	}
 	for _, raw := range inputs {
 		for _, stripe := range stripeSizes {
-			requireMatchesReadCSV(t, raw, stripe)
+			requireMatchesRef(t, raw, stripe)
 		}
 	}
 }
@@ -694,7 +754,7 @@ func TestCSVSourceReadError(t *testing.T) {
 			t.Errorf("%s: error %v after %d columns, want %s after %d", tc.name, err, len(cols), tc.want, tc.cols)
 			continue
 		}
-		dense, err := ReadCSV(strings.NewReader(tc.raw))
+		dense, err := readCSVRef(strings.NewReader(tc.raw))
 		if err != nil {
 			t.Fatal(err)
 		}
