@@ -43,7 +43,8 @@ race:
 # parser regression on the seed corpus and its near mutations, short enough
 # for CI. Deep campaigns run the same targets with a larger -fuzztime.
 # FuzzReadCSV is not fuzzed here: it is FuzzCSVRoundTrip's property on
-# seeds FuzzCSVRoundTrip's corpus holds too. The CSV targets skip the
+# seeds FuzzCSVRoundTrip's corpus holds too. TestFuzzCheckListsEveryTarget
+# (root package) fails when any other fuzz target is missing from this list. The CSV targets skip the
 # minimizer, whose quadratic pass over an input of a few hundred bytes
 # holds them at 0 execs/s for tens of seconds after each new input.
 FUZZTIME ?= 5s

@@ -157,23 +157,19 @@ type CirculationInterval struct {
 // slot in the interval's parts.
 //
 // Without an injector, errors propagate to the caller untouched, with the
-// slot zeroed. With one, a failing attempt is retried under the plan's
-// capped-exponential-backoff policy; a circulation that fails every attempt
-// leaves a Degraded contribution (no error) so one bad circulation cannot
-// abort the datacenter run. The decision is a pure function of the column,
+// slot zeroed. With one, a failing attempt is retried at once, up to the
+// plan's attempt count; a circulation that fails every attempt leaves a
+// Degraded contribution (no error) so one bad circulation cannot abort the
+// datacenter run. The decision is a pure function of the column,
 // so it is made once outside the loop: an attempt fails on an injected step
 // error or on the decide error, exactly as if each attempt had decided anew.
 func (c *Circulation) stepWithDecision(ci *CirculationInterval, interval int, smp *env.Sample, d *sched.Decision, derr error) error {
 	if c.inj == nil {
 		return c.finishOnce(ci, interval, 0, smp, d, derr)
 	}
-	retry := c.inj.Retry()
-	attempts := retry.Attempts()
+	attempts := c.inj.Retry().Attempts()
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			if del := retry.Delay(a - 1); del > 0 {
-				time.Sleep(del)
-			}
 			c.met.observeFault(c.Index, faultObs{retries: 1})
 		}
 		if err := c.finishOnce(ci, interval, a, smp, d, derr); err == nil {

@@ -84,10 +84,6 @@ type Config struct {
 	// the aggregator charges the surplus over the plant draw and discharges
 	// against the deficit. nil is the buffer-free plant.
 	Storage *storage.BufferSpec
-	// Tower and Chiller override the facility plant models; nil uses
-	// chiller.DefaultTower / chiller.Default. See Config.Plant.
-	Tower   *chiller.CoolingTower
-	Chiller *chiller.Chiller
 	// HXApproach is the CDU heat-exchanger approach: the facility water
 	// must be this much colder than the TCS inlet target.
 	HXApproach units.Celsius
@@ -198,17 +194,10 @@ func (c Config) EnvSource() env.Source {
 
 // Plant is the configuration's facility-plant constructor — the one place
 // the engine (and through it h2psim and the serve handler) builds the
-// tower+chiller pair, so every layer dispatches against the same models.
-// nil overrides mean the package defaults.
+// tower+chiller pair, so every layer dispatches against the same models:
+// chiller.DefaultTower beside the paper's chiller.Default (COP 3.6).
 func (c Config) Plant() chiller.Plant {
-	p := chiller.Plant{Tower: chiller.DefaultTower(), Chiller: chiller.Default()}
-	if c.Tower != nil {
-		p.Tower = *c.Tower
-	}
-	if c.Chiller != nil {
-		p.Chiller = *c.Chiller
-	}
-	return p
+	return chiller.Plant{Tower: chiller.DefaultTower(), Chiller: chiller.Default()}
 }
 
 // Circulations reports how many circulations an nServers datacenter forms

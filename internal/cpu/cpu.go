@@ -16,7 +16,6 @@ package cpu
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"github.com/h2p-sim/h2p/internal/units"
@@ -144,12 +143,6 @@ func (s Spec) Power(u float64) units.Watts {
 	return units.Watts(s.PowerLogCoeff*math.Log(u+s.PowerLogShift) + s.PowerOffset)
 }
 
-// UtilizationForPower inverts Eq. 20, clamping to [0, 1].
-func (s Spec) UtilizationForPower(p units.Watts) float64 {
-	u := math.Exp((float64(p)-s.PowerOffset)/s.PowerLogCoeff) - s.PowerLogShift
-	return units.Clamp(u, 0, 1)
-}
-
 // Frequency returns the powersave-governor clock in GHz at utilization u:
 // rising from the base frequency and settling at the powersave ceiling above
 // 50 % utilization (Fig. 10).
@@ -197,25 +190,4 @@ func (s Spec) OutletDeltaT(u float64, f units.LitersPerHour) units.Celsius {
 // OutletTemp returns T_warm_out = T_warm_in + deltaT_out-in (Eq. 8).
 func (s Spec) OutletTemp(u float64, f units.LitersPerHour, tin units.Celsius) units.Celsius {
 	return tin + s.OutletDeltaT(u, f)
-}
-
-// InletForTemperature inverts the temperature map: the inlet water
-// temperature that holds the die exactly at target for the given utilization
-// and flow. This is how the cooling controller picks T_warm_in.
-func (s Spec) InletForTemperature(target units.Celsius, u float64, f units.LitersPerHour) units.Celsius {
-	return units.Celsius((float64(target) - s.ThermalResistance(f)*float64(s.Power(u))) / s.Coupling(f))
-}
-
-// Safe reports whether the die temperature is at or below the vendor limit.
-func (s Spec) Safe(t units.Celsius) bool { return t <= s.MaxOperatingTemp }
-
-// CheckOperatingPoint returns an error describing the violation if the given
-// operating point drives the die above its maximum operating temperature.
-func (s Spec) CheckOperatingPoint(u float64, f units.LitersPerHour, tin units.Celsius) error {
-	t := s.Temperature(u, f, tin)
-	if !s.Safe(t) {
-		return fmt.Errorf("cpu: %s at u=%.2f f=%s tin=%s reaches %s > max %s",
-			s.Model, u, f, tin, t, s.MaxOperatingTemp)
-	}
-	return nil
 }

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/h2p-sim/h2p/internal/teg"
 )
@@ -51,8 +50,7 @@ const (
 	// consumer falls back to the last good reading with bounded staleness.
 	SensorStuck Kind = "sensor-stuck"
 	// StepError injects a transient circulation-step failure, exercising
-	// the engine's capped-exponential-backoff retry path. Each retry
-	// attempt re-rolls independently.
+	// the engine's retry path. Each retry attempt re-rolls independently.
 	StepError Kind = "step-error"
 )
 
@@ -152,21 +150,15 @@ func (s Spec) severity() float64 {
 }
 
 // RetryPolicy bounds the engine's recovery from circulation-step errors:
-// capped exponential backoff between attempts, then the interval is marked
-// degraded for that circulation.
+// the step is retried at once, within the same simulated interval, and a
+// circulation that fails every attempt is marked degraded for that interval.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of step attempts (first try
 	// included). Values below 1 mean DefaultRetryPolicy's count.
 	MaxAttempts int `json:"max_attempts,omitempty"`
-	// BaseDelay is the backoff before the first retry; each further retry
-	// doubles it. 0 retries immediately (the simulation default — the
-	// plant's timebase is simulated, so wall-clock sleeps are opt-in).
-	BaseDelay time.Duration `json:"base_delay,omitempty"`
-	// MaxDelay caps the exponential growth. 0 means no cap.
-	MaxDelay time.Duration `json:"max_delay,omitempty"`
 }
 
-// DefaultRetryPolicy is three attempts with immediate (zero-delay) retries.
+// DefaultRetryPolicy is three attempts.
 func DefaultRetryPolicy() RetryPolicy { return RetryPolicy{MaxAttempts: 3} }
 
 // Attempts resolves the effective attempt count (at least 1).
@@ -175,26 +167,6 @@ func (r RetryPolicy) Attempts() int {
 		return DefaultRetryPolicy().MaxAttempts
 	}
 	return r.MaxAttempts
-}
-
-// Delay returns the backoff before retry attempt `retry` (0-based: the
-// delay between the first failure and the second attempt is Delay(0)).
-// Growth is exponential — BaseDelay << retry — and capped at MaxDelay.
-func (r RetryPolicy) Delay(retry int) time.Duration {
-	if r.BaseDelay <= 0 || retry < 0 {
-		return 0
-	}
-	d := r.BaseDelay
-	for i := 0; i < retry; i++ {
-		d *= 2
-		if r.MaxDelay > 0 && d >= r.MaxDelay {
-			return r.MaxDelay
-		}
-	}
-	if r.MaxDelay > 0 && d > r.MaxDelay {
-		return r.MaxDelay
-	}
-	return d
 }
 
 // Plan is a complete fault scenario: the fault streams to inject and the

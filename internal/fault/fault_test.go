@@ -3,7 +3,6 @@ package fault
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func mustCompile(t *testing.T, p *Plan, seed int64) *Injector {
@@ -204,22 +203,7 @@ func TestStepErrorRerollsPerAttempt(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyDelayCapped(t *testing.T) {
-	r := RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond}
-	want := []time.Duration{
-		10 * time.Millisecond, // retry 0
-		20 * time.Millisecond, // retry 1
-		35 * time.Millisecond, // retry 2: 40ms capped
-		35 * time.Millisecond, // retry 3: stays capped
-	}
-	for i, w := range want {
-		if got := r.Delay(i); got != w {
-			t.Errorf("Delay(%d) = %v, want %v", i, got, w)
-		}
-	}
-	if d := (RetryPolicy{}).Delay(3); d != 0 {
-		t.Errorf("zero-base Delay = %v, want 0", d)
-	}
+func TestRetryPolicyAttempts(t *testing.T) {
 	if n := (RetryPolicy{}).Attempts(); n != 3 {
 		t.Errorf("default Attempts = %d, want 3", n)
 	}

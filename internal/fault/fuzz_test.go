@@ -23,10 +23,11 @@ func FuzzParsePlan(f *testing.F) {
 		"melted:0.1",
 		",,",
 		`{"specs":[{"kind":"teg-open","rate":0.02}]}`,
-		`{"specs":[{"kind":"sensor-stuck","windows":[{"from":2,"to":5,"unit":-1}],"max_stale":4}],"retry":{"max_attempts":5,"base_delay":1000,"max_delay":4000}}`,
+		`{"specs":[{"kind":"sensor-stuck","windows":[{"from":2,"to":5,"unit":-1}],"max_stale":4}],"retry":{"max_attempts":5}}`,
 		`{"specs":[{"kind":"teg-degrade","rate":0.5,"severity":1}]}`,
 		`{"specs":[{"kind":"teg-open"}]}`,
 		`{"specs":null}`,
+		`{"specs":[{"kind":"teg-degrade","rate":0.1,"severty":0.9}]}`,
 	} {
 		f.Add(seed)
 	}

@@ -1,8 +1,11 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -80,11 +83,18 @@ func LoadPlan(path string) (*Plan, error) {
 	return p, nil
 }
 
-// decodePlan parses and validates a JSON Plan document.
+// decodePlan parses and validates a JSON Plan document. Unknown keys and
+// trailing data are rejected: a misspelt key would otherwise run the plan
+// with that setting's default.
 func decodePlan(b []byte) (*Plan, error) {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
 	p := &Plan{}
-	if err := json.Unmarshal(b, p); err != nil {
+	if err := dec.Decode(p); err != nil {
 		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after the JSON plan")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -92,7 +102,12 @@ func decodePlan(b []byte) (*Plan, error) {
 	return p, nil
 }
 
-// String renders the plan compactly for logs and CLI summaries.
+// String renders the plan compactly for logs, CLI summaries and the run
+// manifest, whose hash must tell plans with different arithmetic apart. A
+// DSL plan renders as the DSL that parses back to it. The parts only a JSON
+// plan can set follow the same shape: a spec's windows as [from,to)@unit
+// joined by '+' in place of its rate, a ":max_stale=N" suffix on the spec,
+// and a ";max_attempts=N" suffix on the plan.
 func (p *Plan) String() string {
 	if p.Empty() {
 		return "none"
@@ -104,13 +119,25 @@ func (p *Plan) String() string {
 		}
 		fmt.Fprintf(&b, "%s", s.Kind)
 		if len(s.Windows) > 0 {
-			fmt.Fprintf(&b, ":%d windows", len(s.Windows))
+			for j, w := range s.Windows {
+				sep := byte('+')
+				if j == 0 {
+					sep = ':'
+				}
+				fmt.Fprintf(&b, "%c[%d,%d)@%d", sep, w.From, w.To, w.Unit)
+			}
 		} else {
 			fmt.Fprintf(&b, ":%g", s.Rate)
 		}
 		if s.Severity > 0 {
 			fmt.Fprintf(&b, ":%g", s.Severity)
 		}
+		if s.MaxStale > 0 {
+			fmt.Fprintf(&b, ":max_stale=%d", s.MaxStale)
+		}
+	}
+	if p.Retry.MaxAttempts > 0 {
+		fmt.Fprintf(&b, ";max_attempts=%d", p.Retry.MaxAttempts)
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -83,16 +84,71 @@ func TestParsePlanJSONFile(t *testing.T) {
 	}
 }
 
+// TestPlanString pins the rendering the run manifest hashes: plans that run
+// different arithmetic render differently, and a DSL plan renders as its own
+// DSL text.
 func TestPlanString(t *testing.T) {
 	var p *Plan
 	if got := p.String(); got != "none" {
 		t.Errorf("nil String = %q", got)
 	}
-	p = &Plan{Specs: []Spec{
-		{Kind: TEGDegrade, Rate: 0.1, Severity: 0.5},
-		{Kind: SensorStuck, Windows: []Window{{From: 0, To: 3, Unit: -1}}},
-	}}
-	if got := p.String(); got == "" || got == "none" {
-		t.Errorf("String = %q", got)
+	for _, dsl := range []string{
+		"teg-degrade:0.2:0.5,pump-droop:0.3",
+		"teg-degrade:0.02:0.3,sensor-stuck:0.01,step-error:0.005",
+	} {
+		p, err := ParsePlan(dsl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.String(); got != dsl {
+			t.Errorf("DSL plan %q renders as %q", dsl, got)
+		}
+	}
+	for _, c := range []struct {
+		json, want string
+	}{
+		{`{"specs":[{"kind":"step-error","rate":0.05}],"retry":{"max_attempts":1}}`,
+			"step-error:0.05;max_attempts=1"},
+		{`{"specs":[{"kind":"step-error","rate":0.05}],"retry":{"max_attempts":6}}`,
+			"step-error:0.05;max_attempts=6"},
+		{`{"specs":[{"kind":"sensor-stuck","windows":[{"from":0,"to":10,"unit":-1}]}]}`,
+			"sensor-stuck:[0,10)@-1"},
+		{`{"specs":[{"kind":"sensor-stuck","windows":[{"from":50,"to":60,"unit":3}],"max_stale":9}]}`,
+			"sensor-stuck:[50,60)@3:max_stale=9"},
+		{`{"specs":[{"kind":"teg-degrade","windows":[{"from":0,"to":2,"unit":1},{"from":5,"to":7,"unit":-1}],"severity":0.4},{"kind":"teg-open","rate":0.02}]}`,
+			"teg-degrade:[0,2)@1+[5,7)@-1:0.4,teg-open:0.02"},
+	} {
+		p, err := decodePlan([]byte(c.json))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.String(); got != c.want {
+			t.Errorf("%s renders as %q, want %q", c.json, got, c.want)
+		}
+	}
+}
+
+func TestDecodePlanRejectsUnknownKeys(t *testing.T) {
+	for _, c := range []struct {
+		json, key string
+	}{
+		{`{"specs":[{"kind":"teg-degrade","rate":0.1,"severty":0.9}],"retri":{"max_attempts":6}}`, `"severty"`},
+		{`{"specs":[{"kind":"teg-degrade","rate":0.1}],"retri":{"max_attempts":6}}`, `"retri"`},
+		{`{"specs":[{"kind":"step-error","rate":0.1}],"retry":{"max_attempts":6,"base_delay":1000}}`, `"base_delay"`},
+		{`{"specs":[{"kind":"step-error","rate":0.1}],"retry":{"max_delay":4000}}`, `"max_delay"`},
+		{`{"specs":[{"kind":"sensor-stuck","windows":[{"from":0,"to":3,"unit":-1,"until":9}]}]}`, `"until"`},
+	} {
+		_, err := decodePlan([]byte(c.json))
+		if err == nil || !strings.Contains(err.Error(), c.key) {
+			t.Errorf("%s: error %v does not name %s", c.json, err, c.key)
+		}
+	}
+	for _, trailing := range []string{
+		`{"specs":[{"kind":"teg-open","rate":0.02}]}}`,
+		`{"specs":[{"kind":"teg-open","rate":0.02}]} {}`,
+	} {
+		if _, err := decodePlan([]byte(trailing)); err == nil {
+			t.Errorf("%s: trailing data accepted", trailing)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package hydro models the hydraulic building blocks of the H2P water loops
 // (Fig. 1 and the prototype of Fig. 6): variable-speed pumps, liquid-to-liquid
-// heat exchangers, the natural cold-water source, and the temperature/flow
-// instrumentation of the test bed.
+// heat exchangers, and the temperature/flow instrumentation of the test bed.
+// The natural cold-water source is an environment input (internal/env).
 //
 // All components are steady-state per simulation interval: coolant transport
 // delays (seconds) are far below the 5-minute control interval the paper
@@ -91,17 +91,6 @@ func (hx HeatExchanger) Exchange(hotIn units.Celsius, hotFlow units.LitersPerHou
 		Heat:          units.Watts(q),
 		Effectiveness: eff,
 	}, nil
-}
-
-// WaterSource models the natural cold-water supply on the TEG cold side
-// (Sec. III-C): domestic water or lake water around 20 °C. Deep-lake sources
-// such as Qiandao Lake stay within 15-20 °C year-round; the optional seasonal
-// swing models shallower sources.
-type WaterSource struct {
-	// MeanTemp is the annual mean supply temperature.
-	MeanTemp units.Celsius
-	// SeasonalSwing is the peak deviation from the mean over a year.
-	SeasonalSwing units.Celsius
 }
 
 // TemperatureSensor quantizes a reading like the prototype's DAQ channels.

@@ -18,27 +18,19 @@ import (
 	"github.com/h2p-sim/h2p/internal/fault"
 	"github.com/h2p-sim/h2p/internal/hydro"
 	"github.com/h2p-sim/h2p/internal/teg"
-	"github.com/h2p-sim/h2p/internal/telemetry"
 	"github.com/h2p-sim/h2p/internal/thermalnet"
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
 // Prototype wires the test bed's components.
 type Prototype struct {
-	Spec       cpu.Spec
-	TEG        teg.Device
-	Derating   *teg.FlowDerating
-	ColdSource hydro.WaterSource
+	Spec     cpu.Spec
+	TEG      teg.Device
+	Derating *teg.FlowDerating
 	// TempSensor and FlowMeter quantize readings like the Fluke 2638A
 	// channels.
 	TempSensor hydro.TemperatureSensor
 	FlowMeter  hydro.FlowMeter
-	// Telemetry, when non-nil, instruments the campaigns the way the DAQ
-	// instrumented the test bed: histograms of every recorded CPU
-	// temperature, TEG voltage, outlet rise and harvested power, plus the
-	// transient solver's step counters. nil leaves every campaign
-	// uninstrumented and unchanged.
-	Telemetry *telemetry.Registry
 	// Faults, when non-nil, injects instrumentation faults into the
 	// transient campaigns: sensor-stuck faults freeze the DAQ temperature
 	// channels (cpu0/cpu1/coolant are fault units 0/1/2, the sample index
@@ -49,34 +41,12 @@ type Prototype struct {
 	Faults *fault.Injector
 }
 
-// campaign metric helpers; each returns nil when telemetry is disabled.
-func (p *Prototype) cpuTempHist() *telemetry.Histogram {
-	return p.Telemetry.Histogram("h2p_proto_cpu_temp_celsius",
-		"recorded die temperatures across prototype campaigns", telemetry.LinearBuckets(20, 5, 16))
-}
-
-func (p *Prototype) tegVoltageHist() *telemetry.Histogram {
-	return p.Telemetry.Histogram("h2p_proto_teg_voltage_volts",
-		"recorded TEG open-circuit voltages", telemetry.LinearBuckets(0, 1, 14))
-}
-
-func (p *Prototype) outletRiseHist() *telemetry.Histogram {
-	return p.Telemetry.Histogram("h2p_proto_outlet_rise_celsius",
-		"recorded coolant outlet temperature rises", telemetry.LinearBuckets(0, 2, 12))
-}
-
-func (p *Prototype) tegPowerHist() *telemetry.Histogram {
-	return p.Telemetry.Histogram("h2p_proto_teg_power_watts",
-		"recorded matched-load TEG module powers", telemetry.LinearBuckets(0, 2, 12))
-}
-
 // NewDellT7910 returns the calibrated test bed.
 func NewDellT7910() *Prototype {
 	return &Prototype{
 		Spec:       cpu.XeonE52650V3(),
 		TEG:        teg.SP1848(),
 		Derating:   teg.DefaultFlowDerating(),
-		ColdSource: hydro.WaterSource{MeanTemp: 20},
 		TempSensor: hydro.TemperatureSensor{Resolution: 0.01},
 		FlowMeter:  hydro.FlowMeter{Resolution: 1},
 	}
@@ -136,7 +106,6 @@ func (p *Prototype) RunFig3(phases []LoadPhase, coolant units.Celsius, flow unit
 	}
 
 	var net thermalnet.Network
-	net.AttachTelemetry(p.Telemetry)
 	coolantNode := net.AddBoundary("coolant", coolant)
 	cpu0, err := net.AddNode("cpu0", p.Spec.ThermalCapacitance, coolant)
 	if err != nil {
@@ -169,7 +138,6 @@ func (p *Prototype) RunFig3(phases []LoadPhase, coolant units.Celsius, flow unit
 	}
 
 	res := Fig3Result{MaxOperating: p.Spec.MaxOperatingTemp}
-	cpuTemps, tegVolts := p.cpuTempHist(), p.tegVoltageHist()
 	minute := 0.0
 	// One last-good guard per DAQ temperature channel; the guards only act
 	// when a fault injector marks a channel stuck at a sample.
@@ -217,9 +185,6 @@ func (p *Prototype) RunFig3(phases []LoadPhase, coolant units.Celsius, flow unit
 			TEGVoltage:  voltage,
 		}
 		sampleIdx++
-		cpuTemps.Observe(float64(sample.CPU0Temp))
-		cpuTemps.Observe(float64(sample.CPU1Temp))
-		tegVolts.Observe(float64(sample.TEGVoltage))
 		res.Samples = append(res.Samples, sample)
 		if sample.CPU0Temp > res.PeakCPU0 {
 			res.PeakCPU0 = sample.CPU0Temp
@@ -286,7 +251,6 @@ func (p *Prototype) RunFig7(flows []units.LitersPerHour, dTs []units.Celsius) ([
 		return nil, err
 	}
 	mod.FlowDerating = p.Derating
-	tegVolts := p.tegVoltageHist()
 	out := make([]Fig7Series, 0, len(flows))
 	for _, f := range flows {
 		if f <= 0 {
@@ -295,7 +259,6 @@ func (p *Prototype) RunFig7(flows []units.LitersPerHour, dTs []units.Celsius) ([
 		s := Fig7Series{Flow: p.FlowMeter.Read(f)}
 		for _, dt := range dTs {
 			v := mod.OpenCircuitVoltage(dt, f)
-			tegVolts.Observe(float64(v))
 			s.Samples = append(s.Samples, VocSample{DeltaT: dt, Voltage: v})
 		}
 		out = append(out, s)
@@ -323,7 +286,6 @@ func (p *Prototype) RunFig8(ns []int, dTs []units.Celsius) ([]Fig8Series, error)
 		return nil, errors.New("proto: empty campaign")
 	}
 	const refFlow = 200
-	tegPower := p.tegPowerHist()
 	out := make([]Fig8Series, 0, len(ns))
 	for _, n := range ns {
 		mod, err := teg.NewModule(p.TEG, n)
@@ -334,7 +296,6 @@ func (p *Prototype) RunFig8(ns []int, dTs []units.Celsius) ([]Fig8Series, error)
 		s := Fig8Series{N: n}
 		for _, dt := range dTs {
 			pw := mod.MaxPower(dt, refFlow)
-			tegPower.Observe(float64(pw))
 			s.Voltage = append(s.Voltage, VocSample{DeltaT: dt, Voltage: mod.OpenCircuitVoltage(dt, refFlow)})
 			s.Power = append(s.Power, PowerSample{DeltaT: dt, Power: pw})
 		}
@@ -357,7 +318,6 @@ func (p *Prototype) RunFig9FlowSweep(utils []float64, flows []units.LitersPerHou
 	if len(utils) == 0 || len(flows) == 0 || len(inlets) == 0 {
 		return nil, errors.New("proto: empty campaign")
 	}
-	rise := p.outletRiseHist()
 	var out []Fig9Point
 	for _, u := range utils {
 		for _, f := range flows {
@@ -371,7 +331,6 @@ func (p *Prototype) RunFig9FlowSweep(utils []float64, flows []units.LitersPerHou
 				Flow:        f,
 				DeltaTOut:   sum / units.Celsius(float64(len(inlets))),
 			}
-			rise.Observe(float64(pt.DeltaTOut))
 			out = append(out, pt)
 		}
 	}
@@ -385,7 +344,6 @@ func (p *Prototype) RunFig9InletSweep(utils []float64, inlets []units.Celsius) (
 		return nil, errors.New("proto: empty campaign")
 	}
 	const flow = 20
-	rise := p.outletRiseHist()
 	var out []Fig9Point
 	for _, u := range utils {
 		for _, tin := range inlets {
@@ -395,7 +353,6 @@ func (p *Prototype) RunFig9InletSweep(utils []float64, inlets []units.Celsius) (
 				Inlet:       tin,
 				DeltaTOut:   p.Spec.OutletDeltaT(u, flow),
 			}
-			rise.Observe(float64(pt.DeltaTOut))
 			out = append(out, pt)
 		}
 	}
@@ -417,7 +374,6 @@ func (p *Prototype) RunFig10(utils []float64, coolants []units.Celsius) ([]Fig10
 		return nil, errors.New("proto: empty campaign")
 	}
 	const flow = 20
-	cpuTemps := p.cpuTempHist()
 	var out []Fig10Point
 	for _, tc := range coolants {
 		for _, u := range utils {
@@ -427,7 +383,6 @@ func (p *Prototype) RunFig10(utils []float64, coolants []units.Celsius) ([]Fig10
 				CPUTemp:      p.TempSensor.Read(p.Spec.Temperature(u, flow, tc)),
 				FrequencyGHz: p.Spec.Frequency(u),
 			}
-			cpuTemps.Observe(float64(pt.CPUTemp))
 			out = append(out, pt)
 		}
 	}
@@ -447,7 +402,6 @@ func (p *Prototype) RunFig11(coolants []units.Celsius, flows []units.LitersPerHo
 	if len(coolants) == 0 || len(flows) == 0 {
 		return nil, errors.New("proto: empty campaign")
 	}
-	cpuTemps := p.cpuTempHist()
 	var out []Fig11Point
 	for _, f := range flows {
 		for _, tc := range coolants {
@@ -456,7 +410,6 @@ func (p *Prototype) RunFig11(coolants []units.Celsius, flows []units.LitersPerHo
 				Flow:    f,
 				CPUTemp: p.TempSensor.Read(p.Spec.Temperature(1.0, f, tc)),
 			}
-			cpuTemps.Observe(float64(pt.CPUTemp))
 			out = append(out, pt)
 		}
 	}

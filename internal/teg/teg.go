@@ -145,13 +145,6 @@ func (d Device) ConversionEfficiency(dT units.Celsius) float64 {
 	return p / q
 }
 
-// InEnvelope reports whether both face temperatures are inside the device's
-// rated ambient range.
-func (d Device) InEnvelope(hot, cold units.Celsius) bool {
-	return hot >= d.MinAmbient && hot <= d.MaxAmbient &&
-		cold >= d.MinAmbient && cold <= d.MaxAmbient
-}
-
 // Module is a group of identical TEGs electrically connected in series and
 // thermally in parallel: the collecting-in-series scheme of Sec. III-C used
 // to raise the output voltage to a usable level. The H2P prototype attaches

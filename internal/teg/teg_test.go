@@ -196,16 +196,6 @@ func TestHeatFlowNearAdiabatic(t *testing.T) {
 	}
 }
 
-func TestInEnvelope(t *testing.T) {
-	d := SP1848()
-	if !d.InEnvelope(55, 20) {
-		t.Error("datacenter temperatures should be in envelope")
-	}
-	if d.InEnvelope(130, 20) || d.InEnvelope(55, -70) {
-		t.Error("out-of-range temperatures should fail envelope check")
-	}
-}
-
 func TestFlowDeratingSmallAndNormalized(t *testing.T) {
 	fd := DefaultFlowDerating()
 	if f := fd.Factor(200); math.Abs(f-1) > 1e-12 {

@@ -142,10 +142,10 @@ func TestReadLongFormatFeedsEngineFormats(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Analyze(); err != nil {
+	if _, err := analyze(tr); err != nil {
 		t.Fatal(err)
 	}
-	b := tr.Balanced()
+	b := balanced(tr)
 	for i := 0; i < tr.Intervals(); i++ {
 		d, err := b.DispersionAt(i)
 		if err != nil {

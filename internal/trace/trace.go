@@ -158,24 +158,6 @@ func (t *Trace) AvgAt(i int) (float64, error) {
 	return stats.Mean(col), nil
 }
 
-// Balanced returns a copy of the trace with every interval's load spread
-// evenly across all servers — the TEG_LoadBalance scheduling outcome
-// (Sec. V-B2). Total work per interval is preserved.
-func (t *Trace) Balanced() *Trace {
-	nt, _ := New(t.Name+"-balanced", t.Class, t.Servers(), t.Intervals(), t.Interval)
-	for i := 0; i < t.Intervals(); i++ {
-		var sum float64
-		for s := range t.U {
-			sum += t.U[s][i]
-		}
-		avg := sum / float64(t.Servers())
-		for s := range nt.U {
-			nt.U[s][i] = avg
-		}
-	}
-	return nt
-}
-
 // Describe summarizes all utilization samples in the trace.
 func (t *Trace) Describe() (stats.Summary, error) {
 	flat := make([]float64, 0, t.Servers()*t.Intervals())

@@ -81,12 +81,14 @@ func TestColumnMaxAvgDispersion(t *testing.T) {
 	}
 }
 
+// TestBalancedPreservesWorkAndKillsDispersion pins AvgAt and DispersionAt
+// on the TEG_LoadBalance outcome: the same mean load, no dispersion.
 func TestBalancedPreservesWorkAndKillsDispersion(t *testing.T) {
 	tr, err := Generate(DrasticConfig(50), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := tr.Balanced()
+	b := balanced(tr)
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -26,13 +26,14 @@ import (
 // names an identifier that has gained a caller, fails the test too, so the
 // list cannot go stale.
 var internalAPIKeep = map[string]string{
-	"tco.PUE":                      "the facility energy ledger reports PUE through it (ROADMAP item 2)",
-	"tco.ERE":                      "the facility energy ledger reports ERE through it (ROADMAP item 2)",
-	"tco.PRE":                      "the facility energy ledger reports PRE through it (ROADMAP item 2)",
-	"units.AdvectedPower":          "the second-law audit bounds the coolant's heat flow with it (ROADMAP item 3)",
-	"units.WaterDensity":           "the second-law audit's coolant heat flow needs it (ROADMAP item 3)",
-	"hydro.HeatExchanger":          "the second-law audit's finite-effectiveness TEG model (ROADMAP item 3)",
-	"hydro.HeatExchanger.Exchange": "the second-law audit's finite-effectiveness TEG model (ROADMAP item 3)",
+	"tco.PUE":                         "the facility energy ledger reports PUE through it (ROADMAP item 2)",
+	"tco.ERE":                         "the facility energy ledger reports ERE through it (ROADMAP item 2)",
+	"tco.PRE":                         "the facility energy ledger reports PRE through it (ROADMAP item 2)",
+	"units.AdvectedPower":             "the second-law audit bounds the coolant's heat flow with it (ROADMAP item 3)",
+	"units.WaterDensity":              "the second-law audit's coolant heat flow needs it (ROADMAP item 3)",
+	"hydro.HeatExchanger":             "the second-law audit's finite-effectiveness TEG model (ROADMAP item 3)",
+	"hydro.HeatExchanger.Exchange":    "the second-law audit's finite-effectiveness TEG model (ROADMAP item 3)",
+	"teg.Device.ConversionEfficiency": "the second-law audit bounds the TEGs' heat demand with it (ROADMAP item 3)",
 }
 
 // dynamicInterfaces are interfaces the standard library asserts against
@@ -52,21 +53,48 @@ type (
 // internal/ that no program references. A caller is any non-test file of
 // this module (the h2p package, cmd/, examples/ and internal/) or any file
 // of the perfbench module, whose tests `make perfbench-check` compiles.
-// Exported methods of the types the h2p package exposes are its public API
-// and stay, as does a method that implements a method of an interface the
-// program can see (String, Error, MarshalJSON, ServeHTTP, ...). Struct
-// fields are not checked: encoders reach them by reflection.
+// The types the h2p package aliases answer to the same rule. A method that
+// implements a method of an interface the program can see (String, Error,
+// MarshalJSON, ServeHTTP, ...) stays. Struct fields are not checked:
+// encoders reach them by reflection.
 func TestInternalAPIHasCallers(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skipf("no go tool to locate standard-library export data: %v", err)
 	}
-	prog, err := loadProgram(goTool, "github.com/h2p-sim/h2p")
+	prog, err := loadProgram(goTool, ".", "github.com/h2p-sim/h2p")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range prog.unusedInternalAPI(internalAPIKeep) {
 		t.Error(f)
+	}
+}
+
+// TestInternalAPIGateRules runs the gate on the fixture module in
+// testdata/apigate, whose root package aliases an internal type: the
+// uncalled method is reported although the type is aliased, the called
+// method, the interface method and the kept method are not, and a keep
+// entry that names nothing is reported as stale.
+func TestInternalAPIGateRules(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go tool to locate standard-library export data: %v", err)
+	}
+	prog, err := loadProgram(goTool, filepath.Join("testdata", "apigate"), "example.com/apigate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := prog.unusedInternalAPI(map[string]string{
+		"widget.Widget.Reserved": "kept",
+		"widget.Widget.Gone":     "names nothing",
+	})
+	want := []string{
+		"internal API keep list: widget.Widget.Gone names no exported internal identifier without a caller; drop the entry",
+		"testdata/apigate/internal/widget/widget.go:13:17: widget.Widget.Uncalled has no caller outside tests; delete it, or move it into its package's tests if a test uses it as a referee",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -87,21 +115,21 @@ type srcPackage struct {
 	info  *types.Info
 }
 
-// loadProgram parses every package under the working directory, the
-// module's root, and type-checks it.
-func loadProgram(goTool, module string) (*program, error) {
+// loadProgram parses every package under root, the directory of the
+// module's root package, and type-checks it.
+func loadProgram(goTool, root, module string) (*program, error) {
 	p := &program{
 		fset:   token.NewFileSet(),
 		module: module,
 		pkgs:   map[string]*srcPackage{},
 	}
 	std := map[string]bool{}
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
 		name := d.Name()
-		if dir != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+		if dir != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
 		}
 		bp, err := build.ImportDir(dir, 0)
@@ -112,7 +140,11 @@ func loadProgram(goTool, module string) (*program, error) {
 		if err != nil {
 			return err
 		}
-		rel := filepath.ToSlash(dir)
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
 		path := module
 		if rel != "." {
 			path += "/" + rel
@@ -301,19 +333,6 @@ func (p *program) unusedInternalAPI(keep map[string]string) []string {
 		}
 	}
 
-	// The h2p package's API: the internal types it aliases, takes or returns.
-	public := map[*types.TypeName]bool{}
-	if root := p.pkgs[p.module]; root != nil {
-		scope := root.types.Scope()
-		for _, n := range scope.Names() {
-			obj := scope.Lookup(n)
-			if !obj.Exported() {
-				continue
-			}
-			markPublic(public, obj.Type())
-		}
-	}
-
 	// Interfaces the program can see: every named interface in a package
 	// it loads, error, the library's unnamed ones, and every interface type
 	// its own code spells out.
@@ -369,11 +388,7 @@ func (p *program) unusedInternalAPI(keep map[string]string) []string {
 		if fn, ok := dc.obj.(*types.Func); ok {
 			recv := fn.Type().(*types.Signature).Recv()
 			if recv != nil {
-				named := namedOf(recv.Type())
-				if named != nil && public[named.Obj()] {
-					continue
-				}
-				if implementsVisible(named, fn.Name(), ifaces) {
+				if implementsVisible(namedOf(recv.Type()), fn.Name(), ifaces) {
 					continue
 				}
 			}
@@ -451,34 +466,6 @@ func namedOf(t types.Type) *types.Named {
 		n = n.Origin()
 	}
 	return n
-}
-
-// markPublic records the named types a public declaration exposes: the
-// type itself, the element types of its composites, and a signature's
-// parameters and results.
-func markPublic(public map[*types.TypeName]bool, t types.Type) {
-	switch t := types.Unalias(t).(type) {
-	case *types.Named:
-		public[t.Origin().Obj()] = true
-	case *types.Pointer:
-		markPublic(public, t.Elem())
-	case *types.Slice:
-		markPublic(public, t.Elem())
-	case *types.Array:
-		markPublic(public, t.Elem())
-	case *types.Map:
-		markPublic(public, t.Key())
-		markPublic(public, t.Elem())
-	case *types.Chan:
-		markPublic(public, t.Elem())
-	case *types.Signature:
-		for i := 0; i < t.Params().Len(); i++ {
-			markPublic(public, t.Params().At(i).Type())
-		}
-		for i := 0; i < t.Results().Len(); i++ {
-			markPublic(public, t.Results().At(i).Type())
-		}
-	}
 }
 
 // implementsVisible reports whether the named type, or a pointer to it,
