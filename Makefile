@@ -33,7 +33,7 @@ test:
 
 # The race detector is the gate for every concurrent layer: the engine's run
 # pipeline (decoder, shards, merger), the Fleet's concurrent runs over a
-# shared decode, the sched decision cache, the telemetry instruments, the
+# shared decode, the sched controller's counters, the telemetry instruments, the
 # run journal and live hub, and the run server. It runs every test of every
 # package, so no subset of them needs a gate of its own.
 race:
@@ -103,11 +103,11 @@ check: vet fmt-check vuln build race fuzz-check load-check perfbench-check resul
 
 # bench tracks the decision hot path across PRs: the Decision* benchmarks in
 # internal/lookup (the Fig. 13 plane query and the per-server batch blend)
-# and internal/sched (Choose misses and hits, Decide, DecideBatch) run with
+# and internal/sched (Choose, Decide, DecideBatch) run with
 # -benchmem and land in BENCH_decision.json as a test2json stream, and the
 # end-to-end IntervalThroughput* benchmarks in internal/core (one control
 # interval over 10k-server columns through the batched block step, churn and
-# warm cache regimes, per-class sweep) land in BENCH_interval.json. Render or compare snapshots with `go run
+# warm regimes, per-class sweep) land in BENCH_interval.json. Render or compare snapshots with `go run
 # ./cmd/h2pbenchdiff BENCH_decision.json [other.json]`; add `-threshold 10`
 # to fail on >10% ns/op regressions.
 # The ShardScaling benchmark runs the full month-scale trace once per rung of

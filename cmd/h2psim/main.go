@@ -57,7 +57,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload generator seed")
 	workers := flag.Int("workers", 0, "engine shards per run "+core.ParallelismFlagHelp)
 	shards := flag.Int("shards", -1, "alias for -workers that takes precedence over it; -1 = unset "+core.ParallelismFlagHelp)
-	quantum := flag.Float64("quantum", 0, "decision-cache utilization quantum (0 = exact, paper-faithful; try 1/512)")
+	quantum := flag.Float64("quantum", 0, "decision quantum: plane utilizations snap to multiples of it (0 = exact, paper-faithful; try 1/512)")
 	traceFile := flag.String("trace", "", "optional CSV trace file (replaces the synthetic traces)")
 	series := flag.Bool("series", false, "also print the per-interval power series")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry (/metrics, /metrics.json, /trace) on this address")

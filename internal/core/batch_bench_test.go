@@ -12,8 +12,8 @@ import (
 // benchIntervalState builds a 10k-server engine plus a ring of trace columns
 // for steady-state interval stepping. The columns come from the Common class
 // generator — the trace whose plane churn is most representative — and the
-// first pass of the benchmark loop warms the decision cache, exactly like a
-// run's first intervals.
+// first pass of the benchmark loop grows the scratches, exactly like a run's
+// first interval.
 type benchIntervalState struct {
 	cfg     Config
 	space   *lookup.Space
@@ -48,31 +48,23 @@ func newBenchIntervalState(b *testing.B, servers int, gcfg trace.GeneratorConfig
 		st.cols = append(st.cols, col)
 	}
 	st.buf = make([]float64, servers)
-	st.reset(b)
+	eng, err := newEngineWithSpace(cfg, space)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st.circs = eng.circulationsRange(servers, 0, eng.cfg.Circulations(servers))
 	st.parts = make([]CirculationInterval, len(st.circs))
 	st.errs = make([]error, len(st.circs))
 	return st
 }
 
-// reset rebuilds the engine around the shared look-up space, giving the
-// controller a fresh (empty) decision cache. The churn benchmarks call it
-// off the clock every churnWindow iterations so each measured window models
-// one bounded-length run instead of a cache growing with b.N.
-func (st *benchIntervalState) reset(b *testing.B) {
-	b.Helper()
-	eng, err := newEngineWithSpace(st.cfg, st.space)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st.circs = eng.circulationsRange(st.servers, 0, eng.cfg.Circulations(st.servers))
-}
-
 // column materializes the interval-i column. With churn, every server's
 // utilization is scaled by a deterministic per-iteration factor just under 1,
-// so every circulation's plane key is fresh and each decision misses the
-// cache — the steady state of a CacheQuantum=0 run, where real columns
-// almost never repeat bit-identically. Without churn the ring columns repeat
-// verbatim and every decision is a cache hit.
+// so every circulation's plane key is fresh — the steady state of a
+// CacheQuantum=0 run, where real columns almost never repeat
+// bit-identically. Without churn the ring columns repeat verbatim; the
+// controller keeps nothing across intervals, so that saves only the
+// scaling pass.
 func (st *benchIntervalState) column(i int, churn bool) []float64 {
 	col := st.cols[i%len(st.cols)]
 	if !churn {
@@ -96,31 +88,15 @@ func (st *benchIntervalState) step(b *testing.B, i int, churn bool) {
 	}
 }
 
-// churnWindow bounds how much decision-cache state a churn benchmark can
-// accumulate: every window the engine is rebuilt off the clock with an empty
-// cache, so each measured window models one churnWindow-interval run and
-// ns/op is independent of b.N. Without the bound every iteration's fresh
-// plane keys pile onto the cache's bucket chains and the benchmark ends up
-// measuring chain walks whose length scales with iteration count — and since
-// the faster path completes more iterations per benchtime, it is penalized
-// more, inverting the comparison.
-const churnWindow = 128
-
 // benchInterval measures one full control interval — decide + harvest +
 // plant — over a 10k-server column, single worker. The churn variants
-// present fresh plane keys every iteration (decision-cache misses, the
-// CacheQuantum=0 steady state); the warm variants replay the ring verbatim
-// (all hits).
+// present fresh plane keys every iteration (the CacheQuantum=0 steady
+// state); the warm variants replay the ring verbatim.
 func benchInterval(b *testing.B, servers int, churn bool, gcfg trace.GeneratorConfig) {
 	st := newBenchIntervalState(b, servers, gcfg)
-	st.step(b, 0, false) // warm the scratches and the ring's cache keys
+	st.step(b, 0, false) // grow the scratches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if churn && i > 0 && i%churnWindow == 0 {
-			b.StopTimer()
-			st.reset(b)
-			b.StartTimer()
-		}
 		st.step(b, i, churn)
 	}
 	b.ReportMetric(float64(servers)*float64(b.N)/b.Elapsed().Seconds(), "servers/s")

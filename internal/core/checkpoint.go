@@ -31,12 +31,9 @@ const CheckpointVersion = 1
 //   - The fault injector needs no state at all: activation is a pure
 //     function of (seed, stream, unit, interval), so the resumed run asks
 //     the same questions and gets the same answers (see fault.Injector).
-//   - The decision cache is not saved. It is a pure function of (plane,
-//     cold side), so a resumed run that starts cold computes the same
-//     settings; re-warming it from a key list would cost the same Choose
-//     calls the misses do, while the list would grow with every distinct
-//     plane. Files written with a "cache_keys" field still decode:
-//     encoding/json ignores it.
+//   - No decision state is saved: the controller keeps none across
+//     intervals. Files written with the retired decision cache's
+//     "cache_keys" field still decode: encoding/json ignores it.
 //   - Series retains the per-interval results when the run keeps its series
 //     (RunOptions.KeepSeries), so a resumed run can still render the full
 //     interval series byte-identically.

@@ -97,15 +97,16 @@ type Config struct {
 	// circulation count clamp down. Results are bit-identical for any
 	// value.
 	Workers int
-	// DecisionQuantum is the cooling controller's plane-utilization cache
-	// quantum (sched.Controller.CacheQuantum). 0 — the default, and the
-	// paper-faithful setting — memoizes exact planes only; a positive
-	// quantum (e.g. 1/512) makes revisited planes hit the cache at the
-	// cost of a sub-quantum perturbation of the chosen setting.
+	// DecisionQuantum is the cooling controller's decision quantum
+	// (sched.Controller.CacheQuantum): the plane utilization snaps to a
+	// multiple of it before the setting is chosen. 0 — the default, and the
+	// paper-faithful setting — keeps the exact plane; a positive quantum
+	// (e.g. 1/512) lets more circulations of a column share one slab scan
+	// at the cost of a sub-quantum perturbation of the chosen setting.
 	DecisionQuantum float64
 	// Telemetry, when non-nil, instruments the engine, its controller and
 	// the shared look-up space: interval/step latency histograms, the run
-	// pipeline's decode/step/merge-wait timings, decision-cache counters,
+	// pipeline's decode/step/merge-wait timings, decision counters,
 	// scan lengths, and the harvested-power and outlet-temperature series,
 	// plus a span tracer. nil — the default
 	// — is the true no-op path: the warm Decide/Step path performs no

@@ -72,7 +72,7 @@ func TestEngineControllerCarriesConfigSetup(t *testing.T) {
 			}
 		}
 		if calls == 0 {
-			t.Errorf("%s: run recorded no decision-cache calls in the telemetry registry", name)
+			t.Errorf("%s: run recorded no decision calls in the telemetry registry", name)
 		}
 	}
 }

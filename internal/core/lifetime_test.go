@@ -59,7 +59,7 @@ func (f *failingSource) NextColumn(dst []float64) (int, error) {
 }
 
 // runWeak holds weak pointers to a finished run's engine and to the
-// controller it owns (the decision cache and its bucket array).
+// controller it owns.
 type runWeak struct {
 	eng  weak.Pointer[Engine]
 	ctrl weak.Pointer[sched.Controller]
@@ -83,8 +83,7 @@ func runForLifetime(t *testing.T, ctx context.Context, src trace.Source, opts *R
 // TestObserverDoesNotPinEngine checks the sink lifetime contract on every
 // exit path of the run loop: once RunSourceContext returns, the readers an
 // observer holds report the run's final values and no longer reach the
-// engine, so a finished run's controller, decision cache and shard state are
-// collectable while the observer lives on.
+// engine, so a finished run's controller and shard state are collectable while the observer lives on.
 func TestObserverDoesNotPinEngine(t *testing.T) {
 	gcfg := trace.CanonicalConfigs(60)[0]
 	newSrc := func() trace.Source {

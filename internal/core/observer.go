@@ -25,7 +25,7 @@ type RunObserver interface {
 }
 
 // CacheStatsSink is optionally implemented by a RunObserver that wants the
-// decision-cache hit rate in its progress records. The run loop hands it a
+// decision hit rate (sched.Controller.CacheStats) in its progress records. The run loop hands it a
 // live lifetime (hits, calls) reader over the run's controller before the
 // first interval; the observer may call it at any point during the run. When
 // the run returns — on every exit path, after its pipeline has joined — the

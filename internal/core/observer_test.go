@@ -9,7 +9,7 @@ import (
 )
 
 // recordingObserver captures every callback for inspection. It also
-// implements CacheStatsSink to receive the decision-cache reader.
+// implements CacheStatsSink to receive the decision-count reader.
 type recordingObserver struct {
 	intervals   []int
 	checkpoints []int

@@ -41,8 +41,7 @@ func Partition(n, shards int) []Range {
 // ShardRunner executes one contiguous range of an engine's circulations — an
 // engine shard. The run loop (RunSourceContext) builds one per Partition
 // range from the run's one Engine, so every shard shares the engine's
-// controller and decision cache (a lock-free table), its fault injector and
-// its telemetry, and steps its circulation range through the batched column
+// controller, its fault injector and its telemetry, and steps its circulation range through the batched column
 // kernel with a private BatchScratch. Shards never rendezvous inside an
 // interval.
 //
@@ -104,6 +103,6 @@ func (r *ShardRunner) RestoreSensorStates(states []hydro.SensorState) error {
 	return nil
 }
 
-// CacheStats reports the engine's decision-cache lifetime hit and call
-// counts.
+// CacheStats reports the engine's lifetime decision hit and call counts
+// (sched.Controller.CacheStats).
 func (r *ShardRunner) CacheStats() (hits, calls uint64) { return r.eng.controller.CacheStats() }

@@ -14,9 +14,8 @@ import (
 // benchShardConfig is the scaling benchmark's datacenter: 12.5k servers in
 // 25-server circulations (500 circulations) over a month of 5-minute
 // intervals — 8640 columns, the production scale the shard pipeline exists
-// for. The decision cache runs quantized (1/512), the documented bounded-
-// memory setting for month-scale runs, so the benchmark measures the
-// pipeline rather than an unbounded cache's growth.
+// for. The controller runs at the 1/512 decision quantum, the documented
+// setting for month-scale runs.
 func benchShardConfig() Config {
 	cfg := DefaultConfig(sched.Original)
 	cfg.DecisionQuantum = 1.0 / 512

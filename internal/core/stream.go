@@ -40,7 +40,7 @@ type RunOptions struct {
 	// Observer, when non-nil, receives run-lifecycle callbacks (merged
 	// intervals, checkpoints, resume, halt) — the hook the run journal
 	// (internal/obs) attaches through. An observer additionally implementing
-	// CacheStatsSink gets the decision-cache stats, and one implementing
+	// CacheStatsSink gets the decision counts, and one implementing
 	// ShardStatsSink gets the pipeline's timing counters. nil costs one
 	// pointer test per interval; results are bit-identical either way.
 	Observer RunObserver
@@ -139,8 +139,9 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 	// rm is the run's one event path and clock; nil (and never reading the
 	// clock) with neither a registry nor an observer.
 	rm := e.newRunMetrics(nCircs, shards, opts.Observer)
-	// The cache sink gets a live reader for the run. It reads the
-	// controller, which would pin the engine and its decision cache, so the
+	// The decision-count sink gets a live reader for the run. It reads the
+	// controller, which would pin the engine, its space and its power
+	// curve, so the
 	// deferred re-attach — after the pipeline's join below (defers unwind in
 	// reverse), on every exit path — swaps in the run's final counts. The
 	// shard reader needs no swap: it holds only the run's O(shards)

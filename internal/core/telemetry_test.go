@@ -53,8 +53,8 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 
 // TestTelemetryPopulatedByRun checks one instrumented run fills every layer's
 // instruments: engine interval/step counters and latency histograms, the
-// harvested-power and outlet-temperature histograms, the decision-cache
-// counters threaded from sched, and interval/circulation spans in the tracer.
+// harvested-power and outlet-temperature histograms, the decision counters
+// threaded from sched, and interval/circulation spans in the tracer.
 func TestTelemetryPopulatedByRun(t *testing.T) {
 	tr, err := trace.Generate(trace.CommonConfig(60), 5)
 	if err != nil {

@@ -92,10 +92,11 @@ func (s Seasonal) Validate() error {
 	return nil
 }
 
-// coldQuantum snaps the synthesized temperatures to a 1/64 °C grid. The
-// decision cache keys on the exact cold-side bits, so quantizing makes
-// near-identical conditions (tomorrow's 3 AM vs. today's) share cache
-// entries instead of each minting a fresh cold value.
+// coldQuantum snaps the synthesized temperatures to a 1/64 °C grid. It was
+// chosen so near-identical conditions (tomorrow's 3 AM vs. today's) shared
+// the entries of a cross-interval decision cache keyed on the cold-side
+// bits; that cache is gone, but the grid shapes every seasonal result, so
+// it stays.
 const coldQuantum = 64.0
 
 func quantizeTemp(c float64) units.Celsius {

@@ -76,7 +76,7 @@ func journalFleet(t *testing.T, reg *telemetry.Registry) (rates map[string]float
 }
 
 // TestSharedRegistryKeepsRunCacheRates checks that a registry shared by
-// concurrent Fleet runs aggregates their decision-cache counts without
+// concurrent Fleet runs aggregates their decision counts without
 // leaking into either run's journal: each run journals the hit rate it
 // journals with no registry, and the registry's totals are the runs' sum.
 func TestSharedRegistryKeepsRunCacheRates(t *testing.T) {

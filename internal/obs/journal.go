@@ -109,7 +109,7 @@ func (m Manifest) Hash() string {
 
 // Progress is a periodic run-progress record: position, rates and ETA, the
 // running harvested-power mean over the intervals this writer observed, the
-// decision-cache hit rate, and — for sharded runs — the pipeline timing
+// decision hit rate, and — for sharded runs — the pipeline timing
 // counters.
 type Progress struct {
 	// Interval is the last merged interval index; Done = Interval+1
@@ -126,8 +126,10 @@ type Progress struct {
 	// power over the intervals observed since start/resume (the headline
 	// series; a resumed writer's mean covers its own tail only).
 	AvgTEGWattsPerServer float64 `json:"avg_teg_w_per_server"`
-	// CacheHitRate is the run's decision-cache hits/calls so far: the
-	// counts of the run's own controller, whether or not a telemetry
+	// CacheHitRate is the run's decision hits/calls so far — the share of
+	// decisions whose plane an earlier circulation of the same shard column
+	// resolved (sched.Controller.CacheStats): the counts of the run's own
+	// controller, whether or not a telemetry
 	// registry aggregates it with other runs. -1 when no stats source is
 	// attached.
 	CacheHitRate float64 `json:"cache_hit_rate"`

@@ -15,18 +15,22 @@ import (
 // takes a whole *column* of utilizations partitioned into groups (one group
 // per circulation) and processes them in column passes:
 //
-//  1. reduce every group to its plane utilization and quantized cache key,
+//  1. reduce every group to its plane utilization and quantized key,
 //     interning the key so each group records its distinct-plane index,
-//  2. probe the sharded decision cache exactly once per distinct plane,
-//  3. resolve all cache-missed planes with resolvePlane, the fused kernel
+//  2. resolve every distinct plane once with resolvePlane, the fused kernel
 //     over the packed slab rows of the space's SegmentIndex
-//     (lookup.SlabRows) that also serves Choose's misses: the band filter,
-//     the outlet blend and the power argmax in one pass, hottest outlet
-//     first, that stops at a proven power bound, rerun over the whole plane
-//     for the safety fallback,
-//  4. scatter settings back to groups and evaluate the per-server outputs
+//     (lookup.SlabRows) that also serves Choose: the band filter, the
+//     outlet blend and the power argmax in one pass, hottest outlet first,
+//     that stops at a proven power bound, rerun over the whole plane for
+//     the safety fallback,
+//  3. scatter settings back to groups and evaluate the per-server outputs
 //     and the plane's outlet temperature with the flattened-stencil kernels
 //     (lookup.BatchEval) at the decided cell.
+//
+// The intern table is the decision path's only memo, and it lives for one
+// call: no decision carries over to the next interval. A resolved plane
+// costs a few slab rows (EXPERIMENTS.md § Early-exit miss scan), less than
+// a cross-interval table's probe and upkeep did.
 //
 // Every step replicates the seed's operation sequence exactly — same
 // comparisons, same blend order, same argmax outcome (the greatest power,
@@ -56,17 +60,17 @@ func (e GroupError) Error() string { return fmt.Sprintf("group %d: %v", e.Group,
 func (e GroupError) Unwrap() error { return e.Err }
 
 // BatchScratch is the reusable working set of DecideBatchCold: the per-group
-// reduction arrays, the key table, the unique-plane cache-probe state, the
-// miss scan's full-plane rows and the per-server temperature rows. A
-// BatchScratch may be reused across calls by one goroutine at a time (the
-// engine keeps one per shard); the zero value is ready to use. With a warm decision cache a
-// DecideBatchCold over a previously seen group shape performs zero
-// allocations.
+// reduction arrays, the key table, the per-plane outcomes, the scan's
+// full-plane rows and the per-server temperature rows. A BatchScratch may
+// be reused across calls by one goroutine at a time (the engine keeps one
+// per shard); the zero value is ready to use. Once it has grown to a group
+// shape, a DecideBatchCold over that shape performs zero allocations,
+// whatever the planes.
 type BatchScratch struct {
 	// Per-group state, len(ranges) wide.
 	planeU []float64 // raw (unquantized) plane utilization — what Decision.PlaneU reports
 	gErrs  []error   // per-group reduction/validation failure, serial message
-	gUniq  []int32   // index of the group's cache key in uniq; valid only where gErrs[g] == nil
+	gUniq  []int32   // index of the group's key in uniq; valid only where gErrs[g] == nil
 
 	// slots is the open-addressing table intern uses to find a key's index
 	// in uniq: a power of two at least twice the group count wide, each
@@ -76,23 +80,15 @@ type BatchScratch struct {
 	shift uint
 
 	// Per-unique-key state, one entry per distinct key among the valid
-	// groups, in order of first appearance. published starts true for keys
-	// already in the cache and flips true when a group's scatter gets the
-	// miss admitted.
-	uniq      []uint64
-	published []bool
-	uSetting  []Setting
-	uPower    []units.Watts
-	uCell     []int32
-	uErr      []error
-
-	// Cache-missed planes (the batch scan's input column) and their index
-	// into the unique arrays.
-	missPlane []float64
-	missIdx   []int32
+	// groups, in order of first appearance: the key (the quantized plane's
+	// bits) and the plane's resolved outcome.
+	uniq     []uint64
+	uSetting []Setting
+	uCell    []int32
+	uErr     []error
 
 	// plane holds a whole plane's packed rows, Space.Cells() wide, for the
-	// miss scan's rare full-plane passes (the safety fallback and planes off
+	// scan's rare full-plane passes (the safety fallback and planes off
 	// a custom utilization axis); allocated on first use.
 	plane []lookup.SlabRow
 
@@ -146,9 +142,7 @@ func (bs *BatchScratch) intern(key uint64) int32 {
 
 // growUnique sizes the per-unique-key arrays.
 func (bs *BatchScratch) growUnique(n int) {
-	bs.published = resize(bs.published, n)
 	bs.uSetting = resize(bs.uSetting, n)
-	bs.uPower = resize(bs.uPower, n)
 	bs.uCell = resize(bs.uCell, n)
 	bs.uErr = resize(bs.uErr, n)
 }
@@ -170,9 +164,9 @@ func (bs *BatchScratch) growServers(n int) {
 // is written to out[g] with its per-server slices aliasing scratches[g]
 // (exactly as Decide aliases its Scratch). Results are bit-identical to
 // deciding each group alone; distinct planes are scanned once per column
-// instead of once per group. The cold side joins the plane in the
-// decision-cache key, so a cached decision is always the one an uncached scan
-// at that cold side would make.
+// instead of once per group. The call adds one decision per group it
+// decides to the controller's calls, and to its hits each group whose
+// plane an earlier group of the call resolved.
 //
 // On failure the error is a GroupError attributing the lowest-indexed failed
 // group with the exact single-group error; out entries for groups before it
@@ -191,10 +185,10 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		}
 	}
 
-	// Phase 1: reduce each group to its plane and cache key, and intern the
-	// key. Validation follows the serial sequence exactly: empty/unknown-
-	// scheme from PlaneUtilization first, then Choose's unit-interval check
-	// on the raw plane, then quantization.
+	// Phase 1: reduce each group to its plane and key, and intern the key.
+	// Validation follows the serial sequence exactly: empty/unknown-scheme
+	// from PlaneUtilization first, then Choose's unit-interval check on the
+	// raw plane, then quantization.
 	bs.growGroups(len(ranges))
 	for g, r := range ranges {
 		planeU, err := PlaneUtilization(col[r.Lo:r.Hi], scheme)
@@ -209,60 +203,40 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		}
 		bs.gUniq[g] = bs.intern(math.Float64bits(c.quantizePlane(planeU)))
 	}
-
-	// Phase 2: one cache probe per distinct key.
-	bs.growUnique(len(bs.uniq))
-	cb := math.Float64bits(float64(cold))
-	bs.missPlane = bs.missPlane[:0]
-	bs.missIdx = bs.missIdx[:0]
-	for j, key := range bs.uniq {
-		if setting, power, cell, ok := c.cache.load(key, cb); ok {
-			bs.published[j] = true
-			bs.uSetting[j], bs.uPower[j], bs.uCell[j] = setting, power, cell
-		} else {
-			bs.missPlane = append(bs.missPlane, math.Float64frombits(key))
-			bs.missIdx = append(bs.missIdx, int32(j))
-		}
-	}
 	c.observeBatch(len(ranges), len(bs.uniq))
 
-	// Phase 3: resolve all missed planes with the fused slab-row kernel.
+	// Phase 2: resolve every distinct plane with the fused slab-row kernel.
 	// Its argmax breaks ties on the lowest cell, so it picks the exact
 	// setting the seed's two-pass scan in cell order picks, whatever order
 	// it visits the rows in. A plane that finds no safe setting keeps its
 	// error in uErr, for the first group deciding it to report.
-	c.scanMisses(bs, cold)
+	bs.growUnique(len(bs.uniq))
+	c.resolvePlanes(bs, cold)
 
-	// Phase 4: scatter in group order — publish fresh entries, account the
-	// cache counters exactly as per-group Choose calls would, and evaluate
-	// the per-server outputs with the batch kernels. A key the cache did not
-	// admit stays unpublished, so its next group stores again: that is the
-	// key's second miss, exactly as the serial Choose calls would see it.
-	// The counts gather in locals and reach the shared counters once per
-	// call, on the error returns too, so the totals stay those of the
-	// per-group calls without an atomic add per group.
-	var calls, hits, inserts uint64
-	defer func() { c.addCacheCounts(0, calls, hits, inserts) }()
+	// Phase 3: scatter in group order, counting the decisions and
+	// evaluating the per-server outputs with the batch kernels. uniq is in
+	// the groups' order of first appearance, so a group is the first to
+	// decide its plane exactly when its index is the next fresh one; every
+	// other group's plane was resolved for an earlier group, which makes it
+	// a hit. The counts reach the shared counters once per call, on the
+	// error returns too.
+	var calls, fresh uint64
+	defer func() { c.addDecisionCounts(0, calls, calls-fresh) }()
 	spec := c.Space.Spec()
+	pa, ps, po := spec.PowerLogCoeff, spec.PowerLogShift, spec.PowerOffset
 	for g, r := range ranges {
 		if bs.gErrs[g] != nil {
 			return GroupError{Group: g, Err: bs.gErrs[g]}
 		}
 		j := bs.gUniq[g]
-		key := bs.uniq[j]
 		calls++
-		if !bs.published[j] {
+		if uint64(j) == fresh {
+			fresh++
 			if err := bs.uErr[j]; err != nil {
 				return GroupError{Group: g, Err: err}
 			}
-			if c.cache.store(key, cb, bs.uSetting[j], bs.uPower[j], bs.uCell[j]) {
-				inserts++
-				bs.published[j] = true
-			}
-		} else {
-			hits++
 		}
-		c.observeChoice(bucketOf(key), bs.uSetting[j])
+		c.observeChoice(bucketOf(bs.uniq[j]), bs.uSetting[j])
 
 		// The decision's fields are written straight into its slot.
 		n := r.Hi - r.Lo
@@ -291,9 +265,9 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		c.Space.LocateColumn(eff, &bs.loc)
 		c.Space.BatchEval(cell, &bs.loc, bs.cpuT, bs.outT)
 		c.curve.powerAtColumn(cell, bs.outT, d.PerServerPower[:m], float64(cold))
+		cpuPowerColumn(pa, ps, po, eff, d.PerServerCPUPower[:m])
 		var maxT units.Celsius
 		for i := range m {
-			d.PerServerCPUPower[i] = spec.Power(eff[i])
 			if t := units.Celsius(bs.cpuT[i]); t > maxT {
 				maxT = t
 			}
@@ -310,29 +284,41 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 	return nil
 }
 
-// scanMisses resolves every cache-missed plane into the unique arrays with
-// resolvePlane, fetching the space's SegmentIndex for the band once per
-// call. A plane that finds no safe setting records its error in uErr.
-func (c *Controller) scanMisses(bs *BatchScratch, cold units.Celsius) {
+// cpuPowerColumn writes each utilization's CPU draw (Eq. 20) to dst:
+// cpu.Spec.Power's operation sequence with its coefficients (pa, ps, po:
+// PowerLogCoeff, PowerLogShift, PowerOffset) hoisted out of the loop, as
+// powerAtColumn hoists Eq. 6's, so every output is bit-identical to
+// Spec.Power, which is too costly for the compiler to inline into a loop.
+func cpuPowerColumn(pa, ps, po float64, us []float64, dst []units.Watts) {
+	for i, u := range us {
+		dst[i] = units.Watts(pa*math.Log(units.Clamp(u, 0, 1)+ps) + po)
+	}
+}
+
+// resolvePlanes resolves every distinct plane of the call into the unique
+// arrays with resolvePlane, fetching the space's SegmentIndex for the band
+// once per call. A plane that finds no safe setting records its error in
+// uErr.
+func (c *Controller) resolvePlanes(bs *BatchScratch, cold units.Celsius) {
 	idx := c.Space.SegmentIndex(c.TSafe-c.Band, c.TSafe+c.Band)
 	var evals uint64
-	for m, j := range bs.missIdx {
-		setting, power, cell, visited, err := c.resolvePlane(idx, bs.missPlane[m], cold, &bs.plane)
+	for j, key := range bs.uniq {
+		setting, _, cell, visited, err := c.resolvePlane(idx, math.Float64frombits(key), cold, &bs.plane)
 		evals += uint64(visited)
 		if err != nil {
 			bs.uErr[j] = err
 			continue
 		}
-		bs.uSetting[j], bs.uPower[j], bs.uCell[j] = setting, power, cell
+		bs.uSetting[j], bs.uCell[j] = setting, cell
 	}
 	if m := c.met; m != nil {
 		m.curveEvals.Add(evals)
 	}
 }
 
-// resolvePlane runs the uncached Steps 1-3 for the plane u against the cold
-// side cold: the one implementation behind every Choose miss and every
-// DecideBatchCold miss. idx must be the space's SegmentIndex for
+// resolvePlane runs Steps 1-3 for the plane u against the cold side cold:
+// the one implementation behind every Choose and every distinct plane of a
+// DecideBatchCold call. idx must be the space's SegmentIndex for
 // [TSafe-Band, TSafe+Band]; buf holds the plane's packed rows for the rare
 // full-plane passes and is grown on first use.
 //

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // batchColumn builds a deterministic utilization column partitioned into
 // groups of varying width, mixing smooth, spiky and boundary values so the
-// plane reductions cover distinct and repeated cache keys.
+// plane reductions cover distinct and repeated plane keys.
 func batchColumn(groups, maxWidth int, seed int64) ([]float64, []Range) {
 	rng := rand.New(rand.NewSource(seed))
 	var col []float64
@@ -55,9 +56,9 @@ func cloneDecision(d Decision) Decision {
 }
 
 // TestDecideBatchMatchesSerial is the sched-layer bit-identity pin: for
-// every scheme and cache-quantum setting, DecideBatchCold over a multi-group
+// every scheme and decision quantum, DecideBatchCold over a multi-group
 // column must reproduce the scalar referee's per-group outcomes exactly —
-// cold cache and warm cache alike.
+// on a fresh scratch and on a reused one alike.
 func TestDecideBatchMatchesSerial(t *testing.T) {
 	for _, quantum := range []float64{0, 1.0 / 512} {
 		for _, scheme := range []Scheme{Original, LoadBalance} {
@@ -72,7 +73,7 @@ func TestDecideBatchMatchesSerial(t *testing.T) {
 				scratches[g] = &Scratch{}
 			}
 			out := make([]Decision, len(ranges))
-			for round := 0; round < 2; round++ { // cold then warm cache
+			for round := 0; round < 2; round++ { // fresh then reused scratch
 				if err := c.DecideBatchCold(col, ranges, scheme, c.ColdSource, &bs, scratches, out); err != nil {
 					t.Fatalf("q=%v %s round %d: DecideBatchCold: %v", quantum, scheme, round, err)
 				}
@@ -91,22 +92,16 @@ func TestDecideBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDecideBatchCountersMatchSerial pins the cache accounting: a batch over
-// G valid groups must report exactly G Choose calls, with hits + inserts
-// partitioned as if each group had called Choose in order.
+// TestDecideBatchCountersMatchSerial pins the decision accounting: a batch
+// over G valid groups reports exactly the G calls per-group decisions
+// report, and groups minus distinct planes as hits where the per-group
+// decisions, each a call of its own, report none.
 func TestDecideBatchCountersMatchSerial(t *testing.T) {
 	c := newController(t)
 	ref := newController(t)
 	col, ranges := batchColumn(29, 16, 11)
 	var bs BatchScratch
-	scratches := make([]*Scratch, len(ranges))
-	for g := range scratches {
-		scratches[g] = &Scratch{}
-	}
-	out := make([]Decision, len(ranges))
-	if err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, scratches, out); err != nil {
-		t.Fatal(err)
-	}
+	decideColumn(t, c, col, ranges, Original, 20, &bs)
 	for _, r := range ranges {
 		if _, err := ref.decideSerial(col[r.Lo:r.Hi], Original, ref.ColdSource); err != nil {
 			t.Fatal(err)
@@ -114,26 +109,23 @@ func TestDecideBatchCountersMatchSerial(t *testing.T) {
 	}
 	bh, bc := c.CacheStats()
 	sh, sc := ref.CacheStats()
-	if bh != sh || bc != sc {
-		t.Errorf("batch cache stats (hits=%d calls=%d) != serial (hits=%d calls=%d)", bh, bc, sh, sc)
-	}
-	if got, want := c.inserts.Value(), ref.inserts.Value(); got != want {
-		t.Errorf("batch inserts = %d, serial = %d", got, want)
+	wantHits, _ := expectedCounts(col, ranges, Original, 0)
+	if bc != sc || bh != wantHits || sh != 0 || wantHits == 0 {
+		t.Errorf("batch (hits=%d calls=%d), serial (hits=%d calls=%d); want calls equal, batch hits %d > 0, serial hits 0",
+			bh, bc, sh, sc, wantHits)
 	}
 }
 
-// TestDecideBatchCountersMatchSerialPastCapacity extends the accounting pin
-// past the cache's capacity: a column of single-server groups over more
-// distinct exact planes than cacheBuckets, each drawn about twice, crosses
-// capacity mid-column. A key the cache does not admit on its first group
-// must be admitted on its second, exactly as serial Choose calls in group
-// order are, so hits, calls, inserts and decisions all match — cold and
-// warm.
+// TestDecideBatchCountersMatchSerialPastCapacity runs the accounting pin
+// on a column wider than the retired decision table: single-server groups
+// over more distinct exact planes than its 4,096 buckets, each drawn about
+// twice. Decisions match the serial referee and each call's counts follow
+// the rule — nothing the first call resolved is a hit in the second.
 func TestDecideBatchCountersMatchSerialPastCapacity(t *testing.T) {
 	c := newController(t)
 	ref := newController(t)
 	rng := rand.New(rand.NewSource(15))
-	planes := make([]float64, cacheBuckets+cacheBuckets/4)
+	planes := make([]float64, 5120)
 	for i := range planes {
 		planes[i] = rng.Float64()
 	}
@@ -143,16 +135,10 @@ func TestDecideBatchCountersMatchSerialPastCapacity(t *testing.T) {
 		col[g] = planes[rng.Intn(len(planes))]
 		ranges[g] = Range{Lo: g, Hi: g + 1}
 	}
+	wantHits, wantCalls := expectedCounts(col, ranges, Original, 0)
 	var bs BatchScratch
-	scratches := make([]*Scratch, len(ranges))
-	for g := range scratches {
-		scratches[g] = &Scratch{}
-	}
-	out := make([]Decision, len(ranges))
-	for round := 0; round < 2; round++ {
-		if err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, scratches, out); err != nil {
-			t.Fatal(err)
-		}
+	for round := 1; round <= 2; round++ {
+		out := decideColumn(t, c, col, ranges, Original, 20, &bs)
 		for g, r := range ranges {
 			want, err := ref.decideSerial(col[r.Lo:r.Hi], Original, ref.ColdSource)
 			if err != nil {
@@ -163,116 +149,63 @@ func TestDecideBatchCountersMatchSerialPastCapacity(t *testing.T) {
 			}
 		}
 		bh, bc := c.CacheStats()
-		sh, sc := ref.CacheStats()
-		if bh != sh || bc != sc {
-			t.Errorf("round %d: batch cache stats (hits=%d calls=%d) != serial (hits=%d calls=%d)", round, bh, bc, sh, sc)
+		_, sc := ref.CacheStats()
+		if bh != uint64(round)*wantHits || bc != uint64(round)*wantCalls || bc != sc {
+			t.Errorf("round %d: batch counts (hits=%d calls=%d), serial calls %d; want %d hits of %d calls per round",
+				round, bh, bc, sc, wantHits, wantCalls)
 		}
-		if got, want := c.inserts.Value(), ref.inserts.Value(); got != want {
-			t.Errorf("round %d: batch inserts = %d, serial = %d", round, got, want)
-		}
-	}
-	if c.cache.door.Load() == nil {
-		t.Fatal("column never crossed the cache's capacity")
-	}
-	if hits, calls := c.CacheStats(); c.inserts.Value() == calls-hits {
-		t.Errorf("every miss was published (%d inserts): the admission rule never applied", c.inserts.Value())
 	}
 }
 
 // TestDecideBatchCountersMatchSerialOnFailure pins the counter flush on the
-// error returns: when a column fails mid-way, the cache counters must hold
-// exactly what serial Choose calls count over the groups the serial path
-// reaches before (and including) the failing one. Two failures: a group
-// whose plane lies outside [0,1] (rejected before Choose counts it) and a
-// scan that finds no safe setting (counted as a call, never inserted).
+// error returns: when a column fails mid-way, the calls must be exactly
+// those the serial path counts over the groups it reaches before (and
+// including) the failing one, and the hits those groups' repeated planes.
+// Two failures: a group whose plane lies outside [0,1] (rejected before it
+// counts) and a NaN plane whose scan finds no safe setting (counted as a
+// call).
 func TestDecideBatchCountersMatchSerialOnFailure(t *testing.T) {
 	col, ranges := batchColumn(24, 6, 21)
 	const fail = 17
-	warm := ranges[:fail]
 	cases := []struct {
-		name string
-		// prepare readies a controller for the failing column after the
-		// first fail groups have warmed its cache.
-		prepare func(c *Controller, col []float64)
+		name    string
+		scheme  Scheme
+		bad     float64
+		counted int // groups the counters see: those before fail, plus fail if its plane reaches the scan
 	}{
-		{"plane-outside-unit", func(c *Controller, col []float64) {
-			col[ranges[fail].Lo] = 1.5
-		}},
-		{"no-safe-setting", func(c *Controller, col []float64) {
-			// Warmed planes keep hitting their cached settings; the first
-			// plane the cache has not seen scans an empty intersection.
-			c.TSafe = -100
-		}},
+		{"plane-outside-unit", Original, 1.5, fail},
+		{"no-safe-setting", LoadBalance, math.NaN(), fail + 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newController(t)
 			ref := newController(t)
 			col := append([]float64(nil), col...)
-			for _, ctl := range []*Controller{c, ref} {
-				for _, r := range warm {
-					if _, err := ctl.decideSerial(col[r.Lo:r.Hi], Original, ctl.ColdSource); err != nil {
-						t.Fatal(err)
-					}
-				}
-				tc.prepare(ctl, col)
-			}
+			col[ranges[fail].Lo] = tc.bad
 
 			var bs BatchScratch
-			scratches := make([]*Scratch, len(ranges))
-			for g := range scratches {
-				scratches[g] = &Scratch{}
-			}
-			err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, scratches, make([]Decision, len(ranges)))
+			err := c.DecideBatchCold(col, ranges, tc.scheme, c.ColdSource, &bs, newScratches(len(ranges)), make([]Decision, len(ranges)))
 			var ge GroupError
 			if !errors.As(err, &ge) {
 				t.Fatalf("batch error %v is not a GroupError", err)
 			}
 			reached := -1
 			for g, r := range ranges {
-				if _, err := ref.decideSerial(col[r.Lo:r.Hi], Original, ref.ColdSource); err != nil {
+				if _, err := ref.decideSerial(col[r.Lo:r.Hi], tc.scheme, ref.ColdSource); err != nil {
 					reached = g
 					break
 				}
 			}
-			if reached != ge.Group || reached < fail {
-				t.Fatalf("batch failed at group %d, serial at %d (want >= %d)", ge.Group, reached, fail)
+			if reached != ge.Group || reached != fail {
+				t.Fatalf("batch failed at group %d, serial at %d (want %d)", ge.Group, reached, fail)
 			}
 			bh, bc := c.CacheStats()
-			sh, sc := ref.CacheStats()
-			if bh != sh || bc != sc {
-				t.Errorf("batch cache stats (hits=%d calls=%d) != serial (hits=%d calls=%d)", bh, bc, sh, sc)
-			}
-			if got, want := c.inserts.Value(), ref.inserts.Value(); got != want {
-				t.Errorf("batch inserts = %d, serial = %d", got, want)
+			_, sc := ref.CacheStats()
+			wantHits, wantCalls := expectedCounts(col, ranges[:tc.counted], tc.scheme, 0)
+			if bc != sc || bc != wantCalls || bh != wantHits {
+				t.Errorf("batch (hits=%d calls=%d), serial calls %d; want %d hits of %d calls", bh, bc, sc, wantHits, wantCalls)
 			}
 		})
-	}
-}
-
-// TestDecideBatchSharesCacheWithSerial checks the batch kernel and Choose
-// read and write one cache: entries published by the referee's Choose calls
-// are batch hits.
-func TestDecideBatchSharesCacheWithSerial(t *testing.T) {
-	c := newController(t)
-	col, ranges := batchColumn(9, 8, 3)
-	for _, r := range ranges {
-		if _, err := c.decideSerial(col[r.Lo:r.Hi], Original, c.ColdSource); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inserts := c.inserts.Value()
-	var bs BatchScratch
-	scratches := make([]*Scratch, len(ranges))
-	for g := range scratches {
-		scratches[g] = &Scratch{}
-	}
-	out := make([]Decision, len(ranges))
-	if err := c.DecideBatchCold(col, ranges, Original, c.ColdSource, &bs, scratches, out); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.inserts.Value(); got != inserts {
-		t.Errorf("batch over a serially warmed column inserted %d new entries", got-inserts)
 	}
 }
 
@@ -355,8 +288,8 @@ func TestDecideBatchValidatesArguments(t *testing.T) {
 }
 
 // TestDecideBatchAllocationFree pins the steady state of the engine's batch
-// path: with a warm cache and grown scratches, a whole-column
-// DecideBatchCold performs zero allocations.
+// path: with grown scratches, a whole-column DecideBatchCold performs zero
+// allocations.
 func TestDecideBatchAllocationFree(t *testing.T) {
 	c := newController(t)
 	col, ranges := batchColumn(17, 12, 13)
@@ -375,7 +308,7 @@ func TestDecideBatchAllocationFree(t *testing.T) {
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("warm DecideBatchCold = %v allocs/op, want 0", allocs)
+		t.Errorf("reused DecideBatchCold = %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -397,13 +330,11 @@ func TestDecideBatchOverlappingRanges(t *testing.T) {
 }
 
 // BenchmarkDecisionDecideBatch measures the batched column path on a 10k
-// column split into 64 groups in both cache regimes. warm re-decides one
-// column against a warm cache — the engine's steady interval at a quantized
-// plane. churn scales the column by a fresh factor every iteration against a
-// cache already at capacity — an exact-quantum replay, where planes are
-// almost never seen twice. It decides LoadBalance, whose mean planes differ
-// per group, where most of the column's Original maxima are 1 and would
-// collapse onto one key.
+// column split into 64 groups. warm re-decides one column under Original,
+// whose maxima mostly collapse onto the plane 1, so the dedupe resolves few
+// planes. churn scales the column by a fresh factor every iteration — an
+// exact-quantum replay, where planes are almost never seen twice — and
+// decides LoadBalance, whose mean planes differ per group.
 func BenchmarkDecisionDecideBatch(b *testing.B) {
 	base, ranges := batchColumn(64, 320, 5)
 	servers := 0
@@ -419,9 +350,6 @@ func BenchmarkDecisionDecideBatch(b *testing.B) {
 			scratches[g] = &Scratch{}
 		}
 		out := make([]Decision, len(ranges))
-		if churn {
-			fillController(b, c)
-		}
 		if err := c.DecideBatchCold(col, ranges, scheme, c.ColdSource, &bs, scratches, out); err != nil {
 			b.Fatal(err)
 		}

@@ -31,9 +31,9 @@ func benchController(b *testing.B) *Controller {
 	return c
 }
 
-// BenchmarkDecisionChooseMiss measures the uncached Steps 1-3: every
-// iteration queries a fresh plane so the slab intersection and the candidate
-// power scan run in full.
+// BenchmarkDecisionChooseMiss measures Steps 1-3 on a fresh plane every
+// iteration: the slab intersection and the candidate power scan up to its
+// early exit.
 func BenchmarkDecisionChooseMiss(b *testing.B) {
 	c := benchController(b)
 	b.ReportAllocs()
@@ -46,50 +46,9 @@ func BenchmarkDecisionChooseMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkDecisionChooseHit measures a warm cache: the same plane is chosen
-// repeatedly, so Choose must be a pure cache read.
-func BenchmarkDecisionChooseHit(b *testing.B) {
-	c := benchController(b)
-	if _, _, err := c.Choose(0.25, c.ColdSource); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Choose(0.25, c.ColdSource); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecisionChooseHitParallel hammers the warm cache from all CPUs:
-// the contention profile of the parallel engine's workers, which all consult
-// one shared controller.
-func BenchmarkDecisionChooseHitParallel(b *testing.B) {
-	c := benchController(b)
-	for i := 0; i <= 64; i++ {
-		if _, _, err := c.Choose(float64(i)/64, c.ColdSource); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			u := float64(i%65) / 64
-			i++
-			if _, _, err := c.Choose(u, c.ColdSource); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkDecisionDecide measures one full control interval for a 25-server
-// circulation with a warm decision cache, through the scratch each engine
-// circulation holds — the steady-state per-circulation cost, expected
-// allocation-free.
+// circulation through a reused scratch — the steady-state per-circulation
+// cost, expected allocation-free.
 func BenchmarkDecisionDecide(b *testing.B) {
 	c := benchController(b)
 	us := make([]float64, 25)

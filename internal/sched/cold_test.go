@@ -53,8 +53,8 @@ func TestColdVariantsMatchDefaultAtColdSource(t *testing.T) {
 	}
 }
 
-// TestColdSideChangesDecisionIndependently verifies the cache keeps
-// decisions made under different cold sides separate and physically ordered:
+// TestColdSideChangesDecisionIndependently verifies decisions made under
+// different cold sides stay separate and physically ordered:
 // a colder TEG cold side strictly increases the harvest at the same plane.
 func TestColdSideChangesDecisionIndependently(t *testing.T) {
 	c := coldTestController(t)
@@ -69,12 +69,12 @@ func TestColdSideChangesDecisionIndependently(t *testing.T) {
 	if pCold <= pWarm {
 		t.Fatalf("colder cold side must raise max power: cold=12 -> %v, cold=26 -> %v", pCold, pWarm)
 	}
-	// Revisit both colds: the cached entries must reproduce the first pass
+	// Revisit both colds: the decisions must reproduce the first pass
 	// exactly (no aliasing between the two).
 	_, pWarm2, _ := c.Choose(0.6, 26)
 	_, pCold2, _ := c.Choose(0.6, 12)
 	if pWarm2 != pWarm || pCold2 != pCold {
-		t.Fatalf("cached revisit drifted: warm %v->%v cold %v->%v", pWarm, pWarm2, pCold, pCold2)
+		t.Fatalf("revisit drifted: warm %v->%v cold %v->%v", pWarm, pWarm2, pCold, pCold2)
 	}
 }
 

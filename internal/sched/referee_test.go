@@ -53,7 +53,7 @@ func (c *Controller) chooseRef(planeU float64, cold units.Celsius) (Setting, uni
 
 // decideSerial is the scalar referee of the decision path: one Choose on the
 // plane utilization (pinned to chooseRef by TestChooseMatchesReference; the
-// counter suites rely on decideSerial going through Choose's cache
+// counter suites rely on decideSerial going through Choose's call
 // accounting), then per-server evaluation through the interpolated
 // look-up calls and the module's own MaxPower (PowerAt), one circulation at
 // a time. DecideBatchCold — and Decide, its single-group adapter — must

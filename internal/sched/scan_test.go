@@ -196,29 +196,29 @@ func TestDecideBatchNaNPlaneMatchesSerial(t *testing.T) {
 			t.Fatalf("q=%v: batch error %q, serial %q, want errNoSafeSetting(NaN)", quantum, ge.Err, wantErr)
 		}
 		j := bs.gUniq[1]
-		if bs.published[j] || bs.uErr[j] == nil || bs.uErr[j].Error() != wantErr.Error() {
-			t.Fatalf("q=%v: NaN plane's unique entry published=%v err=%v", quantum, bs.published[j], bs.uErr[j])
+		if bs.uErr[j] == nil || bs.uErr[j].Error() != wantErr.Error() {
+			t.Fatalf("q=%v: NaN plane's unique entry err=%v", quantum, bs.uErr[j])
 		}
+		// The counters see the two groups reached, the NaN one included,
+		// and no repeated plane among them.
 		bh, bc := c.CacheStats()
-		sh, sc := ref.CacheStats()
-		if bh != sh || bc != sc || c.inserts.Value() != ref.inserts.Value() {
-			t.Errorf("q=%v: batch counters (%d, %d, %d) != serial (%d, %d, %d)",
-				quantum, bh, bc, c.inserts.Value(), sh, sc, ref.inserts.Value())
+		_, sc := ref.CacheStats()
+		if bh != 0 || bc != 2 || sc != bc {
+			t.Errorf("q=%v: batch counts (hits=%d calls=%d), serial calls %d; want 0 hits of 2 calls", quantum, bh, bc, sc)
 		}
 	}
 }
 
-// TestDecideBatchChurnAllocationFree pins the exact-cache steady state at
-// zero allocations: against a cache already at capacity every column's
-// planes are fresh first misses, so each one runs the fused miss scan and
-// only records its fingerprint. With a band no plane reaches, every miss
-// also reruns the kernel over the whole plane's packed rows.
+// TestDecideBatchChurnAllocationFree pins the exact-quantum steady state at
+// zero allocations: every column's planes are fresh, so each one runs the
+// fused scan. With a band no plane reaches, every plane also reruns the
+// kernel over the whole plane's packed rows, which the batch scratch
+// holds.
 func TestDecideBatchChurnAllocationFree(t *testing.T) {
 	base, ranges := batchColumn(24, 16, 9)
 	for _, tsafe := range []units.Celsius{62, 200} {
 		c := newController(t)
 		c.TSafe = tsafe
-		fillController(t, c)
 		col := append([]float64(nil), base...)
 		var bs BatchScratch
 		scratches := make([]*Scratch, len(ranges))

@@ -273,6 +273,10 @@ func TestChooseFallbackWhenSlabUnreachable(t *testing.T) {
 	}
 }
 
+// TestDecisionCacheExactMemoization pins exact-plane reuse: Choose at the
+// same plane twice returns the same decision and counts two calls, no hit,
+// while one DecideBatchCold call over two groups at that plane resolves it
+// once and counts the second group as a hit.
 func TestDecisionCacheExactMemoization(t *testing.T) {
 	c := newController(t)
 	s1, p1, err := c.Choose(0.35, c.ColdSource)
@@ -284,11 +288,18 @@ func TestDecisionCacheExactMemoization(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s1 != s2 || p1 != p2 {
-		t.Errorf("memoized Choose drifted: %v/%v vs %v/%v", s1, p1, s2, p2)
+		t.Errorf("repeated Choose drifted: %v/%v vs %v/%v", s1, p1, s2, p2)
 	}
-	hits, calls := c.CacheStats()
-	if calls != 2 || hits != 1 {
-		t.Errorf("cache stats = %d hits of %d calls, want 1 of 2", hits, calls)
+	if hits, calls := c.CacheStats(); calls != 2 || hits != 0 {
+		t.Errorf("Choose stats = %d hits of %d calls, want 0 of 2", hits, calls)
+	}
+	b := newController(t)
+	out := decideColumn(t, b, []float64{0.35, 0.35}, []Range{{0, 1}, {1, 2}}, Original, 20, &BatchScratch{})
+	if out[0].Setting != s1 || out[1].Setting != s1 {
+		t.Errorf("batch settings %v, %v; Choose %v", out[0].Setting, out[1].Setting, s1)
+	}
+	if hits, calls := b.CacheStats(); calls != 2 || hits != 1 {
+		t.Errorf("batch stats = %d hits of %d calls, want 1 of 2", hits, calls)
 	}
 }
 
@@ -296,7 +307,7 @@ func TestDecisionCacheQuantization(t *testing.T) {
 	quant := newController(t)
 	quant.CacheQuantum = 1.0 / 256
 	// Two planes within half a quantum of each other must collapse onto
-	// the same cached decision.
+	// the same decision — in one batch call, onto one resolved plane.
 	s1, p1, err := quant.Choose(0.400001, quant.ColdSource)
 	if err != nil {
 		t.Fatal(err)
@@ -308,8 +319,10 @@ func TestDecisionCacheQuantization(t *testing.T) {
 	if s1 != s2 || p1 != p2 {
 		t.Error("planes within one quantum should share a decision")
 	}
-	if hits, calls := quant.CacheStats(); hits != 1 || calls != 2 {
-		t.Errorf("cache stats = %d hits of %d calls, want 1 of 2", hits, calls)
+	h0, c0 := quant.CacheStats()
+	decideColumn(t, quant, []float64{0.400001, 0.400002}, []Range{{0, 1}, {1, 2}}, Original, 20, &BatchScratch{})
+	if hits, calls := quant.CacheStats(); hits-h0 != 1 || calls-c0 != 2 {
+		t.Errorf("batch stats = %d hits of %d calls, want 1 of 2", hits-h0, calls-c0)
 	}
 	// The quantized decision matches the exact controller evaluated at
 	// the snapped plane.
@@ -364,7 +377,7 @@ func TestDecisionCacheConcurrentUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s1 != s2 || p1 != p2 {
-			t.Fatalf("u=%v: concurrent-filled cache (%v/%v) disagrees with fresh controller (%v/%v)", u, s1, p1, s2, p2)
+			t.Fatalf("u=%v: concurrently used controller (%v/%v) disagrees with fresh controller (%v/%v)", u, s1, p1, s2, p2)
 		}
 	}
 }

@@ -94,7 +94,7 @@ type RunRequest struct {
 	// Shards, when positive, is an alias for Workers that takes precedence
 	// over it, like h2psim's -shards.
 	Shards int `json:"shards,omitempty"`
-	// Quantum is the decision-cache utilization quantum (0 = exact).
+	// Quantum is the decision quantum (0 = exact).
 	Quantum float64 `json:"quantum,omitempty"`
 	// FaultPlan is the kind:rate[:severity] DSL or inline JSON plan; empty
 	// runs fault-free. FaultSeed 0 means h2psim's default seed 1.

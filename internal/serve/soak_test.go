@@ -11,7 +11,7 @@ import (
 // what each finished run leaves behind on the heap. A finished run keeps its
 // status, result bytes and journal recorder, but not its engine: the
 // recorder's stats readers are frozen to values when the run loop returns,
-// so the controller, decision cache and segment index are collectable.
+// so the controller and segment index are collectable.
 func TestServeRetainedHeapPerRun(t *testing.T) {
 	const (
 		warm, soak = 50, 250

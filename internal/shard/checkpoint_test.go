@@ -129,9 +129,10 @@ func TestHaltSemantics(t *testing.T) {
 
 // TestCheckpointSizeIndependentOfProgress is the checkpoint perf guard: a
 // checkpoint holds aggregates and one sensor snapshot per circulation, so
-// its encoded size must not grow with the intervals elapsed. The exact
-// decision cache misses on nearly every plane of a drastic trace, which is
-// what made the size grow while checkpoints listed its keys.
+// its encoded size must not grow with the intervals elapsed. A drastic
+// trace at the exact quantum mints a fresh plane almost every decision,
+// which is what made the size grow while checkpoints listed the retired
+// decision cache's keys.
 func TestCheckpointSizeIndependentOfProgress(t *testing.T) {
 	const servers = 200
 	gcfg := trace.DrasticConfig(servers)

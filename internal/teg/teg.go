@@ -41,9 +41,6 @@ type Device struct {
 	// PmaxFit holds the paper's empirical maximum-output-power quadratic
 	// (Eq. 6): PmaxFit[0] + PmaxFit[1]*dT + PmaxFit[2]*dT^2.
 	PmaxFit [3]float64
-	// MinAmbient and MaxAmbient bound the operating envelope
-	// (-60..120 °C for the SP 1848-27145).
-	MinAmbient, MaxAmbient units.Celsius
 	// UnitCost is the purchase price per piece (Sec. III-A: $1).
 	UnitCost units.USD
 	// LifespanYears is the conservative service life used by the TCO
@@ -61,8 +58,6 @@ func SP1848() Device {
 		InternalResistance: 2.0,
 		ThermalConductance: 0.5,
 		PmaxFit:            [3]float64{0.0011, -0.0003, 0.0003},
-		MinAmbient:         -60,
-		MaxAmbient:         120,
 		UnitCost:           1.0,
 		LifespanYears:      25,
 	}
@@ -78,9 +73,6 @@ func (d Device) Validate() error {
 	}
 	if d.ThermalConductance < 0 {
 		return errors.New("teg: ThermalConductance must be non-negative")
-	}
-	if d.MaxAmbient <= d.MinAmbient {
-		return errors.New("teg: ambient envelope is empty")
 	}
 	if d.LifespanYears <= 0 {
 		return errors.New("teg: LifespanYears must be positive")

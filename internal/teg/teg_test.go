@@ -150,7 +150,6 @@ func TestDeviceValidation(t *testing.T) {
 		func(d *Device) { d.SeebeckSlope = -1 },
 		func(d *Device) { d.InternalResistance = 0 },
 		func(d *Device) { d.ThermalConductance = -0.1 },
-		func(d *Device) { d.MinAmbient, d.MaxAmbient = 10, 10 },
 		func(d *Device) { d.LifespanYears = 0 },
 	}
 	for i, mut := range cases {

@@ -16,7 +16,7 @@
 //
 //   - Enabled. Instruments are lock-free and allocation-free on the record
 //     path: counters and histograms are sharded and cache-line padded like
-//     the sched decision-cache counters, so the parallel engine's workers do
+//     the sched decision counters, so the parallel engine's workers do
 //     not bounce one cache line per observation. Snapshots and exposition
 //     only read atomics; they never block writers.
 //
