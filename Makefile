@@ -57,6 +57,7 @@ fuzz-check:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRNGStreamMatchesMathRand$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzDecideBatchEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzScanRows$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lookup -run '^$$' -fuzz '^FuzzSpaceEval$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/h2psim -run '^$$' -fuzz '^FuzzResumeCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParseRunRequest$$' -fuzztime $(FUZZTIME)
@@ -102,8 +103,9 @@ results-check:
 check: vet fmt-check vuln build race fuzz-check load-check perfbench-check results-check
 
 # bench tracks the decision hot path across PRs: the Decision* benchmarks in
-# internal/lookup (the Fig. 13 plane query and the per-server batch blend)
-# and internal/sched (Choose, Decide, DecideBatch) run with
+# internal/lookup (the space's default Build in DecisionSpaceBuild, an
+# off-grid CPUTemp plus OutletTemp in DecisionSpaceEval, the Fig. 13 plane
+# query and the per-server batch blend) and internal/sched (Choose, Decide, DecideBatch) run with
 # -benchmem and land in BENCH_decision.json as a test2json stream, and the
 # end-to-end IntervalThroughput* benchmarks in internal/core (one control
 # interval over 10k-server columns through the batched block step, churn and

@@ -62,7 +62,8 @@ func TestBatchMatchesSerialEngine(t *testing.T) {
 }
 
 // TestBatchMatchesSerialQuantized extends the engine pin to a quantized
-// decision cache, where the batch key dedup actually collapses groups.
+// decision plane, where the batch's per-column plane dedupe actually
+// collapses groups.
 func TestBatchMatchesSerialQuantized(t *testing.T) {
 	const servers, seed = 60, 13
 	gcfg := trace.CommonConfig(servers)
@@ -187,6 +188,54 @@ func TestBatchDecideErrorDegradesUnderInjector(t *testing.T) {
 			continue
 		}
 		if got.Intervals[i] != clean.Intervals[i] {
+			t.Errorf("interval %d differs from the unpoisoned run", i)
+		}
+	}
+}
+
+// TestBatchDecideErrorKeepsBatchDecisions pins the injector fallback's
+// decision count: when a block's batch decision fails, the circulations
+// before the failing one keep the batch's decisions and only those after it
+// are decided again, so the poisoned run counts exactly one decision fewer
+// than the clean run (the poisoned circulation's, which fails before it is
+// counted), and only its interval changes.
+func TestBatchDecideErrorKeepsBatchDecisions(t *testing.T) {
+	const servers, poisoned = 60, 3
+	gcfg := trace.CommonConfig(servers)
+	cfg := smallConfig(sched.Original)
+	cfg.Workers = 1
+	cfg.Faults = &fault.Plan{Specs: []fault.Spec{{Kind: fault.TEGDegrade, Rate: 0.05, Severity: 0.5}}}
+	cfg.FaultSeed = 5
+	run := func(poison bool) (*Result, uint64) {
+		var src trace.Source
+		src, err := trace.NewGeneratorSource(gcfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if poison {
+			src = &poisonedSource{Source: src, interval: poisoned, server: 25, value: 1.75}
+		}
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.RunSource(src, &RunOptions{KeepSeries: true})
+		if err != nil {
+			t.Fatalf("poison=%v: %v", poison, err)
+		}
+		_, calls := eng.Controller().CacheStats()
+		return res, calls
+	}
+	clean, cleanCalls := run(false)
+	got, gotCalls := run(true)
+	if gotCalls != cleanCalls-1 {
+		t.Errorf("poisoned run counted %d decisions, want the clean run's %d - 1", gotCalls, cleanCalls)
+	}
+	if got.Faults.DegradedIntervals != 1 {
+		t.Fatalf("faults %+v: want exactly one degraded circulation-interval", got.Faults)
+	}
+	for i := range got.Intervals {
+		if i != poisoned && got.Intervals[i] != clean.Intervals[i] {
 			t.Errorf("interval %d differs from the unpoisoned run", i)
 		}
 	}

@@ -518,12 +518,15 @@ func (ws *workerState) grow(n int) {
 //
 // The decision is a pure function of the column, so one DecideBatchCold
 // serves every retry attempt of every circulation in the block. If the batch
-// decision fails under an active fault injector, each circulation is decided
-// alone with Decide, and its decision or decide error enters its retry loop:
-// a circulation whose decision fails fails every attempt and degrades, while
-// the others finish normally. With no injector a decide failure is fatal,
-// attributed to the block's lowest failing circulation with the untouched
-// single-circulation error.
+// decision fails under an active fault injector, the circulations before the
+// failing one keep the batch's decisions, the failing one takes the batch's
+// single-circulation error, and each circulation after it is decided alone
+// with Decide (every circulation is, for an error the batch attributes to no
+// circulation). Each decision or decide error enters its circulation's retry
+// loop: a circulation whose decision fails fails every attempt and degrades,
+// while the others finish normally. With no injector a decide failure is
+// fatal, attributed to the block's lowest failing circulation with the
+// untouched single-circulation error.
 func stepBlock(circs []Circulation, col []float64, interval int, ws *workerState, parts []CirculationInterval, errs []error) {
 	ws.grow(len(circs))
 	for k := range circs {
@@ -538,20 +541,31 @@ func stepBlock(circs []Circulation, col []float64, interval int, ws *workerState
 	// finishes.
 	smp := c0.env.At(interval)
 	if err := c0.ctl.DecideBatchCold(col, ws.ranges, c0.scheme, smp.ColdSide, &ws.bs, ws.scrs, ws.decs); err != nil {
-		if c0.inj != nil {
-			for k := range circs {
-				c := &circs[k]
-				var derr error
-				ws.decs[k], derr = c.ctl.Decide(col[c.Lo:c.Hi], c.scheme, smp.ColdSide, &c.scratch)
-				errs[k] = c.stepWithDecision(&parts[k], interval, &smp, &ws.decs[k], derr)
+		var ge sched.GroupError
+		grouped := errors.As(err, &ge)
+		if c0.inj == nil {
+			if grouped {
+				errs[ge.Group] = ge.Err
+			} else {
+				errs[0] = err
 			}
 			return
 		}
-		var ge sched.GroupError
-		if errors.As(err, &ge) {
-			errs[ge.Group] = ge.Err
-		} else {
-			errs[0] = err
+		decided := 0
+		if grouped {
+			decided = ge.Group
+		}
+		for k := range circs {
+			c := &circs[k]
+			var derr error
+			switch {
+			case k < decided:
+			case grouped && k == decided:
+				ws.decs[k], derr = sched.Decision{}, ge.Err
+			default:
+				ws.decs[k], derr = c.ctl.Decide(col[c.Lo:c.Hi], c.scheme, smp.ColdSide, &c.scratch)
+			}
+			errs[k] = c.stepWithDecision(&parts[k], interval, &smp, &ws.decs[k], derr)
 		}
 		return
 	}

@@ -187,8 +187,9 @@ func TestStepWritesSlotsInPlace(t *testing.T) {
 
 // TestShardStepAllocationFree pins the warm in-place step of the month
 // configuration — LoadBalance at the month-scale quantum, the seasonal
-// environment and the heat-reuse sink — at a small size: once the decision
-// cache holds the day's planes, a ShardRunner.Step allocates nothing.
+// environment and the heat-reuse sink — at a small size: once the step's
+// scratch has grown to the block's shape, a ShardRunner.Step allocates
+// nothing.
 func TestShardStepAllocationFree(t *testing.T) {
 	const servers = 200
 	cfg := DefaultConfig(sched.LoadBalance)

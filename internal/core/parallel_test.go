@@ -101,7 +101,7 @@ func TestHighEntropyParallelEquivalence(t *testing.T) {
 }
 
 // TestQuantizedCacheKeepsEquivalence repeats the equivalence check with the
-// decision cache quantized: quantization perturbs the results relative to
+// decision plane quantized: quantization perturbs the results relative to
 // the exact controller, but every worker count must still agree bit-for-bit
 // with the serial reference under the same quantum.
 func TestQuantizedCacheKeepsEquivalence(t *testing.T) {

@@ -182,12 +182,8 @@ func (s Spec) Temperature(u float64, f units.LitersPerHour, tin units.Celsius) u
 }
 
 // OutletDeltaT returns the coolant temperature rise across the CPU cold
-// plate, Eq. 8 / Fig. 9: the advective rise of a stream absorbing P(u).
+// plate, Eq. 8 / Fig. 9: the advective rise of a stream absorbing P(u). The
+// outlet temperature is T_warm_out = T_warm_in + OutletDeltaT (Eq. 8).
 func (s Spec) OutletDeltaT(u float64, f units.LitersPerHour) units.Celsius {
 	return units.AdvectionDeltaT(s.Power(u), f)
-}
-
-// OutletTemp returns T_warm_out = T_warm_in + deltaT_out-in (Eq. 8).
-func (s Spec) OutletTemp(u float64, f units.LitersPerHour, tin units.Celsius) units.Celsius {
-	return tin + s.OutletDeltaT(u, f)
 }

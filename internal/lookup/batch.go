@@ -16,9 +16,9 @@ import (
 // Bit-identity contract: every number produced here reproduces the
 // trilinear look-up (Space.At) exactly. Each utilization is located with
 // numeric.Cell's (segment, weight) and blended as w0*t0 + w1*t1, which is
-// Grid3D.Eval's operation sequence at the grid-aligned flow/inlet
-// coordinates of a candidate cell (the collapsed axes contribute exact 0/1
-// weights). Row order is not part of the contract: segment rows run hottest
+// the scalar look-up's (candTables.eval) operation sequence at the
+// grid-aligned flow/inlet coordinates of a candidate cell (the collapsed
+// axes contribute exact 0/1 weights). Row order is not part of the contract: segment rows run hottest
 // outlet first (SlabRow.OutletMax, descending, ties in ascending cell order)
 // so a power argmax can stop early, and full-plane rows run in
 // PlaneIntersection's ascending (flow-major) cell order. A consumer that
@@ -51,7 +51,7 @@ func (l *BatchLoc) grow(n int) {
 // element of us into l: the lower stencil index and the two linear blend
 // weights. It performs no range validation — the location clamps to the
 // boundary cell, so out-of-range utilizations extrapolate exactly as
-// Grid3D.Eval does, which keeps BatchEval bit-identical to the scalar
+// the scalar look-up does, which keeps BatchEval bit-identical to the scalar
 // CPUTemp/OutletTemp calls for any input.
 func (s *Space) LocateColumn(us []float64, l *BatchLoc) {
 	t := s.tabs
@@ -69,8 +69,8 @@ func (s *Space) LocateColumn(us []float64, l *BatchLoc) {
 // long as the located column). For a column located by LocateColumn the
 // results are bit-identical to calling CPUTemp/OutletTemp element-wise at
 // the cell's (grid-aligned) flow and inlet coordinates: the collapsed
-// flow/inlet axes contribute exact 0/1 trilinear weights, so Grid3D.Eval
-// degenerates to the same two-term blend evaluated here.
+// flow/inlet axes contribute exact 0/1 trilinear weights, so the scalar
+// look-up degenerates to the same two-term blend evaluated here.
 func (s *Space) BatchEval(cell int, l *BatchLoc, cpuT, out []float64) {
 	t := s.tabs
 	base := cell * t.nu
@@ -275,5 +275,5 @@ func (s *Space) PlaneRows(u float64, buf *[]SlabRow) (rows []SlabRow, w0, w1 flo
 // Point.Inlet.
 func (s *Space) CellSetting(cell int) (units.LitersPerHour, units.Celsius) {
 	t := s.tabs
-	return units.LitersPerHour(t.flow[cell]), units.Celsius(t.inlet[cell])
+	return units.LitersPerHour(t.fAxis[cell/t.ni]), units.Celsius(t.iAxis[cell%t.ni])
 }

@@ -71,7 +71,7 @@ func TestBatchEvalMatchesScalar(t *testing.T) {
 
 // TestBatchEvalExtrapolates pins the no-validation contract of LocateColumn:
 // out-of-range utilizations extrapolate from the boundary cell exactly as
-// Grid3D.Eval does.
+// CPUTemp and OutletTemp do.
 func TestBatchEvalExtrapolates(t *testing.T) {
 	s := batchSpace(t)
 	us := []float64{-0.25, 1.25, 2}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/h2p-sim/h2p/internal/cpu"
+	"github.com/h2p-sim/h2p/internal/units"
 )
 
 // The Decision* benchmarks feed make bench / BENCH_decision.json alongside
@@ -32,5 +33,32 @@ func BenchmarkDecisionPlaneMaterialize(b *testing.B) {
 		if len(pts) == 0 {
 			b.Fatal("no candidates")
 		}
+	}
+}
+
+// BenchmarkDecisionSpaceBuild is the set-up every engine pays once: a
+// default Build, sampling the CPU model over the 21×24×57 grid into the
+// cell-major store.
+func BenchmarkDecisionSpaceBuild(b *testing.B) {
+	spec, axes := cpu.XeonE52650V3(), DefaultAxes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(spec, axes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchSink keeps the scalar look-ups' results live.
+var benchSink units.Celsius
+
+// BenchmarkDecisionSpaceEval is the scalar look-up of the per-circulation
+// physics: CPUTemp plus OutletTemp at an operating point off every grid
+// node, so all eight corners of the trilinear stencil carry weight.
+func BenchmarkDecisionSpaceEval(b *testing.B) {
+	s := benchSpace(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = s.CPUTemp(0.437, 61.3, 44.9) + s.OutletTemp(0.437, 61.3, 44.9)
 	}
 }

@@ -13,6 +13,8 @@ package lookup
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"github.com/h2p-sim/h2p/internal/cpu"
@@ -44,10 +46,21 @@ func DefaultAxes() Axes {
 	}
 }
 
-// Validate checks the axes are usable for grid construction.
+// Validate checks the axes are usable for grid construction: each needs at
+// least two finite, strictly increasing nodes.
 func (a Axes) Validate() error {
-	if len(a.Utilization) < 2 || len(a.Flow) < 2 || len(a.Inlet) < 2 {
-		return errors.New("lookup: each axis needs at least 2 points")
+	for _, axis := range [][]float64{a.Utilization, a.Flow, a.Inlet} {
+		if len(axis) < 2 {
+			return errors.New("lookup: each axis needs at least 2 points")
+		}
+		for i, v := range axis {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return errors.New("lookup: axis nodes must be finite")
+			}
+			if i > 0 && v <= axis[i-1] {
+				return errors.New("lookup: axes must be strictly increasing")
+			}
+		}
 	}
 	return nil
 }
@@ -63,18 +76,17 @@ type Point struct {
 
 // Space is the continuous look-up space fitted over the measurement grid.
 //
-// A Space is immutable after Build: every method only reads the fitted
-// grids, so a single Space may safely back any number of concurrent
+// A Space is immutable after Build: every method only reads the sampled
+// grid, so a single Space may safely back any number of concurrent
 // readers (the parallel engine shares one Space across all circulation
 // workers, and core.Fleet shares one across whole engines). The fields are
-// unexported precisely so no caller can mutate the grids after fitting.
+// unexported precisely so no caller can mutate the samples after fitting.
 type Space struct {
 	axes Axes
 	spec cpu.Spec
-	tcpu *numeric.Grid3D
-	tout *numeric.Grid3D
-	// tabs is the flattened cell-major view of the same samples, built once
-	// for the decision hot path's kernels (tables.go, batch.go).
+	// tabs holds the samples, cell-major: the one store both the scalar
+	// look-ups and the decision hot path's kernels read (tables.go,
+	// batch.go).
 	tabs *candTables
 	// met holds the optional miss-scan metrics (telemetry.go). An atomic
 	// pointer rather than a plain field: the space itself stays immutable
@@ -92,8 +104,8 @@ var ErrBandNotPositive = errors.New("lookup: safety band must be positive")
 
 // Build samples the CPU model over the grid — standing in for the prototype
 // measurement campaign — and fits the continuous space by trilinear
-// interpolation. The returned Space is never written to again and is safe
-// for concurrent use.
+// interpolation. The space keeps its own copy of the axes. The returned
+// Space is never written to again and is safe for concurrent use.
 func Build(spec cpu.Spec, axes Axes) (*Space, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -101,27 +113,12 @@ func Build(spec cpu.Spec, axes Axes) (*Space, error) {
 	if err := axes.Validate(); err != nil {
 		return nil, err
 	}
-	tcpu, err := numeric.NewGrid3D(axes.Utilization, axes.Flow, axes.Inlet)
-	if err != nil {
-		return nil, err
+	axes = Axes{
+		Utilization: slices.Clone(axes.Utilization),
+		Flow:        slices.Clone(axes.Flow),
+		Inlet:       slices.Clone(axes.Inlet),
 	}
-	tout, err := numeric.NewGrid3D(axes.Utilization, axes.Flow, axes.Inlet)
-	if err != nil {
-		return nil, err
-	}
-	tcpu.Fill(func(u, f, tin float64) float64 {
-		return float64(spec.Temperature(u, units.LitersPerHour(f), units.Celsius(tin)))
-	})
-	tout.Fill(func(u, f, tin float64) float64 {
-		return float64(spec.OutletTemp(u, units.LitersPerHour(f), units.Celsius(tin)))
-	})
-	return &Space{
-		axes: axes,
-		spec: spec,
-		tcpu: tcpu,
-		tout: tout,
-		tabs: buildCandTables(axes, tcpu, tout),
-	}, nil
+	return &Space{axes: axes, spec: spec, tabs: sampleTables(spec, axes)}, nil
 }
 
 // Spec returns the CPU spec the space was measured on.
@@ -132,13 +129,13 @@ func (s *Space) Axes() Axes { return s.axes }
 
 // CPUTemp interpolates the die temperature at an arbitrary operating point.
 func (s *Space) CPUTemp(u float64, f units.LitersPerHour, tin units.Celsius) units.Celsius {
-	return units.Celsius(s.tcpu.Eval(u, float64(f), float64(tin)))
+	return units.Celsius(s.tabs.eval(s.tabs.tcpu, u, float64(f), float64(tin)))
 }
 
 // OutletTemp interpolates the coolant outlet temperature at an arbitrary
 // operating point.
 func (s *Space) OutletTemp(u float64, f units.LitersPerHour, tin units.Celsius) units.Celsius {
-	return units.Celsius(s.tout.Eval(u, float64(f), float64(tin)))
+	return units.Celsius(s.tabs.eval(s.tabs.tout, u, float64(f), float64(tin)))
 }
 
 // At returns the full interpolated Point at an operating point.

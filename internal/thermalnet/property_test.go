@@ -143,7 +143,7 @@ func TestPropertyOutletNeverExceedsDieTemp(t *testing.T) {
 			u := rng.Float64()
 			flow := units.LitersPerHour(20 + 280*rng.Float64())
 			tin := units.Celsius(20 + 40*rng.Float64())
-			outlet := spec.OutletTemp(u, flow, tin)
+			outlet := tin + spec.OutletDeltaT(u, flow)
 			die := spec.Temperature(u, flow, tin)
 			if outlet > die {
 				t.Fatalf("%s: outlet %v exceeds die %v at u=%.3f flow=%v tin=%v",
