@@ -559,7 +559,7 @@ func stepBlock(circs []Circulation, col []float64, interval int, ws *workerState
 			c := &circs[k]
 			var derr error
 			switch {
-			case k < decided:
+			case k < decided: // the batch's decision stands
 			case grouped && k == decided:
 				ws.decs[k], derr = sched.Decision{}, ge.Err
 			default:
