@@ -61,6 +61,7 @@ fuzz-check:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/h2psim -run '^$$' -fuzz '^FuzzResumeCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParseRunRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzTenantName$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/env -run '^$$' -fuzz '^FuzzEnvProfile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME)
@@ -124,6 +125,10 @@ check: vet fmt-check vuln build race fuzz-check load-check perfbench-check resul
 # The RunRecorder benchmark (one run's journal traffic through the recorder
 # and a draining live-hub subscriber, in ns/run and records/run, on a 24- and
 # a 144-interval run) lands in BENCH_obs.json.
+# The ServeFinishedRun benchmark (60 x 24 runs through the run server's
+# handler with one executor, submit to done, in ns/run, allocs/run and the
+# live heap each finished run retains, retained-B/run) lands in
+# BENCH_serve.json.
 # Each artifact opens with the h2p_bench_env header line (`h2pbench
 # -bench-env`): go version, GOMAXPROCS, CPU model, commit. `go run` stamps
 # no VCS revision by default, so the header lines build with
@@ -146,11 +151,15 @@ bench:
 	$(GO) run -buildvcs=true ./cmd/h2pbench -bench-env > BENCH_obs.json
 	$(GO) test -run '^$$' -bench '^BenchmarkRunRecorder$$' -benchmem -count=1 -json \
 		./internal/obs >> BENCH_obs.json
+	$(GO) run -buildvcs=true ./cmd/h2pbench -bench-env > BENCH_serve.json
+	$(GO) test -run '^$$' -bench '^BenchmarkServeFinishedRun$$' -benchmem -count=1 -json \
+		./internal/serve >> BENCH_serve.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_decision.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_interval.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_shard.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_trace.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_obs.json
+	$(GO) run ./cmd/h2pbenchdiff BENCH_serve.json
 
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -162,4 +171,4 @@ experiments:
 # `make experiments` regenerates them.
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_decision.json BENCH_interval.json BENCH_shard.json BENCH_trace.json BENCH_obs.json
+	rm -f BENCH_decision.json BENCH_interval.json BENCH_shard.json BENCH_trace.json BENCH_obs.json BENCH_serve.json

@@ -1,13 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,8 +32,23 @@ const (
 // DefaultTenant keys requests that carry no X-Tenant header.
 const DefaultTenant = "anonymous"
 
-// tenantNameRE bounds tenant identifiers: short, path- and log-safe.
-var tenantNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
+// validTenantName bounds tenant identifiers to short, path- and log-safe
+// names: 1-64 bytes of [A-Za-z0-9._-], the first alphanumeric.
+func validTenantName(name string) bool {
+	if len(name) == 0 || len(name) > 64 {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		case i > 0 && (c == '.' || c == '_' || c == '-'):
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // Config shapes a run server. The zero value is usable: private fleet,
 // in-memory hub, discarded journal, unlimited quotas, a CPU-count executor
@@ -99,20 +114,20 @@ func newServeMetrics(r *telemetry.Registry) serveMetrics {
 	}
 }
 
-// runState is one accepted run's full lifecycle. Mutable fields are guarded
-// by the server mutex; ctx/cancel/done and the immutable identity fields are
-// set at admission and never change.
+// runState is one accepted run: the record every endpoint reads, which a
+// terminal run keeps for the server's life, plus exec, what only a queued or
+// running run needs. The identity fields are set at admission and never
+// change; the rest, exec included, is guarded by the server mutex.
 type runState struct {
-	id       string
-	tenant   string
-	sweep    string
-	req      *RunRequest
-	meta     trace.Meta
-	manifest obs.Manifest
-	rr       *obs.RunRecorder
-	ctx      context.Context
-	cancel   context.CancelFunc
-	done     chan struct{}
+	id     string
+	tenant string
+	sweep  string
+	req    *RunRequest
+	// run is the journal and hub run key; configHash is the manifest's.
+	run        string
+	configHash string
+	// exec is nil once the run is terminal (endLocked).
+	exec *runExec
 
 	state       string
 	errMsg      string
@@ -122,6 +137,18 @@ type runState struct {
 	resultJSON  []byte
 	resultHash  string
 	doneRec     *obs.Done
+}
+
+// runExec is what a run needs until it ends: the context its engine runs
+// under, the channel ?wait fetches block on, the journal recorder (which
+// pins the run's cache and shard stats readers) and the trace length for
+// the done record.
+type runExec struct {
+	ctx       context.Context
+	cancel    context.CancelFunc
+	done      chan struct{}
+	rr        *obs.RunRecorder
+	intervals int
 }
 
 // sweepState groups one sweep's expanded children.
@@ -306,7 +333,7 @@ func tenantFrom(r *http.Request) (string, error) {
 	if name == "" {
 		return DefaultTenant, nil
 	}
-	if !tenantNameRE.MatchString(name) {
+	if !validTenantName(name) {
 		return "", fmt.Errorf("invalid X-Tenant %q: want 1-64 chars of [A-Za-z0-9._-]", name)
 	}
 	return name, nil
@@ -352,10 +379,10 @@ func (s *Server) statusLocked(rs *runState) *RunStatus {
 		ID:          rs.id,
 		Tenant:      rs.tenant,
 		State:       rs.state,
-		Run:         rs.rr.Run(),
+		Run:         rs.run,
 		Sweep:       rs.sweep,
 		Request:     rs.req,
-		ConfigHash:  rs.manifest.ConfigHash,
+		ConfigHash:  rs.configHash,
 		Error:       rs.errMsg,
 		ResultHash:  rs.resultHash,
 		Result:      rs.doneRec,
@@ -397,27 +424,27 @@ func (s *Server) admitLocked(name string, n int, w http.ResponseWriter) *tenant 
 
 // enqueueLocked creates a run under an already-admitted tenant: assigns the
 // id, writes the manifest (journal + hub), and appends to the pending queue.
-// Caller holds s.mu.
+// The run keeps the manifest's run key and ConfigHash, not the manifest:
+// the hub holds its own copy for /runs. Caller holds s.mu.
 func (s *Server) enqueueLocked(t *tenant, req *RunRequest, meta trace.Meta, sweepID string) *runState {
 	s.seq++
 	id := fmt.Sprintf("r%06d", s.seq)
+	m := req.Manifest(id, meta, s.env)
+	// NewRunRecorder writes the manifest record: the run is visible on
+	// /runs (state via the API) from the moment it is accepted.
+	rr := obs.NewRunRecorder(s.rec, m, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	rs := &runState{
 		id:          id,
 		tenant:      t.name,
 		sweep:       sweepID,
 		req:         req,
-		meta:        meta,
-		manifest:    req.Manifest(id, meta, s.env),
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
+		run:         rr.Run(),
+		configHash:  m.ConfigHash,
+		exec:        &runExec{ctx: ctx, cancel: cancel, done: make(chan struct{}), rr: rr, intervals: meta.Intervals},
 		state:       StateQueued,
 		submittedMS: s.cfg.Now().UnixMilli(),
 	}
-	// NewRunRecorder writes the manifest record: the run is visible on
-	// /runs (state via the API) from the moment it is accepted.
-	rs.rr = obs.NewRunRecorder(s.rec, rs.manifest, 0)
 	s.runs[id] = rs
 	s.order = append(s.order, id)
 	s.pending = append(s.pending, rs)
@@ -598,6 +625,10 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request, id string) {
 	s.mu.Lock()
 	rs := s.runs[id]
+	var done chan struct{} // nil once the run is terminal
+	if rs != nil && rs.exec != nil {
+		done = rs.exec.done
+	}
 	s.mu.Unlock()
 	if rs == nil {
 		httpError(w, http.StatusNotFound, "unknown run %q", id)
@@ -613,13 +644,15 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request, id string)
 		if wait > maxWait {
 			wait = maxWait
 		}
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		select {
-		case <-rs.done:
-		case <-timer.C:
-		case <-r.Context().Done():
-			return
+		if done != nil {
+			timer := time.NewTimer(wait)
+			defer timer.Stop()
+			select {
+			case <-done:
+			case <-timer.C:
+			case <-r.Context().Done():
+				return
+			}
 		}
 	}
 	s.mu.Lock()
@@ -633,12 +666,12 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request, id string)
 func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request, id string) {
 	s.mu.Lock()
 	rs := s.runs[id]
-	var state string
+	var state, errMsg, hash string
 	var body []byte
-	var errMsg string
 	if rs != nil {
 		state = rs.state
 		body = rs.resultJSON
+		hash = rs.resultHash
 		errMsg = rs.errMsg
 	}
 	s.mu.Unlock()
@@ -647,7 +680,7 @@ func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request, id stri
 		httpError(w, http.StatusNotFound, "unknown run %q", id)
 	case state == StateDone:
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Result-Hash", HashBytes(body))
+		w.Header().Set("X-Result-Hash", hash)
 		w.Write(body) //nolint:errcheck // response is best-effort
 	case state == StateFailed:
 		httpError(w, http.StatusConflict, "run %s failed: %s", id, errMsg)
@@ -682,7 +715,6 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request, id stri
 func (s *Server) cancelLocked(rs *runState, reason string) {
 	switch rs.state {
 	case StateQueued:
-		rs.state = StateCancelled
 		rs.errMsg = reason
 		rs.finishedMS = s.cfg.Now().UnixMilli()
 		if t := s.tenants[rs.tenant]; t != nil {
@@ -691,15 +723,25 @@ func (s *Server) cancelLocked(rs *runState, reason string) {
 		s.queued--
 		s.met.queueDepth.Set(float64(s.queued))
 		s.met.cancelled.Inc()
-		rs.cancel()
-		rs.rr.Event(obs.EventHalt, 0, reason+" (before start)")
-		close(rs.done)
+		rs.exec.rr.Event(obs.EventHalt, 0, reason+" (before start)")
+		s.endLocked(rs, StateCancelled)
 		s.cond.Broadcast()
 	case StateRunning:
 		// The executor owns the state transition; this just pulls the rug.
 		rs.errMsg = reason
-		rs.cancel()
+		rs.exec.cancel()
 	}
+}
+
+// endLocked moves rs to its terminal state, wakes its ?wait fetches and drops
+// its exec: the context, the done channel and the journal recorder with the
+// stats readers it pins. Every terminal transition ends here, after its
+// closing journal record; caller holds s.mu.
+func (s *Server) endLocked(rs *runState, state string) {
+	rs.state = state
+	rs.exec.cancel()
+	close(rs.exec.done)
+	rs.exec = nil
 }
 
 // handleCancelSweep is DELETE /api/v1/sweeps/{id}: cancels every child.
@@ -797,6 +839,9 @@ func (s *Server) executorLoop() {
 		s.running++
 		rs.state = StateRunning
 		rs.startedMS = s.cfg.Now().UnixMilli()
+		// Only finishLocked ends a running run, so exec stays live until
+		// then; read it under the lock all the same.
+		ex := rs.exec
 		s.met.queueDepth.Set(float64(s.queued))
 		s.met.runningGauge.Set(float64(s.running))
 		s.mu.Unlock()
@@ -804,7 +849,7 @@ func (s *Server) executorLoop() {
 		if hook := s.cfg.BeforeRun; hook != nil {
 			hook(rs.id)
 		}
-		res, err := Execute(rs.ctx, s.fleet, rs.req, s.cfg.TraceDir, rs.rr)
+		res, err := Execute(ex.ctx, s.fleet, rs.req, s.cfg.TraceDir, ex.rr)
 
 		s.mu.Lock()
 		t.running--
@@ -820,21 +865,24 @@ func (s *Server) executorLoop() {
 // closing journal record. Caller holds s.mu.
 func (s *Server) finishLocked(rs *runState, res *core.Result, err error) {
 	rs.finishedMS = s.cfg.Now().UnixMilli()
+	rr := rs.exec.rr
+	state := StateFailed
 	switch {
 	case err == nil:
 		b, merr := MarshalResult(res)
 		if merr != nil {
-			rs.state = StateFailed
 			rs.errMsg = merr.Error()
 			s.met.failed.Inc()
 			break
 		}
-		rs.state = StateDone
-		rs.resultJSON = b
+		state = StateDone
+		// The encoder's buffer has grown past the document; keep an
+		// exact-length copy for the run's life.
+		rs.resultJSON = bytes.Clone(b)
 		rs.resultHash = HashBytes(b)
-		rs.rr.Done(res)
+		rr.Done(res)
 		rs.doneRec = &obs.Done{
-			Intervals:             rs.meta.Intervals,
+			Intervals:             rs.exec.intervals,
 			AvgTEGWattsPerServer:  float64(res.AvgTEGPowerPerServer),
 			PeakTEGWattsPerServer: float64(res.PeakTEGPowerPerServer),
 			PRE:                   res.PRE,
@@ -847,19 +895,18 @@ func (s *Server) finishLocked(rs *runState, res *core.Result, err error) {
 		}
 		s.met.completed.Inc()
 	case errors.Is(err, context.Canceled):
-		rs.state = StateCancelled
+		state = StateCancelled
 		if rs.errMsg == "" {
 			rs.errMsg = "cancelled"
 		}
-		rs.rr.Event(obs.EventHalt, 0, rs.errMsg)
+		rr.Event(obs.EventHalt, 0, rs.errMsg)
 		s.met.cancelled.Inc()
 	default:
-		rs.state = StateFailed
 		rs.errMsg = err.Error()
-		rs.rr.Event(obs.EventNote, 0, "run failed: "+err.Error())
+		rr.Event(obs.EventNote, 0, "run failed: "+err.Error())
 		s.met.failed.Inc()
 	}
-	close(rs.done)
+	s.endLocked(rs, state)
 }
 
 // idleLocked reports whether no run is queued or executing.

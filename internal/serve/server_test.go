@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -609,4 +610,39 @@ func mustGet(t *testing.T, url string) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// tenantNameRef is the tenant-name rule as a regular expression, the referee
+// for validTenantName.
+var tenantNameRef = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
+
+func TestValidTenantName(t *testing.T) {
+	name64 := "a" + strings.Repeat("b.-_9", 12) + "xyz"
+	for _, c := range []struct {
+		name string
+		want bool
+	}{
+		{"acme", true}, {"a", true}, {"Z9", true}, {"team-1.prod_a", true},
+		{name64, true}, {name64 + "c", false},
+		{"", false}, {"-a", false}, {".a", false}, {"_a", false},
+		{"a b", false}, {"a/b", false}, {"a\n", false}, {"é", false}, {"aé", false},
+	} {
+		if got := validTenantName(c.name); got != c.want {
+			t.Errorf("validTenantName(%q) = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// FuzzTenantName holds validTenantName to the regular-expression referee on
+// arbitrary bytes.
+func FuzzTenantName(f *testing.F) {
+	name64 := "a" + strings.Repeat("b.-_9", 12) + "xyz"
+	for _, s := range []string{"", "acme", "a", "-a", "a-", name64, name64 + "c", "é", "aé", "a\n", "a\x00", "A.B_C-D"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		if got, want := validTenantName(name), tenantNameRef.MatchString(name); got != want {
+			t.Fatalf("validTenantName(%q) = %v, referee %v", name, got, want)
+		}
+	})
 }
