@@ -36,7 +36,7 @@ func TestServeRetainedHeapPerRun(t *testing.T) {
 	const (
 		warm, soak = 50, 250
 		batch      = 25
-		// A done 60 × 24 run keeps about 2.7 KB: the status, the request,
+		// A done 60 × 24 run keeps about 2.5 KB: the status, the request,
 		// the 1.1 KB result JSON and the hub's summary with its manifest.
 		maxPerRun = 3 << 10
 	)
